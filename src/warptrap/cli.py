@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, evolve, quasimode as qmod
 from .geometry import WarpGeometry
-from .spectral import Grid, fd_derivative
+from .spectral import EigensolverError, Grid, fd_derivative
 
 SCHEMA_VERSION = 1
 
@@ -100,9 +100,8 @@ class ExperimentConfig:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
+    # np.float64 subclasses float, and its repr is "np.float64(...)" under numpy 2
+    if isinstance(v, (float, np.floating)):
         return repr(float(v))
     if isinstance(v, (np.integer,)):
         return str(int(v))
@@ -519,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ConvergenceFailure as exc:
+    except (ConvergenceFailure, EigensolverError) as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3
     except CheckFailure as exc:

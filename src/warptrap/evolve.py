@@ -43,7 +43,6 @@ __all__ = [
     "ModePropagator",
     "ModeState",
     "WaveField",
-    "clear_propagator_cache",
     "er_history",
     "get_propagator",
     "le1_growth",
@@ -63,11 +62,15 @@ _CHUNK = 256
 def _real_matmul(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     """M @ X keeping M real when X is complex.
 
-    Splitting into two real products avoids upcasting M to a complex copy;
-    the parts must be made contiguous or BLAS falls off its fast path.
+    A C-ordered complex (n, k) block viewed as float64 is the real (n, 2k)
+    matrix of interleaved real and imaginary columns, so one real GEMM
+    gives the complex product in place, with no complex copy of M and no
+    split or recombined parts.
     """
     if np.iscomplexobj(X):
-        return M @ np.ascontiguousarray(X.real) + 1j * (M @ np.ascontiguousarray(X.imag))
+        Xc = np.ascontiguousarray(X.reshape(X.shape[0], -1), dtype=complex)
+        out = (M @ Xc.view(np.float64)).view(complex)
+        return out.reshape(M.shape[0], *X.shape[1:])
     return M @ X
 
 
@@ -130,10 +133,6 @@ def get_propagator(geom: WarpGeometry, l: int, grid: Grid) -> ModePropagator:
     return prop
 
 
-def clear_propagator_cache() -> None:
-    _PROP_CACHE.clear()
-
-
 @dataclass
 class ModeState:
     """Spectral coefficients of one mode, split into the two half waves.
@@ -151,9 +150,9 @@ class ModeState:
     @classmethod
     def from_grid_data(cls, prop: ModePropagator, w0: np.ndarray, w1: np.ndarray,
                        mult: int = 1) -> "ModeState":
-        a = prop.to_spectral(np.asarray(w0, dtype=complex))
-        b = prop.to_spectral(np.asarray(w1, dtype=complex))
-        ib_over = 1j * b / prop.omega
+        ab = prop.to_spectral(np.column_stack([w0, w1]).astype(complex, copy=False))
+        ib_over = 1j * ab[:, 1] / prop.omega
+        a = ab[:, 0]
         return cls(prop, 0.5 * (a + ib_over), 0.5 * (a - ib_over), mult)
 
     # -- views ---------------------------------------------------------------
@@ -224,9 +223,6 @@ class WaveField:
 
     def energy_spectral(self) -> float:
         return sum(m.mult * m.energy_spectral() for m in self.modes)
-
-    def h_norm_spectral(self) -> float:
-        return math.sqrt(2.0 * self.energy_spectral())
 
 
 def wave_field(geom: WarpGeometry, grid: Grid, entries, time: float = 0.0) -> WaveField:
@@ -352,11 +348,59 @@ EVOLUTION_CSV_COLUMNS = ["t", "E", "E_R", "ratio_E_R", "LE1_running", "duhamel_g
 
 
 def _phase_block(cp, cm, omega, times):
-    """Coefficient matrices a(t), b(t) of w, dt w over a batch of times."""
-    ph = np.exp(-1j * np.outer(omega, times))
-    P = cp[:, None] * ph
-    M = cm[:, None] / ph
-    return P + M, -1j * omega[:, None] * (P - M)
+    """Coefficient matrices of w and dt w over a batch of m times, packed
+    side by side as [a(t) | b(t)] in one (n, 2m) array, so that a single
+    ``from_spectral`` call reconstructs both."""
+    m = len(times)
+    AB = np.empty((omega.size, 2 * m), complex)
+    P, M = AB[:, :m], AB[:, m:]
+    np.exp(np.multiply.outer(-1j * omega, times, out=P), out=P)
+    np.divide(cm[:, None], P, out=M)
+    P *= cp[:, None]
+    diff = P - M
+    P += M
+    np.multiply(diff, -1j * omega[:, None], out=M)
+    return AB
+
+
+def _rotation_gap(AB, a0, b0, evals, ph):
+    """Energy-norm distance of each packed [a | b] sample from the pure
+    phase rotation (a0, b0) * ph, computed in place in one complex and two
+    real n x m buffers."""
+    m = ph.size
+    D = np.multiply.outer(a0, ph)
+    D -= AB[:, :m]
+    sq = np.abs(D)
+    sq *= sq
+    sq *= evals[:, None]
+    np.multiply.outer(b0, ph, out=D)
+    D -= AB[:, m:]
+    absd = np.abs(D)
+    absd *= absd
+    sq += absd
+    return np.sqrt(np.sum(sq, axis=0))
+
+
+def _le1_density(WW, h, ratio, pot):
+    """|w|^2 and the order-one density |dt w|^2 + |dx w - (a'/a) w|^2 + pot |w|^2
+    from packed full-grid values [W | Wt], with Dirichlet ghost zeros."""
+    m = WW.shape[1] // 2
+    W, Wt = WW[:, :m], WW[:, m:]
+    dW = np.empty_like(W)
+    dW[1:-1] = (W[2:] - W[:-2]) / (2.0 * h)
+    dW[0] = W[1] / (2.0 * h)
+    dW[-1] = -W[-2] / (2.0 * h)
+    dW -= ratio[:, None] * W
+    e1 = np.abs(dW)
+    e1 *= e1
+    del dW
+    u = np.abs(Wt)
+    u *= u
+    e1 += u
+    np.abs(W, out=u)
+    u *= u
+    e1 += pot[:, None] * u
+    return u, e1
 
 
 def run_confinement(
@@ -422,13 +466,15 @@ def run_confinement(
     inv_a2 = geom.inv_a_sq(x)
     sig2 = qm.l * (qm.l + 1)
 
-    def band_energy(lo: int, hi: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    def band_energy(lo: int, hi: int, AB: np.ndarray) -> np.ndarray:
         # energy density integrated over node band [lo, hi); the derivative
         # stencil needs one neighbor on each side of the band
         lo0 = max(lo - 1, 0)
         hi0 = min(hi + 1, grid_ext.n_interior)
-        W = prop.from_spectral(A, rows=slice(lo0, hi0))
-        Wt = prop.from_spectral(B, rows=slice(lo, hi))
+        m = AB.shape[1] // 2
+        WW = prop.from_spectral(AB, rows=slice(lo0, hi0))
+        W = WW[:, :m]
+        Wt = WW[(lo - lo0):(hi - lo0), m:]
         Wpad = np.concatenate([
             np.zeros((1, W.shape[1]), complex) if lo0 == lo else W[:1],
             W[(lo - lo0):(hi - lo0)],
@@ -450,20 +496,16 @@ def run_confinement(
     for c0 in range(0, n_t + 1, _CHUNK):
         c1 = min(c0 + _CHUNK, n_t + 1)
         tc = times[c0:c1]
-        A, B = _phase_block(mode.c_plus, mode.c_minus, prop.omega, tc)
-        E_R[c0:c1] = band_energy(0, nR, A, B)
-        wall[c0:c1] = band_energy(n_buf, grid_ext.n_interior, A, B)
-        phU = np.exp(-1j * tau * tc)
-        dA = a0[:, None] * phU[None, :] - A
-        dB = b0[:, None] * phU[None, :] - B
-        gap[c0:c1] = np.sqrt(
-            np.sum(prop.evals[:, None] * np.abs(dA) ** 2 + np.abs(dB) ** 2, axis=0)
-        )
+        m = c1 - c0
+        AB = _phase_block(mode.c_plus, mode.c_minus, prop.omega, tc)
+        E_R[c0:c1] = band_energy(0, nR, AB)
+        wall[c0:c1] = band_energy(n_buf, grid_ext.n_interior, AB)
+        gap[c0:c1] = _rotation_gap(AB, a0, b0, prop.evals, np.exp(-1j * tau * tc))
         # independent energy recomputation on the first sample of each chunk
-        w_full = prop.from_spectral(A[:, :1])[:, 0]
-        wt_full = prop.from_spectral(B[:, :1])[:, 0]
+        w_full, wt_full = prop.from_spectral(AB[:, [0, m]]).T
         e_re = 0.5 * (prop.op.quad_form(w_full) + h * float(np.sum(np.abs(wt_full) ** 2)))
         energy_drift = max(energy_drift, abs(e_re - E_spec) / E_spec)
+        del AB  # free this block before the next one is built
 
     le1_running = le1_times = None
     if le1:
@@ -473,23 +515,12 @@ def run_confinement(
         le1_times = dt_le * np.arange(m_le + 1)
         shells = ShellWeights(grid_ext, geom)
         acc = ShellAccumulator(shells)
+        pot = sig2 * inv_a2 + shells.inv_bracket_sq
         for c0 in range(0, m_le + 1, _CHUNK):
-            c1 = min(c0 + _CHUNK, m_le + 1)
-            tc = le1_times[c0:c1]
-            A, B = _phase_block(mode.c_plus, mode.c_minus, prop.omega, tc)
-            W = prop.from_spectral(A)
-            Wt = prop.from_spectral(B)
-            dW = np.empty_like(W)
-            dW[1:-1] = (W[2:] - W[:-2]) / (2.0 * h)
-            dW[0] = W[1] / (2.0 * h)
-            dW[-1] = -W[-2] / (2.0 * h)
-            for i, t in enumerate(tc):
-                u_dens = np.abs(W[:, i]) ** 2
-                e1_dens = (np.abs(Wt[:, i]) ** 2
-                           + np.abs(dW[:, i] - ratio * W[:, i]) ** 2
-                           + sig2 * inv_a2 * u_dens
-                           + shells.inv_bracket_sq * u_dens)
-                acc.add(float(t), u_dens, e1_dens)
+            tc = le1_times[c0:c0 + _CHUNK]
+            WW = prop.from_spectral(_phase_block(mode.c_plus, mode.c_minus, prop.omega, tc))
+            acc.add(tc, *_le1_density(WW, h, ratio, pot))
+            del WW  # free this block before the next one is built
         _, le1_running = acc.finish()
 
     ratio_E_R = E_R / E_R[0]
@@ -609,8 +640,6 @@ def space_time_norms(field: WaveField, T: float, dt: float):
     norm evaluator, but reconstructs grid values in time blocks, which is
     what makes wide frequency families affordable.
     """
-    from .spectral import le_norms as _  # noqa: F401  (sibling evaluator, kept in sync)
-
     grid = field.grid
     geom = field.geom
     h = grid.h
@@ -624,26 +653,17 @@ def space_time_norms(field: WaveField, T: float, dt: float):
     for c0 in range(0, n_t + 1, _CHUNK):
         c1 = min(c0 + _CHUNK, n_t + 1)
         tc = times[c0:c1]
-        u_dens = np.zeros((grid.n_interior, c1 - c0))
-        e1_dens = np.zeros((grid.n_interior, c1 - c0))
+        m = c1 - c0
+        u_dens = np.zeros((grid.n_interior, m))
+        e1_dens = np.zeros((grid.n_interior, m))
         for mode in field.modes:
             prop = mode.prop
-            A, B = _phase_block(mode.c_plus, mode.c_minus, prop.omega, tc)
-            W = prop.from_spectral(A)
-            Wt = prop.from_spectral(B)
-            dW = np.empty_like(W)
-            dW[1:-1] = (W[2:] - W[:-2]) / (2.0 * h)
-            dW[0] = W[1] / (2.0 * h)
-            dW[-1] = -W[-2] / (2.0 * h)
-            absw2 = np.abs(W) ** 2
-            u_dens += mode.mult * absw2
-            e1_dens += mode.mult * (
-                np.abs(Wt) ** 2
-                + np.abs(dW - ratio[:, None] * W) ** 2
-                + (mode.sigma_sq * inv_a2 + shells.inv_bracket_sq)[:, None] * absw2
-            )
-        for i, t in enumerate(tc):
-            acc.add(float(t), u_dens[:, i], e1_dens[:, i])
+            u, e1 = _le1_density(
+                prop.from_spectral(_phase_block(mode.c_plus, mode.c_minus, prop.omega, tc)),
+                h, ratio, mode.sigma_sq * inv_a2 + shells.inv_bracket_sq)
+            u_dens += mode.mult * u
+            e1_dens += mode.mult * e1
+        acc.add(tc, u_dens, e1_dens)
     norms, le1_running = acc.finish()
     norms.times = np.asarray(acc.times)
     return norms, le1_running
@@ -677,9 +697,11 @@ def er_history(field: WaveField, T_max: float, R: float,
         sig2 = mode.sigma_sq
         for c0 in range(0, n_t + 1, _CHUNK):
             c1 = min(c0 + _CHUNK, n_t + 1)
-            A, B = _phase_block(mode.c_plus, mode.c_minus, prop.omega, times[c0:c1])
-            W = prop.from_spectral(A, rows=slice(0, hi0))
-            Wt = prop.from_spectral(B, rows=slice(0, nR))
+            m = c1 - c0
+            WW = prop.from_spectral(
+                _phase_block(mode.c_plus, mode.c_minus, prop.omega, times[c0:c1]),
+                rows=slice(0, hi0))
+            W, Wt = WW[:, :m], WW[:nR, m:]
             Wpad = np.concatenate([
                 np.zeros((1, W.shape[1]), complex),
                 W[:nR],

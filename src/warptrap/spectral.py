@@ -161,20 +161,30 @@ class EigenPair:
     residual: float
 
 
+# Eigenvector columns post-processed at a time: the normalisation, sign and
+# residual temporaries stay at n * _BLOCK entries instead of n * n.
+_BLOCK = 256
+
+
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    amax = np.abs(vecs).max(axis=0)
-    first = (np.abs(vecs) > 1e-12 * amax).argmax(axis=0)
+    """Per-column signs making the first entry above 1e-12 of the column's
+    largest magnitude positive."""
+    mag = np.abs(vecs)
+    first = (mag > 1e-12 * mag.max(axis=0)).argmax(axis=0)
     signs = np.sign(vecs[first, np.arange(vecs.shape[1])])
     signs[signs == 0] = 1.0
-    return vecs * signs
+    return signs
 
 
 def _solve_pairs(op: TridiagonalOperator,
                  k: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The k lowest eigenpairs (all of them for k=None), residual-gated.
 
-    scipy is imported here rather than with the module: commands that never
-    solve an eigenproblem do not pay for loading LAPACK.
+    LAPACK's eigenvector matrix is normalized, sign-fixed and gated in place,
+    one column block at a time, so the solve holds one n-row matrix plus
+    block-sized temporaries.  scipy is imported here rather than with the
+    module: commands that never solve an eigenproblem do not pay for loading
+    LAPACK.
     """
     from scipy.linalg import LinAlgError, eigh_tridiagonal
 
@@ -189,15 +199,20 @@ def _solve_pairs(op: TridiagonalOperator,
         raise EigensolverError(
             f"LAPACK eigensolver failed for operator {op.potential_id!r} (n={op.n}): {exc}"
         ) from exc
-    vecs /= np.sqrt(h * np.sum(vecs * vecs, axis=0))
-    vecs = _fix_signs(vecs)
-    r = op.apply(vecs) - vals[None, :] * vecs
-    resid = np.linalg.norm(r, axis=0) / np.linalg.norm(vecs, axis=0)
+    resid = np.empty(vals.size)
+    for j0 in range(0, vals.size, _BLOCK):
+        cols = slice(j0, j0 + _BLOCK)
+        blk = vecs[:, cols]
+        blk /= np.sqrt(h * np.sum(blk * blk, axis=0))
+        blk *= _fix_signs(blk)
+        r = op.apply(blk)
+        r -= vals[None, cols] * blk
+        resid[cols] = np.linalg.norm(r, axis=0) / np.linalg.norm(blk, axis=0)
     limit = 1e-10 * op.diag_inf
     if np.any(resid > limit):
         bad = np.nonzero(resid > limit)[0]
         raise EigensolverError(
-            f"eigenpair residuals {resid[bad]} exceed {limit:.3e} "
+            f"eigenpair residuals {resid[bad].tolist()} exceed {limit:.3e} "
             f"for indices {bad.tolist()} of {op.potential_id!r}"
         )
     return vals, vecs, resid
@@ -266,7 +281,7 @@ def quadrature_hk(grid: Grid, v: np.ndarray, k: int) -> float:
 
 
 class ShellWeights:
-    """Dyadic shell decomposition <x> ~ 2^j of a grid, with volume weights.
+    """Dyadic shell decomposition <x> ~ 2^j of a grid.
 
     <x> = sqrt(1 + x^2), so shell j holds the nodes with <x> in
     [2^j, 2^(j+1)); every node lands in exactly one shell.
@@ -280,7 +295,6 @@ class ShellWeights:
         self.shell_index = np.floor(np.log2(bracket)).astype(int)
         self.n_shells = int(self.shell_index.max()) + 1
         self.masks = [self.shell_index == j for j in range(self.n_shells)]
-        self.vol_weights = geom.a_sq(x) * grid.h
         self.inv_bracket_sq = 1.0 / (bracket * bracket)
 
     def shell_sums(self, density: np.ndarray) -> np.ndarray:
@@ -407,20 +421,23 @@ class LeNorms:
 class ShellAccumulator:
     """Accumulates per-shell space-time integrals from sampled states.
 
-    Feed instantaneous (t, |u|^2 density, order-one density) node arrays in
-    time order; integrals use the trapezoid rule over the fed times.
+    Feed sample times with (n, k) node-density blocks of |u|^2 and the
+    order-one density, one column per time, in time order; integrals use
+    the trapezoid rule over the fed times.
     """
 
     def __init__(self, shells: ShellWeights):
         self.shells = shells
+        # h-weighted shell indicator: one product sums a density block per shell
+        self.indicator = shells.grid.h * np.asarray(shells.masks, dtype=float)
         self.times: list[float] = []
         self.u_rows: list[np.ndarray] = []
         self.e1_rows: list[np.ndarray] = []
 
-    def add(self, t: float, u_density: np.ndarray, le1_density: np.ndarray) -> None:
-        self.times.append(t)
-        self.u_rows.append(self.shells.shell_sums(u_density))
-        self.e1_rows.append(self.shells.shell_sums(le1_density))
+    def add(self, times: np.ndarray, u_density: np.ndarray, le1_density: np.ndarray) -> None:
+        self.times.extend(np.asarray(times, dtype=float).tolist())
+        self.u_rows.append((self.indicator @ u_density).T)
+        self.e1_rows.append((self.indicator @ le1_density).T)
 
     @staticmethod
     def _cum_trapz(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -432,8 +449,8 @@ class ShellAccumulator:
         if len(self.times) < 2:
             raise ValueError("need at least two time samples for the space-time norms")
         t = np.asarray(self.times)
-        U = self._cum_trapz(np.asarray(self.u_rows), t)
-        E1 = self._cum_trapz(np.asarray(self.e1_rows), t)
+        U = self._cum_trapz(np.vstack(self.u_rows), t)
+        E1 = self._cum_trapz(np.vstack(self.e1_rows), t)
         j = np.arange(self.shells.n_shells)
         wdown = np.power(2.0, -0.5 * j)
         wup = np.power(2.0, 0.5 * j)
@@ -470,7 +487,7 @@ def le_norms(history, geom: WarpGeometry, T: float | None = None) -> LeNorms:
                 + _mode_gradient_sq(geom, grid, mode.l, w)
                 + shells.inv_bracket_sq * np.abs(w) ** 2
             )
-        acc.add(state.time, u_dens, e1_dens)
+        acc.add([state.time], u_dens[:, None], e1_dens[:, None])
     norms, _ = acc.finish()
     norms.times = np.asarray(acc.times)
     return norms

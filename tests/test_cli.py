@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from warptrap.cli import ExperimentConfig, ConfigError, main
+from warptrap.cli import ExperimentConfig, ConfigError, OutputCollector, main
 
 
 def run_cli(args):
@@ -197,6 +198,41 @@ class TestExceptionMapping:
                         "--out", str(tmp_path / "x")])
         assert code == 3
         assert "convergence" in capsys.readouterr().err
+
+    def test_eigensolver_error_is_exit_three(self, tmp_path, capsys, monkeypatch):
+        from warptrap import spectral
+
+        def fail(op, k):
+            raise spectral.EigensolverError(
+                f"LAPACK eigensolver failed for operator {op.potential_id!r} (n={op.n})")
+
+        monkeypatch.setattr(spectral, "_solve_pairs", fail)
+        code = run_cli(["quasimode", "--x0", "-1.0", "--l", "20",
+                        "--out", str(tmp_path / "e")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("convergence failure: LAPACK eigensolver failed")
+        assert err.count("\n") == 1
+
+
+class TestCsvNumbers:
+    def test_numpy_scalars_written_as_plain_numbers(self, tmp_path):
+        import numpy as np
+
+        from warptrap.evolve import EVOLUTION_CSV_COLUMNS
+
+        times = np.linspace(0.0, 2.0, 3)
+        E = np.full(3, 1037.5794056021832)
+        rows = [[t, E[i], np.float32(0.5), np.int64(i), math.nan, 1e-300]
+                for i, t in enumerate(times)]
+        out = OutputCollector(str(tmp_path), ExperimentConfig(), "confinement")
+        path = out.write_csv("evolution_l40.csv", EVOLUTION_CSV_COLUMNS, rows)
+        text = path.read_text()
+        assert "np.float64(" not in text and "np.float32(" not in text
+        body = [ln.split(",") for ln in text.splitlines()[4:]]
+        assert [[float(c) for c in ln[:4]] for ln in body] == \
+               [[float(v) for v in row[:4]] for row in rows]
+        assert body[0][3] == "0" and body[0][4] == "nan"
 
 
 class TestMultiplierAuditCommand:

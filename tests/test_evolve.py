@@ -32,6 +32,59 @@ def small_field(geom_m1_trapped):
     return evolve.wave_field(geom_m1_trapped, grid, [(1, 1, w0, w1)])
 
 
+def split_product(M, X):
+    """Reference real-by-complex product: separate real and imaginary GEMMs."""
+    return M @ X.real + 1j * (M @ X.imag)
+
+
+class TestPackedProduct:
+    n = 120
+
+    def blocks(self):
+        rng = np.random.default_rng(21)
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        wide = cplx(self.n, 5)
+        tall = cplx(2 * self.n, 3)
+        return {
+            "c_order": cplx(self.n, 4),
+            "f_order": np.asfortranarray(cplx(self.n, 4)),
+            "first_column": wide[:, :1],
+            "column_slice": wide[:, 2:4],
+            "strided_rows": tall[::2],
+            "row_window": tall[7:7 + self.n],
+            "vector": cplx(self.n),
+            "strided_vector": wide[:, 3],
+        }
+
+    def test_matches_split_product(self):
+        M = np.random.default_rng(22).standard_normal((90, self.n))
+        for name, X in self.blocks().items():
+            got = evolve._real_matmul(M, X)
+            ref = split_product(M, X)
+            assert got.shape == ref.shape, name
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+
+    def test_real_input_unchanged(self):
+        rng = np.random.default_rng(23)
+        M = rng.standard_normal((90, self.n))
+        X = rng.standard_normal((self.n, 3))
+        got = evolve._real_matmul(M, X)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, M @ X)
+
+    def test_from_spectral_matches_split_product(self, geom_m1_trapped):
+        prop = evolve.get_propagator(geom_m1_trapped, 2, Grid(-1.0, 5.0, self.n))
+        for name, c in self.blocks().items():
+            for rows in (None, slice(10, 60)):
+                M = prop.evecs if rows is None else prop.evecs[rows]
+                ref = split_product(M, c)
+                got = prop.from_spectral(c, rows)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+
+
 class TestPropagate:
     def test_zero_data_stays_zero(self, geom_m1_trapped):
         grid = Grid(-1.0, 5.0, 120)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from warptrap import spectral
 from warptrap.geometry import WarpGeometry
 from warptrap.spectral import (
     EigensolverError,
     Grid,
+    ShellAccumulator,
     ShellWeights,
     TridiagonalOperator,
     build_operator,
@@ -206,6 +208,75 @@ class TestEigenFull:
         assert np.linalg.norm(back - w) / np.linalg.norm(w) < 1e-10
 
 
+def whole_matrix_pairs(op, k):
+    """Reference post-processing on the whole eigenvector matrix at once:
+    quadrature normalisation, first-significant-entry sign convention and
+    2-norm residuals."""
+    import scipy.linalg as sla
+
+    if k is None:
+        vals, vecs = sla.eigh_tridiagonal(op.diag, op.offdiag_vector(), lapack_driver="stemr")
+    else:
+        vals, vecs = sla.eigh_tridiagonal(op.diag, op.offdiag_vector(), select="i",
+                                          select_range=(0, k - 1), lapack_driver="stebz")
+    vecs = vecs / np.sqrt(op.grid.h * np.sum(vecs * vecs, axis=0))
+    amax = np.abs(vecs).max(axis=0)
+    first = (np.abs(vecs) > 1e-12 * amax).argmax(axis=0)
+    signs = np.sign(vecs[first, np.arange(vecs.shape[1])])
+    signs[signs == 0] = 1.0
+    vecs = vecs * signs
+    r = op.apply(vecs) - vals[None, :] * vecs
+    return vals, vecs, np.linalg.norm(r, axis=0) / np.linalg.norm(vecs, axis=0)
+
+
+class TestBlockedSolve:
+    # an n that is not a multiple of the block size, so the last block is short
+    N = 2 * spectral._BLOCK + 45
+
+    def op(self):
+        geom = WarpGeometry.of(1, -1.0)
+        return build_operator(Grid(-1.0, 8.0, self.N), lambda x: geom.potential(7, x), "blk")
+
+    @pytest.mark.parametrize("k", [None, spectral._BLOCK + 10])
+    def test_blocks_match_whole_matrix(self, k):
+        op = self.op()
+        vals, vecs, resid = spectral._solve_pairs(op, k)
+        ref_vals, ref_vecs, ref_resid = whole_matrix_pairs(op, k)
+        assert np.array_equal(vals, ref_vals)
+        assert np.max(np.abs(vecs - ref_vecs)) <= 1e-14
+        assert np.all(np.abs(resid - ref_resid) <= 1e-14 * ref_resid)
+
+    def test_corrupted_column_in_later_block_is_named(self, monkeypatch):
+        import scipy.linalg as sla
+
+        solve = sla.eigh_tridiagonal
+        bad = spectral._BLOCK + 7
+
+        def corrupt(*args, **kwargs):
+            vals, vecs = solve(*args, **kwargs)
+            vecs[:, bad] = np.random.default_rng(4).standard_normal(vecs.shape[0])
+            return vals, vecs
+
+        monkeypatch.setattr(sla, "eigh_tridiagonal", corrupt)
+        with pytest.raises(EigensolverError, match=rf"for indices \[{bad}\] of 'blk'"):
+            eigen_full(self.op())
+
+    def test_eigen_full_peak_memory(self):
+        # one n x n eigenvector matrix plus block temporaries, not three matrices
+        import tracemalloc
+
+        n = 3000
+        geom = WarpGeometry.of(1, -1.0)
+        op = build_operator(Grid(-1.0, 24.0, n), lambda x: geom.potential(40, x))
+        tracemalloc.start()
+        try:
+            eigen_full(op)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n * n
+
+
 class TestCallableWarpSeam:
     def test_flat_warp_reduces_to_plain_laplacian(self):
         from warptrap.geometry import CallableWarpGeometry
@@ -292,3 +363,19 @@ class TestShells:
         sums = shells.shell_sums(dens)
         assert sums[0] > 0
         assert np.all(sums[1:] == 0)
+
+    def test_batched_add_matches_shell_sums(self, geom_m1_trapped):
+        g = Grid(-1.0, 40.0, 800)
+        shells = ShellWeights(g, geom_m1_trapped)
+        rng = np.random.default_rng(9)
+        u = rng.uniform(0.0, 1.0, (g.n_interior, 7))
+        e1 = rng.uniform(0.0, 1.0, (g.n_interior, 7))
+        acc = ShellAccumulator(shells)
+        acc.add(np.arange(4.0), u[:, :4], e1[:, :4])
+        acc.add(np.arange(4.0, 7.0), u[:, 4:], e1[:, 4:])
+        assert acc.times == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        got_u, got_e1 = np.vstack(acc.u_rows), np.vstack(acc.e1_rows)
+        for i in range(7):
+            want_u, want_e1 = shells.shell_sums(u[:, i]), shells.shell_sums(e1[:, i])
+            assert np.allclose(got_u[i], want_u, rtol=1e-13, atol=0.0)
+            assert np.allclose(got_e1[i], want_e1, rtol=1e-13, atol=0.0)

@@ -50,8 +50,8 @@ class ExperimentConfig:
     x0_minus: float | None = None
     l_list: list[int] = field(default_factory=lambda: [20, 30, 40])
     n_interval: int | None = None
-    h_per_sigma: float = 0.05
-    h_per_sigma_evolve: float = 0.2
+    h_per_sigma: float = qmod.EIGEN_H_PER_SIGMA
+    h_per_sigma_evolve: float = evolve.EVOLUTION_H_PER_SIGMA
     x_max: float = 24.0
     R: float = 1.0
     T_max: float = 200.0
@@ -186,14 +186,6 @@ def _json_default(o):
 # -- subcommands -----------------------------------------------------------------
 
 
-def _interval_grid(cfg: ExperimentConfig, geom: WarpGeometry, l: int,
-                   h_per_sigma: float) -> Grid:
-    if cfg.n_interval is not None:
-        return Grid.interval(geom.params.x0, cfg.n_interval)
-    sigma = math.sqrt(l * (l + 1))
-    return Grid.for_sigma(geom.params.x0, 0.0, sigma, h_per_sigma)
-
-
 def cmd_quasimode(cfg: ExperimentConfig) -> OutputCollector:
     if cfg.x0 >= 0:
         raise ConfigError("x0", "quasimode construction requires the trapped side (x0 < 0)")
@@ -203,7 +195,7 @@ def cmd_quasimode(cfg: ExperimentConfig) -> OutputCollector:
     geom = WarpGeometry.of(cfg.m, cfg.x0)
     qms = []
     for l in sorted(cfg.l_list):
-        grid = _interval_grid(cfg, geom, l, cfg.h_per_sigma)
+        grid = qmod.interval_grid(geom, l, cfg.n_interval, cfg.h_per_sigma)
         qms.append(qmod.build_quasimode(geom, l, grid_interval=grid))
     out.write_csv("quasimodes.csv", qmod.QUASIMODE_CSV_COLUMNS,
                   qmod.quasimode_csv_rows(qms))
@@ -259,7 +251,7 @@ def cmd_confinement(cfg: ExperimentConfig) -> OutputCollector:
     summary = {}
     reports = []
     for l in sorted(cfg.l_list):
-        grid = _interval_grid(cfg, geom, l, cfg.h_per_sigma_evolve)
+        grid = qmod.interval_grid(geom, l, cfg.n_interval, cfg.h_per_sigma_evolve)
         qm = qmod.build_quasimode(geom, l, grid_interval=grid)
         rep = evolve.run_confinement(geom, qm, cfg.T_max, cfg.R, x_max=cfg.x_max,
                                      dt=cfg.dt, causal=cfg.causal, le1=True)
@@ -313,7 +305,7 @@ def cmd_le1_growth(cfg: ExperimentConfig) -> OutputCollector:
     geom = WarpGeometry.of(cfg.m, cfg.x0)
     qms = []
     for l in sorted(cfg.l_list):
-        grid = _interval_grid(cfg, geom, l, cfg.h_per_sigma_evolve)
+        grid = qmod.interval_grid(geom, l, cfg.n_interval, cfg.h_per_sigma_evolve)
         qms.append(qmod.build_quasimode(geom, l, grid_interval=grid))
     res = evolve.le1_growth(geom, qms, cfg.k, cfg.A, budget=cfg.T_max, R=cfg.R,
                             x_max=cfg.x_max, causal=cfg.causal)
@@ -372,7 +364,7 @@ def cmd_bifurcation(cfg: ExperimentConfig) -> OutputCollector:
 
     # trapped-side quasimode run (audited wall on its own compact domain)
     geom_m = WarpGeometry.of(cfg.m, cfg.x0_minus)
-    grid_i = _interval_grid(cfg, geom_m, l_qm, cfg.h_per_sigma_evolve)
+    grid_i = qmod.interval_grid(geom_m, l_qm, cfg.n_interval, cfg.h_per_sigma_evolve)
     qm = qmod.build_quasimode(geom_m, l_qm, grid_interval=grid_i)
     x_max_qm = min(cfg.x_max, cfg.x0_minus + 25.0)
     rep = evolve.run_confinement(geom_m, qm, T, cfg.R, x_max=x_max_qm,
@@ -401,7 +393,7 @@ def cmd_bifurcation(cfg: ExperimentConfig) -> OutputCollector:
 
 
 def cmd_multiplier_audit(cfg: ExperimentConfig) -> OutputCollector:
-    # sympy comes with the multiplier module; only this command needs it
+    # only this command uses the multiplier module; the others skip its import
     from . import multiplier
 
     if cfg.x0 <= 0:

@@ -266,6 +266,7 @@ def propagate(state: WaveField, dt: float, steps: int,
     for l, profile, fn in forcing.entries:
         by_l.setdefault(l, []).append((np.asarray(profile, dtype=complex), fn))
     nsub = max(1, int(forcing.substeps))
+    ds = dt / nsub
     for mode_idx, mode in enumerate(state.modes):
         if mode.l not in by_l:
             continue
@@ -273,28 +274,28 @@ def propagate(state: WaveField, dt: float, steps: int,
         omega = prop.omega
         for profile, fn in by_l[mode.l]:
             fhat = prop.to_spectral(profile)
-            # phases run in time relative to the initial state; the source
-            # profile is evaluated at absolute time
-            s = (dt / nsub) * np.arange(steps * nsub + 1)
-            g = np.asarray([fn(state.time + si) for si in s], dtype=complex)
-            # cumulative trapezoid of e^{+/- i omega s} g(s), per eigencomponent
-            up = np.exp(1j * np.outer(omega, s)) * g[None, :]
-            dn = np.exp(-1j * np.outer(omega, s)) * g[None, :]
-            ds = dt / nsub
-            cup = np.concatenate(
-                [np.zeros((omega.size, 1), complex),
-                 np.cumsum(0.5 * (up[:, 1:] + up[:, :-1]) * ds, axis=1)], axis=1)
-            cdn = np.concatenate(
-                [np.zeros((omega.size, 1), complex),
-                 np.cumsum(0.5 * (dn[:, 1:] + dn[:, :-1]) * ds, axis=1)], axis=1)
             coef = 1j * fhat / (2.0 * omega)
+            # running trapezoid of e^{+/- i omega s} g(s), per eigencomponent,
+            # carried across output steps one block of substeps at a time;
+            # phases run in time relative to the initial state, the source
+            # profile is evaluated at absolute time
+            g0 = complex(fn(state.time))
+            up_prev = np.full(omega.size, g0)
+            dn_prev = np.full(omega.size, g0)
+            cup = np.zeros(omega.size, complex)
+            cdn = np.zeros(omega.size, complex)
             for i in range(1, steps + 1):
-                t = i * dt
-                j = i * nsub
-                phm = np.exp(-1j * omega * t)
+                s = ds * np.arange((i - 1) * nsub + 1, i * nsub + 1)
+                g = np.asarray([fn(state.time + si) for si in s], dtype=complex)
+                up = np.exp(1j * np.outer(omega, s)) * g[None, :]
+                dn = np.exp(-1j * np.outer(omega, s)) * g[None, :]
+                cup += np.trapezoid(np.column_stack([up_prev, up]), dx=ds, axis=1)
+                cdn += np.trapezoid(np.column_stack([dn_prev, dn]), dx=ds, axis=1)
+                up_prev, dn_prev = up[:, -1], dn[:, -1]
+                phm = np.exp(-1j * omega * (i * dt))
                 m_out = out[i].modes[mode_idx]
-                m_out.c_plus = m_out.c_plus + phm * coef * cup[:, j]
-                m_out.c_minus = m_out.c_minus - coef * cdn[:, j] / phm
+                m_out.c_plus = m_out.c_plus + phm * coef * cup
+                m_out.c_minus = m_out.c_minus - coef * cdn / phm
     return out
 
 
@@ -759,7 +760,12 @@ def load_checkpoint(path) -> WaveField:
         fields = dict(tok.split("=") for tok in head[2:].split()[1:])
         l, mult = int(fields["l"]), int(fields["mult"])
         n = grid.n_interior
-        block = np.loadtxt(lines[i + 1:i + 1 + n])
+        rows = lines[i + 1:i + 1 + n]
+        found = next((k for k, row in enumerate(rows) if row.startswith("#")), len(rows))
+        if found != n:
+            raise ValueError(f"checkpoint mode header at line {i + 1}: expected {n} "
+                             f"coefficient rows, found {found}")
+        block = np.loadtxt(rows)
         cp = block[:, 0] + 1j * block[:, 1]
         cm = block[:, 2] + 1j * block[:, 3]
         modes.append(ModeState(get_propagator(geom, l, grid), cp, cm, mult))

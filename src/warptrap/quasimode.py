@@ -93,12 +93,13 @@ def default_cutoff(x0: float) -> CutoffProfile:
     return CutoffProfile(x0, 0.4 * x0, 0.1 * x0)
 
 
-def interval_grid(geom: WarpGeometry, l: int, n: int | None = None) -> Grid:
-    """Grid on (x0, 0) resolving the mode-l eigenfunction."""
-    sigma = math.sqrt(l * (l + 1))
+def interval_grid(geom: WarpGeometry, l: int, n: int | None = None,
+                  h_per_sigma: float = EIGEN_H_PER_SIGMA) -> Grid:
+    """Grid on (x0, 0) with n interior points, or else fine enough that
+    h * sigma <= h_per_sigma for the mode-l frequency."""
     if n is not None:
         return Grid.interval(geom.params.x0, n)
-    return Grid.for_sigma(geom.params.x0, 0.0, sigma, EIGEN_H_PER_SIGMA)
+    return Grid.for_sigma(geom.params.x0, 0.0, math.sqrt(l * (l + 1)), h_per_sigma)
 
 
 def mode_operator(geom: WarpGeometry, l: int, grid: Grid):

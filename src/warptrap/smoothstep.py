@@ -10,38 +10,18 @@ form from Faa di Bruno's formula.  y and 1 - y are each evaluated
 directly, never one from the other, which keeps full relative accuracy
 near the ends, where one of them underflows.
 
-The symbolic forms used by the multiplier audits import sympy only when
-called, so commands that never build a multiplier do not load it.
+The multiplier families and manufactured solutions build their
+derivatives from these orders; the tests check the closed form against
+the derivatives sympy takes of phi(s) / (phi(s) + phi(1-s)).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-if TYPE_CHECKING:
-    import sympy as sp
-
-__all__ = ["SmoothStep", "smooth_step", "bump_expr", "step_expr"]
+__all__ = ["SmoothStep", "smooth_step"]
 
 MAX_ORDER = 4
-
-
-def step_expr(s: sp.Symbol) -> sp.Expr:
-    """Sympy expression of the step on the open interval 0 < s < 1."""
-    import sympy as sp
-
-    phi = sp.exp(-1 / s)
-    psi = sp.exp(-1 / (1 - s))
-    return phi / (phi + psi)
-
-
-def bump_expr(s: sp.Symbol) -> sp.Expr:
-    """Sympy expression of the standard bump exp(-1/(1-s^2)) on |s| < 1."""
-    import sympy as sp
-
-    return sp.exp(-1 / (1 - s**2))
 
 
 def _transition(s: np.ndarray, order: int) -> np.ndarray:

@@ -173,17 +173,26 @@ class TestBifurcationCommand:
 
 
 class TestImports:
-    def test_cli_loads_neither_scipy_nor_sympy(self):
-        # every CLI run pays for what importing the entry point loads
+    def test_cli_loads_neither_scipy_nor_sympy(self, tmp_path):
+        # every CLI run pays for what importing the entry point loads; the
+        # multiplier audit is closed-form numpy and loads no sympy either
         import subprocess
         import sys
 
         code = ("import sys, warptrap.cli\n"
-                "print(sorted({'scipy', 'sympy'} & set(sys.modules)))\n")
+                "print(sorted({'scipy', 'sympy'} & set(sys.modules)))\n"
+                "import warptrap.multiplier\n"
+                "print('sympy' in sys.modules)\n"
+                "code = warptrap.cli.main(['multiplier-audit', '--x0', '1.0',\n"
+                f"                          '--out', {str(tmp_path / 'audit')!r}])\n"
+                "print(code, 'sympy' in sys.modules)\n")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, timeout=120)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "[]"
+        lines = res.stdout.strip().splitlines()
+        assert lines[0] == "[]"
+        assert lines[1] == "False"
+        assert lines[-1] == "0 False"
 
 
 class TestExceptionMapping:

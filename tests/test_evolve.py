@@ -202,6 +202,55 @@ class TestForcing:
         # and shrinks at least second order in the source step
         assert g2 < 0.35 * g1
 
+    @staticmethod
+    def _forced_setup(geom, n):
+        grid = Grid(-1.0, 12.0, n)
+        x = grid.nodes()
+        w0 = bump(x, 2.0, 1.5).astype(complex)
+        fld = evolve.wave_field(geom, grid, [(3, 1, w0, -0.4j * w0)])
+        forcing = evolve.ForcingSpec(
+            [(3, np.exp(-((x - 1.0) ** 2)), lambda s: np.exp(-0.7j * s) + 0.2)], substeps=5)
+        return fld, forcing
+
+    def test_streamed_sum_matches_whole_array_sum(self, geom_m1_trapped):
+        # reference: the source-time trapezoid sums taken over the whole
+        # history at once, as cumulative sums of n x (steps * substeps + 1)
+        fld, forcing = self._forced_setup(geom_m1_trapped, 300)
+        dt, steps = 0.3, 12
+        hist = evolve.propagate(fld, dt, steps, forcing=forcing)
+        mode = fld.modes[0]
+        omega = mode.prop.omega
+        _, profile, fn = forcing.entries[0]
+        nsub, ds = forcing.substeps, dt / forcing.substeps
+        s = ds * np.arange(steps * nsub + 1)
+        g = np.array([fn(fld.time + si) for si in s])
+        coef = 1j * mode.prop.to_spectral(profile.astype(complex)) / (2.0 * omega)
+        for sign, key in ((1, "c_plus"), (-1, "c_minus")):
+            e = np.exp(sign * 1j * np.outer(omega, s)) * g
+            cum = np.concatenate([np.zeros((omega.size, 1)),
+                                  np.cumsum(0.5 * (e[:, 1:] + e[:, :-1]) * ds, axis=1)], axis=1)
+            for i in range(1, steps + 1):
+                free = getattr(fld.advanced(i * dt).modes[0], key)
+                want = free + sign * np.exp(-sign * 1j * omega * i * dt) * coef * cum[:, i * nsub]
+                got = getattr(hist[i].modes[0], key)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_streamed_sum_memory(self, geom_m1_trapped):
+        # summed over the whole history at once, this run peaked at 346 MB;
+        # streamed, the peak is the sampled history plus n x substeps blocks
+        import tracemalloc
+
+        n, steps = 2000, 400
+        fld, forcing = self._forced_setup(geom_m1_trapped, n)
+        tracemalloc.start()
+        try:
+            evolve.propagate(fld, 0.05, steps, forcing=forcing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        history = (steps + 1) * 2 * n * 16
+        assert peak < 2 * history
+
     def test_gap_bound_holds_pointwise(self, geom_m1_trapped):
         grid_i = Grid.interval(-1.0, 140)
         qm = build_quasimode(geom_m1_trapped, 12, grid_interval=grid_i,
@@ -467,4 +516,14 @@ class TestCheckpoints:
         path = tmp_path / "junk.txt"
         path.write_text("not a checkpoint\n")
         with pytest.raises(ValueError):
+            evolve.load_checkpoint(path)
+
+    def test_truncated_file_names_the_mode(self, small_field, tmp_path):
+        path = tmp_path / "state.ckpt"
+        evolve.save_checkpoint(path, small_field)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-5]) + "\n")
+        n = small_field.grid.n_interior
+        with pytest.raises(ValueError,
+                           match=f"line 4: expected {n} coefficient rows, found {n - 5}"):
             evolve.load_checkpoint(path)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-import sympy as sp
+import sympy_oracle
 
 from warptrap import evolve
 from warptrap import multiplier as mul
@@ -22,9 +22,9 @@ class TestCoefficients:
         x = np.geomspace(1e-3, 1e3, 400)
         c = pair_m1.coefficients(x)
         closed = 0.5 * x**3 / (1.0 + x**2) ** 3
-        scale = np.abs(pair_m1.g(x)) + np.abs(0.5 * pair_m1.df(x)
-                                              + geom_m1_front.da(x) / geom_m1_front.a(x)
-                                              * pair_m1.f(x))
+        d = pair_m1.derivatives(x)
+        scale = np.abs(d["g"]) + np.abs(0.5 * d["df"]
+                                        + geom_m1_front.da(x) / geom_m1_front.a(x) * d["f"])
         assert np.max(np.abs(c["tt"] - closed) / scale) < 1e-13
 
     def test_all_vanish_at_neck(self, pair_m1):
@@ -50,9 +50,10 @@ class TestCoefficients:
 
     def test_multiplier_profile_bounds(self, geom_m1_front, pair_m1):
         x = np.geomspace(1e-3, 1e3, 500)
-        f = pair_m1.f(x)
+        d = pair_m1.derivatives(x)
+        f = d["f"]
         assert np.all((f >= 0) & (f <= 1))
-        assert np.max(pair_m1.g(x) * geom_m1_front.a(x)) <= G_TIMES_A_BOUND
+        assert np.max(d["g"] * geom_m1_front.a(x)) <= G_TIMES_A_BOUND
 
     def test_scan_rejects_exterior_family(self, geom_m1_front):
         ext = mul.MultiplierPair.exterior_family(geom_m1_front, 4.0, 4.0)
@@ -70,12 +71,12 @@ class TestExteriorFamily:
     def test_vanishes_inside_half_radius(self, geom_m1_front):
         ext = mul.MultiplierPair.exterior_family(geom_m1_front, 8.0, 8.0)
         x = np.linspace(1.0, 3.9, 50)
-        assert np.max(np.abs(ext.f(x))) == 0.0
+        assert np.max(np.abs(ext.derivatives(x)["f"])) == 0.0
 
     def test_approaches_unit_slope_outside(self, geom_m1_front):
         ext = mul.MultiplierPair.exterior_family(geom_m1_front, 8.0, 8.0)
         x = np.array([100.0, 400.0])
-        np.testing.assert_allclose(ext.f(x), x / (x + 8.0), rtol=1e-12)
+        np.testing.assert_allclose(ext.derivatives(x)["f"], x / (x + 8.0), rtol=1e-12)
 
     @pytest.mark.parametrize("R", [4.0, 8.0, 16.0])
     def test_coefficients_finite_across_radii(self, geom_m1_front, R):
@@ -86,14 +87,74 @@ class TestExteriorFamily:
             assert np.all(np.isfinite(c[name]))
 
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("R", [4.0, 8.0, 16.0])
+    def test_closed_form_matches_symbolic(self, m, R):
+        ext = mul.MultiplierPair.exterior_family(WarpGeometry.of(m, 1.0), R, R)
+        ref = sympy_oracle.exterior_family(m, R, R)
+        x = np.concatenate([np.geomspace(1.0, 1e3, 301), np.linspace(0.5 * R, R, 401)])
+        got = ext.derivatives(x)
+        for name in sympy_oracle.FAMILY_NAMES:
+            want = ref[name](x)
+            assert np.max(np.abs(got[name] - want)) < 1e-13 * np.max(np.abs(want)), name
+
+
 @pytest.fixture(scope="module")
 def corpus_m1(geom_m1_front):
     return mul.make_corpus(geom_m1_front)
 
 
+class TestManufacturedSolutions:
+    def test_corpus_matches_symbolic(self, geom_m1_front, corpus_m1):
+        ref = sympy_oracle.corpus(geom_m1_front)
+        ts = np.linspace(0.0, 2.0, 81)[:, None]
+        xs = np.linspace(1.0, 12.0, 551)[None, :]
+        assert [sol.name for sol in corpus_m1] == list(ref)
+        for sol in corpus_m1:
+            for field in sympy_oracle.FIELD_NAMES:
+                want = ref[sol.name][field](ts, xs)
+                got = getattr(sol, field)(ts, xs)
+                assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want)), \
+                    (sol.name, field)
+
+    def test_bump_derivatives_match_high_precision(self):
+        # the bump's affine maps carry 15-digit coefficients, which costs the
+        # corpus's bumps up to 2.2e-13 relative against exact coefficients
+        import mpmath
+
+        center, width = 5.95, 2.42
+        bump = mul.bump_profile(center, width)
+        xs = np.linspace(center - width, center + width, 301)[1:-1]
+
+        def exact(x, order):
+            fn = lambda y: mpmath.exp(-1 / (1 - ((y - center) / width) ** 2))
+            with mpmath.workdps(40):
+                return float(mpmath.diff(fn, mpmath.mpf(float(x)), order))
+
+        for order in (0, 1, 2):
+            want = np.array([exact(x, order) for x in xs])
+            got = bump(xs, order)
+            assert np.max(np.abs(got - want)) < 5e-13 * np.max(np.abs(want)), order
+
+    def test_profiles_differentiate_consistently(self):
+        # second-order central differences of each order reproduce the next
+        h = 1e-4
+        profiles = [
+            (mul.time_profile([(1.0, -0.5, 2.0, 1.0), (0.3, 0.2, 5.0, 0.0)], 2.0),
+             np.linspace(0.0, 2.0, 41)),
+            (mul.bump_profile(5.0, 2.0), np.linspace(3.2, 6.8, 41)),
+            (mul.boundary_ramp_profile(1.0, 1.3), np.linspace(1.0, 4.0, 41)),
+        ]
+        for prof, v in profiles:
+            for order in (1, 2):
+                fd = (prof(v + h, order - 1) - prof(v - h, order - 1)) / (2 * h)
+                scale = np.max(np.abs(prof(v, order)))
+                assert np.max(np.abs(fd - prof(v, order))) < 1e-6 * scale
+
+
 class TestIdentity:
     def test_zero_solution(self, geom_m1_front, pair_m1):
-        sol = mul.manufactured_solution(geom_m1_front, 1, sp.Integer(0),
+        sol = mul.manufactured_solution(geom_m1_front, 1, mul.time_profile([]),
                                         mul.bump_profile(5.0, 1.0), "zero")
         rep = mul.verify_ibp(geom_m1_front, pair_m1, sol, T=1.0, x_max=12.0,
                              nx=100, nt=50)
@@ -119,7 +180,8 @@ class TestIdentity:
         assert rep.trace_norm < 1e-12
 
     def test_violated_wall_condition_rejected(self, geom_m1_front, pair_m1):
-        sol = mul.manufactured_solution(geom_m1_front, 0, sp.sin(sp.Symbol("t")),
+        sol = mul.manufactured_solution(geom_m1_front, 0,
+                                        mul.time_profile([(1.0, 0.0, 1.0, 0.0)]),
                                         mul.bump_profile(1.2, 1.0), "bad-trace")
         with pytest.raises(ValueError, match="trace"):
             mul.verify_ibp(geom_m1_front, pair_m1, sol, T=1.0, x_max=12.0,

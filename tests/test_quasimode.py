@@ -59,7 +59,8 @@ class TestCutoff:
     def test_step_matches_symbolic_derivatives(self, order):
         import sympy as sp
 
-        from warptrap.smoothstep import smooth_step, step_expr
+        from sympy_oracle import step_expr
+        from warptrap.smoothstep import smooth_step
 
         s = sp.Symbol("s", positive=True)
         ref = sp.lambdify(s, sp.diff(step_expr(s), s, order), modules="math")

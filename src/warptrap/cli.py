@@ -16,6 +16,8 @@ import json
 import math
 import sys
 import time
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,14 +69,23 @@ class ExperimentConfig:
     def load(cls, path: str | None, overrides: dict) -> "ExperimentConfig":
         data = {}
         if path is not None:
-            with open(path) as fh:
-                data = json.load(fh)
-        known = {f.name for f in dataclasses.fields(cls)}
+            try:
+                with open(path) as fh:
+                    data = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise ConfigError("config", f"cannot read {path}: {exc}") from exc
+            if not isinstance(data, dict):
+                raise ConfigError("config", f"{path} does not hold a JSON object")
+        hints = typing.get_type_hints(cls)
         for key in data:
-            if key not in known:
+            if key not in hints:
                 raise ConfigError(key, "unknown field in config file")
         data.update({k: v for k, v in overrides.items() if v is not None})
-        cfg = cls(**{k: v for k, v in data.items() if k in known})
+        data = {k: v for k, v in data.items() if k in hints}
+        for key, value in data.items():
+            if not _has_type(value, hints[key]):
+                raise ConfigError(key, f"expected {cls.__annotations__[key]}, got {value!r}")
+        cfg = cls(**data)
         cfg.basic_validate()
         return cfg
 
@@ -83,6 +94,10 @@ class ExperimentConfig:
             raise ConfigError("m", "warp exponent must be >= 1")
         if self.T_max <= 0:
             raise ConfigError("T_max", "horizon must be positive")
+        for name in ("dt", "h_per_sigma", "h_per_sigma_evolve"):
+            step = getattr(self, name)
+            if step is not None and step <= 0:
+                raise ConfigError(name, "step must be positive")
         if self.R <= self.x0 and self.x0 < 0:
             raise ConfigError("R", "truncation radius must exceed the boundary")
         if self.k < 0:
@@ -97,6 +112,23 @@ class ExperimentConfig:
 
     def echo(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a config annotation: int, float (an int is
+    accepted), str, list[int], or any of these made optional."""
+    if isinstance(hint, types.UnionType):
+        return any(_has_type(value, arg) for arg in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if hint is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 def _fmt(v) -> str:

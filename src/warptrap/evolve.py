@@ -31,6 +31,8 @@ from .spectral import (
     ShellAccumulator,
     ShellWeights,
     TridiagonalOperator,
+    _TILE,
+    _warp_factors,
     build_operator,
     eigen_full,
 )
@@ -56,22 +58,27 @@ __all__ = [
 ]
 
 EVOLUTION_H_PER_SIGMA = 0.2
-_CHUNK = 256
+# run_confinement recomputes the energy from grid values at every
+# _DRIFT_STRIDE-th sample, as an independent check on conservation
+_DRIFT_STRIDE = 256
 
 
 def _real_matmul(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     """M @ X keeping M real when X is complex.
 
     A C-ordered complex (n, k) block viewed as float64 is the real (n, 2k)
-    matrix of interleaved real and imaginary columns, so one real GEMM
-    gives the complex product in place, with no complex copy of M and no
-    split or recombined parts.
+    matrix X_r of interleaved real and imaginary columns, so one real GEMM
+    gives the complex product, with no complex copy of M and no split or
+    recombined parts.  The GEMM is (X_r^T M^T)^T, with M as the right-hand
+    operand, and its transposed result is copied back into complex order:
+    for a large M and a narrow block that GEMM runs at full BLAS speed,
+    where M @ X_r does not.
     """
-    if np.iscomplexobj(X):
-        Xc = np.ascontiguousarray(X.reshape(X.shape[0], -1), dtype=complex)
-        out = (M @ Xc.view(np.float64)).view(complex)
-        return out.reshape(M.shape[0], *X.shape[1:])
-    return M @ X
+    if not np.iscomplexobj(X):
+        return M @ X
+    Xr = np.ascontiguousarray(X.reshape(X.shape[0], -1), dtype=complex).view(np.float64)
+    out = np.ascontiguousarray((Xr.T @ M.T).T).view(complex)
+    return out.reshape(M.shape[0], *X.shape[1:])
 
 
 class ModePropagator:
@@ -404,6 +411,32 @@ def _le1_density(WW, h, ratio, pot):
     return u, e1
 
 
+def _band_energy(prop: ModePropagator, AB, lo: int, hi: int, ratio, pot) -> np.ndarray:
+    """Energy |dt w|^2 + |dx w - (a'/a) w|^2 + pot |w|^2 integrated over the
+    node band [lo, hi), one value per packed [a | b] sample.
+
+    Only the band's rows are reconstructed, plus one neighbor row on each
+    side for the derivative stencil; where the band touches an end of the
+    grid that neighbor is the Dirichlet ghost zero.
+    """
+    h = prop.h
+    lo0, hi0 = max(lo - 1, 0), min(hi + 1, prop.grid.n_interior)
+    m = AB.shape[1] // 2
+    WW = prop.from_spectral(AB, rows=slice(lo0, hi0))
+    zero = np.zeros((1, m), complex)
+    Wpad = np.concatenate([
+        WW[:1, :m] if lo0 < lo else zero,
+        WW[lo - lo0:hi - lo0, :m],
+        WW[-1:, :m] if hi0 > hi else zero,
+    ])
+    Wc = Wpad[1:-1]
+    dW = (Wpad[2:] - Wpad[:-2]) / (2.0 * h)
+    dens = (np.abs(WW[lo - lo0:hi - lo0, m:]) ** 2
+            + np.abs(dW - ratio[lo:hi, None] * Wc) ** 2
+            + pot[lo:hi, None] * np.abs(Wc) ** 2)
+    return 0.5 * h * np.sum(dens, axis=0)
+
+
 def run_confinement(
     geom: WarpGeometry,
     qm: Quasimode,
@@ -463,50 +496,28 @@ def run_confinement(
     x = grid_ext.nodes()
     nR = int(np.searchsorted(x, R, side="right"))
     n_buf = int(np.searchsorted(x, grid_ext.x_right - wall_margin, side="left"))
-    ratio = geom.da(x) / geom.a(x)
-    inv_a2 = geom.inv_a_sq(x)
-    sig2 = qm.l * (qm.l + 1)
-
-    def band_energy(lo: int, hi: int, AB: np.ndarray) -> np.ndarray:
-        # energy density integrated over node band [lo, hi); the derivative
-        # stencil needs one neighbor on each side of the band
-        lo0 = max(lo - 1, 0)
-        hi0 = min(hi + 1, grid_ext.n_interior)
-        m = AB.shape[1] // 2
-        WW = prop.from_spectral(AB, rows=slice(lo0, hi0))
-        W = WW[:, :m]
-        Wt = WW[(lo - lo0):(hi - lo0), m:]
-        Wpad = np.concatenate([
-            np.zeros((1, W.shape[1]), complex) if lo0 == lo else W[:1],
-            W[(lo - lo0):(hi - lo0)],
-            np.zeros((1, W.shape[1]), complex) if hi0 == hi else W[-1:],
-        ])
-        dW = (Wpad[2:] - Wpad[:-2]) / (2.0 * h) if Wpad.shape[0] >= 3 else np.zeros_like(Wt)
-        Wc = Wpad[1:-1]
-        dens = (np.abs(Wt) ** 2
-                + np.abs(dW - ratio[lo:hi, None] * Wc) ** 2
-                + sig2 * inv_a2[lo:hi, None] * np.abs(Wc) ** 2)
-        return 0.5 * h * np.sum(dens, axis=0)
+    ratio, inv_a2 = _warp_factors(geom, grid_ext)
+    pot = qm.l * (qm.l + 1) * inv_a2
 
     E_R = np.empty(n_t + 1)
     gap = np.empty(n_t + 1)
     wall = np.empty(n_t + 1)
     E_spec = mode.energy_spectral()
     E = np.full(n_t + 1, E_spec)
-    energy_drift = 0.0
-    for c0 in range(0, n_t + 1, _CHUNK):
-        c1 = min(c0 + _CHUNK, n_t + 1)
-        tc = times[c0:c1]
-        m = c1 - c0
+    for c0 in range(0, n_t + 1, _TILE):
+        tc = times[c0:c0 + _TILE]
         AB = _phase_block(mode.c_plus, mode.c_minus, prop.omega, tc)
-        E_R[c0:c1] = band_energy(0, nR, AB)
-        wall[c0:c1] = band_energy(n_buf, grid_ext.n_interior, AB)
-        gap[c0:c1] = _rotation_gap(AB, a0, b0, prop.evals, np.exp(-1j * tau * tc))
-        # independent energy recomputation on the first sample of each chunk
-        w_full, wt_full = prop.from_spectral(AB[:, [0, m]]).T
+        E_R[c0:c0 + _TILE] = _band_energy(prop, AB, 0, nR, ratio, pot)
+        wall[c0:c0 + _TILE] = _band_energy(prop, AB, n_buf, grid_ext.n_interior, ratio, pot)
+        gap[c0:c0 + _TILE] = _rotation_gap(AB, a0, b0, prop.evals, np.exp(-1j * tau * tc))
+        del AB  # free this tile before the next one is built
+    # independent energy recomputation, one reconstruction for all checked samples
+    td = times[::_DRIFT_STRIDE]
+    WW = prop.from_spectral(_phase_block(mode.c_plus, mode.c_minus, prop.omega, td))
+    energy_drift = 0.0
+    for w_full, wt_full in zip(WW[:, :td.size].T, WW[:, td.size:].T):
         e_re = 0.5 * (prop.op.quad_form(w_full) + h * float(np.sum(np.abs(wt_full) ** 2)))
         energy_drift = max(energy_drift, abs(e_re - E_spec) / E_spec)
-        del AB  # free this block before the next one is built
 
     le1_running = le1_times = None
     if le1:
@@ -516,12 +527,12 @@ def run_confinement(
         le1_times = dt_le * np.arange(m_le + 1)
         shells = ShellWeights(grid_ext, geom)
         acc = ShellAccumulator(shells)
-        pot = sig2 * inv_a2 + shells.inv_bracket_sq
-        for c0 in range(0, m_le + 1, _CHUNK):
-            tc = le1_times[c0:c0 + _CHUNK]
+        pot_le = pot + shells.inv_bracket_sq
+        for c0 in range(0, m_le + 1, _TILE):
+            tc = le1_times[c0:c0 + _TILE]
             WW = prop.from_spectral(_phase_block(mode.c_plus, mode.c_minus, prop.omega, tc))
-            acc.add(tc, *_le1_density(WW, h, ratio, pot))
-            del WW  # free this block before the next one is built
+            acc.add(tc, *_le1_density(WW, h, ratio, pot_le))
+            del WW  # free this tile before the next one is built
         _, le1_running = acc.finish()
 
     ratio_E_R = E_R / E_R[0]
@@ -644,19 +655,15 @@ def space_time_norms(field: WaveField, T: float, dt: float):
     grid = field.grid
     geom = field.geom
     h = grid.h
-    x = grid.nodes()
     shells = ShellWeights(grid, geom)
     acc = ShellAccumulator(shells)
-    ratio = geom.da(x) / geom.a(x)
-    inv_a2 = geom.inv_a_sq(x)
+    ratio, inv_a2 = _warp_factors(geom, grid)
     n_t = int(round(T / dt))
     times = dt * np.arange(n_t + 1)
-    for c0 in range(0, n_t + 1, _CHUNK):
-        c1 = min(c0 + _CHUNK, n_t + 1)
-        tc = times[c0:c1]
-        m = c1 - c0
-        u_dens = np.zeros((grid.n_interior, m))
-        e1_dens = np.zeros((grid.n_interior, m))
+    for c0 in range(0, n_t + 1, _TILE):
+        tc = times[c0:c0 + _TILE]
+        u_dens = np.zeros((grid.n_interior, tc.size))
+        e1_dens = np.zeros((grid.n_interior, tc.size))
         for mode in field.modes:
             prop = mode.prop
             u, e1 = _le1_density(
@@ -690,30 +697,13 @@ def er_history(field: WaveField, T_max: float, R: float,
     n_t = int(round(T_max / dt))
     times = dt * np.arange(n_t + 1)
     E_R = np.zeros(n_t + 1)
-    ratio = geom.da(x) / geom.a(x)
-    inv_a2 = geom.inv_a_sq(x)
-    hi0 = min(nR + 1, grid.n_interior)
+    ratio, inv_a2 = _warp_factors(geom, grid)
     for mode in field.modes:
         prop = mode.prop
-        sig2 = mode.sigma_sq
-        for c0 in range(0, n_t + 1, _CHUNK):
-            c1 = min(c0 + _CHUNK, n_t + 1)
-            m = c1 - c0
-            WW = prop.from_spectral(
-                _phase_block(mode.c_plus, mode.c_minus, prop.omega, times[c0:c1]),
-                rows=slice(0, hi0))
-            W, Wt = WW[:, :m], WW[:nR, m:]
-            Wpad = np.concatenate([
-                np.zeros((1, W.shape[1]), complex),
-                W[:nR],
-                W[nR:nR + 1] if hi0 > nR else np.zeros((1, W.shape[1]), complex),
-            ])
-            dW = (Wpad[2:] - Wpad[:-2]) / (2.0 * h)
-            Wc = Wpad[1:-1]
-            dens = (np.abs(Wt) ** 2
-                    + np.abs(dW - ratio[:nR, None] * Wc) ** 2
-                    + sig2 * inv_a2[:nR, None] * np.abs(Wc) ** 2)
-            E_R[c0:c1] += 0.5 * mode.mult * h * np.sum(dens, axis=0)
+        pot = mode.sigma_sq * inv_a2
+        for c0 in range(0, n_t + 1, _TILE):
+            AB = _phase_block(mode.c_plus, mode.c_minus, prop.omega, times[c0:c0 + _TILE])
+            E_R[c0:c0 + _TILE] += mode.mult * _band_energy(prop, AB, 0, nR, ratio, pot)
     E = np.full(n_t + 1, field.energy_spectral())
     return times, E_R, E
 

@@ -161,9 +161,10 @@ class EigenPair:
     residual: float
 
 
-# Eigenvector columns post-processed at a time: the normalisation, sign and
-# residual temporaries stay at n * _BLOCK entries instead of n * n.
-_BLOCK = 256
+# Columns handled at a time, here by the eigenpair post-processing and in
+# ``evolve`` by every evolution pass (time samples per tile): temporaries
+# stay at a few n * _TILE entries instead of n * n.
+_TILE = 64
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -200,8 +201,8 @@ def _solve_pairs(op: TridiagonalOperator,
             f"LAPACK eigensolver failed for operator {op.potential_id!r} (n={op.n}): {exc}"
         ) from exc
     resid = np.empty(vals.size)
-    for j0 in range(0, vals.size, _BLOCK):
-        cols = slice(j0, j0 + _BLOCK)
+    for j0 in range(0, vals.size, _TILE):
+        cols = slice(j0, j0 + _TILE)
         blk = vecs[:, cols]
         blk /= np.sqrt(h * np.sum(blk * blk, axis=0))
         blk *= _fix_signs(blk)
@@ -314,12 +315,16 @@ class ShellWeights:
 # (duck typing keeps this module independent of the evolution layer).
 
 
-def _mode_gradient_sq(geom, grid, l, w):
-    """(d_x u)^2 a^2 + sigma^2 a^{-2} u^2 written in w = a u, nodal values."""
+def _warp_factors(geom, grid) -> tuple[np.ndarray, np.ndarray]:
+    """Nodal a'/a and a^{-2}, computed once per norm evaluation."""
     x = grid.nodes()
-    ratio = geom.da(x) / geom.a(x)
+    return geom.da(x) / geom.a(x), geom.inv_a_sq(x)
+
+
+def _mode_gradient_sq(grid, l, w, ratio, inv_a2):
+    """(d_x u)^2 a^2 + sigma^2 a^{-2} u^2 written in w = a u, nodal values."""
     dxu_sq = np.abs(fd_derivative(grid, w, 1) - ratio * w) ** 2
-    ang_sq = l * (l + 1) * geom.inv_a_sq(x) * np.abs(w) ** 2
+    ang_sq = l * (l + 1) * inv_a2 * np.abs(w) ** 2
     return dxu_sq + ang_sq
 
 
@@ -335,6 +340,8 @@ def energy_norms(state, geom: WarpGeometry, R: float) -> dict:
     if R <= x0:
         raise ValueError(f"truncation radius R={R} must exceed the boundary x0={x0}")
     h = state.grid.h
+    ratio, inv_a2 = _warp_factors(geom, state.grid)
+    mask = state.grid.nodes() <= R
     E = 0.0
     E_R = 0.0
     for mode in state.modes:
@@ -342,8 +349,7 @@ def energy_norms(state, geom: WarpGeometry, R: float) -> dict:
         wt = mode.wt_grid()
         kin = h * float(np.sum(np.abs(wt) ** 2))
         E += 0.5 * mode.mult * (kin + mode.operator.quad_form(w))
-        mask = state.grid.nodes() <= R
-        dens = np.abs(wt) ** 2 + _mode_gradient_sq(geom, state.grid, mode.l, w)
+        dens = np.abs(wt) ** 2 + _mode_gradient_sq(state.grid, mode.l, w, ratio, inv_a2)
         E_R += 0.5 * mode.mult * h * float(np.sum(dens[mask]))
     return {"E": E, "E_R": E_R, "H_x0_norm": math.sqrt(2.0 * E)}
 
@@ -473,6 +479,7 @@ def le_norms(history, geom: WarpGeometry, T: float | None = None) -> LeNorms:
     grid = history[0].grid
     shells = ShellWeights(grid, geom)
     acc = ShellAccumulator(shells)
+    ratio, inv_a2 = _warp_factors(geom, grid)
     for state in history:
         if T is not None and state.time > T + 1e-12:
             break
@@ -484,7 +491,7 @@ def le_norms(history, geom: WarpGeometry, T: float | None = None) -> LeNorms:
             u_dens += mode.mult * np.abs(w) ** 2
             e1_dens += mode.mult * (
                 np.abs(wt) ** 2
-                + _mode_gradient_sq(geom, grid, mode.l, w)
+                + _mode_gradient_sq(grid, mode.l, w, ratio, inv_a2)
                 + shells.inv_bracket_sq * np.abs(w) ** 2
             )
         acc.add([state.time], u_dens[:, None], e1_dens[:, None])

@@ -28,6 +28,34 @@ class TestConfig:
             ExperimentConfig.load(None, {"T_max": -1.0})
         with pytest.raises(ConfigError, match="causal"):
             ExperimentConfig.load(None, {"causal": "maybe"})
+        for name in ("dt", "h_per_sigma", "h_per_sigma_evolve"):
+            with pytest.raises(ConfigError, match=f"'{name}'"):
+                ExperimentConfig.load(None, {name: 0.0})
+
+    @pytest.mark.parametrize("field, value", [
+        ("m", "2"), ("m", 2.0), ("m", True), ("x0", "-1"), ("x0_plus", [1.0]),
+        ("l_list", 20), ("l_list", [20, "30"]), ("l_list", [20.0]),
+        ("n_interval", 1.5), ("causal", 1), ("out_dir", None),
+    ])
+    def test_field_types_checked(self, tmp_path, field, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({field: value}))
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            ExperimentConfig.load(str(cfg), {})
+
+    def test_annotated_types_accepted(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"m": 2, "x0": -2, "x0_plus": None, "l_list": [],
+                                   "n_interval": 300, "dt": 0.5, "causal": "strict"}))
+        out = ExperimentConfig.load(str(cfg), {})
+        assert (out.m, out.x0, out.l_list, out.n_interval, out.dt) == (2, -2, [], 300, 0.5)
+
+    @pytest.mark.parametrize("text", ["{", "[1, 2]"])
+    def test_unreadable_config_names_the_path(self, tmp_path, text):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        with pytest.raises(ConfigError, match="c.json"):
+            ExperimentConfig.load(str(cfg), {})
 
 
 class TestExitCodes:
@@ -48,6 +76,21 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "causality" in capsys.readouterr().err
+
+    def test_wrongly_typed_config_field_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"m": "2"}))
+        code = run_cli(["quasimode", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'m'" in err and "Traceback" not in err
+
+    def test_missing_config_file_is_validation_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        code = run_cli(["quasimode", "--config", str(missing), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(missing) in err and "Traceback" not in err
 
     def test_failed_check_is_exit_two(self, tmp_path, capsys):
         # horizon too short for the open side to empty the near region

@@ -5,8 +5,9 @@ import pytest
 
 from warptrap import evolve
 from warptrap.geometry import WarpGeometry
-from warptrap.quasimode import build_quasimode
+from warptrap.quasimode import build_quasimode, interval_grid
 from warptrap.spectral import (
+    _TILE,
     Grid,
     dbk_norm,
     energy_norms,
@@ -57,6 +58,7 @@ class TestPackedProduct:
             "row_window": tall[7:7 + self.n],
             "vector": cplx(self.n),
             "strided_vector": wide[:, 3],
+            "tile": cplx(self.n, _TILE),
         }
 
     def test_matches_split_product(self):
@@ -300,6 +302,51 @@ class TestConfinement:
         # accumulated space-time norm grows like sqrt(T) on a confined state
         growth = rep.le1_at(40.0) / rep.le1_at(10.0)
         assert growth == pytest.approx(2.0, rel=0.1)
+
+    def test_energy_drift_checks_every_256th_sample(self, geom_m1_trapped, monkeypatch):
+        # damping the rotation makes the grid energy fall with time, so the
+        # reported drift is the one at the last checked sample
+        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid.interval(-1.0, 120),
+                             require_bracket=False)
+        grid_ext = qm.grid.extended(13.0)
+        prop = evolve.get_propagator(geom_m1_trapped, 12, grid_ext)
+        monkeypatch.setattr(prop, "omega", prop.omega * (1.0 - 1e-7j))
+        rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=60.0, R=1.0, x_max=13.0,
+                                     dt=0.1, causal="audited")
+        u = qm.extend_to(grid_ext)
+        mode = evolve.ModeState.from_grid_data(prop, u.astype(complex), -1j * qm.tau * u)
+        E = mode.energy_spectral()
+
+        def drift(t):
+            state = mode.advanced(t)
+            w, wt = state.w_grid(), state.wt_grid()
+            e = 0.5 * (prop.op.quad_form(w) + grid_ext.h * float(np.sum(np.abs(wt) ** 2)))
+            return abs(e - E) / E
+
+        assert rep.times.size == 601
+        checked = [drift(t) for t in rep.times[::256]]
+        assert rep.energy_drift == pytest.approx(max(checked), rel=1e-9)
+        assert rep.energy_drift < 0.9 * drift(rep.times[-1])
+
+    def test_tiled_passes_peak_memory(self, geom_m1_trapped):
+        # with the propagator cached, a run holds tile-sized temporaries:
+        # 0.80 x 8n^2 with 256-sample blocks, about 0.3 x 8n^2 with 64
+        import tracemalloc
+
+        grid_i = interval_grid(geom_m1_trapped, 20, None, evolve.EVOLUTION_H_PER_SIGMA)
+        qm = build_quasimode(geom_m1_trapped, 20, grid_interval=grid_i)
+        grid_ext = qm.grid.extended(12.0)
+        n = grid_ext.n_interior
+        evolve.get_propagator(geom_m1_trapped, 20, grid_ext)
+        tracemalloc.start()
+        try:
+            evolve.run_confinement(geom_m1_trapped, qm, T_max=400.0, R=1.0, x_max=12.0,
+                                   dt=1.0, causal="audited", le1=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 2612
+        assert peak <= 0.5 * 8 * n * n
 
     def test_open_side_energy_escapes(self, geom_m1_front):
         grid = Grid(1.0, 30.0, 1100)

@@ -230,14 +230,14 @@ def whole_matrix_pairs(op, k):
 
 
 class TestBlockedSolve:
-    # an n that is not a multiple of the block size, so the last block is short
-    N = 2 * spectral._BLOCK + 45
+    # an n that is not a multiple of the tile width, so the last tile is short
+    N = 8 * spectral._TILE + 45
 
     def op(self):
         geom = WarpGeometry.of(1, -1.0)
         return build_operator(Grid(-1.0, 8.0, self.N), lambda x: geom.potential(7, x), "blk")
 
-    @pytest.mark.parametrize("k", [None, spectral._BLOCK + 10])
+    @pytest.mark.parametrize("k", [None, 4 * spectral._TILE + 10])
     def test_blocks_match_whole_matrix(self, k):
         op = self.op()
         vals, vecs, resid = spectral._solve_pairs(op, k)
@@ -250,7 +250,7 @@ class TestBlockedSolve:
         import scipy.linalg as sla
 
         solve = sla.eigh_tridiagonal
-        bad = spectral._BLOCK + 7
+        bad = spectral._TILE + 7
 
         def corrupt(*args, **kwargs):
             vals, vecs = solve(*args, **kwargs)

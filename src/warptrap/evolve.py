@@ -48,7 +48,6 @@ __all__ = [
     "er_history",
     "get_propagator",
     "le1_growth",
-    "le1_running_ratio",
     "load_checkpoint",
     "propagate",
     "run_confinement",
@@ -63,22 +62,57 @@ EVOLUTION_H_PER_SIGMA = 0.2
 _DRIFT_STRIDE = 256
 
 
-def _real_matmul(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M @ X keeping M real when X is complex.
+def _raw_product(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ X for real M and complex (n, k) X, as the real (2k, rows) array
+    whose rows 2j and 2j + 1 are the real and imaginary parts of column j.
 
     A C-ordered complex (n, k) block viewed as float64 is the real (n, 2k)
     matrix X_r of interleaved real and imaginary columns, so one real GEMM
     gives the complex product, with no complex copy of M and no split or
-    recombined parts.  The GEMM is (X_r^T M^T)^T, with M as the right-hand
-    operand, and its transposed result is copied back into complex order:
-    for a large M and a narrow block that GEMM runs at full BLAS speed,
+    recombined parts.  The GEMM is X_r^T M^T, with M as the right-hand
+    operand: for a large M and a narrow block it runs at full BLAS speed,
     where M @ X_r does not.
     """
+    Xr = np.ascontiguousarray(X.reshape(X.shape[0], -1), dtype=complex).view(np.float64)
+    return Xr.T @ M.T
+
+
+def _real_matmul(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ X keeping M real when X is complex: the raw product copied back
+    into complex order."""
     if not np.iscomplexobj(X):
         return M @ X
-    Xr = np.ascontiguousarray(X.reshape(X.shape[0], -1), dtype=complex).view(np.float64)
-    out = np.ascontiguousarray((Xr.T @ M.T).T).view(complex)
+    out = np.ascontiguousarray(_raw_product(M, X).T).view(complex)
     return out.reshape(M.shape[0], *X.shape[1:])
+
+
+def _densities(R: np.ndarray, h: float, ratio: np.ndarray,
+               pot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|w|^2 and the energy density |dt w|^2 + |dx w - (a'/a) w|^2 + pot |w|^2
+    of m samples, each (m, rows), from the raw product R (4m, rows) of a
+    packed [a | b] block: rows 2j, 2j + 1 hold Re, Im of w at sample j and
+    rows 2m + 2j, 2m + 2j + 1 those of dt w.
+
+    Every term is a sum of squares of real rows, |z|^2 = Re^2 + Im^2, so
+    the centred stencil (Dirichlet ghost zeros beyond both ends of the
+    rows) and the squares act on R as it is, overwriting it, and adjacent
+    row pairs are summed at the end.
+    """
+    k = R.shape[0] // 2
+    W, e = R[:k], R[k:]
+    dW = np.zeros_like(W)
+    dW[:, :-1] = W[:, 1:]
+    dW[:, 1:] -= W[:, :-1]
+    dW /= 2.0 * h
+    dW -= ratio * W
+    dW *= dW
+    e *= e
+    e += dW
+    W *= W
+    np.multiply(W, pot, out=dW)
+    e += dW
+    del dW  # free this temporary before the pair sums are allocated
+    return W[0::2] + W[1::2], e[0::2] + e[1::2]
 
 
 class ModePropagator:
@@ -389,28 +423,6 @@ def _rotation_gap(AB, a0, b0, evals, ph):
     return np.sqrt(np.sum(sq, axis=0))
 
 
-def _le1_density(WW, h, ratio, pot):
-    """|w|^2 and the order-one density |dt w|^2 + |dx w - (a'/a) w|^2 + pot |w|^2
-    from packed full-grid values [W | Wt], with Dirichlet ghost zeros."""
-    m = WW.shape[1] // 2
-    W, Wt = WW[:, :m], WW[:, m:]
-    dW = np.empty_like(W)
-    dW[1:-1] = (W[2:] - W[:-2]) / (2.0 * h)
-    dW[0] = W[1] / (2.0 * h)
-    dW[-1] = -W[-2] / (2.0 * h)
-    dW -= ratio[:, None] * W
-    e1 = np.abs(dW)
-    e1 *= e1
-    del dW
-    u = np.abs(Wt)
-    u *= u
-    e1 += u
-    np.abs(W, out=u)
-    u *= u
-    e1 += pot[:, None] * u
-    return u, e1
-
-
 def _band_energy(prop: ModePropagator, AB, lo: int, hi: int, ratio, pot) -> np.ndarray:
     """Energy |dt w|^2 + |dx w - (a'/a) w|^2 + pot |w|^2 integrated over the
     node band [lo, hi), one value per packed [a | b] sample.
@@ -419,22 +431,31 @@ def _band_energy(prop: ModePropagator, AB, lo: int, hi: int, ratio, pot) -> np.n
     side for the derivative stencil; where the band touches an end of the
     grid that neighbor is the Dirichlet ghost zero.
     """
-    h = prop.h
     lo0, hi0 = max(lo - 1, 0), min(hi + 1, prop.grid.n_interior)
-    m = AB.shape[1] // 2
-    WW = prop.from_spectral(AB, rows=slice(lo0, hi0))
-    zero = np.zeros((1, m), complex)
-    Wpad = np.concatenate([
-        WW[:1, :m] if lo0 < lo else zero,
-        WW[lo - lo0:hi - lo0, :m],
-        WW[-1:, :m] if hi0 > hi else zero,
-    ])
-    Wc = Wpad[1:-1]
-    dW = (Wpad[2:] - Wpad[:-2]) / (2.0 * h)
-    dens = (np.abs(WW[lo - lo0:hi - lo0, m:]) ** 2
-            + np.abs(dW - ratio[lo:hi, None] * Wc) ** 2
-            + pot[lo:hi, None] * np.abs(Wc) ** 2)
-    return 0.5 * h * np.sum(dens, axis=0)
+    _, e = _densities(_raw_product(prop.evecs[lo0:hi0], AB), prop.h,
+                      ratio[lo0:hi0], pot[lo0:hi0])
+    return 0.5 * prop.h * np.sum(e[:, lo - lo0:hi - lo0], axis=1)
+
+
+def _data_field(geom: WarpGeometry, qm: Quasimode, grid_ext: Grid) -> WaveField:
+    u_ext = qm.extend_to(grid_ext)
+    prop = get_propagator(geom, qm.l, grid_ext)
+    mode = ModeState.from_grid_data(prop, u_ext.astype(complex), -1j * qm.tau * u_ext)
+    return WaveField([mode], 0.0, geom)
+
+
+def _energy_drift(mode: ModeState, times: np.ndarray) -> float:
+    """Largest relative deviation, over the sample times, of the energy
+    recomputed from full-grid values from the conserved spectral energy:
+    an independent check on conservation, one reconstruction for all."""
+    prop = mode.prop
+    E = mode.energy_spectral()
+    WW = prop.from_spectral(_phase_block(mode.c_plus, mode.c_minus, prop.omega, times))
+    drift = 0.0
+    for w, wt in zip(WW[:, :times.size].T, WW[:, times.size:].T):
+        e = 0.5 * (prop.op.quad_form(w) + prop.h * float(np.sum(np.abs(wt) ** 2)))
+        drift = max(drift, abs(e - E) / E)
+    return drift
 
 
 def run_confinement(
@@ -474,66 +495,42 @@ def run_confinement(
             f"R + T_max = {R + T_max}; enlarge the domain or use causal='audited'"
         )
     grid_ext = qm.grid.extended(x_max)
-    u_ext = qm.extend_to(grid_ext)
-    prop = get_propagator(geom, qm.l, grid_ext)
+    field = _data_field(geom, qm, grid_ext)
+    mode = field.modes[0]
+    prop = mode.prop
     tau = qm.tau
-    w0 = u_ext.astype(complex)
-    w1 = -1j * tau * u_ext
-    mode = ModeState.from_grid_data(prop, w0, w1)
-    h = grid_ext.h
-
+    u_ext = qm.extend_to(grid_ext)
     f_vec = prop.op.apply(u_ext) - qm.tau_sq * u_ext
-    f_norm = math.sqrt(h * float(np.sum(f_vec**2)))
+    f_norm = math.sqrt(grid_ext.h * float(np.sum(f_vec**2)))
     a0 = mode.a_coeff()
     b0 = mode.b_coeff()
     data_h_norm = math.sqrt(float(np.sum(prop.evals * np.abs(a0) ** 2 + np.abs(b0) ** 2)))
 
     if dt is None:
-        dt = max(T_max / 1000.0, h)
-    n_t = int(round(T_max / dt))
-    times = dt * np.arange(n_t + 1)
-
+        dt = max(T_max / 1000.0, grid_ext.h)
+    times = dt * np.arange(int(round(T_max / dt)) + 1)
     x = grid_ext.nodes()
     nR = int(np.searchsorted(x, R, side="right"))
     n_buf = int(np.searchsorted(x, grid_ext.x_right - wall_margin, side="left"))
     ratio, inv_a2 = _warp_factors(geom, grid_ext)
-    pot = qm.l * (qm.l + 1) * inv_a2
+    pot = mode.sigma_sq * inv_a2
 
-    E_R = np.empty(n_t + 1)
-    gap = np.empty(n_t + 1)
-    wall = np.empty(n_t + 1)
-    E_spec = mode.energy_spectral()
-    E = np.full(n_t + 1, E_spec)
-    for c0 in range(0, n_t + 1, _TILE):
+    # the E_R band, the wall band and the Duhamel gap share each tile's phase block
+    E_R, wall, gap = (np.empty(times.size) for _ in range(3))
+    for c0 in range(0, times.size, _TILE):
         tc = times[c0:c0 + _TILE]
         AB = _phase_block(mode.c_plus, mode.c_minus, prop.omega, tc)
         E_R[c0:c0 + _TILE] = _band_energy(prop, AB, 0, nR, ratio, pot)
         wall[c0:c0 + _TILE] = _band_energy(prop, AB, n_buf, grid_ext.n_interior, ratio, pot)
         gap[c0:c0 + _TILE] = _rotation_gap(AB, a0, b0, prop.evals, np.exp(-1j * tau * tc))
         del AB  # free this tile before the next one is built
-    # independent energy recomputation, one reconstruction for all checked samples
-    td = times[::_DRIFT_STRIDE]
-    WW = prop.from_spectral(_phase_block(mode.c_plus, mode.c_minus, prop.omega, td))
-    energy_drift = 0.0
-    for w_full, wt_full in zip(WW[:, :td.size].T, WW[:, td.size:].T):
-        e_re = 0.5 * (prop.op.quad_form(w_full) + h * float(np.sum(np.abs(wt_full) ** 2)))
-        energy_drift = max(energy_drift, abs(e_re - E_spec) / E_spec)
+    E_spec = mode.energy_spectral()
 
     le1_running = le1_times = None
     if le1:
-        if dt_le is None:
-            dt_le = max(dt, T_max / 500.0)
-        m_le = int(round(T_max / dt_le))
-        le1_times = dt_le * np.arange(m_le + 1)
-        shells = ShellWeights(grid_ext, geom)
-        acc = ShellAccumulator(shells)
-        pot_le = pot + shells.inv_bracket_sq
-        for c0 in range(0, m_le + 1, _TILE):
-            tc = le1_times[c0:c0 + _TILE]
-            WW = prop.from_spectral(_phase_block(mode.c_plus, mode.c_minus, prop.omega, tc))
-            acc.add(tc, *_le1_density(WW, h, ratio, pot_le))
-            del WW  # free this tile before the next one is built
-        _, le1_running = acc.finish()
+        norms, le1_running = space_time_norms(
+            field, T_max, max(dt, T_max / 500.0) if dt_le is None else dt_le)
+        le1_times = norms.times
 
     ratio_E_R = E_R / E_R[0]
     below = np.nonzero(E_R < 0.5 * E_R[0])[0]
@@ -542,7 +539,7 @@ def run_confinement(
     wall_max = float(wall.max())
     return EvolutionReport(
         times=times,
-        E=E,
+        E=np.full(times.size, E_spec),
         E_R=E_R,
         ratio_E_R=ratio_E_R,
         duhamel_gap=gap,
@@ -555,7 +552,7 @@ def run_confinement(
         wall_buffer_max=wall_max,
         wall_ok=bool(wall_max <= wall_tol * E_spec),
         causal_mode=causal,
-        energy_drift=energy_drift,
+        energy_drift=_energy_drift(mode, times[::_DRIFT_STRIDE]),
         R=R,
         x_max=grid_ext.x_right,
         l=qm.l,
@@ -576,13 +573,6 @@ class Le1Growth:
     j_star: int | None
     T_star: float | None
     reason: str
-
-
-def _data_field(geom: WarpGeometry, qm: Quasimode, grid_ext: Grid) -> WaveField:
-    u_ext = qm.extend_to(grid_ext)
-    prop = get_propagator(geom, qm.l, grid_ext)
-    mode = ModeState.from_grid_data(prop, u_ext.astype(complex), -1j * qm.tau * u_ext)
-    return WaveField([mode], 0.0, geom)
 
 
 def le1_growth(
@@ -626,23 +616,26 @@ def le1_growth(
     return Le1Growth(taus, T_list, ratios, dbks, k, A, j_star, T_star, reason)
 
 
-def le1_running_ratio(
-    geom: WarpGeometry,
-    qm: Quasimode,
-    k: int,
-    T_list: list[float],
-    x_max: float,
-    causal: str = "audited",
-    dt_le: float | None = None,
-) -> dict[float, float]:
-    """Ratio LE1[0,T] / |data|_{D(B^k)} at several horizons from one run."""
-    from .spectral import dbk_norm
-
-    budget = max(T_list)
-    rep = run_confinement(geom, qm, budget, R=1.0, x_max=x_max, causal=causal,
-                          le1=True, dt_le=dt_le)
-    dbk = dbk_norm(_data_field(geom, qm, qm.grid_extended), k)
-    return {T: rep.le1_at(T) / dbk for T in T_list}
+def _density_tiles(field: WaveField, T: float, dt: float, ang: np.ndarray, extra):
+    """The tiled local-energy pass: for each _TILE-wide tile of the sample
+    times dt * i in [0, T], the tile's times, |w|^2 and the energy density
+    with potential sigma^2 * ang + extra, each (samples, n) and summed over
+    the modes with their multiplicities."""
+    ratio = _warp_factors(field.geom, field.grid)[0]
+    times = dt * np.arange(int(round(T / dt)) + 1)
+    for c0 in range(0, times.size, _TILE):
+        tc = times[c0:c0 + _TILE]
+        u = e = None
+        for mode in field.modes:
+            prop = mode.prop
+            u_m, e_m = _densities(
+                _raw_product(prop.evecs, _phase_block(mode.c_plus, mode.c_minus, prop.omega, tc)),
+                field.grid.h, ratio, mode.sigma_sq * ang + extra)
+            u_m *= mode.mult
+            e_m *= mode.mult
+            u, e = (u_m, e_m) if u is None else (u + u_m, e + e_m)
+        del u_m, e_m  # free this tile's densities before the next tile is built
+        yield tc, u, e
 
 
 def space_time_norms(field: WaveField, T: float, dt: float):
@@ -652,26 +645,11 @@ def space_time_norms(field: WaveField, T: float, dt: float):
     norm evaluator, but reconstructs grid values in time blocks, which is
     what makes wide frequency families affordable.
     """
-    grid = field.grid
-    geom = field.geom
-    h = grid.h
-    shells = ShellWeights(grid, geom)
+    shells = ShellWeights(field.grid, field.geom)
     acc = ShellAccumulator(shells)
-    ratio, inv_a2 = _warp_factors(geom, grid)
-    n_t = int(round(T / dt))
-    times = dt * np.arange(n_t + 1)
-    for c0 in range(0, n_t + 1, _TILE):
-        tc = times[c0:c0 + _TILE]
-        u_dens = np.zeros((grid.n_interior, tc.size))
-        e1_dens = np.zeros((grid.n_interior, tc.size))
-        for mode in field.modes:
-            prop = mode.prop
-            u, e1 = _le1_density(
-                prop.from_spectral(_phase_block(mode.c_plus, mode.c_minus, prop.omega, tc)),
-                h, ratio, mode.sigma_sq * inv_a2 + shells.inv_bracket_sq)
-            u_dens += mode.mult * u
-            e1_dens += mode.mult * e1
-        acc.add(tc, u_dens, e1_dens)
+    inv_a2 = field.geom.inv_a_sq(field.grid.nodes())
+    for tc, u, e1 in _density_tiles(field, T, dt, inv_a2, shells.inv_bracket_sq):
+        acc.add(tc, u, e1)
     norms, le1_running = acc.finish()
     norms.times = np.asarray(acc.times)
     return norms, le1_running
@@ -731,13 +709,30 @@ def save_checkpoint(path, field: WaveField) -> None:
                          f"{float(cm.real)!r} {float(cm.imag)!r}\n")
 
 
+def _header_fields(lineno: int, tokens: list[str], keys: tuple[str, ...]) -> dict[str, str]:
+    """The key=value tokens of checkpoint header line ``lineno``, which must
+    hold every one of ``keys``."""
+    fields = {}
+    for tok in tokens:
+        key, sep, value = tok.partition("=")
+        if not sep:
+            raise ValueError(f"checkpoint header at line {lineno}: malformed token "
+                             f"{tok!r}, expected key=value")
+        fields[key] = value
+    for key in keys:
+        if key not in fields:
+            raise ValueError(f"checkpoint header at line {lineno}: missing key {key!r}")
+    return fields
+
+
 def load_checkpoint(path) -> WaveField:
     """Rebuild a field from a checkpoint (recomputes eigendecompositions)."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(f"# {_CKPT_MAGIC} v{_CKPT_VERSION}"):
         raise ValueError("not a recognized checkpoint file")
-    meta = dict(tok.split("=") for tok in lines[1][2:].split())
+    meta = _header_fields(2, lines[1][2:].split() if len(lines) > 1 else [],
+                          ("m", "x0", "x_left", "x_right", "n", "time"))
     geom = WarpGeometry.of(int(meta["m"]), float(meta["x0"]))
     grid = Grid(float(meta["x_left"]), float(meta["x_right"]), int(meta["n"]))
     time = float(meta["time"])
@@ -747,7 +742,7 @@ def load_checkpoint(path) -> WaveField:
         head = lines[i]
         if not head.startswith("# mode"):
             raise ValueError(f"malformed checkpoint at line {i + 1}")
-        fields = dict(tok.split("=") for tok in head[2:].split()[1:])
+        fields = _header_fields(i + 1, head[2:].split()[1:], ("l", "mult"))
         l, mult = int(fields["l"]), int(fields["mult"])
         n = grid.n_interior
         rows = lines[i + 1:i + 1 + n]

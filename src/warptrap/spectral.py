@@ -309,10 +309,12 @@ class ShellWeights:
 #
 # These evaluators take any state object exposing
 #   state.modes  -> iterable of mode objects with attributes
-#       l, mult, operator (TridiagonalOperator), sigma_sq
+#       mult, operator (TridiagonalOperator), sigma_sq
 #       w_grid(), wt_grid()  -> complex nodal arrays of w, dt w
 #   state.grid, state.time
-# (duck typing keeps this module independent of the evolution layer).
+# (duck typing keeps this module free of the evolution layer's types).  The
+# energy density itself is evaluated by the evolution layer's one kernel,
+# imported at call time, fed here one state at a time.
 
 
 def _warp_factors(geom, grid) -> tuple[np.ndarray, np.ndarray]:
@@ -321,11 +323,13 @@ def _warp_factors(geom, grid) -> tuple[np.ndarray, np.ndarray]:
     return geom.da(x) / geom.a(x), geom.inv_a_sq(x)
 
 
-def _mode_gradient_sq(grid, l, w, ratio, inv_a2):
-    """(d_x u)^2 a^2 + sigma^2 a^{-2} u^2 written in w = a u, nodal values."""
-    dxu_sq = np.abs(fd_derivative(grid, w, 1) - ratio * w) ** 2
-    ang_sq = l * (l + 1) * inv_a2 * np.abs(w) ** 2
-    return dxu_sq + ang_sq
+def _state_densities(w, wt, h, ratio, pot) -> tuple[np.ndarray, np.ndarray]:
+    """|w|^2 and the energy density with potential ``pot`` of one mode's
+    nodal w and dt w."""
+    from .evolve import _densities  # the evolution layer imports this module
+
+    u, e = _densities(np.stack([w.real, w.imag, wt.real, wt.imag]), h, ratio, pot)
+    return u[0], e[0]
 
 
 def energy_norms(state, geom: WarpGeometry, R: float) -> dict:
@@ -349,7 +353,7 @@ def energy_norms(state, geom: WarpGeometry, R: float) -> dict:
         wt = mode.wt_grid()
         kin = h * float(np.sum(np.abs(wt) ** 2))
         E += 0.5 * mode.mult * (kin + mode.operator.quad_form(w))
-        dens = np.abs(wt) ** 2 + _mode_gradient_sq(state.grid, mode.l, w, ratio, inv_a2)
+        _, dens = _state_densities(w, wt, h, ratio, mode.sigma_sq * inv_a2)
         E_R += 0.5 * mode.mult * h * float(np.sum(dens[mask]))
     return {"E": E, "E_R": E_R, "H_x0_norm": math.sqrt(2.0 * E)}
 
@@ -427,9 +431,9 @@ class LeNorms:
 class ShellAccumulator:
     """Accumulates per-shell space-time integrals from sampled states.
 
-    Feed sample times with (n, k) node-density blocks of |u|^2 and the
-    order-one density, one column per time, in time order; integrals use
-    the trapezoid rule over the fed times.
+    Feed sample times with time-major (k, n) node-density blocks of |u|^2
+    and the order-one density, one row per time, in time order; integrals
+    use the trapezoid rule over the fed times.
     """
 
     def __init__(self, shells: ShellWeights):
@@ -442,8 +446,8 @@ class ShellAccumulator:
 
     def add(self, times: np.ndarray, u_density: np.ndarray, le1_density: np.ndarray) -> None:
         self.times.extend(np.asarray(times, dtype=float).tolist())
-        self.u_rows.append((self.indicator @ u_density).T)
-        self.e1_rows.append((self.indicator @ le1_density).T)
+        self.u_rows.append(u_density @ self.indicator.T)
+        self.e1_rows.append(le1_density @ self.indicator.T)
 
     @staticmethod
     def _cum_trapz(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -467,11 +471,11 @@ class ShellAccumulator:
         return LeNorms(le, le1, le_star, U[-1], E1[-1], t), le1_running
 
 
-def le_norms(history, geom: WarpGeometry, T: float | None = None) -> LeNorms:
+def le_norms(history, geom: WarpGeometry) -> LeNorms:
     """LE, LE^1 and the dual LE* norm of a sampled evolution.
 
     ``history`` is a time-ordered sequence of states (see the duck-typing
-    note above); samples beyond T are ignored.
+    note above).
     """
     history = list(history)
     if not history:
@@ -481,20 +485,14 @@ def le_norms(history, geom: WarpGeometry, T: float | None = None) -> LeNorms:
     acc = ShellAccumulator(shells)
     ratio, inv_a2 = _warp_factors(geom, grid)
     for state in history:
-        if T is not None and state.time > T + 1e-12:
-            break
         u_dens = np.zeros(grid.n_interior)
         e1_dens = np.zeros(grid.n_interior)
         for mode in state.modes:
-            w = mode.w_grid()
-            wt = mode.wt_grid()
-            u_dens += mode.mult * np.abs(w) ** 2
-            e1_dens += mode.mult * (
-                np.abs(wt) ** 2
-                + _mode_gradient_sq(grid, mode.l, w, ratio, inv_a2)
-                + shells.inv_bracket_sq * np.abs(w) ** 2
-            )
-        acc.add([state.time], u_dens[:, None], e1_dens[:, None])
+            u, e1 = _state_densities(mode.w_grid(), mode.wt_grid(), grid.h, ratio,
+                                     mode.sigma_sq * inv_a2 + shells.inv_bracket_sq)
+            u_dens += mode.mult * u
+            e1_dens += mode.mult * e1
+        acc.add([state.time], u_dens[None, :], e1_dens[None, :])
     norms, _ = acc.finish()
     norms.times = np.asarray(acc.times)
     return norms

@@ -11,6 +11,7 @@ from warptrap.spectral import (
     Grid,
     dbk_norm,
     energy_norms,
+    fd_derivative,
     h_state_norm,
     le_norms,
 )
@@ -380,9 +381,9 @@ class TestGrowthExperiment:
         qm = build_quasimode(geom_m1_trapped, 14,
                              grid_interval=Grid.interval(-1.0, 120),
                              require_bracket=False)
-        ratios = evolve.le1_running_ratio(geom_m1_trapped, qm, k=1,
-                                          T_list=[10.0, 40.0], x_max=12.0)
-        assert ratios[40.0] / ratios[10.0] == pytest.approx(2.0, rel=0.1)
+        rep = evolve.run_confinement(geom_m1_trapped, qm, 40.0, R=1.0, x_max=12.0,
+                                     causal="audited", le1=True)
+        assert rep.le1_at(40.0) / rep.le1_at(10.0) == pytest.approx(2.0, rel=0.1)
 
     def test_small_threshold_achieved(self, geom_m1_trapped):
         qms = [build_quasimode(geom_m1_trapped, 14,
@@ -461,6 +462,96 @@ class TestNorms:
             les.append((norms.le, j))
         for le, j in les:
             assert le == pytest.approx(2.0 ** (-j / 2) * math.sqrt(T), rel=1e-9)
+
+
+class TestCrossSite:
+    """Every site that reduces the energy density agrees with one oracle
+    written here on complex arrays with ``fd_derivative``."""
+
+    @staticmethod
+    def oracle(state, geom, extra=0.0):
+        """(|w|^2, |dt w|^2 + |dx w - (a'/a) w|^2 + (sigma^2 a^-2 + extra) |w|^2),
+        summed over the modes with their multiplicities."""
+        grid = state.grid
+        x = grid.nodes()
+        ratio, inv_a2 = geom.da(x) / geom.a(x), geom.inv_a_sq(x)
+        u = np.zeros(grid.n_interior)
+        e = np.zeros(grid.n_interior)
+        for mode in state.modes:
+            w, wt = mode.w_grid(), mode.wt_grid()
+            pot = mode.l * (mode.l + 1) * inv_a2 + extra
+            u += mode.mult * np.abs(w) ** 2
+            e += mode.mult * (np.abs(wt) ** 2
+                              + np.abs(fd_derivative(grid, w, 1) - ratio * w) ** 2
+                              + pot * np.abs(w) ** 2)
+        return u, e
+
+    @classmethod
+    def oracle_le(cls, field, geom, T, dt):
+        """LE, LE1, LE* and the running LE1 by shell masks and the trapezoid rule."""
+        grid = field.grid
+        x = grid.nodes()
+        bracket = np.sqrt(1.0 + x * x)
+        shell = np.floor(np.log2(bracket)).astype(int)
+        times = dt * np.arange(int(round(T / dt)) + 1)
+        U, E1 = [], []
+        for t in times:
+            u, e = cls.oracle(field.advanced(t), geom, 1.0 / bracket**2)
+            U.append([grid.h * np.sum(u[shell == j]) for j in range(shell.max() + 1)])
+            E1.append([grid.h * np.sum(e[shell == j]) for j in range(shell.max() + 1)])
+        U, E1 = (np.vstack([np.zeros((1, A.shape[1])),
+                            np.cumsum(0.5 * (A[1:] + A[:-1]) * dt, axis=0)])
+                 for A in (np.asarray(U), np.asarray(E1)))
+        j = np.arange(U.shape[1])
+        le = np.max(2.0 ** (-0.5 * j) * np.sqrt(U[-1]))
+        le1_running = np.max(2.0 ** (-0.5 * j) * np.sqrt(E1), axis=1)
+        le_star = np.sum(2.0 ** (0.5 * j) * np.sqrt(U[-1]))
+        return le, le1_running[-1], le_star, le1_running
+
+    @pytest.fixture(scope="class")
+    def two_mode_field(self, geom_m1_trapped):
+        grid = Grid(-1.0, 14.0, 700)
+        x = grid.nodes()
+        w0 = bump(x, 0.2, 0.6).astype(complex)
+        v0 = (bump(x, 1.5, 0.9) * np.exp(2.0j * x)).astype(complex)
+        return evolve.wave_field(geom_m1_trapped, grid,
+                                 [(1, 3, w0, -0.3j * w0), (4, 2, v0, 0.5 * v0)])
+
+    def test_near_energy_sites_agree(self, two_mode_field, geom_m1_trapped):
+        grid = two_mode_field.grid
+        R, T, dt = 2.0, 3.0, 0.25
+        times, er, _ = evolve.er_history(two_mode_field, T, R, dt=dt)
+        near = grid.nodes() <= R
+        for i in (0, 5, 12):
+            state = two_mode_field.advanced(times[i])
+            want = 0.5 * grid.h * np.sum(self.oracle(state, geom_m1_trapped)[1][near])
+            assert er[i] == pytest.approx(want, rel=1e-12)
+            got = energy_norms(state, geom_m1_trapped, R)["E_R"]
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_space_time_sites_agree(self, two_mode_field, geom_m1_trapped):
+        T, dt = 3.0, 0.25
+        le, le1, le_star, _ = self.oracle_le(two_mode_field, geom_m1_trapped, T, dt)
+        hist = evolve.propagate(two_mode_field, dt, int(round(T / dt)))
+        for norms in (le_norms(hist, geom_m1_trapped),
+                      evolve.space_time_norms(two_mode_field, T, dt)[0]):
+            assert norms.le == pytest.approx(le, rel=1e-12)
+            assert norms.le1 == pytest.approx(le1, rel=1e-12)
+            assert norms.le_star == pytest.approx(le_star, rel=1e-12)
+
+    def test_confinement_run_agrees(self, geom_m1_trapped):
+        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid.interval(-1.0, 120),
+                             require_bracket=False)
+        T, dt = 3.0, 0.25
+        rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=T, R=1.0, x_max=12.0,
+                                     dt=dt, causal="audited", le1=True, dt_le=dt)
+        fld = evolve._data_field(geom_m1_trapped, qm, qm.grid.extended(12.0))
+        near = fld.grid.nodes() <= 1.0
+        for i in (0, 5, 12):
+            _, e = self.oracle(fld.advanced(rep.times[i]), geom_m1_trapped)
+            assert rep.E_R[i] == pytest.approx(0.5 * fld.grid.h * np.sum(e[near]), rel=1e-12)
+        running = self.oracle_le(fld, geom_m1_trapped, T, dt)[3]
+        assert np.allclose(rep.le1_running, running, rtol=1e-12, atol=0.0)
 
 
 class TestEnergyNorms:
@@ -563,6 +654,18 @@ class TestCheckpoints:
         path = tmp_path / "junk.txt"
         path.write_text("not a checkpoint\n")
         with pytest.raises(ValueError):
+            evolve.load_checkpoint(path)
+
+    @pytest.mark.parametrize("header, key", [
+        (None, "'m'"),
+        ("# m=1 x0=-1.0 x_left=-1.0 n=700 time=0.0", "'x_right'"),
+        ("# m=1 x0=-1.0 x_left=-1.0 x_right 14.0 n=700 time=0.0", "'x_right'"),
+    ], ids=["magic-only", "missing-key", "token-without-equals"])
+    def test_bad_header_names_line_2(self, tmp_path, header, key):
+        path = tmp_path / "state.ckpt"
+        lines = ["# warptrap-checkpoint v1"] + ([header] if header else [])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line 2: .*{key}"):
             evolve.load_checkpoint(path)
 
     def test_truncated_file_names_the_mode(self, small_field, tmp_path):

@@ -5,7 +5,7 @@ import sympy_oracle
 from warptrap import evolve
 from warptrap import multiplier as mul
 from warptrap.geometry import WarpGeometry
-from warptrap.spectral import Grid
+from warptrap.spectral import Grid, fd_derivative
 
 # measured bound of g(x) * a(x) on the delta family at delta = 0.5, frozen
 # with headroom as a regression constant
@@ -255,25 +255,50 @@ class TestAudit:
         grid = Grid(1.0, 12.0, 300)
         z = np.zeros(300, dtype=complex)
         fld = evolve.wave_field(geom_m1_front, grid, [(0, 1, z, z)])
-        hist = evolve.propagate(fld, 0.5, 8)
-        res = mul.le_bound_audit(hist, geom_m1_front)
+        res = mul.le_bound_audit(fld, 4.0, 0.5)
         assert res.ratio_lelocal == 0.0 and res.ratio_lepositive == 0.0
 
     def test_rejects_trapped_side(self, geom_m1_trapped):
+        z = np.zeros(100, dtype=complex)
+        fld = evolve.wave_field(geom_m1_trapped, Grid(-1.0, 9.0, 100), [(0, 1, z, z)])
         with pytest.raises(ValueError):
-            mul.le_bound_audit([], geom_m1_trapped)
+            mul.le_bound_audit(fld, 4.0, 0.5)
 
-    def test_homogeneous_run_ratios_finite(self, geom_m1_front):
+    @staticmethod
+    def front_field(geom):
         grid = Grid(1.0, 24.0, 900)
         x = grid.nodes()
         s = (x - 2.5)
         w0 = np.where(np.abs(s) < 1, np.exp(-1.0 / np.maximum(1e-300, 1 - s**2)), 0.0)
         w0 = w0.astype(complex)
-        from warptrap.spectral import fd_derivative
-
         w1 = -fd_derivative(grid, w0, 1)
-        fld = evolve.wave_field(geom_m1_front, grid, [(1, 1, w0, w1)])
-        hist = evolve.propagate(fld, 0.25, 60)
-        res = mul.le_bound_audit(hist, geom_m1_front)
+        return evolve.wave_field(geom, grid, [(1, 1, w0, w1)])
+
+    def test_homogeneous_run_ratios_finite(self, geom_m1_front):
+        res = mul.le_bound_audit(self.front_field(geom_m1_front), 15.0, 0.25)
         assert 0 < res.ratio_lelocal < 50
         assert 1 <= res.ratio_lepositive < 50
+
+    def test_tiled_local_side_matches_per_state_sum(self, geom_m1_front):
+        # reference: the weighted density summed state by state over a
+        # propagated history, the audit's form before it was tiled
+        fld = self.front_field(geom_m1_front)
+        grid, geom = fld.grid, geom_m1_front
+        x, h, m = grid.nodes(), grid.h, geom.params.m
+        ratio_a, inv_a2 = geom.da(x) / geom.a(x), geom.inv_a_sq(x)
+        rows, times = [], []
+        for state in evolve.propagate(fld, 0.25, 60):
+            dens = 0.0
+            for mode in state.modes:
+                w, wt = mode.w_grid(), mode.wt_grid()
+                dw = fd_derivative(grid, w, 1)
+                dens = dens + mode.mult * (
+                    x ** (-2.0 * m - 1.0) * (np.abs(dw - ratio_a * w) ** 2 + np.abs(wt) ** 2)
+                    + x ** (-1.0) * inv_a2 * mode.sigma_sq * inv_a2 * np.abs(w) ** 2
+                    + x ** (-2.0 * m - 3.0) * np.abs(w) ** 2
+                )
+            times.append(state.time)
+            rows.append(h * float(np.sum(dens)))
+        want = float(np.trapezoid(rows, times))
+        res = mul.le_bound_audit(fld, 15.0, 0.25)
+        assert res.lhs_lelocal == pytest.approx(want, rel=1e-12)

@@ -371,8 +371,8 @@ class TestShells:
         u = rng.uniform(0.0, 1.0, (g.n_interior, 7))
         e1 = rng.uniform(0.0, 1.0, (g.n_interior, 7))
         acc = ShellAccumulator(shells)
-        acc.add(np.arange(4.0), u[:, :4], e1[:, :4])
-        acc.add(np.arange(4.0, 7.0), u[:, 4:], e1[:, 4:])
+        acc.add(np.arange(4.0), u[:, :4].T, e1[:, :4].T)
+        acc.add(np.arange(4.0, 7.0), u[:, 4:].T, e1[:, 4:].T)
         assert acc.times == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         got_u, got_e1 = np.vstack(acc.u_rows), np.vstack(acc.e1_rows)
         for i in range(7):

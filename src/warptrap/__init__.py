@@ -20,7 +20,7 @@ Subpackage map:
 
 __version__ = "0.1.0"
 
-from .geometry import AngularMode, WarpGeometry, WarpParams, mode_table, warp_eval
+from .geometry import WarpGeometry, WarpParams
 from .spectral import (
     EigenPair,
     Grid,
@@ -32,7 +32,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "AngularMode",
     "EigenPair",
     "Grid",
     "TridiagonalOperator",
@@ -40,8 +39,6 @@ __all__ = [
     "WarpParams",
     "build_operator",
     "eigen_lowest",
-    "mode_table",
     "quadrature_hk",
     "quadrature_l2",
-    "warp_eval",
 ]

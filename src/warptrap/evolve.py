@@ -755,4 +755,7 @@ def load_checkpoint(path) -> WaveField:
         cm = block[:, 2] + 1j * block[:, 3]
         modes.append(ModeState(get_propagator(geom, l, grid), cp, cm, mult))
         i += 1 + n
+    if not modes:
+        raise ValueError(f"checkpoint ends at line {len(lines)} with no mode block; "
+                         f"expected '# mode' at line {max(len(lines), 3) + 1}")
     return WaveField(modes, time, geom)

@@ -13,20 +13,15 @@ warp; tests validate them against central differences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "AngularMode",
     "CallableWarpGeometry",
     "WarpGeometry",
     "WarpParams",
-    "mode_table",
-    "monotone_threshold",
     "potential_is_monotone",
-    "warp_eval",
 ]
 
 
@@ -42,26 +37,6 @@ class WarpParams:
             raise ValueError(f"warp exponent m must be a positive integer, got {self.m!r}")
         if self.x0 == 0:
             raise ValueError("boundary location x0 = 0 is degenerate (wall on the trapped set)")
-
-
-@dataclass(frozen=True)
-class AngularMode:
-    """One spherical-harmonic degree: sigma_sq = l(l+1), multiplicity 2l+1."""
-
-    l: int
-    sigma_sq: float
-    multiplicity: int
-
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.sigma_sq)
-
-
-def mode_table(l_max: int) -> list[AngularMode]:
-    """Angular modes l = 0..l_max in increasing order."""
-    if l_max < 0:
-        raise ValueError("l_max must be nonnegative")
-    return [AngularMode(l, float(l * (l + 1)), 2 * l + 1) for l in range(l_max + 1)]
 
 
 class WarpGeometry:
@@ -183,14 +158,6 @@ class _CallableParams:
     x0: float
 
 
-def warp_eval(params: WarpParams, x, order: int = 0):
-    """a(x), a'(x), or a''(x) for the given warp parameters."""
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
-    geom = WarpGeometry(params)
-    return (geom.a, geom.da, geom.d2a)[order](x)
-
-
 def potential_is_monotone(geom: WarpGeometry, l: int, n_samples: int = 257) -> bool:
     """Whether V_l is strictly increasing on [x0, x0/2] (x0 < 0), sampled."""
     x0 = geom.params.x0
@@ -198,21 +165,3 @@ def potential_is_monotone(geom: WarpGeometry, l: int, n_samples: int = 257) -> b
         raise ValueError("monotonicity window [x0, x0/2] requires x0 < 0")
     xs = np.linspace(x0, x0 / 2, n_samples)
     return bool(np.all(np.diff(geom.potential(l, xs)) > 0))
-
-
-def monotone_threshold(geom: WarpGeometry, l_max: int = 200, n_samples: int = 257) -> int:
-    """Smallest L such that V_l is strictly increasing on [x0, x0/2] and
-    V_l(x0/2) < V_l(0) for every l in [L, l_max].
-
-    Raises if no such L exists within l_max.
-    """
-    x0 = geom.params.x0
-    ok = np.zeros(l_max + 1, dtype=bool)
-    for l in range(l_max + 1):
-        ok[l] = potential_is_monotone(geom, l, n_samples) and (
-            geom.potential(l, x0 / 2) < geom.potential(l, 0.0)
-        )
-    if not ok[l_max]:
-        raise ValueError(f"V_l hypotheses still failing at l_max={l_max}")
-    bad = np.nonzero(~ok)[0]
-    return int(bad[-1] + 1) if bad.size else 0

@@ -286,55 +286,56 @@ def find_admissible_delta(geom: WarpGeometry, x_range=(1e-3, 1e3), samples: int 
 
 @dataclass
 class ManufacturedSolution:
-    """Separated space-time test function with closed-form derivatives.
+    """Separated space-time test function u = p(t) phi(x) Y(angle).
 
-    u(t, x, angle) = p(t) phi(x) Y(angle) with a unit-normalized real
-    spherical harmonic of degree l, so all angular integrals collapse to
-    1 and sigma^2 = l(l+1).
+    Y is a unit-normalized real spherical harmonic of degree l, so all
+    angular integrals collapse to 1 and sigma^2 = l(l+1).  The solution is
+    held as its two profiles: p and phi are callables (v, order) returning
+    the order-th derivative (0, 1 or 2) at v, such as those of
+    ``time_profile``, ``bump_profile`` and ``boundary_ramp_profile``.  The
+    radial wave operator on a degree-l harmonic is
+    -d_t^2 + d_x^2 + 2 (a'/a) d_x - l(l+1) a^{-2}, so
+
+        Box u = -p'' phi + p radial(phi),
+        radial(phi) = phi'' + 2 (a'/a) phi' - l(l+1) a^{-2} phi.
+
+    ``u``, ``ut``, ``ux`` and ``box`` evaluate these at (t, x) and broadcast
+    t against x; ``verify_ibp`` uses the profiles directly.
     """
 
     name: str
     geom: WarpGeometry
     l: int
-    u: object
-    ut: object
-    ux: object
-    box: object
+    p: object
+    phi: object
 
     @property
     def sigma_sq(self) -> float:
         return float(self.l * (self.l + 1))
 
+    def radial(self, x):
+        geom, phi = self.geom, self.phi
+        return (phi(x, 2) + 2.0 * geom.da(x) / geom.a(x) * phi(x, 1)
+                - self.sigma_sq * geom.inv_a_sq(x) * phi(x, 0))
+
+    def u(self, t, x):
+        return self.p(t, 0) * self.phi(x, 0)
+
+    def ut(self, t, x):
+        return self.p(t, 1) * self.phi(x, 0)
+
+    def ux(self, t, x):
+        return self.p(t, 0) * self.phi(x, 1)
+
+    def box(self, t, x):
+        return -self.p(t, 2) * self.phi(x, 0) + self.p(t, 0) * self.radial(x)
+
 
 def manufactured_solution(geom: WarpGeometry, l: int, p, phi,
                           name: str = "") -> ManufacturedSolution:
-    """Build u = p(t) phi(x) and Box u from a time and a space profile.
-
-    A profile is a callable (v, order) returning its order-th derivative
-    (0, 1 or 2) at v, such as those of ``time_profile``, ``bump_profile``
-    and ``boundary_ramp_profile``.  The radial wave operator on a degree-l
-    harmonic is -d_t^2 + d_x^2 + 2 (a'/a) d_x - l(l+1) a^{-2}, so
-
-        Box u = -p'' phi + p (phi'' + 2 (a'/a) phi' - l(l+1) a^{-2} phi).
-
-    The callables broadcast t against x, so on a tensor grid each profile
-    is evaluated once per axis.
-    """
-    sig2 = l * (l + 1)
-
-    def radial(x):
-        return (phi(x, 2) + 2.0 * geom.da(x) / geom.a(x) * phi(x, 1)
-                - sig2 * geom.inv_a_sq(x) * phi(x, 0))
-
-    return ManufacturedSolution(
-        name=name or f"l={l}",
-        geom=geom,
-        l=l,
-        u=lambda t, x: p(t, 0) * phi(x, 0),
-        ut=lambda t, x: p(t, 1) * phi(x, 0),
-        ux=lambda t, x: p(t, 0) * phi(x, 1),
-        box=lambda t, x: -p(t, 2) * phi(x, 0) + p(t, 0) * radial(x),
-    )
+    """u = p(t) phi(x) on a degree-l harmonic, from a time and a space
+    profile (see ``ManufacturedSolution``)."""
+    return ManufacturedSolution(name or f"l={l}", geom, l, p, phi)
 
 
 def time_profile(terms, const: float = 0.0):
@@ -450,54 +451,59 @@ class IdentityReport:
     nt: int
 
 
-def _trapz2(F: np.ndarray, dt: float, dx: float) -> float:
-    return float(np.trapezoid(np.trapezoid(F, dx=dx, axis=1), dx=dt))
-
-
 def verify_ibp(geom: WarpGeometry, pair: MultiplierPair, sol: ManufacturedSolution,
                T: float, x_max: float, nx: int = 800, nt: int = 400) -> IdentityReport:
     """Evaluate both sides of the integrated identity on tensor trapezoid
-    quadrature.  The test function must satisfy the wall condition
-    u(t, x0) = 0; a violated trace is rejected with its measured size."""
+    quadrature over [0, T] x [x0, x_max] with nt and nx cells.  The test
+    function must satisfy the wall condition u(t, x0) = 0; a violated trace
+    is rejected with its measured size.
+
+    Every integrand is a product of a function of t and a function of x,
+    because u = p(t) phi(x), and the tensor trapezoid rule of such a
+    product is the product of the two 1-D trapezoid sums.  Each term is
+    therefore assembled from 1-D quadratures of the profiles: O(nt + nx)
+    work and no space-time array.
+    """
     x0 = geom.params.x0
     xs = np.linspace(x0, x_max, nx + 1)
     ts = np.linspace(0.0, T, nt + 1)
     dt = ts[1] - ts[0]
     dx = xs[1] - xs[0]
-    # the solutions are separable, so broadcasting evaluates each profile
-    # once per axis rather than once per node
-    TT, XX = ts[:, None], xs[None, :]
-    u = sol.u(TT, XX)
-    scale = float(np.abs(u).max())
-    trace = float(np.abs(sol.u(ts, np.full_like(ts, x0))).max())
+    p0, p1, p2 = (sol.p(ts, k) for k in range(3))
+    phi0, phi1 = sol.phi(xs, 0), sol.phi(xs, 1)
+    # max |p phi| over the grid is max |p| max |phi|, as rounding is monotone;
+    # xs[0] is the wall
+    p_max = float(np.abs(p0).max())
+    scale = p_max * float(np.abs(phi0).max())
+    trace = p_max * abs(float(phi0[0]))
     if scale > 0 and trace > 1e-10 * scale:
         raise ValueError(
             f"test function violates the wall condition: trace norm {trace:.3e} "
             f"against amplitude {scale:.3e}"
         )
-    ut = sol.ut(TT, XX)
-    ux = sol.ux(TT, XX)
-    box = sol.box(TT, XX)
-    a2 = geom.a_sq(xs)[None, :]
+    a2 = geom.a_sq(xs)
     d = pair.derivatives(xs)
-    f, g = d["f"][None, :], d["g"][None, :]
     c = pair.coefficients(xs)
-    sig2 = sol.sigma_sq
 
-    mult = f * ux + g * u
-    lhs = _trapz2(-box * mult * a2, dt, dx)
+    def time_int(v):
+        return float(np.trapezoid(v, dx=dt))
 
-    bdry_t = ut * mult * a2
-    term_time = float(np.trapezoid(bdry_t[-1] - bdry_t[0], dx=dx))
-    term_xx = _trapz2(c["xx"][None, :] * ux**2 * a2, dt, dx)
-    term_ang = _trapz2(c["ang"][None, :] * sig2 * geom.inv_a_sq(xs)[None, :] * u**2 * a2,
-                       dt, dx)
-    term_tt = _trapz2(c["tt"][None, :] * ut**2 * a2, dt, dx)
-    term_uu = _trapz2(c["uu"][None, :] * u**2 * a2, dt, dx)
-    ux_wall = sol.ux(ts, np.full_like(ts, x0))
-    f0 = float(d["f"][0])
-    a0_sq = float(geom.a_sq(np.array([x0]))[0])
-    term_wall = 0.5 * f0 * a0_sq * float(np.trapezoid(ux_wall**2, dx=dt))
+    def space_int(v):
+        return float(np.trapezoid(v, dx=dx))
+
+    # u = p phi, u_t = p' phi, u_x = p phi', f u_x + g u = p mult and
+    # -Box u = p'' phi - p radial(phi)
+    mult_a2 = (d["f"] * phi1 + d["g"] * phi0) * a2
+    pp = time_int(p0 * p0)
+    phi_mult = space_int(phi0 * mult_a2)
+    phi_sq_a2 = phi0 * phi0 * a2
+    lhs = time_int(p2 * p0) * phi_mult - pp * space_int(sol.radial(xs) * mult_a2)
+    term_time = float(p1[-1] * p0[-1] - p1[0] * p0[0]) * phi_mult
+    term_xx = pp * space_int(c["xx"] * phi1 * phi1 * a2)
+    term_ang = pp * space_int(c["ang"] * sol.sigma_sq * geom.inv_a_sq(xs) * phi_sq_a2)
+    term_tt = time_int(p1 * p1) * space_int(c["tt"] * phi_sq_a2)
+    term_uu = pp * space_int(c["uu"] * phi_sq_a2)
+    term_wall = 0.5 * float(d["f"][0] * a2[0] * phi1[0] ** 2) * pp
 
     rhs = term_time + term_xx + term_ang + term_tt + term_uu + term_wall
     return IdentityReport(
@@ -592,15 +598,16 @@ def hardy_random_corpus(geom: WarpGeometry, grid: Grid, n_draws: int = 64,
     rng = np.random.default_rng(seed)
     x = grid.nodes()
     span = grid.x_right - grid.x_left
+    k = np.arange(1, k_max + 1)
     out = []
     for _ in range(n_draws):
         L = span * rng.uniform(0.25, 0.9)
-        coeff = rng.standard_normal(k_max) / np.arange(1, k_max + 1)
+        coeff = rng.standard_normal(k_max) / k
         s = (x - grid.x_left) / L
         u = np.zeros_like(x)
         inside = s <= 1.0
-        for k in range(1, k_max + 1):
-            u[inside] += coeff[k - 1] * np.sin(k * np.pi * s[inside])
+        # one sine table per draw: row i holds sin(k pi s_i) for k = 1..k_max
+        u[inside] = np.sin(np.multiply.outer(s[inside], k * np.pi)) @ coeff
         out.append(hardy_check(geom, grid, u))
     return out
 

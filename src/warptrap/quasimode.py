@@ -136,12 +136,19 @@ def bracket_check(geom: WarpGeometry, l: int, n: int | None = None) -> BracketRe
     """Locate the lowest Dirichlet eigenvalue on (x0, 0) and test the
     bracket [V(x0), V(x0/2)] plus the square-well upper bound
     V(3 x0/4) + 16 pi^2 / x0^2."""
-    x0 = geom.params.x0
-    if x0 >= 0:
-        raise ValueError("bracket check requires the trapped side, x0 < 0")
+    _require_trapped_side(geom)
     grid = interval_grid(geom, l, n)
-    pair = eigen_lowest(mode_operator(geom, l, grid), 1)[0]
-    tau_sq = pair.value
+    return _bracket(geom, l, eigen_lowest(mode_operator(geom, l, grid), 1)[0].value)
+
+
+def _require_trapped_side(geom: WarpGeometry) -> None:
+    if geom.params.x0 >= 0:
+        raise ValueError("bracket check requires the trapped side, x0 < 0")
+
+
+def _bracket(geom: WarpGeometry, l: int, tau_sq: float) -> BracketResult:
+    """The bracket arithmetic of ``bracket_check`` for a solved tau^2."""
+    x0 = geom.params.x0
     v_lo = float(geom.potential(l, x0))
     v_hi = float(geom.potential(l, x0 / 2))
     swb = float(geom.potential(l, 3 * x0 / 4)) + 16.0 * math.pi**2 / x0**2
@@ -213,15 +220,16 @@ def build_quasimode(
     """
     if cutoff is None:
         cutoff = default_cutoff(geom.params.x0)
+    _require_trapped_side(geom)
     grid = grid_interval if grid_interval is not None else interval_grid(geom, l)
-    bracket = bracket_check(geom, l, n=grid.n_interior)
+    op = mode_operator(geom, l, grid)
+    pair = eigen_lowest(op, 1)[0]
+    bracket = _bracket(geom, l, pair.value)
     if require_bracket and not bracket.in_bracket:
         raise ValueError(
             f"frequency bracket fails at l={l} for m={geom.params.m}, "
             f"x0={geom.params.x0}; pass require_bracket=False to build anyway"
         )
-    op = mode_operator(geom, l, grid)
-    pair = eigen_lowest(op, 1)[0]
     psi = pair.vector
     x = grid.nodes()
     chi = cutoff.chi(x)

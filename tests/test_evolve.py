@@ -668,6 +668,15 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=f"line 2: .*{key}"):
             evolve.load_checkpoint(path)
 
+    def test_no_mode_block_names_the_line(self, small_field, tmp_path):
+        path = tmp_path / "state.ckpt"
+        evolve.save_checkpoint(path, small_field)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3]) + "\n")
+        with pytest.raises(ValueError, match="line 3 with no mode block; "
+                                             "expected '# mode' at line 4"):
+            evolve.load_checkpoint(path)
+
     def test_truncated_file_names_the_mode(self, small_field, tmp_path):
         path = tmp_path / "state.ckpt"
         evolve.save_checkpoint(path, small_field)

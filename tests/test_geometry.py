@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from warptrap.geometry import (
-    WarpGeometry,
-    WarpParams,
-    mode_table,
-    monotone_threshold,
-    potential_is_monotone,
-    warp_eval,
-)
+from warptrap.geometry import WarpGeometry, WarpParams, potential_is_monotone
 
 
 def central_diff(f, x, h):
@@ -23,24 +16,20 @@ def central_diff5(f, x, h):
 
 class TestWarpEval:
     def test_value_at_origin(self):
-        assert warp_eval(WarpParams(1, -1.0), 0.0, 0) == pytest.approx(1.0, abs=0.0)
+        assert WarpGeometry.of(1, -1.0).a(0.0) == pytest.approx(1.0, abs=0.0)
 
     def test_slope_at_origin_vanishes(self):
-        assert warp_eval(WarpParams(1, -1.0), 0.0, 1) == 0.0
+        assert WarpGeometry.of(1, -1.0).da(0.0) == 0.0
 
     def test_value_at_one(self):
-        assert warp_eval(WarpParams(1, -1.0), 1.0, 0) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert WarpGeometry.of(1, -1.0).a(1.0) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_second_derivative_at_origin_vs_central_difference(self):
         # oracle: central difference of the slope with step 1e-5
-        p = WarpParams(1, -1.0)
-        fd = central_diff(lambda x: warp_eval(p, x, 1), 0.0, 1e-5)
-        assert warp_eval(p, 0.0, 2) == pytest.approx(fd, abs=1e-6)
-        assert warp_eval(p, 0.0, 2) == pytest.approx(1.0, rel=1e-10)
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            warp_eval(WarpParams(1, 1.0), 0.5, 3)
+        geom = WarpGeometry.of(1, -1.0)
+        fd = central_diff(geom.da, 0.0, 1e-5)
+        assert geom.d2a(0.0) == pytest.approx(fd, abs=1e-6)
+        assert geom.d2a(0.0) == pytest.approx(1.0, rel=1e-10)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_derivatives_match_five_point_differences(self, m):
@@ -104,38 +93,22 @@ class TestPotential:
         assert np.max(np.abs(geom.dpotential(l, xs) - fd)) < 1e-5 * max(1.0, l * (l + 1))
 
 
-class TestModeTable:
-    def test_single_mode(self):
-        table = mode_table(0)
-        assert len(table) == 1
-        assert table[0].l == 0 and table[0].sigma_sq == 0.0 and table[0].multiplicity == 1
-
-    def test_eigenvalue_sequence(self):
-        assert [am.sigma_sq for am in mode_table(2)] == [0.0, 2.0, 6.0]
-
-    def test_total_multiplicity(self):
-        assert sum(am.multiplicity for am in mode_table(10)) == 121
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            mode_table(-1)
-
-
 class TestMonotonicityWindow:
     """Hypotheses used by the frequency bracket: V_l strictly increasing on
     [x0, x0/2] and V_l(x0/2) < V_l(0) hold for all large l."""
 
+    @staticmethod
+    def hypotheses_hold(geom, l):
+        x0 = geom.params.x0
+        return (potential_is_monotone(geom, l)
+                and geom.potential(l, x0 / 2) < geom.potential(l, 0.0))
+
     def test_threshold_exists_m1(self, geom_m1_trapped):
-        L = monotone_threshold(geom_m1_trapped, l_max=80)
-        assert 0 <= L <= 10
-        for l in (L, L + 5, 60):
-            assert potential_is_monotone(geom_m1_trapped, l)
+        assert all(self.hypotheses_hold(geom_m1_trapped, l) for l in range(10, 81))
 
     def test_threshold_exists_m2(self):
         geom = WarpGeometry.of(2, -1.0)
-        L = monotone_threshold(geom, l_max=80)
-        assert L <= 10
-        assert potential_is_monotone(geom, max(L, 2))
+        assert all(self.hypotheses_hold(geom, l) for l in range(10, 81))
 
     def test_window_requires_trapped_side(self, geom_m1_front):
         with pytest.raises(ValueError):

@@ -152,6 +152,39 @@ class TestManufacturedSolutions:
                 assert np.max(np.abs(fd - prof(v, order))) < 1e-6 * scale
 
 
+def tensor_grid_ibp(geom, pair, sol, T, x_max, nx, nt):
+    """Reference for ``verify_ibp``: every field and product evaluated on
+    the (nt+1) x (nx+1) space-time grid, then 2-D trapezoid sums."""
+    x0 = geom.params.x0
+    xs = np.linspace(x0, x_max, nx + 1)
+    ts = np.linspace(0.0, T, nt + 1)
+    dt, dx = ts[1] - ts[0], xs[1] - xs[0]
+
+    def trapz2(F):
+        return float(np.trapezoid(np.trapezoid(F, dx=dx, axis=1), dx=dt))
+
+    TT, XX = ts[:, None], xs[None, :]
+    u, ut, ux, box = (getattr(sol, k)(TT, XX) for k in ("u", "ut", "ux", "box"))
+    a2 = geom.a_sq(xs)[None, :]
+    d = pair.derivatives(xs)
+    f, g = d["f"][None, :], d["g"][None, :]
+    c = {k: v[None, :] for k, v in pair.coefficients(xs).items()}
+    mult = f * ux + g * u
+    bdry_t = ut * mult * a2
+    ux_wall = sol.ux(ts, np.full_like(ts, x0))
+    terms = {
+        "time_boundary": float(np.trapezoid(bdry_t[-1] - bdry_t[0], dx=dx)),
+        "dx_sq": trapz2(c["xx"] * ux**2 * a2),
+        "angular_sq": trapz2(c["ang"] * sol.sigma_sq * geom.inv_a_sq(xs)[None, :]
+                             * u**2 * a2),
+        "dt_sq": trapz2(c["tt"] * ut**2 * a2),
+        "u_sq": trapz2(c["uu"] * u**2 * a2),
+        "wall_flux": 0.5 * float(d["f"][0]) * float(geom.a_sq(np.array([x0]))[0])
+                     * float(np.trapezoid(ux_wall**2, dx=dt)),
+    }
+    return trapz2(-box * mult * a2), sum(terms.values()), terms
+
+
 class TestIdentity:
     def test_zero_solution(self, geom_m1_front, pair_m1):
         sol = mul.manufactured_solution(geom_m1_front, 1, mul.time_profile([]),
@@ -192,6 +225,39 @@ class TestIdentity:
         conv = mul.ibp_richardson(geom_m1_front, ext, corpus_m1[0],
                                   T=2.0, x_max=12.0)
         assert 1.8 <= conv["order"] <= 2.6
+
+    @pytest.mark.parametrize("family", ["delta", "exterior"])
+    def test_factored_quadrature_matches_tensor_grid(self, geom_m1_front, pair_m1,
+                                                     corpus_m1, family):
+        pair = pair_m1 if family == "delta" else \
+            mul.MultiplierPair.exterior_family(geom_m1_front, 4.0, 4.0)
+        for sol in corpus_m1:
+            rep = mul.verify_ibp(geom_m1_front, pair, sol, T=2.0, x_max=12.0,
+                                 nx=200, nt=100)
+            lhs, rhs, terms = tensor_grid_ibp(geom_m1_front, pair, sol, 2.0, 12.0,
+                                              200, 100)
+            assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0), sol.name
+            assert rep.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0), sol.name
+            assert rep.terms.keys() == terms.keys()
+            for name, want in terms.items():
+                assert rep.terms[name] == pytest.approx(want, rel=1e-12, abs=0.0), \
+                    (sol.name, name)
+
+    def test_richardson_pairs_hold_no_space_time_grid(self, geom_m1_front, pair_m1,
+                                                      corpus_m1):
+        # one (401 x 801) space-time array is 2.5 MiB; the factored
+        # quadrature holds only 1-D profiles
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            for sol in corpus_m1:
+                mul.ibp_richardson(geom_m1_front, pair_m1, sol, T=2.0, x_max=12.0,
+                                   nx=400, nt=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_flux_form_reassembles_boundary_terms(self, geom_m1_front, pair_m1,
                                                   corpus_m1):
@@ -243,6 +309,26 @@ class TestHardy:
         grid = Grid(1.0, 11.0, 2000)
         results = mul.hardy_random_corpus(geom_m1_front, grid)
         assert max(r.ratio for r in results) <= HARDY_FROZEN_BOUND
+
+    def test_corpus_matches_termwise_sine_sums(self, geom_m1_front):
+        # reference: each draw summed one masked sine term at a time, with
+        # the same rng draw order
+        grid = Grid(1.0, 11.0, 2000)
+        x = grid.nodes()
+        for seed in (0, 6, 20260809):
+            rng = np.random.default_rng(seed)
+            want = []
+            for _ in range(64):
+                L = 10.0 * rng.uniform(0.25, 0.9)
+                coeff = rng.standard_normal(12) / np.arange(1, 13)
+                s = (x - 1.0) / L
+                u = np.zeros_like(x)
+                inside = s <= 1.0
+                for k in range(1, 13):
+                    u[inside] += coeff[k - 1] * np.sin(k * np.pi * s[inside])
+                want.append(mul.hardy_check(geom_m1_front, grid, u).ratio)
+            got = [r.ratio for r in mul.hardy_random_corpus(geom_m1_front, grid, seed=seed)]
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_requires_positive_side(self, geom_m1_trapped):
         grid = Grid(-1.0, 9.0, 100)

@@ -165,6 +165,25 @@ class TestBuildQuasimode:
         ratio = (taus[0] - taus[1]) / (taus[1] - taus[2])
         assert 3.5 <= ratio <= 4.5
 
+    def test_one_interval_solve_per_build(self, geom_m1_trapped, monkeypatch):
+        import warptrap.quasimode as qmod
+
+        calls = []
+        solve = qmod.eigen_lowest
+
+        def counted(op, k):
+            calls.append(op.n)
+            return solve(op, k)
+
+        monkeypatch.setattr(qmod, "eigen_lowest", counted)
+        grid = interval_grid(geom_m1_trapped, 30)
+        qm = build_quasimode(geom_m1_trapped, 30, grid_interval=grid)
+        assert calls == [grid.n_interior]
+        # the bracket carries the quasimode's own eigenvalue, and matches a
+        # separate bracket check on the same grid
+        assert qm.bracket.tau_sq == qm.tau_sq
+        assert bracket_check(geom_m1_trapped, 30, n=grid.n_interior) == qm.bracket
+
     def test_out_of_bracket_degree_rejected(self, geom_m1_trapped):
         with pytest.raises(ValueError):
             build_quasimode(geom_m1_trapped, 10)

@@ -255,9 +255,6 @@ def cmd_quasimode(cfg: ExperimentConfig) -> OutputCollector:
                   ["l", "sigma", "tau", "log10_r0", "log10_r1", "log10_r2", "log10_tail"],
                   rows)
     out.write_text("decay_curves.gp", _GNUPLOT_SCRIPT)
-    out.finish()
-    if not all(out.passes.values()):
-        raise CheckFailure(f"decay fits failed: {out.passes}")
     return out
 
 
@@ -322,9 +319,6 @@ def cmd_confinement(cfg: ExperimentConfig) -> OutputCollector:
             "|data| / |F|, which grows exponentially along the family."
         ),
     })
-    out.finish()
-    if not all(out.passes.values()):
-        raise CheckFailure(f"confinement checks failed: {out.passes}")
     return out
 
 
@@ -349,7 +343,6 @@ def cmd_le1_growth(cfg: ExperimentConfig) -> OutputCollector:
         "reason": res.reason, "ratios": res.ratios,
     })
     out.record("no_false_success", res.j_star is None or res.ratios[res.j_star] > res.A)
-    out.finish()
     return out
 
 
@@ -408,6 +401,7 @@ def cmd_bifurcation(cfg: ExperimentConfig) -> OutputCollector:
     qm_final = float(rep.ratio_E_R.min())
     out.record("plus_side_decays", plus_final < 0.5)
     out.record("minus_side_confines", qm_final > 0.9)
+    out.record("wall_audit_minus", rep.wall_ok)
     out.write_json("bifurcation_summary.json", {
         "split": {
             "plus_bump_final_ratio": plus_final,
@@ -418,9 +412,6 @@ def cmd_bifurcation(cfg: ExperimentConfig) -> OutputCollector:
         },
         "l_quasimode": l_qm,
     })
-    out.finish()
-    if not all(out.passes.values()):
-        raise CheckFailure(f"bifurcation split not observed: {out.passes}")
     return out
 
 
@@ -480,9 +471,6 @@ def cmd_multiplier_audit(cfg: ExperimentConfig) -> OutputCollector:
         "hardy_bound": HARDY_FROZEN_BOUND,
         "min_margins": scan.min_margins,
     })
-    out.finish()
-    if not all(out.passes.values()):
-        raise CheckFailure(f"multiplier audit failed: {out.passes}")
     return out
 
 
@@ -539,6 +527,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = ExperimentConfig.load(args.config, overrides)
         out = _COMMANDS[args.command](cfg)
+        out.finish()
+        failed = [name for name, ok in out.passes.items() if not ok]
+        if failed:
+            raise CheckFailure(f"{args.command} checks failed: {failed}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

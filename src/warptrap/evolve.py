@@ -32,6 +32,7 @@ from .spectral import (
     ShellWeights,
     TridiagonalOperator,
     _TILE,
+    _densities,
     _warp_factors,
     build_operator,
     eigen_full,
@@ -45,6 +46,7 @@ __all__ = [
     "ModePropagator",
     "ModeState",
     "WaveField",
+    "dbk_norm",
     "er_history",
     "get_propagator",
     "le1_growth",
@@ -60,6 +62,11 @@ EVOLUTION_H_PER_SIGMA = 0.2
 # run_confinement recomputes the energy from grid values at every
 # _DRIFT_STRIDE-th sample, as an independent check on conservation
 _DRIFT_STRIDE = 256
+# audited confinement runs measure the energy in the strip of this width in
+# front of the wall, and pass when its maximum stays at or below _WALL_TOL
+# times the total energy
+_WALL_MARGIN = 2.0
+_WALL_TOL = 1e-4
 
 
 def _raw_product(M: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -84,35 +91,6 @@ def _real_matmul(M: np.ndarray, X: np.ndarray) -> np.ndarray:
         return M @ X
     out = np.ascontiguousarray(_raw_product(M, X).T).view(complex)
     return out.reshape(M.shape[0], *X.shape[1:])
-
-
-def _densities(R: np.ndarray, h: float, ratio: np.ndarray,
-               pot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|w|^2 and the energy density |dt w|^2 + |dx w - (a'/a) w|^2 + pot |w|^2
-    of m samples, each (m, rows), from the raw product R (4m, rows) of a
-    packed [a | b] block: rows 2j, 2j + 1 hold Re, Im of w at sample j and
-    rows 2m + 2j, 2m + 2j + 1 those of dt w.
-
-    Every term is a sum of squares of real rows, |z|^2 = Re^2 + Im^2, so
-    the centred stencil (Dirichlet ghost zeros beyond both ends of the
-    rows) and the squares act on R as it is, overwriting it, and adjacent
-    row pairs are summed at the end.
-    """
-    k = R.shape[0] // 2
-    W, e = R[:k], R[k:]
-    dW = np.zeros_like(W)
-    dW[:, :-1] = W[:, 1:]
-    dW[:, 1:] -= W[:, :-1]
-    dW /= 2.0 * h
-    dW -= ratio * W
-    dW *= dW
-    e *= e
-    e += dW
-    W *= W
-    np.multiply(W, pot, out=dW)
-    e += dW
-    del dW  # free this temporary before the pair sums are allocated
-    return W[0::2] + W[1::2], e[0::2] + e[1::2]
 
 
 class ModePropagator:
@@ -266,6 +244,41 @@ class WaveField:
         return sum(m.mult * m.energy_spectral() for m in self.modes)
 
 
+def _graph_sq(field: WaveField, k: int) -> float:
+    """|B^k data|_H^2 for the generator B(w, dt w) = (i dt w, -i P w), from
+    the spectral coefficients a of w and b of dt w, in which B^k is diagonal:
+    Sum mult * lambda^k (lambda |a|^2 + |b|^2)."""
+    total = 0.0
+    for m in field.modes:
+        lam = m.prop.evals
+        total += m.mult * float(np.sum(
+            lam**k * (lam * np.abs(m.a_coeff()) ** 2 + np.abs(m.b_coeff()) ** 2)))
+    return total
+
+
+def dbk_norm(field: WaveField, k: int) -> float:
+    """Graph norm of the k-th generator power: |data| + |B^k data|.
+
+    Warns when a generator power grows the norm by more than half the
+    largest mode's sqrt(norm_bound), which signals grid-scale content:
+    k exceeds the resolved discrete smoothness.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    norms = [math.sqrt(_graph_sq(field, j)) for j in range(k + 1)]
+    scale = max(math.sqrt(m.operator.norm_bound) for m in field.modes)
+    for step in range(1, k + 1):
+        prev, cur = norms[step - 1], norms[step]
+        if prev > 0 and cur / prev > 0.5 * scale:
+            warnings.warn(
+                f"generator power {step} amplifies grid-scale content "
+                f"(growth {cur / prev:.3e} vs spectral radius {scale**2:.3e}); "
+                "k exceeds the resolved smoothness",
+                stacklevel=2,
+            )
+    return norms[0] + norms[k]
+
+
 def wave_field(geom: WarpGeometry, grid: Grid, entries, time: float = 0.0) -> WaveField:
     """Build a field from per-mode data tuples (l, mult, w0, w1)."""
     modes = []
@@ -360,11 +373,8 @@ class EvolutionReport:
     data_h_norm: float
     wall_buffer_max: float
     wall_ok: bool
-    causal_mode: str
     energy_drift: float
-    R: float
-    x_max: float
-    l: int
+    grid: Grid
     tau: float
 
     def csv_rows(self) -> list[list]:
@@ -438,6 +448,7 @@ def _band_energy(prop: ModePropagator, AB, lo: int, hi: int, ratio, pot) -> np.n
 
 
 def _data_field(geom: WarpGeometry, qm: Quasimode, grid_ext: Grid) -> WaveField:
+    """The quasimode data (v, -i tau v), zero-extended onto the evolution grid."""
     u_ext = qm.extend_to(grid_ext)
     prop = get_propagator(geom, qm.l, grid_ext)
     mode = ModeState.from_grid_data(prop, u_ext.astype(complex), -1j * qm.tau * u_ext)
@@ -468,16 +479,14 @@ def run_confinement(
     causal: str = "strict",
     le1: bool = False,
     dt_le: float | None = None,
-    wall_margin: float = 2.0,
-    wall_tol: float = 1e-4,
 ) -> EvolutionReport:
     """Evolve the quasimode data (v, -i tau v) and track the near energy.
 
     In strict mode the domain must satisfy X_max >= R + T_max; runs with a
     shorter domain are rejected.  In audited mode the wall may be closer
     and the maximal energy found in the buffer strip of width
-    ``wall_margin`` in front of the wall is reported; ``wall_ok`` records
-    whether it stayed below ``wall_tol`` times the total energy, which
+    ``_WALL_MARGIN`` in front of the wall is reported; ``wall_ok`` records
+    whether it stayed below ``_WALL_TOL`` times the total energy, which
     caps the wall's possible effect on the near-region energy at the
     sub-percent level.
     """
@@ -488,7 +497,7 @@ def run_confinement(
     if x_max is None:
         if causal == "audited":
             raise ValueError("audited mode needs an explicit x_max")
-        x_max = R + T_max + wall_margin
+        x_max = R + T_max + _WALL_MARGIN
     if causal == "strict" and x_max < R + T_max:
         raise ValueError(
             f"domain too short for a causally exact run: x_max={x_max} < "
@@ -504,14 +513,14 @@ def run_confinement(
     f_norm = math.sqrt(grid_ext.h * float(np.sum(f_vec**2)))
     a0 = mode.a_coeff()
     b0 = mode.b_coeff()
-    data_h_norm = math.sqrt(float(np.sum(prop.evals * np.abs(a0) ** 2 + np.abs(b0) ** 2)))
+    data_h_norm = math.sqrt(_graph_sq(field, 0))
 
     if dt is None:
         dt = max(T_max / 1000.0, grid_ext.h)
     times = dt * np.arange(int(round(T_max / dt)) + 1)
     x = grid_ext.nodes()
     nR = int(np.searchsorted(x, R, side="right"))
-    n_buf = int(np.searchsorted(x, grid_ext.x_right - wall_margin, side="left"))
+    n_buf = int(np.searchsorted(x, grid_ext.x_right - _WALL_MARGIN, side="left"))
     ratio, inv_a2 = _warp_factors(geom, grid_ext)
     pot = mode.sigma_sq * inv_a2
 
@@ -550,12 +559,9 @@ def run_confinement(
         f_norm=f_norm,
         data_h_norm=data_h_norm,
         wall_buffer_max=wall_max,
-        wall_ok=bool(wall_max <= wall_tol * E_spec),
-        causal_mode=causal,
+        wall_ok=bool(wall_max <= _WALL_TOL * E_spec),
         energy_drift=_energy_drift(mode, times[::_DRIFT_STRIDE]),
-        R=R,
-        x_max=grid_ext.x_right,
-        l=qm.l,
+        grid=grid_ext,
         tau=tau,
     )
 
@@ -584,7 +590,6 @@ def le1_growth(
     R: float = 1.0,
     x_max: float | None = None,
     causal: str = "strict",
-    dt_le: float | None = None,
 ) -> Le1Growth:
     """Ratio of the accumulated space-time norm to the graph data norm,
     per quasimode, on horizons T_j = min(confinement time, budget).
@@ -592,19 +597,15 @@ def le1_growth(
     Returns the first mode index whose ratio exceeds A, or reports the
     ratio trend when the budget is exhausted first.
     """
-    from .spectral import dbk_norm  # local import avoids a cycle at module load
-
     if any(quasimodes[i].tau > quasimodes[i + 1].tau for i in range(len(quasimodes) - 1)):
         raise ValueError("quasimodes must be ordered by increasing frequency")
     taus, ratios, dbks, T_list = [], [], [], []
     j_star = None
     T_star = None
     for j, qm in enumerate(quasimodes):
-        rep = run_confinement(geom, qm, budget, R, x_max=x_max, causal=causal,
-                              le1=True, dt_le=dt_le)
+        rep = run_confinement(geom, qm, budget, R, x_max=x_max, causal=causal, le1=True)
         T_j = min(rep.t_confinement, budget)
-        grid_ext = qm.grid_extended
-        dbk = dbk_norm(_data_field(geom, qm, grid_ext), k)
+        dbk = dbk_norm(_data_field(geom, qm, rep.grid), k)
         ratio = rep.le1_at(T_j) / dbk
         taus.append(qm.tau)
         ratios.append(ratio)

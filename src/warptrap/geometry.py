@@ -158,10 +158,11 @@ class _CallableParams:
     x0: float
 
 
-def potential_is_monotone(geom: WarpGeometry, l: int, n_samples: int = 257) -> bool:
-    """Whether V_l is strictly increasing on [x0, x0/2] (x0 < 0), sampled."""
+def potential_is_monotone(geom: WarpGeometry, l: int) -> bool:
+    """Whether V_l is strictly increasing on [x0, x0/2] (x0 < 0), sampled at
+    257 points."""
     x0 = geom.params.x0
     if x0 >= 0:
         raise ValueError("monotonicity window [x0, x0/2] requires x0 < 0")
-    xs = np.linspace(x0, x0 / 2, n_samples)
+    xs = np.linspace(x0, x0 / 2, 257)
     return bool(np.all(np.diff(geom.potential(l, xs)) > 0))

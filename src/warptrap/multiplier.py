@@ -215,14 +215,19 @@ class CoefficientScan:
         return all(v > 0 for v in self.min_margins.values())
 
 
-def coefficient_scan(geom: WarpGeometry, pair: MultiplierPair,
-                     x_range: tuple[float, float] = (1e-3, 1e3),
-                     samples: int = 601) -> CoefficientScan:
-    """Evaluate all four identity coefficients on a log-spaced positive
-    sample set, against the closed forms and the comparison weights."""
+# the coefficient scan's log-spaced positive sample set (first, last, count);
+# find_admissible_delta tests the same points, so a delta it finds admissible
+# is always checked where the scan looks
+_SCAN_POINTS = (1e-3, 1e3, 601)
+
+
+def coefficient_scan(geom: WarpGeometry, pair: MultiplierPair) -> CoefficientScan:
+    """Evaluate all four identity coefficients on the scan's log-spaced
+    positive sample set, against the closed forms and the comparison
+    weights."""
     if pair.family != "delta":
         raise ValueError("the coefficient scan applies to the delta family only")
-    x = np.geomspace(x_range[0], x_range[1], samples)
+    x = np.geomspace(*_SCAN_POINTS)
     coeffs = pair.coefficients(x)
     closed = _closed_forms(geom.params.m, x, pair.delta)
     weights = _comparison_weights(geom.params.m, x)
@@ -254,11 +259,11 @@ def coefficient_scan(geom: WarpGeometry, pair: MultiplierPair,
     )
 
 
-def find_admissible_delta(geom: WarpGeometry, x_range=(1e-3, 1e3), samples: int = 601,
-                          hi: float = 4.0, iters: int = 50) -> float:
-    """Largest delta (found by bisection) keeping all margins positive on the
-    sample set.  The suite default is half this value."""
-    x = np.geomspace(x_range[0], x_range[1], samples)
+def find_admissible_delta(geom: WarpGeometry) -> float:
+    """Largest delta (found by 50 bisection steps) keeping all margins
+    positive on the scan's sample set.  The suite default is half this
+    value."""
+    x = np.geomspace(*_SCAN_POINTS)
     weights = _comparison_weights(geom.params.m, x)
 
     def ok(delta: float) -> bool:
@@ -267,12 +272,12 @@ def find_admissible_delta(geom: WarpGeometry, x_range=(1e-3, 1e3), samples: int 
 
     if not ok(1e-8):
         raise RuntimeError("no positive margin even for tiny delta")
-    lo = 1e-8
+    lo, hi = 1e-8, 4.0
     while ok(hi):
         hi *= 2
         if hi > 1e6:
             return hi
-    for _ in range(iters):
+    for _ in range(50):
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid
@@ -570,8 +575,7 @@ class HardyResult:
     degenerate: bool
 
 
-def hardy_check(geom: WarpGeometry, grid: Grid, u: np.ndarray,
-                du: np.ndarray | None = None) -> HardyResult:
+def hardy_check(geom: WarpGeometry, grid: Grid, u: np.ndarray) -> HardyResult:
     """Weighted-mass to derivative-energy ratio for a wall-anchored function.
 
     lhs integrates a^{-2} u^2 over the volume (the a^2 factors cancel on
@@ -583,30 +587,34 @@ def hardy_check(geom: WarpGeometry, grid: Grid, u: np.ndarray,
     h = grid.h
     x = grid.nodes()
     lhs = h * float(np.sum(u**2))
-    if du is None:
-        du = fd_derivative(grid, u, 1)
+    du = fd_derivative(grid, u, 1)
     rhs = h * float(np.sum(du**2 * geom.a_sq(x)))
     if rhs <= 1e-300:
         return HardyResult(lhs, rhs, 0.0, True)
     return HardyResult(lhs, rhs, lhs / rhs, False)
 
 
-def hardy_random_corpus(geom: WarpGeometry, grid: Grid, n_draws: int = 64,
-                        seed: int = 20260809, k_max: int = 12) -> list[HardyResult]:
+# the Hardy corpus: this many draws, each a sine series of this many terms
+_HARDY_DRAWS = 64
+_HARDY_TERMS = 12
+
+
+def hardy_random_corpus(geom: WarpGeometry, grid: Grid,
+                        seed: int = 20260809) -> list[HardyResult]:
     """Seeded family of admissible functions: random sine series on random
     wall-anchored subintervals, vanishing at both subinterval ends."""
     rng = np.random.default_rng(seed)
     x = grid.nodes()
     span = grid.x_right - grid.x_left
-    k = np.arange(1, k_max + 1)
+    k = np.arange(1, _HARDY_TERMS + 1)
     out = []
-    for _ in range(n_draws):
+    for _ in range(_HARDY_DRAWS):
         L = span * rng.uniform(0.25, 0.9)
-        coeff = rng.standard_normal(k_max) / k
+        coeff = rng.standard_normal(_HARDY_TERMS) / k
         s = (x - grid.x_left) / L
         u = np.zeros_like(x)
         inside = s <= 1.0
-        # one sine table per draw: row i holds sin(k pi s_i) for k = 1..k_max
+        # one sine table per draw: row i holds sin(k pi s_i) for k = 1.._HARDY_TERMS
         u[inside] = np.sin(np.multiply.outer(s[inside], k * np.pi)) @ coeff
         out.append(hardy_check(geom, grid, u))
     return out

@@ -167,7 +167,7 @@ def _bracket(geom: WarpGeometry, l: int, tau_sq: float) -> BracketResult:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Quasimode:
     """Cutoff-normalized near-eigenfunction and its certificates."""
 
@@ -182,8 +182,6 @@ class Quasimode:
     agmon_ratio: float
     chi_psi_norm: float
     bracket: BracketResult
-    u_extended: np.ndarray | None = None
-    grid_extended: Grid | None = None
 
     @property
     def tau(self) -> float:
@@ -198,28 +196,22 @@ class Quasimode:
         n = self.grid.n_interior
         out = np.zeros(grid_ext.n_interior)
         out[:n] = self.u
-        self.u_extended = out
-        self.grid_extended = grid_ext
         return out
 
 
 def build_quasimode(
     geom: WarpGeometry,
     l: int,
-    cutoff: CutoffProfile | None = None,
     grid_interval: Grid | None = None,
-    grid_extended: Grid | None = None,
-    k_max: int = 2,
     require_bracket: bool = True,
 ) -> Quasimode:
-    """Construct the mode-l quasimode on (x0, 0).
+    """Construct the mode-l quasimode on (x0, 0) with the default cutoff.
 
-    Residual norms |(-d^2/dx^2 + V_l - tau^2) u| in H^k, k = 0..k_max, are
+    Residual norms |(-d^2/dx^2 + V_l - tau^2) u| in H^k, k = 0, 1, 2, are
     computed on the interval grid; the tail ratio measures the
     eigenfunction mass where the cutoff is below 1.
     """
-    if cutoff is None:
-        cutoff = default_cutoff(geom.params.x0)
+    cutoff = default_cutoff(geom.params.x0)
     _require_trapped_side(geom)
     grid = grid_interval if grid_interval is not None else interval_grid(geom, l)
     op = mode_operator(geom, l, grid)
@@ -237,10 +229,10 @@ def build_quasimode(
     nrm = quadrature_l2(grid, u_raw)
     u = u_raw / nrm
     resid_vec = op.apply(u) - pair.value * u
-    residual_hk = {k: quadrature_hk(grid, resid_vec, k) for k in range(k_max + 1)}
+    residual_hk = {k: quadrature_hk(grid, resid_vec, k) for k in range(3)}
     tail_mask = x > cutoff.plateau_end
     agmon_ratio = quadrature_l2(grid, psi * tail_mask) / quadrature_l2(grid, psi)
-    qm = Quasimode(
+    return Quasimode(
         l=l,
         sigma=math.sqrt(l * (l + 1)),
         tau_sq=float(pair.value),
@@ -253,9 +245,6 @@ def build_quasimode(
         chi_psi_norm=float(nrm),
         bracket=bracket,
     )
-    if grid_extended is not None:
-        qm.extend_to(grid_extended)
-    return qm
 
 
 class FitError(ValueError):

@@ -20,7 +20,6 @@ u variable agrees with it to O(h^2).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,6 @@ __all__ = [
     "ShellWeights",
     "TridiagonalOperator",
     "build_operator",
-    "dbk_norm",
     "eigen_full",
     "eigen_lowest",
     "energy_norms",
@@ -93,11 +91,11 @@ class Grid:
 
     @classmethod
     def for_sigma(cls, x0: float, x_right: float, sigma: float,
-                  h_per_sigma: float = 0.05, n_min: int = 200) -> "Grid":
+                  h_per_sigma: float = 0.05) -> "Grid":
         """Grid resolving oscillation at angular frequency sigma,
-        h * sigma <= h_per_sigma."""
+        h * sigma <= h_per_sigma, with at least 200 interior nodes."""
         span = x_right - x0
-        n = max(int(math.ceil(span * max(sigma, 1.0) / h_per_sigma)) - 1, n_min)
+        n = max(int(math.ceil(span * max(sigma, 1.0) / h_per_sigma)) - 1, 200)
         return cls(x0, x_right, n)
 
 
@@ -313,8 +311,8 @@ class ShellWeights:
 #       w_grid(), wt_grid()  -> complex nodal arrays of w, dt w
 #   state.grid, state.time
 # (duck typing keeps this module free of the evolution layer's types).  The
-# energy density itself is evaluated by the evolution layer's one kernel,
-# imported at call time, fed here one state at a time.
+# energy density is evaluated by the one kernel below, which the evolution
+# layer's tiled passes share; here it is fed one state at a time.
 
 
 def _warp_factors(geom, grid) -> tuple[np.ndarray, np.ndarray]:
@@ -323,11 +321,38 @@ def _warp_factors(geom, grid) -> tuple[np.ndarray, np.ndarray]:
     return geom.da(x) / geom.a(x), geom.inv_a_sq(x)
 
 
+def _densities(R: np.ndarray, h: float, ratio: np.ndarray,
+               pot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|w|^2 and the energy density |dt w|^2 + |dx w - (a'/a) w|^2 + pot |w|^2
+    of m samples, each (m, rows), from the raw product R (4m, rows) of a
+    packed [a | b] block: rows 2j, 2j + 1 hold Re, Im of w at sample j and
+    rows 2m + 2j, 2m + 2j + 1 those of dt w.
+
+    Every term is a sum of squares of real rows, |z|^2 = Re^2 + Im^2, so
+    the centred stencil (Dirichlet ghost zeros beyond both ends of the
+    rows) and the squares act on R as it is, overwriting it, and adjacent
+    row pairs are summed at the end.
+    """
+    k = R.shape[0] // 2
+    W, e = R[:k], R[k:]
+    dW = np.zeros_like(W)
+    dW[:, :-1] = W[:, 1:]
+    dW[:, 1:] -= W[:, :-1]
+    dW /= 2.0 * h
+    dW -= ratio * W
+    dW *= dW
+    e *= e
+    e += dW
+    W *= W
+    np.multiply(W, pot, out=dW)
+    e += dW
+    del dW  # free this temporary before the pair sums are allocated
+    return W[0::2] + W[1::2], e[0::2] + e[1::2]
+
+
 def _state_densities(w, wt, h, ratio, pot) -> tuple[np.ndarray, np.ndarray]:
     """|w|^2 and the energy density with potential ``pot`` of one mode's
     nodal w and dt w."""
-    from .evolve import _densities  # the evolution layer imports this module
-
     u, e = _densities(np.stack([w.real, w.imag, wt.real, wt.imag]), h, ratio, pot)
     return u[0], e[0]
 
@@ -369,48 +394,6 @@ def h_state_norm(state) -> float:
             mode.operator.quad_form(w) + state.grid.h * float(np.sum(np.abs(wt) ** 2))
         )
     return math.sqrt(total)
-
-
-def dbk_norm(state, k: int) -> float:
-    """Graph norm of the k-th generator power: |data| + |B^k data|.
-
-    Warns when the k-th application is dominated by grid-scale content,
-    which signals that k exceeds the resolved discrete smoothness.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    h = state.grid.h
-    base_sq = 0.0
-    pairs = []
-    for mode in state.modes:
-        pairs.append((mode, mode.w_grid().astype(complex), mode.wt_grid().astype(complex)))
-        base_sq += mode.mult * (
-            mode.operator.quad_form(pairs[-1][1])
-            + h * float(np.sum(np.abs(pairs[-1][2]) ** 2))
-        )
-    base = math.sqrt(base_sq)
-    prev = base
-    cur = base
-    for step in range(k):
-        nxt_sq = 0.0
-        new_pairs = []
-        for mode, w, wt in pairs:
-            bw, bwt = 1j * wt, -1j * mode.operator.apply(w)
-            new_pairs.append((mode, bw, bwt))
-            nxt_sq += mode.mult * (
-                mode.operator.quad_form(bw) + h * float(np.sum(np.abs(bwt) ** 2))
-            )
-        pairs = new_pairs
-        prev, cur = cur, math.sqrt(nxt_sq)
-        scale = max(math.sqrt(mode.operator.norm_bound) for mode, _, _ in pairs)
-        if prev > 0 and cur / prev > 0.5 * scale:
-            warnings.warn(
-                f"generator power {step + 1} amplifies grid-scale content "
-                f"(growth {cur / prev:.3e} vs spectral radius {scale**2:.3e}); "
-                "k exceeds the resolved smoothness",
-                stacklevel=2,
-            )
-    return base + cur
 
 
 @dataclass

@@ -208,6 +208,19 @@ class TestBifurcationCommand:
         assert split["plus_bump_final_ratio"] < 0.1
         assert split["minus_quasimode_min_ratio"] > 0.9
 
+    def test_wall_inside_light_cone_fails_audit(self, tmp_path):
+        # the trapped-side quasimode runs on x0_minus + 25 with an audited
+        # wall, which the front reaches well before T = 100
+        out = tmp_path / "bif"
+        code = run_cli([
+            "bifurcation", "--x0-plus", "1.0", "--x0-minus", "-1.0", "--R", "3.5",
+            "--l", "15", "--T", "100", "--x-max", "105", "--out", str(out),
+        ])
+        assert code == 2
+        passes = json.loads((out / "manifest.json").read_text())["passes"]
+        assert passes == {"plus_side_decays": True, "minus_side_confines": True,
+                          "wall_audit_minus": False}
+
     def test_needs_both_sides(self, tmp_path, capsys):
         code = run_cli(["bifurcation", "--x0-plus", "1.0", "--R", "3.5",
                         "--out", str(tmp_path / "b")])
@@ -250,6 +263,22 @@ class TestExceptionMapping:
                         "--out", str(tmp_path / "x")])
         assert code == 3
         assert "convergence" in capsys.readouterr().err
+
+    def test_failed_record_is_exit_two(self, tmp_path, capsys, monkeypatch):
+        # main, not the command, maps a failed check to exit 2, after the
+        # manifest is written
+        from warptrap import cli as cli_mod
+
+        def failing(cfg):
+            out = cli_mod.OutputCollector(cfg.out_dir, cfg, "le1-growth")
+            out.record("no_false_success", False)
+            return out
+
+        monkeypatch.setitem(cli_mod._COMMANDS, "le1-growth", failing)
+        code = run_cli(["le1-growth", "--x0", "-1.0", "--out", str(tmp_path / "g")])
+        assert code == 2
+        assert "no_false_success" in capsys.readouterr().err
+        assert not json.loads((tmp_path / "g" / "manifest.json").read_text())["all_pass"]
 
     def test_eigensolver_error_is_exit_three(self, tmp_path, capsys, monkeypatch):
         from warptrap import spectral

@@ -1,15 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warptrap import evolve
+from warptrap.evolve import dbk_norm
 from warptrap.geometry import WarpGeometry
 from warptrap.quasimode import build_quasimode, interval_grid
 from warptrap.spectral import (
     _TILE,
     Grid,
-    dbk_norm,
     energy_norms,
     fd_derivative,
     h_state_norm,
@@ -32,6 +35,16 @@ def small_field(geom_m1_trapped):
     w0 = bump(x, 0.2, 0.6).astype(complex)
     w1 = -0.3j * w0
     return evolve.wave_field(geom_m1_trapped, grid, [(1, 1, w0, w1)])
+
+
+@pytest.fixture(scope="module")
+def two_mode_field(geom_m1_trapped):
+    grid = Grid(-1.0, 14.0, 700)
+    x = grid.nodes()
+    w0 = bump(x, 0.2, 0.6).astype(complex)
+    v0 = (bump(x, 1.5, 0.9) * np.exp(2.0j * x)).astype(complex)
+    return evolve.wave_field(geom_m1_trapped, grid,
+                             [(1, 3, w0, -0.3j * w0), (4, 2, v0, 0.5 * v0)])
 
 
 def split_product(M, X):
@@ -508,15 +521,6 @@ class TestCrossSite:
         le_star = np.sum(2.0 ** (0.5 * j) * np.sqrt(U[-1]))
         return le, le1_running[-1], le_star, le1_running
 
-    @pytest.fixture(scope="class")
-    def two_mode_field(self, geom_m1_trapped):
-        grid = Grid(-1.0, 14.0, 700)
-        x = grid.nodes()
-        w0 = bump(x, 0.2, 0.6).astype(complex)
-        v0 = (bump(x, 1.5, 0.9) * np.exp(2.0j * x)).astype(complex)
-        return evolve.wave_field(geom_m1_trapped, grid,
-                                 [(1, 3, w0, -0.3j * w0), (4, 2, v0, 0.5 * v0)])
-
     def test_near_energy_sites_agree(self, two_mode_field, geom_m1_trapped):
         grid = two_mode_field.grid
         R, T, dt = 2.0, 3.0, 0.25
@@ -612,10 +616,53 @@ class TestConjugation:
         assert e2["E_R"] == pytest.approx(e1["E_R"], rel=1e-12)
 
 
+def grid_dbk_norm(state, k):
+    """Reference graph norm |data| + |B^k data| on grid values: B(w, dt w) =
+    (i dt w, -i P w) applied k times to the nodal data, each energy norm
+    from the operator form."""
+    h = state.grid.h
+
+    def norm(pairs):
+        return math.sqrt(sum(
+            mode.mult * (mode.operator.quad_form(w) + h * float(np.sum(np.abs(wt) ** 2)))
+            for mode, w, wt in pairs))
+
+    pairs = [(m, m.w_grid().astype(complex), m.wt_grid().astype(complex))
+             for m in state.modes]
+    base = norm(pairs)
+    for _ in range(k):
+        pairs = [(m, 1j * wt, -1j * m.operator.apply(w)) for m, w, wt in pairs]
+    return base + norm(pairs)
+
+
 class TestDbk:
     def test_identity_power_doubles_norm(self, small_field):
         assert dbk_norm(small_field, 0) == pytest.approx(2 * h_state_norm(small_field),
                                                          rel=1e-12)
+
+    def test_matches_grid_oracle(self, two_mode_field, geom_m1_trapped):
+        qm = build_quasimode(geom_m1_trapped, 14, grid_interval=Grid.interval(-1.0, 160),
+                             require_bracket=False)
+        qm_field = evolve._data_field(geom_m1_trapped, qm, qm.grid.extended(8.0))
+        for fld in (two_mode_field, qm_field):
+            for k in range(4):
+                assert dbk_norm(fld, k) == pytest.approx(grid_dbk_norm(fld, k), rel=1e-12)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=st.integers(5, 60), x0=st.sampled_from([-2.0, -1.0, 0.5, 1.0]),
+           span=st.floats(1.0, 10.0), l=st.integers(0, 6), mult=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_random_grids_and_data(self, n, x0, span, l, mult, seed):
+        geom = WarpGeometry.of(1, x0)
+        grid = Grid(x0, x0 + span, n)
+        rng = np.random.default_rng(seed)
+        w0, w1 = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+        fld = evolve.wave_field(geom, grid, [(l, mult, w0, w1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # rough data trips the grid-scale warning
+            for k in range(4):
+                assert dbk_norm(fld, k) == pytest.approx(grid_dbk_norm(fld, k), rel=1e-12)
+        assert dbk_norm(fld, 0) == pytest.approx(2 * h_state_norm(fld), rel=1e-12)
 
     def test_eigen_data_scaling(self, geom_m1_trapped):
         grid = Grid(-1.0, 6.0, 250)

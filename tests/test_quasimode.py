@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -131,6 +132,10 @@ class TestBuildQuasimode:
         x = ext.nodes()
         assert np.all(u_ext[x >= qm.cutoff.support_end] == 0.0)
         assert quadrature_l2(ext, u_ext) == pytest.approx(1.0, rel=1e-12)
+
+    def test_quasimode_is_frozen(self, qm_family):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            qm_family[0].u = np.zeros(3)
 
     def test_residual_decreases_with_degree(self, geom_m1_trapped):
         r30 = build_quasimode(geom_m1_trapped, 30).residual_hk[0]

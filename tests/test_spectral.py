@@ -1,4 +1,8 @@
+import ast
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,3 +383,34 @@ class TestShells:
             want_u, want_e1 = shells.shell_sums(u[:, i]), shells.shell_sums(e1[:, i])
             assert np.allclose(got_u[i], want_u, rtol=1e-13, atol=0.0)
             assert np.allclose(got_e1[i], want_e1, rtol=1e-13, atol=0.0)
+
+
+def _call_time_imports(tree) -> list[str]:
+    """Names of the package modules imported inside function bodies of a
+    parsed module, for the relative and absolute import forms."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                base = (node.module or "").removeprefix("warptrap").strip(".")
+                found += [base] if base else [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                found += [alias.name.removeprefix("warptrap.") for alias in node.names]
+    return found
+
+
+class TestModuleBoundaries:
+    def test_no_call_time_imports_between_spectral_and_evolve(self):
+        pkg = Path(spectral.__file__).parent
+        for name, other in (("spectral", "evolve"), ("evolve", "spectral")):
+            tree = ast.parse((pkg / f"{name}.py").read_text())
+            assert other not in _call_time_imports(tree), name
+
+    def test_spectral_loads_without_evolve(self):
+        code = "import sys, warptrap.spectral; print('warptrap.evolve' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"

@@ -169,7 +169,7 @@ class OutputCollector:
         payload = {"schema_version": SCHEMA_VERSION, "config": self.config.as_dict(),
                    **payload}
         with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1, default=_json_default)
+            json.dump(_jsonable(payload), fh, sort_keys=True, indent=1, allow_nan=False)
             fh.write("\n")
         self.files.append(name)
         return path
@@ -200,19 +200,25 @@ class OutputCollector:
         }
         path = self.dir / "manifest.json"
         with open(path, "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=1, default=_json_default)
+            json.dump(_jsonable(manifest), fh, sort_keys=True, indent=1, allow_nan=False)
             fh.write("\n")
         return path
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if o == math.inf:
-        return "inf"
-    raise TypeError(f"not JSON serializable: {type(o)}")
+def _jsonable(o):
+    """``o`` with numpy values made plain and each non-finite float written
+    as the string "inf", "-inf" or "nan": strict JSON has no such numbers,
+    and the artifacts are dumped with ``allow_nan=False`` so that a value
+    missed here raises rather than writing invalid JSON."""
+    if isinstance(o, dict):
+        return {k: _jsonable(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple, np.ndarray)):
+        return [_jsonable(v) for v in o]
+    if isinstance(o, np.generic):
+        o = o.item()
+    if isinstance(o, float) and not math.isfinite(o):
+        return "nan" if math.isnan(o) else ("inf" if o > 0 else "-inf")
+    return o
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -484,6 +490,14 @@ HARDY_FROZEN_BOUND = 0.134
 # -- entry point -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse raising its usage errors instead of exiting 2, the exit code
+    of a failed check; ``main`` reports them as validation errors."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--out", dest="out_dir", default=None, help="output directory")
@@ -514,7 +528,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="warptrap",
         description="wave experiments on a warped-product surface with a wall",
     )
@@ -522,7 +536,11 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         _add_common(sub.add_parser(name))
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         cfg = ExperimentConfig.load(args.config, overrides)

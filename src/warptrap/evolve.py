@@ -27,6 +27,7 @@ import numpy as np
 from .geometry import WarpGeometry
 from .quasimode import Quasimode
 from .spectral import (
+    EigensolverError,
     Grid,
     ShellAccumulator,
     ShellWeights,
@@ -85,10 +86,8 @@ def _raw_product(M: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _real_matmul(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M @ X keeping M real when X is complex: the raw product copied back
-    into complex order."""
-    if not np.iscomplexobj(X):
-        return M @ X
+    """M @ X for real M and complex X: the raw product copied back into
+    complex order."""
     out = np.ascontiguousarray(_raw_product(M, X).T).view(complex)
     return out.reshape(M.shape[0], *X.shape[1:])
 
@@ -96,8 +95,10 @@ def _real_matmul(M: np.ndarray, X: np.ndarray) -> np.ndarray:
 class ModePropagator:
     """Eigendecomposition of one mode operator on an evolution grid.
 
-    ``potential`` overrides the warp's mode potential (testing seam; the
-    experiments always use the default).
+    Every V_l is nonnegative, so the operator is positive definite and
+    omega = sqrt(lambda) is real; a nonpositive eigenvalue raises
+    ``EigensolverError``.  ``potential`` overrides the warp's mode
+    potential (testing seam; the experiments always use the default).
     """
 
     def __init__(self, geom: WarpGeometry, l: int, grid: Grid, potential=None):
@@ -109,19 +110,11 @@ class ModePropagator:
             potential_id=f"V_l(m={geom.params.m}, x0={geom.params.x0}, l={l})",
         )
         self.evals, self.evecs = eigen_full(self.op)
-        if self.evals.min() <= 0.0:
-            warnings.warn(
-                f"mode l={l} has nonpositive discrete eigenvalues "
-                f"(min {self.evals.min():.3e}); evolving on hyperbolic branches",
-                stacklevel=2,
-            )
-            self.omega = np.sqrt(self.evals.astype(complex))
-            tiny = 1e-12 * math.sqrt(self.op.norm_bound)
-            small = np.abs(self.omega) < tiny
-            if np.any(small):
-                self.omega[small] = tiny
-        else:
-            self.omega = np.sqrt(self.evals)
+        if self.evals[0] <= 0.0:
+            raise EigensolverError(
+                f"operator {self.op.potential_id!r} (n={self.op.n}) is not positive "
+                f"definite: lowest eigenvalue {float(self.evals[0])!r}")
+        self.omega = np.sqrt(self.evals)
 
     @property
     def h(self) -> float:
@@ -206,13 +199,19 @@ class ModeState:
 
     def advanced(self, dt: float) -> "ModeState":
         ph = np.exp(-1j * self.prop.omega * dt)
-        return ModeState(self.prop, self.c_plus * ph, self.c_minus / ph, self.mult)
+        return ModeState(self.prop, self.c_plus * ph, self.c_minus * ph.conj(), self.mult)
+
+    def graph_sq(self, k: int) -> float:
+        """|B^k data|_H^2 for the generator B(w, dt w) = (i dt w, -i P w):
+        Sum 2 lambda^(k+1) (|c+|^2 + |c-|^2), as lambda |a|^2 + |b|^2 =
+        2 lambda (|c+|^2 + |c-|^2) for a = c+ + c-, b = -i omega (c+ - c-)."""
+        lam = self.prop.evals
+        return 2.0 * float(
+            np.sum(lam ** (k + 1) * (np.abs(self.c_plus) ** 2 + np.abs(self.c_minus) ** 2)))
 
     def energy_spectral(self) -> float:
-        """Mode energy Sum lambda (|c+|^2 + |c-|^2), conserved exactly."""
-        return float(
-            np.sum(self.prop.evals * (np.abs(self.c_plus) ** 2 + np.abs(self.c_minus) ** 2))
-        )
+        """Mode energy, half the squared energy norm; conserved exactly."""
+        return 0.5 * self.graph_sq(0)
 
     def roundtrip_error(self, w0: np.ndarray, w1: np.ndarray) -> float:
         """Relative grid -> spectral -> grid reconstruction error of the data."""
@@ -244,18 +243,6 @@ class WaveField:
         return sum(m.mult * m.energy_spectral() for m in self.modes)
 
 
-def _graph_sq(field: WaveField, k: int) -> float:
-    """|B^k data|_H^2 for the generator B(w, dt w) = (i dt w, -i P w), from
-    the spectral coefficients a of w and b of dt w, in which B^k is diagonal:
-    Sum mult * lambda^k (lambda |a|^2 + |b|^2)."""
-    total = 0.0
-    for m in field.modes:
-        lam = m.prop.evals
-        total += m.mult * float(np.sum(
-            lam**k * (lam * np.abs(m.a_coeff()) ** 2 + np.abs(m.b_coeff()) ** 2)))
-    return total
-
-
 def dbk_norm(field: WaveField, k: int) -> float:
     """Graph norm of the k-th generator power: |data| + |B^k data|.
 
@@ -265,7 +252,8 @@ def dbk_norm(field: WaveField, k: int) -> float:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    norms = [math.sqrt(_graph_sq(field, j)) for j in range(k + 1)]
+    norms = [math.sqrt(sum(m.mult * m.graph_sq(j) for m in field.modes))
+             for j in range(k + 1)]
     scale = max(math.sqrt(m.operator.norm_bound) for m in field.modes)
     for step in range(1, k + 1):
         prev, cur = norms[step - 1], norms[step]
@@ -349,7 +337,7 @@ def propagate(state: WaveField, dt: float, steps: int,
                 phm = np.exp(-1j * omega * (i * dt))
                 m_out = out[i].modes[mode_idx]
                 m_out.c_plus = m_out.c_plus + phm * coef * cup
-                m_out.c_minus = m_out.c_minus - coef * cdn / phm
+                m_out.c_minus = m_out.c_minus - coef * cdn * phm.conj()
     return out
 
 
@@ -407,7 +395,8 @@ def _phase_block(cp, cm, omega, times):
     AB = np.empty((omega.size, 2 * m), complex)
     P, M = AB[:, :m], AB[:, m:]
     np.exp(np.multiply.outer(-1j * omega, times, out=P), out=P)
-    np.divide(cm[:, None], P, out=M)
+    np.conjugate(P, out=M)
+    M *= cm[:, None]
     P *= cp[:, None]
     diff = P - M
     P += M
@@ -513,7 +502,6 @@ def run_confinement(
     f_norm = math.sqrt(grid_ext.h * float(np.sum(f_vec**2)))
     a0 = mode.a_coeff()
     b0 = mode.b_coeff()
-    data_h_norm = math.sqrt(_graph_sq(field, 0))
 
     if dt is None:
         dt = max(T_max / 1000.0, grid_ext.h)
@@ -534,6 +522,7 @@ def run_confinement(
         gap[c0:c0 + _TILE] = _rotation_gap(AB, a0, b0, prop.evals, np.exp(-1j * tau * tc))
         del AB  # free this tile before the next one is built
     E_spec = mode.energy_spectral()
+    data_h_norm = math.sqrt(2.0 * E_spec)
 
     le1_running = le1_times = None
     if le1:
@@ -646,14 +635,12 @@ def space_time_norms(field: WaveField, T: float, dt: float):
     norm evaluator, but reconstructs grid values in time blocks, which is
     what makes wide frequency families affordable.
     """
-    shells = ShellWeights(field.grid, field.geom)
+    shells = ShellWeights(field.grid)
     acc = ShellAccumulator(shells)
     inv_a2 = field.geom.inv_a_sq(field.grid.nodes())
     for tc, u, e1 in _density_tiles(field, T, dt, inv_a2, shells.inv_bracket_sq):
         acc.add(tc, u, e1)
-    norms, le1_running = acc.finish()
-    norms.times = np.asarray(acc.times)
-    return norms, le1_running
+    return acc.finish()
 
 
 def er_history(field: WaveField, T_max: float, R: float,
@@ -726,6 +713,14 @@ def _header_fields(lineno: int, tokens: list[str], keys: tuple[str, ...]) -> dic
     return fields
 
 
+def _finite(lineno: int, key: str, text: str) -> float:
+    """Header value ``key`` of checkpoint line ``lineno`` as a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"checkpoint header at line {lineno}: {key}={text} is not finite")
+    return value
+
+
 def load_checkpoint(path) -> WaveField:
     """Rebuild a field from a checkpoint (recomputes eigendecompositions)."""
     with open(path) as fh:
@@ -734,9 +729,10 @@ def load_checkpoint(path) -> WaveField:
         raise ValueError("not a recognized checkpoint file")
     meta = _header_fields(2, lines[1][2:].split() if len(lines) > 1 else [],
                           ("m", "x0", "x_left", "x_right", "n", "time"))
-    geom = WarpGeometry.of(int(meta["m"]), float(meta["x0"]))
-    grid = Grid(float(meta["x_left"]), float(meta["x_right"]), int(meta["n"]))
-    time = float(meta["time"])
+    x0, x_left, x_right, time = (_finite(2, key, meta[key])
+                                 for key in ("x0", "x_left", "x_right", "time"))
+    geom = WarpGeometry.of(int(meta["m"]), x0)
+    grid = Grid(x_left, x_right, int(meta["n"]))
     modes = []
     i = 3
     while i < len(lines):
@@ -752,6 +748,9 @@ def load_checkpoint(path) -> WaveField:
             raise ValueError(f"checkpoint mode header at line {i + 1}: expected {n} "
                              f"coefficient rows, found {found}")
         block = np.loadtxt(rows)
+        bad = np.nonzero(~np.isfinite(block).all(axis=1))[0]
+        if bad.size:
+            raise ValueError(f"checkpoint coefficients at line {i + 2 + bad[0]} are not finite")
         cp = block[:, 0] + 1j * block[:, 1]
         cm = block[:, 2] + 1j * block[:, 3]
         modes.append(ModeState(get_propagator(geom, l, grid), cp, cm, mult))

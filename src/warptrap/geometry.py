@@ -98,23 +98,6 @@ class WarpGeometry:
             raise ValueError("angular degree l must be nonnegative")
         return l * (l + 1) * self.inv_a_sq(x) + self.v0(x)
 
-    def dpotential(self, l: int, x):
-        """Closed-form dV_l/dx."""
-        m = self.params.m
-        x = np.asarray(x, dtype=float)
-        t = np.abs(x) ** (2 * m)
-        odd = np.sign(x) * np.abs(x) ** (2 * m - 1)
-        dcent = -2.0 * l * (l + 1) * odd * np.exp(-(1.0 + 1.0 / m) * np.log1p(t))
-        if m == 1:
-            dv0 = -4.0 * x * np.exp(-3.0 * np.log1p(t))
-        else:
-            odd3 = np.sign(x) * np.abs(x) ** (2 * m - 3)
-            odd4 = np.sign(x) * np.abs(x) ** (4 * m - 3)
-            dv0 = (2 * m - 1) * np.exp(-3.0 * np.log1p(t)) * (
-                (2 * m - 2) * odd3 * (1.0 + t) - 4 * m * odd4
-            )
-        return dcent + dv0
-
     def __repr__(self):
         return f"WarpGeometry(m={self.params.m}, x0={self.params.x0})"
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -127,10 +128,6 @@ class BracketResult:
     chain_ok: bool
     below_threshold: bool
 
-    @property
-    def square_well_ok(self) -> bool:
-        return self.tau_sq <= self.V_at_threequarters_bound
-
 
 def bracket_check(geom: WarpGeometry, l: int, n: int | None = None) -> BracketResult:
     """Locate the lowest Dirichlet eigenvalue on (x0, 0) and test the
@@ -169,7 +166,8 @@ def _bracket(geom: WarpGeometry, l: int, tau_sq: float) -> BracketResult:
 
 @dataclass(frozen=True)
 class Quasimode:
-    """Cutoff-normalized near-eigenfunction and its certificates."""
+    """Cutoff-normalized near-eigenfunction and its certificates; its
+    arrays are read-only and ``residual_hk`` is a read-only mapping."""
 
     l: int
     sigma: float
@@ -178,7 +176,7 @@ class Quasimode:
     u: np.ndarray
     grid: Grid
     cutoff: CutoffProfile
-    residual_hk: dict[int, float]
+    residual_hk: MappingProxyType[int, float]
     agmon_ratio: float
     chi_psi_norm: float
     bracket: BracketResult
@@ -229,7 +227,9 @@ def build_quasimode(
     nrm = quadrature_l2(grid, u_raw)
     u = u_raw / nrm
     resid_vec = op.apply(u) - pair.value * u
-    residual_hk = {k: quadrature_hk(grid, resid_vec, k) for k in range(3)}
+    residual_hk = MappingProxyType({k: quadrature_hk(grid, resid_vec, k) for k in range(3)})
+    u.flags.writeable = False
+    psi.flags.writeable = False
     tail_mask = x > cutoff.plateau_end
     agmon_ratio = quadrature_l2(grid, psi * tail_mask) / quadrature_l2(grid, psi)
     return Quasimode(
@@ -262,9 +262,6 @@ class DecayFit:
     intercept: float
     r_squared: float
     n_excluded: int = 0
-
-    def predict(self, s: float) -> float:
-        return math.exp(self.intercept + self.slope * s)
 
 
 FLOOR = 1e-14

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SmoothStep", "smooth_step"]
+__all__ = ["smooth_step"]
 
 MAX_ORDER = 4
 
@@ -47,23 +47,19 @@ def _transition(s: np.ndarray, order: int) -> np.ndarray:
                 + q * (3.0 * u2**2 + 4.0 * u1 * u3) + u4)
 
 
-class SmoothStep:
-    """Vectorized evaluator of the smooth step and its derivatives."""
-
-    def __call__(self, s, order: int = 0):
-        if not 0 <= order <= MAX_ORDER:
-            raise ValueError(f"derivative order must be in [0, {MAX_ORDER}]")
-        s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        out = np.zeros_like(s)
-        if order == 0:
-            out[s >= 1.0] = 1.0
-        interior = (s > 0.0) & (s < 1.0)
-        if np.any(interior):
-            with np.errstate(over="ignore", under="ignore", divide="ignore"):
-                out[interior] = _transition(s[interior], order)
-        return float(out[0]) if scalar else out
-
-
-smooth_step = SmoothStep()
+def smooth_step(s, order: int = 0):
+    """The step (order 0) or its order-th derivative at s, vectorized; a
+    scalar s gives a float."""
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"derivative order must be in [0, {MAX_ORDER}]")
+    s = np.asarray(s, dtype=float)
+    scalar = s.ndim == 0
+    s = np.atleast_1d(s)
+    out = np.zeros_like(s)
+    if order == 0:
+        out[s >= 1.0] = 1.0
+    interior = (s > 0.0) & (s < 1.0)
+    if np.any(interior):
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            out[interior] = _transition(s[interior], order)
+    return float(out[0]) if scalar else out

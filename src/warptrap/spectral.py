@@ -20,7 +20,7 @@ u variable agrees with it to O(h^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -286,9 +286,8 @@ class ShellWeights:
     [2^j, 2^(j+1)); every node lands in exactly one shell.
     """
 
-    def __init__(self, grid: Grid, geom: WarpGeometry):
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.geom = geom
         x = grid.nodes()
         bracket = np.sqrt(1.0 + x * x)
         self.shell_index = np.floor(np.log2(bracket)).astype(int)
@@ -405,7 +404,7 @@ class LeNorms:
     le_star: float
     shell_u: np.ndarray
     shell_le1: np.ndarray
-    times: np.ndarray = field(default_factory=lambda: np.empty(0))
+    times: np.ndarray
 
     def as_dict(self) -> dict:
         return {"LE": self.le, "LE1": self.le1, "LE_star": self.le_star}
@@ -464,7 +463,7 @@ def le_norms(history, geom: WarpGeometry) -> LeNorms:
     if not history:
         raise ValueError("empty history")
     grid = history[0].grid
-    shells = ShellWeights(grid, geom)
+    shells = ShellWeights(grid)
     acc = ShellAccumulator(shells)
     ratio, inv_a2 = _warp_factors(geom, grid)
     for state in history:
@@ -476,6 +475,4 @@ def le_norms(history, geom: WarpGeometry) -> LeNorms:
             u_dens += mode.mult * u
             e1_dens += mode.mult * e1
         acc.add([state.time], u_dens[None, :], e1_dens[None, :])
-    norms, _ = acc.finish()
-    norms.times = np.asarray(acc.times)
-    return norms
+    return acc.finish()[0]

@@ -1,5 +1,6 @@
 """Symbolic reference forms, built with sympy, for the closed-form
-multipliers, manufactured solutions and smooth step of warptrap.
+multipliers, manufactured solutions, smooth step and mode potentials of
+warptrap.
 
 Only the tests use sympy: each closed form in the package is checked
 against the derivative sympy takes of the defining expression here.
@@ -52,6 +53,14 @@ def exterior_family(m: int, R: float, rho: float) -> dict:
     g = sp.Rational(1, 2) / a2 * (x / (x + rho)) * sp.diff((1 - beta) * a2, x)
     exprs = (f, sp.diff(f, x), g, sp.diff(g, x), sp.diff(g, x, 2))
     return {name: _lambdify((x,), e) for name, e in zip(FAMILY_NAMES, exprs)}
+
+
+def potential_slope(m: int, l: int):
+    """dV_l/dx of V_l = l(l+1) a^-2 + a''/a, a callable of x, differentiated
+    by sympy."""
+    x = sp.Symbol("x")
+    a = (1 + x ** (2 * m)) ** sp.Rational(1, 2 * m)
+    return _lambdify((x,), sp.diff(l * (l + 1) / a**2 + sp.diff(a, x, 2) / a, x))
 
 
 def _bump(x, center, width):

@@ -10,6 +10,28 @@ def run_cli(args):
     return main(args)
 
 
+def strict_load(path):
+    """A JSON artifact parsed as RFC 8259 JSON, which has no Infinity or NaN."""
+    def reject(name):
+        raise ValueError(f"{path.name} holds the non-JSON constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def strict_json_artifacts():
+    """Every JSON file a test here writes through the CLI must be strict JSON."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("write_json", "finish"):
+            def checked(self, *args, _write=getattr(OutputCollector, name)):
+                path = _write(self, *args)
+                strict_load(path)
+                return path
+
+            mp.setattr(OutputCollector, name, checked)
+        yield
+
+
 class TestConfig:
     def test_unknown_field_rejected(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -91,6 +113,22 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert str(missing) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["confinement", "--bogus"], "unrecognized arguments: --bogus"),
+        (["quasimode", "--l", "x"], "argument --l: invalid int value: 'x'"),
+        ([], "the following arguments are required: command"),
+    ], ids=["unknown-flag", "bad-value", "no-command"])
+    def test_usage_error_is_validation_error(self, argv, reason, capsys):
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"error: {reason}\n"
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
     def test_failed_check_is_exit_two(self, tmp_path, capsys):
         # horizon too short for the open side to empty the near region
@@ -178,6 +216,7 @@ class TestConfinementCommand:
         per_l = summary["per_l"]["20"]
         assert per_l["min_ratio_E_R"] > 0.9
         assert per_l["half_bound_ok"]
+        assert per_l["t_confinement"] == "inf"
 
 
 class TestGrowthCommand:
@@ -280,6 +319,23 @@ class TestExceptionMapping:
         assert "no_false_success" in capsys.readouterr().err
         assert not json.loads((tmp_path / "g" / "manifest.json").read_text())["all_pass"]
 
+    def test_indefinite_mode_operator_is_exit_three(self, tmp_path, capsys, monkeypatch):
+        from warptrap import cli as cli_mod
+        from warptrap import evolve
+        from warptrap.geometry import WarpGeometry
+        from warptrap.spectral import Grid
+
+        def indefinite(cfg):
+            evolve.ModePropagator(WarpGeometry.of(1, -1.0), 0, Grid(-1.0, 1.0, 60),
+                                  potential=lambda x: 0.0 * x - 30.0)
+
+        monkeypatch.setitem(cli_mod._COMMANDS, "confinement", indefinite)
+        code = run_cli(["confinement", "--out", str(tmp_path / "c")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("convergence failure: operator 'V_l(m=1, x0=-1.0, l=0)'")
+        assert "lowest eigenvalue -27.53" in err and err.count("\n") == 1
+
     def test_eigensolver_error_is_exit_three(self, tmp_path, capsys, monkeypatch):
         from warptrap import spectral
 
@@ -314,6 +370,19 @@ class TestCsvNumbers:
         assert [[float(c) for c in ln[:4]] for ln in body] == \
                [[float(v) for v in row[:4]] for row in rows]
         assert body[0][3] == "0" and body[0][4] == "nan"
+
+
+class TestJsonNumbers:
+    def test_non_finite_numbers_written_as_strings(self, tmp_path):
+        import numpy as np
+
+        out = OutputCollector(str(tmp_path), ExperimentConfig(), "confinement")
+        path = out.write_json("s.json", {"t": math.inf, "low": -math.inf,
+                                         "v": np.float64(math.nan),
+                                         "row": np.array([1.5, math.inf])})
+        got = strict_load(path)
+        assert (got["t"], got["low"], got["v"], got["row"]) == ("inf", "-inf", "nan",
+                                                                [1.5, "inf"])
 
 
 class TestMultiplierAuditCommand:

@@ -12,6 +12,7 @@ from warptrap.geometry import WarpGeometry
 from warptrap.quasimode import build_quasimode, interval_grid
 from warptrap.spectral import (
     _TILE,
+    EigensolverError,
     Grid,
     energy_norms,
     fd_derivative,
@@ -82,14 +83,6 @@ class TestPackedProduct:
             ref = split_product(M, X)
             assert got.shape == ref.shape, name
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
-
-    def test_real_input_unchanged(self):
-        rng = np.random.default_rng(23)
-        M = rng.standard_normal((90, self.n))
-        X = rng.standard_normal((self.n, 3))
-        got = evolve._real_matmul(M, X)
-        assert got.dtype == np.float64
-        assert np.array_equal(got, M @ X)
 
     def test_from_spectral_matches_split_product(self, geom_m1_trapped):
         prop = evolve.get_propagator(geom_m1_trapped, 2, Grid(-1.0, 5.0, self.n))
@@ -174,18 +167,28 @@ class TestPropagate:
             beyond = x > R + t + 5 * h
             assert 0.5 * h * np.sum(dens[beyond]) < 1e-6 * E0
 
-    def test_negative_spectrum_warns_and_runs(self):
+    def test_indefinite_operator_raises(self):
         geom = WarpGeometry.of(1, -1.0)
         grid = Grid(-1.0, 1.0, 60)
-        with pytest.warns(UserWarning, match="hyperbolic"):
-            prop = evolve.ModePropagator(geom, 0, grid, potential=lambda x: 0.0 * x - 30.0)
-        assert prop.evals.min() < 0
-        v = prop.evecs[:, 0].astype(complex)
-        mode = evolve.ModeState.from_grid_data(prop, v, np.zeros_like(v))
-        w = mode.advanced(0.5).w_grid()
-        kappa = math.sqrt(-prop.evals[0])
-        expected = math.cosh(kappa * 0.5) * prop.evecs[:, 0]
-        assert np.linalg.norm(w - expected) < 1e-8 * np.linalg.norm(expected)
+        with pytest.raises(EigensolverError, match="not positive definite") as exc:
+            evolve.ModePropagator(geom, 0, grid, potential=lambda x: 0.0 * x - 30.0)
+        # the message ends with the lowest eigenvalue, -30 plus the Dirichlet
+        # Laplacian's lowest
+        lowest = -30.0 + 4.0 / grid.h**2 * math.sin(math.pi / (2 * 61)) ** 2
+        assert float(str(exc.value).split()[-1]) == pytest.approx(lowest, rel=1e-10)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(m=st.sampled_from([1, 2, 3]), x0=st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+           span=st.floats(0.5, 20.0), n=st.integers(3, 80), l=st.integers(0, 80))
+    def test_property_mode_operators_positive_definite(self, m, x0, span, n, l):
+        # V_l >= 0, so by Weyl's inequality the lowest eigenvalue is at least
+        # the Dirichlet Laplacian's, (4/h^2) sin^2(pi / (2(n+1)))
+        grid = Grid(x0, x0 + span, n)
+        prop = evolve.ModePropagator(WarpGeometry.of(m, x0), l, grid)
+        laplacian = 4.0 / grid.h**2 * math.sin(math.pi / (2 * (n + 1))) ** 2
+        assert prop.evals[0] > 0
+        assert prop.evals[0] >= laplacian - 1e-10 * prop.op.diag_inf
+        assert prop.omega.dtype == np.float64
 
 
 class TestForcing:
@@ -722,6 +725,30 @@ class TestCheckpoints:
         path.write_text("\n".join(lines[:3]) + "\n")
         with pytest.raises(ValueError, match="line 3 with no mode block; "
                                              "expected '# mode' at line 4"):
+            evolve.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [("x0", "inf"), ("x_right", "-inf"),
+                                            ("time", "nan")])
+    def test_non_finite_header_names_line_2(self, small_field, tmp_path, key, value):
+        path = tmp_path / "state.ckpt"
+        evolve.save_checkpoint(path, small_field)
+        lines = path.read_text().splitlines()
+        lines[1] = " ".join(f"{key}={value}" if tok.startswith(f"{key}=") else tok
+                            for tok in lines[1].split())
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line 2: {key}={value} is not finite"):
+            evolve.load_checkpoint(path)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_coefficient_names_the_line(self, small_field, tmp_path, text):
+        path = tmp_path / "state.ckpt"
+        evolve.save_checkpoint(path, small_field)
+        lines = path.read_text().splitlines()
+        row = lines[14].split()  # file line 15, the mode's eleventh coefficient row
+        row[1] = text
+        lines[14] = " ".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 15 are not finite"):
             evolve.load_checkpoint(path)
 
     def test_truncated_file_names_the_mode(self, small_field, tmp_path):

@@ -47,6 +47,18 @@ class TestCoefficients:
         # thresholds where one of the comparison margins first touches zero
         found = mul.find_admissible_delta(WarpGeometry.of(m, 1.0))
         assert found == pytest.approx(expected, rel=2e-3)
+        # the values 50 bisection steps reached, before the exact minimum
+        bisection = {1: 1.0000009999999997, 2: 0.7999999999999998, 3: 0.5714285714285683}
+        assert found == pytest.approx(bisection[m], rel=1e-13)
+        x = np.geomspace(*mul._SCAN_POINTS)
+        weights = mul._comparison_weights(m, x)
+
+        def least_margin(delta):
+            closed = mul._closed_forms(m, x, delta)
+            return min(np.min(closed[k] / weights[k]) for k in closed)
+
+        assert least_margin(0.999 * found) > 0
+        assert least_margin(1.001 * found) <= 0
 
     def test_multiplier_profile_bounds(self, geom_m1_front, pair_m1):
         x = np.geomspace(1e-3, 1e3, 500)

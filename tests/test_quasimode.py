@@ -134,8 +134,15 @@ class TestBuildQuasimode:
         assert quadrature_l2(ext, u_ext) == pytest.approx(1.0, rel=1e-12)
 
     def test_quasimode_is_frozen(self, qm_family):
+        qm = qm_family[0]
         with pytest.raises(dataclasses.FrozenInstanceError):
-            qm_family[0].u = np.zeros(3)
+            qm.u = np.zeros(3)
+        # its arrays and residual mapping refuse in-place writes too
+        for data in (qm.u, qm.psi.vector):
+            with pytest.raises(ValueError, match="read-only"):
+                data[0] = 0.0
+        with pytest.raises(TypeError):
+            qm.residual_hk[0] = -1.0
 
     def test_residual_decreases_with_degree(self, geom_m1_trapped):
         r30 = build_quasimode(geom_m1_trapped, 30).residual_hk[0]

@@ -338,26 +338,26 @@ class TestQuadrature:
 
 
 class TestShells:
-    def test_partition(self, geom_m1_trapped):
+    def test_partition(self):
         g = Grid(-1.0, 40.0, 1500)
-        shells = ShellWeights(g, geom_m1_trapped)
+        shells = ShellWeights(g)
         counts = np.zeros(g.n_interior, dtype=int)
         for mask in shells.masks:
             counts += mask
         assert np.all(counts == 1)
 
-    def test_bracket_ranges(self, geom_m1_trapped):
+    def test_bracket_ranges(self):
         g = Grid(-1.0, 40.0, 1500)
-        shells = ShellWeights(g, geom_m1_trapped)
+        shells = ShellWeights(g)
         br = np.sqrt(1.0 + g.nodes() ** 2)
         for j, mask in enumerate(shells.masks):
             if np.any(mask):
                 assert np.all(br[mask] >= 2.0**j)
                 assert np.all(br[mask] < 2.0 ** (j + 1))
 
-    def test_shell_sums_synthetic(self, geom_m1_trapped):
+    def test_shell_sums_synthetic(self):
         g = Grid(-1.0, 40.0, 800)
-        shells = ShellWeights(g, geom_m1_trapped)
+        shells = ShellWeights(g)
         dens = np.ones(g.n_interior)
         sums = shells.shell_sums(dens)
         assert sums.sum() == pytest.approx(g.h * g.n_interior, rel=1e-12)
@@ -368,9 +368,9 @@ class TestShells:
         assert sums[0] > 0
         assert np.all(sums[1:] == 0)
 
-    def test_batched_add_matches_shell_sums(self, geom_m1_trapped):
+    def test_batched_add_matches_shell_sums(self):
         g = Grid(-1.0, 40.0, 800)
-        shells = ShellWeights(g, geom_m1_trapped)
+        shells = ShellWeights(g)
         rng = np.random.default_rng(9)
         u = rng.uniform(0.0, 1.0, (g.n_interior, 7))
         e1 = rng.uniform(0.0, 1.0, (g.n_interior, 7))

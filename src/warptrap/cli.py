@@ -90,6 +90,10 @@ class ExperimentConfig:
         return cfg
 
     def basic_validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f.name, f"must be finite, got {value!r}")
         if self.m < 1:
             raise ConfigError("m", "warp exponent must be >= 1")
         if self.T_max <= 0:
@@ -111,7 +115,8 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def echo(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
 
 
 def _has_type(value, hint) -> bool:

@@ -98,17 +98,19 @@ class ModePropagator:
     Every V_l is nonnegative, so the operator is positive definite and
     omega = sqrt(lambda) is real; a nonpositive eigenvalue raises
     ``EigensolverError``.  ``potential`` overrides the warp's mode
-    potential (testing seam; the experiments always use the default).
+    potential (testing seam; the experiments always use the default), and
+    the operator's ``potential_id`` then says so.
     """
 
     def __init__(self, geom: WarpGeometry, l: int, grid: Grid, potential=None):
         self.geom = geom
         self.l = l
         self.grid = grid
-        self.op: TridiagonalOperator = build_operator(
-            grid, potential if potential is not None else lambda x: geom.potential(l, x),
-            potential_id=f"V_l(m={geom.params.m}, x0={geom.params.x0}, l={l})",
-        )
+        self.op: TridiagonalOperator = (
+            build_operator(grid, lambda x: geom.potential(l, x),
+                           potential_id=f"V_l(m={geom.params.m}, x0={geom.params.x0}, l={l})")
+            if potential is None else
+            build_operator(grid, potential, potential_id=f"potential override, l={l}"))
         self.evals, self.evecs = eigen_full(self.op)
         if self.evals[0] <= 0.0:
             raise EigensolverError(
@@ -387,39 +389,54 @@ class EvolutionReport:
 EVOLUTION_CSV_COLUMNS = ["t", "E", "E_R", "ratio_E_R", "LE1_running", "duhamel_gap"]
 
 
-def _phase_block(cp, cm, omega, times):
-    """Coefficient matrices of w and dt w over a batch of m times, packed
+def _phase_block(cp, cm, omega, t0, dt, m):
+    """Coefficient matrices of w and dt w at the m times t0 + dt * j, packed
     side by side as [a(t) | b(t)] in one (n, 2m) array, so that a single
-    ``from_spectral`` call reconstructs both."""
-    m = len(times)
-    AB = np.empty((omega.size, 2 * m), complex)
-    P, M = AB[:, :m], AB[:, m:]
-    np.exp(np.multiply.outer(-1j * omega, times, out=P), out=P)
-    np.conjugate(P, out=M)
-    M *= cm[:, None]
-    P *= cp[:, None]
-    diff = P - M
-    P += M
-    np.multiply(diff, -1j * omega[:, None], out=M)
+    ``from_spectral`` call reconstructs both.
+
+    The phase exp(-i omega (t0 + dt (8 q + r))) is the product of an
+    n x ceil(m/8) table over q and an n x 8 table over r, so a tile takes
+    n * (ceil(m/8) + 8) exponentials instead of n * m.  The cp- and
+    cm-weighted half waves P and M of each 8-column group are formed in two
+    n x 8 buffers, and a = P + M, b = -i omega (P - M) are written straight
+    into the packed array.
+    """
+    n = omega.size
+    AB = np.empty((n, 2 * m), complex)
+    iw = -1j * omega
+    coarse = np.exp(np.multiply.outer(iw, t0 + 8.0 * dt * np.arange((m + 7) // 8)))
+    fine = np.exp(np.multiply.outer(iw, dt * np.arange(min(m, 8))))
+    cp_q = cp[:, None] * coarse
+    cm_q = cm[:, None] * coarse.conj()
+    fine_m = fine.conj()
+    P, M = np.empty_like(fine), np.empty_like(fine)
+    for q, j in enumerate(range(0, m, 8)):
+        k = min(8, m - j)
+        p, mm = P[:, :k], M[:, :k]
+        np.multiply(cp_q[:, q, None], fine[:, :k], out=p)
+        np.multiply(cm_q[:, q, None], fine_m[:, :k], out=mm)
+        np.add(p, mm, out=AB[:, j:j + k])
+        p -= mm
+        np.multiply(p, iw[:, None], out=AB[:, m + j:m + j + k])
     return AB
 
 
 def _rotation_gap(AB, a0, b0, evals, ph):
     """Energy-norm distance of each packed [a | b] sample from the pure
-    phase rotation (a0, b0) * ph, computed in place in one complex and two
-    real n x m buffers."""
+    phase rotation (a0, b0) * ph.
+
+    One complex n x m buffer holds each half's difference in turn, and one
+    ``einsum`` over its float64 view (real and imaginary parts in adjacent
+    columns) reduces it, with no |.|^2 temporaries."""
     m = ph.size
     D = np.multiply.outer(a0, ph)
     D -= AB[:, :m]
-    sq = np.abs(D)
-    sq *= sq
-    sq *= evals[:, None]
+    Dr = D.view(np.float64)
+    sq = np.einsum("ij,ij,i->j", Dr, Dr, evals)
     np.multiply.outer(b0, ph, out=D)
     D -= AB[:, m:]
-    absd = np.abs(D)
-    absd *= absd
-    sq += absd
-    return np.sqrt(np.sum(sq, axis=0))
+    sq += np.einsum("ij,ij->j", Dr, Dr)
+    return np.sqrt(sq[0::2] + sq[1::2])
 
 
 def _band_energy(prop: ModePropagator, AB, lo: int, hi: int, ratio, pot) -> np.ndarray:
@@ -444,15 +461,16 @@ def _data_field(geom: WarpGeometry, qm: Quasimode, grid_ext: Grid) -> WaveField:
     return WaveField([mode], 0.0, geom)
 
 
-def _energy_drift(mode: ModeState, times: np.ndarray) -> float:
-    """Largest relative deviation, over the sample times, of the energy
-    recomputed from full-grid values from the conserved spectral energy:
-    an independent check on conservation, one reconstruction for all."""
+def _energy_drift(mode: ModeState, dt: float, m: int) -> float:
+    """Largest relative deviation, over the m sample times dt * j, of the
+    energy recomputed from full-grid values from the conserved spectral
+    energy: an independent check on conservation, one reconstruction for
+    all."""
     prop = mode.prop
     E = mode.energy_spectral()
-    WW = prop.from_spectral(_phase_block(mode.c_plus, mode.c_minus, prop.omega, times))
+    WW = prop.from_spectral(_phase_block(mode.c_plus, mode.c_minus, prop.omega, 0.0, dt, m))
     drift = 0.0
-    for w, wt in zip(WW[:, :times.size].T, WW[:, times.size:].T):
+    for w, wt in zip(WW[:, :m].T, WW[:, m:].T):
         e = 0.5 * (prop.op.quad_form(w) + prop.h * float(np.sum(np.abs(wt) ** 2)))
         drift = max(drift, abs(e - E) / E)
     return drift
@@ -516,7 +534,7 @@ def run_confinement(
     E_R, wall, gap = (np.empty(times.size) for _ in range(3))
     for c0 in range(0, times.size, _TILE):
         tc = times[c0:c0 + _TILE]
-        AB = _phase_block(mode.c_plus, mode.c_minus, prop.omega, tc)
+        AB = _phase_block(mode.c_plus, mode.c_minus, prop.omega, tc[0], dt, tc.size)
         E_R[c0:c0 + _TILE] = _band_energy(prop, AB, 0, nR, ratio, pot)
         wall[c0:c0 + _TILE] = _band_energy(prop, AB, n_buf, grid_ext.n_interior, ratio, pot)
         gap[c0:c0 + _TILE] = _rotation_gap(AB, a0, b0, prop.evals, np.exp(-1j * tau * tc))
@@ -549,7 +567,7 @@ def run_confinement(
         data_h_norm=data_h_norm,
         wall_buffer_max=wall_max,
         wall_ok=bool(wall_max <= _WALL_TOL * E_spec),
-        energy_drift=_energy_drift(mode, times[::_DRIFT_STRIDE]),
+        energy_drift=_energy_drift(mode, _DRIFT_STRIDE * dt, times[::_DRIFT_STRIDE].size),
         grid=grid_ext,
         tau=tau,
     )
@@ -619,7 +637,8 @@ def _density_tiles(field: WaveField, T: float, dt: float, ang: np.ndarray, extra
         for mode in field.modes:
             prop = mode.prop
             u_m, e_m = _densities(
-                _raw_product(prop.evecs, _phase_block(mode.c_plus, mode.c_minus, prop.omega, tc)),
+                _raw_product(prop.evecs, _phase_block(mode.c_plus, mode.c_minus, prop.omega,
+                                                      tc[0], dt, tc.size)),
                 field.grid.h, ratio, mode.sigma_sq * ang + extra)
             u_m *= mode.mult
             e_m *= mode.mult
@@ -668,7 +687,8 @@ def er_history(field: WaveField, T_max: float, R: float,
         prop = mode.prop
         pot = mode.sigma_sq * inv_a2
         for c0 in range(0, n_t + 1, _TILE):
-            AB = _phase_block(mode.c_plus, mode.c_minus, prop.omega, times[c0:c0 + _TILE])
+            tc = times[c0:c0 + _TILE]
+            AB = _phase_block(mode.c_plus, mode.c_minus, prop.omega, tc[0], dt, tc.size)
             E_R[c0:c0 + _TILE] += mode.mult * _band_energy(prop, AB, 0, nR, ratio, pot)
     E = np.full(n_t + 1, field.energy_spectral())
     return times, E_R, E

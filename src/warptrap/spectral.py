@@ -181,9 +181,14 @@ def _solve_pairs(op: TridiagonalOperator,
 
     LAPACK's eigenvector matrix is normalized, sign-fixed and gated in place,
     one column block at a time, so the solve holds one n-row matrix plus
-    block-sized temporaries.  scipy is imported here rather than with the
-    module: commands that never solve an eigenproblem do not pay for loading
-    LAPACK.
+    block-sized temporaries.  Each block is read a few times only: the sign
+    comes from the normalized first entry, and ``_fix_signs`` runs only on
+    the columns whose first entry is at most 1e-12 of their largest; the
+    normalization and the sign are one division; and the residual norm
+    divides by |v| = h^(-1/2), which the normalization fixes.  The vectors
+    are bit-identical to normalizing and sign-fixing the whole matrix at
+    once.  scipy is imported here rather than with the module: commands
+    that never solve an eigenproblem do not pay for loading LAPACK.
     """
     from scipy.linalg import LinAlgError, eigh_tridiagonal
 
@@ -202,11 +207,18 @@ def _solve_pairs(op: TridiagonalOperator,
     for j0 in range(0, vals.size, _TILE):
         cols = slice(j0, j0 + _TILE)
         blk = vecs[:, cols]
-        blk /= np.sqrt(h * np.sum(blk * blk, axis=0))
-        blk *= _fix_signs(blk)
+        norm = np.sqrt(h * np.sum(blk * blk, axis=0))
+        # division rounds monotonically, so these are exactly the normalized
+        # block's first entries and largest magnitudes
+        first = blk[0] / norm
+        low = np.abs(first) <= 1e-12 * (np.maximum(blk.max(axis=0), -blk.min(axis=0)) / norm)
+        signs = np.sign(first)
+        if low.any():
+            signs[low] = _fix_signs(blk[:, low] / norm[low])
+        blk /= norm * signs  # x / (-d) is exactly -(x / d)
         r = op.apply(blk)
         r -= vals[None, cols] * blk
-        resid[cols] = np.linalg.norm(r, axis=0) / np.linalg.norm(blk, axis=0)
+        resid[cols] = np.sqrt(h * np.einsum("ij,ij->j", r, r))
     limit = 1e-10 * op.diag_inf
     if np.any(resid > limit):
         bad = np.nonzero(resid > limit)[0]

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from warptrap.geometry import WarpGeometry
 from warptrap.spectral import Grid, build_operator, eigen_lowest
+
+# one deterministic setting for every property test: the same examples on
+# every run, and no per-example deadline (the first example of a test may
+# pay for an import); each test sets its own max_examples
+settings.register_profile("warptrap", derandomize=True, deadline=None)
+settings.load_profile("warptrap")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -114,6 +114,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(missing) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, field", [
+        ("--T=nan", "T_max"), ("--dt=inf", "dt"), ("--x0=-inf", "x0"), ("--A=nan", "A"),
+    ])
+    def test_non_finite_flag_is_validation_error(self, tmp_path, capsys, flag, field):
+        code = run_cli(["confinement", flag, "--out", str(tmp_path / "o")])
+        assert code == 1
+        value = float(flag.partition("=")[2])
+        assert capsys.readouterr().err == (
+            f"error: config field '{field}': must be finite, got {value!r}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"T_max": Infinity}', "T_max"), ('{"x_max": NaN}', "x_max"),
+        ('{"x0_plus": -Infinity}', "x0_plus"), ('{"delta": NaN}', "delta"),
+    ])
+    def test_non_finite_config_field_is_validation_error(self, tmp_path, capsys, text,
+                                                         field):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        code = run_cli(["quasimode", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field '{field}': must be finite, got ")
+        assert err.count("\n") == 1 and not (tmp_path / "o").exists()
+
+    def test_echo_is_strict_json(self):
+        cfg = ExperimentConfig()
+        cfg.T_max = math.inf  # set past basic_validate, which every command path runs
+        with pytest.raises(ValueError, match="JSON compliant"):
+            cfg.echo()
+
     @pytest.mark.parametrize("argv, reason", [
         (["confinement", "--bogus"], "unrecognized arguments: --bogus"),
         (["quasimode", "--l", "x"], "argument --l: invalid int value: 'x'"),
@@ -333,7 +364,7 @@ class TestExceptionMapping:
         code = run_cli(["confinement", "--out", str(tmp_path / "c")])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("convergence failure: operator 'V_l(m=1, x0=-1.0, l=0)'")
+        assert err.startswith("convergence failure: operator 'potential override, l=0'")
         assert "lowest eigenvalue -27.53" in err and err.count("\n") == 1
 
     def test_eigensolver_error_is_exit_three(self, tmp_path, capsys, monkeypatch):

@@ -250,6 +250,27 @@ class TestBlockedSolve:
         assert np.max(np.abs(vecs - ref_vecs)) <= 1e-14
         assert np.all(np.abs(resid - ref_resid) <= 1e-14 * ref_resid)
 
+    def test_sign_fallback_keeps_vectors_bit_identical(self, monkeypatch):
+        # at l = 30 the lowest modes live behind the barrier at x0: their first
+        # entries lie below 1e-12 of their largest, and only those columns
+        # take the first-significant-entry search
+        geom = WarpGeometry.of(1, -1.0)
+        op = build_operator(Grid(-1.0, 8.0, self.N), lambda x: geom.potential(30, x), "blk")
+        searched = []
+
+        def spy(vecs, _fix=spectral._fix_signs):
+            searched.append(vecs.shape[1])
+            return _fix(vecs)
+
+        monkeypatch.setattr(spectral, "_fix_signs", spy)
+        vals, vecs = eigen_full(op)
+        ref_vals, ref_vecs, _ = whole_matrix_pairs(op, None)
+        small_first = np.abs(ref_vecs[0]) <= 1e-12 * np.abs(ref_vecs).max(axis=0)
+        assert small_first.sum() > 0
+        assert sum(searched) == small_first.sum()
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(vecs, ref_vecs)
+
     def test_corrupted_column_in_later_block_is_named(self, monkeypatch):
         import scipy.linalg as sla
 

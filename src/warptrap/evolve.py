@@ -123,7 +123,17 @@ class ModePropagator:
         return self.grid.h
 
     def to_spectral(self, v: np.ndarray) -> np.ndarray:
-        return self.h * _real_matmul(self.evecs.T, v)
+        """Spectral coefficients h * Phi^T v of grid data v, (n,) or (n, k).
+
+        Only the rows from the data's first to its last nonzero row enter
+        the product (a few hundred of thousands for compactly supported
+        data); a NaN is nonzero, so it keeps its row and reaches the
+        coefficients."""
+        nz = np.flatnonzero((v != 0).reshape(v.shape[0], -1).any(axis=1))
+        if nz.size == 0:
+            return np.zeros((self.evecs.shape[1], *v.shape[1:]), complex)
+        rows = slice(nz[0], nz[-1] + 1)
+        return self.h * _real_matmul(self.evecs[rows].T, v[rows])
 
     def from_spectral(self, c: np.ndarray, rows: slice | None = None) -> np.ndarray:
         M = self.evecs if rows is None else self.evecs[rows]
@@ -131,19 +141,23 @@ class ModePropagator:
 
 
 _PROP_CACHE: OrderedDict[tuple, ModePropagator] = OrderedDict()
-_PROP_CACHE_SIZE = 4
+# eigenvector bytes the cache may hold; the newest entry is kept even alone
+# above it
+_PROP_CACHE_BYTES = 1 << 30
 
 
 def get_propagator(geom: WarpGeometry, l: int, grid: Grid) -> ModePropagator:
-    """Cached eigendecomposition; the cache keeps the few most recent."""
+    """Cached eigendecomposition; the cache evicts the least recently used
+    entries while their eigenvector matrices exceed ``_PROP_CACHE_BYTES``."""
     key = (geom.params.m, geom.params.x0, l, grid.x_left, grid.x_right, grid.n_interior)
     if key in _PROP_CACHE:
         _PROP_CACHE.move_to_end(key)
         return _PROP_CACHE[key]
     prop = ModePropagator(geom, l, grid)
     _PROP_CACHE[key] = prop
-    while len(_PROP_CACHE) > _PROP_CACHE_SIZE:
-        _PROP_CACHE.popitem(last=False)
+    held = sum(p.evecs.nbytes for p in _PROP_CACHE.values())
+    while len(_PROP_CACHE) > 1 and held > _PROP_CACHE_BYTES:
+        held -= _PROP_CACHE.popitem(last=False)[1].evecs.nbytes
     return prop
 
 
@@ -476,6 +490,17 @@ def _energy_drift(mode: ModeState, dt: float, m: int) -> float:
     return drift
 
 
+def _le_stride(T_max: float, dt: float, dt_le: float | None) -> int:
+    """Samples per LE1 sample: dt_le / dt, which must be whole, or by
+    default the largest whole k with k * dt <= T_max / 500, at least 1."""
+    if dt_le is None:
+        return max(1, math.floor(T_max / (500.0 * dt) + 1e-9))
+    k = round(dt_le / dt)
+    if k < 1 or abs(k * dt - dt_le) > 1e-9 * dt_le:
+        raise ValueError(f"dt_le={dt_le!r} is not a whole multiple of dt={dt!r}")
+    return k
+
+
 def run_confinement(
     geom: WarpGeometry,
     qm: Quasimode,
@@ -496,6 +521,15 @@ def run_confinement(
     whether it stayed below ``_WALL_TOL`` times the total energy, which
     caps the wall's possible effect on the near-region energy at the
     sub-percent level.
+
+    With ``le1`` the running LE1 norm is sampled at every k-th sample time,
+    k * dt for k = dt_le / dt, which must be whole; by default k is the
+    largest whole number with k * dt <= T_max / 500, at least 1 (so
+    dt_le = max(dt, T_max / 500) whenever T_max / (500 dt) is whole or
+    below 1).  The LE1 samples end at the last multiple of k * dt at or
+    below T_max.  Each sample is reconstructed once: the LE1 samples on the
+    whole grid, which gives their E_R and wall energies too, the others on
+    the E_R and wall bands only.
     """
     if causal not in ("strict", "audited"):
         raise ValueError("causal must be 'strict' or 'audited'")
@@ -511,6 +545,9 @@ def run_confinement(
             f"R + T_max = {R + T_max}; enlarge the domain or use causal='audited'"
         )
     grid_ext = qm.grid.extended(x_max)
+    if dt is None:
+        dt = max(T_max / 1000.0, grid_ext.h)
+    k = _le_stride(T_max, dt, dt_le) if le1 else 1
     field = _data_field(geom, qm, grid_ext)
     mode = field.modes[0]
     prop = mode.prop
@@ -521,31 +558,46 @@ def run_confinement(
     a0 = mode.a_coeff()
     b0 = mode.b_coeff()
 
-    if dt is None:
-        dt = max(T_max / 1000.0, grid_ext.h)
     times = dt * np.arange(int(round(T_max / dt)) + 1)
     x = grid_ext.nodes()
     nR = int(np.searchsorted(x, R, side="right"))
     n_buf = int(np.searchsorted(x, grid_ext.x_right - _WALL_MARGIN, side="left"))
     ratio, inv_a2 = _warp_factors(geom, grid_ext)
     pot = mode.sigma_sq * inv_a2
+    acc = ShellAccumulator(ShellWeights(grid_ext)) if le1 else None
 
-    # the E_R band, the wall band and the Duhamel gap share each tile's phase block
+    # One sweep over uniform blocks of step k * dt: block r of each span of
+    # k * _TILE samples holds the samples r, r + k, ...  With le1, block 0
+    # holds the LE1 samples, reconstructed on the whole grid; every other
+    # block is reconstructed on the E_R and wall bands only.  Each block's
+    # phases also give its Duhamel gap.
     E_R, wall, gap = (np.empty(times.size) for _ in range(3))
-    for c0 in range(0, times.size, _TILE):
-        tc = times[c0:c0 + _TILE]
-        AB = _phase_block(mode.c_plus, mode.c_minus, prop.omega, tc[0], dt, tc.size)
-        E_R[c0:c0 + _TILE] = _band_energy(prop, AB, 0, nR, ratio, pot)
-        wall[c0:c0 + _TILE] = _band_energy(prop, AB, n_buf, grid_ext.n_interior, ratio, pot)
-        gap[c0:c0 + _TILE] = _rotation_gap(AB, a0, b0, prop.evals, np.exp(-1j * tau * tc))
-        del AB  # free this tile before the next one is built
+    for c0 in range(0, times.size, k * _TILE):
+        for r in range(min(k, times.size - c0)):
+            idx = slice(c0 + r, c0 + k * _TILE, k)
+            tc = times[idx]
+            AB = _phase_block(mode.c_plus, mode.c_minus, prop.omega, tc[0], k * dt, tc.size)
+            gap[idx] = _rotation_gap(AB, a0, b0, prop.evals, np.exp(-1j * tau * tc))
+            if le1 and r == 0:
+                W = _raw_product(prop.evecs, AB)
+                del AB  # free the block before the densities' temporaries
+                u, e = _densities(W, grid_ext.h, ratio, pot)
+                del W
+                E_R[idx] = 0.5 * grid_ext.h * np.sum(e[:, :nR], axis=1)
+                wall[idx] = 0.5 * grid_ext.h * np.sum(e[:, n_buf:], axis=1)
+                e += acc.shells.inv_bracket_sq * u
+                acc.add(tc, u, e)
+                del u, e  # free this block's densities before the next is built
+            else:
+                E_R[idx] = _band_energy(prop, AB, 0, nR, ratio, pot)
+                wall[idx] = _band_energy(prop, AB, n_buf, grid_ext.n_interior, ratio, pot)
+                del AB  # free this block before the next one is built
     E_spec = mode.energy_spectral()
     data_h_norm = math.sqrt(2.0 * E_spec)
 
     le1_running = le1_times = None
     if le1:
-        norms, le1_running = space_time_norms(
-            field, T_max, max(dt, T_max / 500.0) if dt_le is None else dt_le)
+        norms, le1_running = acc.finish()
         le1_times = norms.times
 
     ratio_E_R = E_R / E_R[0]

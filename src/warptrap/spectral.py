@@ -180,15 +180,19 @@ def _solve_pairs(op: TridiagonalOperator,
     """The k lowest eigenpairs (all of them for k=None), residual-gated.
 
     LAPACK's eigenvector matrix is normalized, sign-fixed and gated in place,
-    one column block at a time, so the solve holds one n-row matrix plus
-    block-sized temporaries.  Each block is read a few times only: the sign
-    comes from the normalized first entry, and ``_fix_signs`` runs only on
-    the columns whose first entry is at most 1e-12 of their largest; the
-    normalization and the sign are one division; and the residual norm
-    divides by |v| = h^(-1/2), which the normalization fixes.  The vectors
-    are bit-identical to normalizing and sign-fixing the whole matrix at
-    once.  scipy is imported here rather than with the module: commands
-    that never solve an eigenproblem do not pay for loading LAPACK.
+    one column block at a time, so the solve holds one n-row matrix plus two
+    reused (n, _TILE) buffers.  Each block is read a few times only: the sign
+    comes from the normalized first entry, which fixes it whenever it
+    exceeds 1e-12 * h^(-1/2), since no entry of a normalized column is
+    larger than h^(-1/2); only the columns below that bound are searched for
+    their largest magnitude, and ``_fix_signs`` runs on those whose first
+    entry is at most 1e-12 of it.  The normalization and the sign are one
+    division, and the residual norm divides by |v| = h^(-1/2), which the
+    normalization fixes.  The vectors are bit-identical to normalizing and
+    sign-fixing the whole matrix at once.  A residual above the gate, or one
+    that is not a number, raises ``EigensolverError``.  scipy is imported
+    here rather than with the module: commands that never solve an
+    eigenproblem do not pay for loading LAPACK.
     """
     from scipy.linalg import LinAlgError, eigh_tridiagonal
 
@@ -204,24 +208,36 @@ def _solve_pairs(op: TridiagonalOperator,
             f"LAPACK eigensolver failed for operator {op.potential_id!r} (n={op.n}): {exc}"
         ) from exc
     resid = np.empty(vals.size)
+    # the residual P v - lambda v and each product it sums, in the order of
+    # ``op.apply``; F-ordered like LAPACK's matrix
+    r_buf = np.empty((op.n, min(_TILE, vals.size)), order="F")
+    t_buf = np.empty_like(r_buf)
+    first_bound = 1e-12 * (1.0 + 1e-6) / math.sqrt(h)
     for j0 in range(0, vals.size, _TILE):
         cols = slice(j0, j0 + _TILE)
         blk = vecs[:, cols]
-        norm = np.sqrt(h * np.sum(blk * blk, axis=0))
-        # division rounds monotonically, so these are exactly the normalized
-        # block's first entries and largest magnitudes
+        r, t = r_buf[:, :blk.shape[1]], t_buf[:, :blk.shape[1]]
+        norm = np.sqrt(h * np.sum(np.multiply(blk, blk, out=t), axis=0))
         first = blk[0] / norm
-        low = np.abs(first) <= 1e-12 * (np.maximum(blk.max(axis=0), -blk.min(axis=0)) / norm)
         signs = np.sign(first)
-        if low.any():
-            signs[low] = _fix_signs(blk[:, low] / norm[low])
+        near = np.flatnonzero(np.abs(first) <= first_bound)
+        if near.size:
+            # division rounds monotonically, so these are exactly the
+            # normalized columns' largest magnitudes
+            sub = blk[:, near]
+            big = np.maximum(sub.max(axis=0), -sub.min(axis=0)) / norm[near]
+            low = near[np.abs(first[near]) <= 1e-12 * big]
+            if low.size:
+                signs[low] = _fix_signs(blk[:, low] / norm[low])
         blk /= norm * signs  # x / (-d) is exactly -(x / d)
-        r = op.apply(blk)
-        r -= vals[None, cols] * blk
+        np.multiply(d[:, None], blk, out=r)
+        r[:-1] += np.multiply(op.offdiag, blk[1:], out=t[:-1])
+        r[1:] += np.multiply(op.offdiag, blk[:-1], out=t[1:])
+        r -= np.multiply(vals[None, cols], blk, out=t)
         resid[cols] = np.sqrt(h * np.einsum("ij,ij->j", r, r))
     limit = 1e-10 * op.diag_inf
-    if np.any(resid > limit):
-        bad = np.nonzero(resid > limit)[0]
+    bad = np.flatnonzero(~(resid <= limit))
+    if bad.size:
         raise EigensolverError(
             f"eigenpair residuals {resid[bad].tolist()} exceed {limit:.3e} "
             f"for indices {bad.tolist()} of {op.potential_id!r}"

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -92,6 +93,46 @@ class TestPackedProduct:
                 ref = split_product(M, c)
                 got = prop.from_spectral(c, rows)
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+
+
+class TestProjection:
+    """``to_spectral`` multiplies only the rows of the data's nonzero span."""
+
+    n = 150
+
+    def prop(self, geom):
+        return evolve.get_propagator(geom, 2, Grid(-1.0, 5.0, self.n))
+
+    def full_rows(self, prop, v):
+        return prop.h * evolve._real_matmul(prop.evecs.T, v)
+
+    @pytest.mark.parametrize("rows", [slice(40, 90), slice(0, 30), slice(110, 150)],
+                             ids=["interior", "first_row", "last_row"])
+    def test_matches_full_row_product(self, geom_m1_trapped, rows):
+        prop = self.prop(geom_m1_trapped)
+        rng = np.random.default_rng(23)
+        v = np.zeros((self.n, 2), complex)
+        v[rows] = random_coefficients(rng, rows.stop - rows.start)[0][:, None] * [1.0, -2j]
+        for data in (v, v[:, 0]):
+            got, ref = prop.to_spectral(data), self.full_rows(prop, data)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_zero_data(self, geom_m1_trapped):
+        prop = self.prop(geom_m1_trapped)
+        got = prop.to_spectral(np.zeros((self.n, 3), complex))
+        assert got.shape == (self.n, 3) and got.dtype == complex
+        assert not np.any(got)
+
+    def test_nan_reaches_coefficients(self, geom_m1_trapped):
+        # NaN != 0, so a NaN row stays in the product even where it is the
+        # only entry off zero
+        prop = self.prop(geom_m1_trapped)
+        v = np.zeros((self.n, 2), complex)
+        v[120, 0] = np.nan
+        got = prop.to_spectral(v)
+        assert np.all(np.isnan(got[:, 0]))
+        assert not np.any(got[:, 1])
 
 
 def direct_phase_block(cp, cm, omega, times):
@@ -491,6 +532,62 @@ class TestConfinement:
         assert n == 2612
         assert peak <= 0.5 * 8 * n * n
 
+    def test_le1_stride_rule(self):
+        # a default k matches max(dt, T/500) when T/(500 dt) is whole or below 1
+        assert evolve._le_stride(1000.0, 1.0, None) == 2
+        assert evolve._le_stride(40.0, 0.1, None) == 1
+        assert evolve._le_stride(3.0, 0.25, None) == 1
+        # and samples finer than T/500 otherwise
+        assert evolve._le_stride(40.0, 0.03, None) == 2
+        assert evolve._le_stride(1000.0, 1.0, 2.0) == 2
+        assert evolve._le_stride(3.0, 0.1, 0.3) == 3
+        for dt_le in (0.6, 0.1, 0.0):
+            with pytest.raises(ValueError, match="whole multiple"):
+                evolve._le_stride(1000.0, 1.0, dt_le)
+
+    def test_le1_samples_end_at_or_below_horizon(self, geom_m1_trapped):
+        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid.interval(-1.0, 120),
+                             require_bracket=False)
+        with pytest.raises(ValueError, match="whole multiple"):
+            evolve.run_confinement(geom_m1_trapped, qm, T_max=3.5, R=1.0, x_max=12.0,
+                                   dt=0.25, causal="audited", le1=True, dt_le=0.6)
+        rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=3.5, R=1.0, x_max=12.0,
+                                     dt=0.25, causal="audited", le1=True, dt_le=0.75)
+        assert rep.times[-1] == 3.5
+        assert np.array_equal(rep.le1_times, rep.times[::3])
+        assert rep.le1_times[-1] == 3.0
+
+    @settings(max_examples=60)
+    @given(m=st.sampled_from([1, 2, 3]), x0=st.floats(-1.5, -0.5), l=st.integers(1, 14),
+           n=st.integers(40, 120), reach=st.floats(0.0, 1.0), dt=st.floats(0.02, 0.3),
+           k=st.sampled_from([1, 2, 3]), spans=st.integers(1, 70))
+    def test_property_sweep_matches_separate_passes(self, m, x0, l, n, reach, dt, k, spans):
+        # the one-sweep run against the Duhamel bound, the E_R band pass (also
+        # over the wall strip, as the whole grid minus the rows before it) and
+        # the space-time norm pass on the same field; at most 600 nodes
+        geom = WarpGeometry.of(m, x0)
+        qm = build_quasimode(geom, l, grid_interval=Grid.interval(x0, n),
+                             require_bracket=False)
+        h = qm.grid.h
+        x_max = 1.0 + reach * (x0 + 600 * h - 1.0)
+        T = spans * k * dt
+        rep = evolve.run_confinement(geom, qm, T_max=T, R=1.0, x_max=x_max, dt=dt,
+                                     causal="audited", le1=True, dt_le=k * dt)
+        assert rep.grid.n_interior <= 600
+        assert np.all(rep.duhamel_gap <= rep.times * rep.f_norm + 1e-9 * rep.data_h_norm)
+        fld = evolve._data_field(geom, qm, rep.grid)
+        times, er, _ = evolve.er_history(fld, T, 1.0, dt=dt)
+        assert np.array_equal(times, rep.times)
+        assert np.allclose(rep.E_R, er, rtol=1e-12, atol=0.0)
+        x = rep.grid.nodes()
+        n_buf = int(np.searchsorted(x, rep.grid.x_right - evolve._WALL_MARGIN))
+        whole = evolve.er_history(fld, T, rep.grid.x_right, dt=dt)[1]
+        before = evolve.er_history(fld, T, x[n_buf - 1], dt=dt)[1] if n_buf else 0.0
+        assert abs(rep.wall_buffer_max - np.max(whole - before)) <= 1e-12 * rep.E[0]
+        norms, running = evolve.space_time_norms(fld, T, k * dt)
+        assert np.allclose(rep.le1_times, norms.times, rtol=1e-12, atol=0.0)
+        assert np.allclose(rep.le1_running, running, rtol=1e-12, atol=0.0)
+
     def test_open_side_energy_escapes(self, geom_m1_front):
         grid = Grid(1.0, 30.0, 1100)
         x = grid.nodes()
@@ -506,6 +603,31 @@ class TestConfinement:
         # the drop happens within a few multiples of the region size
         assert times[below[0]] < 4.0 + 2 * (3.0 - 1.0)
         assert ratio[-1] < 0.1
+
+
+class TestPropagatorCache:
+    def test_evicts_least_recent_beyond_byte_budget(self, geom_m1_trapped, monkeypatch):
+        monkeypatch.setattr(evolve, "_PROP_CACHE", OrderedDict())
+        sizes = (100, 110, 120, 130)
+        grids = {n: Grid(-1.0, 5.0, n) for n in sizes}
+        monkeypatch.setattr(evolve, "_PROP_CACHE_BYTES", 8 * (100**2 + 110**2 + 120**2))
+
+        def cached():
+            return [key[-1] for key in evolve._PROP_CACHE]
+
+        first = evolve.get_propagator(geom_m1_trapped, 1, grids[100])
+        for n in (110, 120):
+            evolve.get_propagator(geom_m1_trapped, 1, grids[n])
+        assert cached() == [100, 110, 120]
+        # a hit makes 100 the most recent; 130 then needs the room of both
+        # 110 and 120, the least recent two
+        assert evolve.get_propagator(geom_m1_trapped, 1, grids[100]) is first
+        evolve.get_propagator(geom_m1_trapped, 1, grids[130])
+        assert cached() == [100, 130]
+        # the newest entry stays even when it alone exceeds the budget
+        monkeypatch.setattr(evolve, "_PROP_CACHE_BYTES", 1)
+        evolve.get_propagator(geom_m1_trapped, 1, grids[110])
+        assert cached() == [110]
 
 
 class TestGrowthExperiment:
@@ -672,18 +794,22 @@ class TestCrossSite:
             assert norms.le1 == pytest.approx(le1, rel=1e-12)
             assert norms.le_star == pytest.approx(le_star, rel=1e-12)
 
-    def test_confinement_run_agrees(self, geom_m1_trapped):
+    @pytest.mark.parametrize("k", [1, 2], ids=["dt_le=dt", "dt_le=2dt"])
+    def test_confinement_run_agrees(self, geom_m1_trapped, k):
+        # with dt_le = 2 dt, samples 0 and 12 come from the whole-grid LE1
+        # reconstruction and sample 5 from the E_R band's
         qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid.interval(-1.0, 120),
                              require_bracket=False)
         T, dt = 3.0, 0.25
+        dt_le = k * dt
         rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=T, R=1.0, x_max=12.0,
-                                     dt=dt, causal="audited", le1=True, dt_le=dt)
+                                     dt=dt, causal="audited", le1=True, dt_le=dt_le)
         fld = evolve._data_field(geom_m1_trapped, qm, qm.grid.extended(12.0))
         near = fld.grid.nodes() <= 1.0
         for i in (0, 5, 12):
             _, e = self.oracle(fld.advanced(rep.times[i]), geom_m1_trapped)
             assert rep.E_R[i] == pytest.approx(0.5 * fld.grid.h * np.sum(e[near]), rel=1e-12)
-        running = self.oracle_le(fld, geom_m1_trapped, T, dt)[3]
+        running = self.oracle_le(fld, geom_m1_trapped, T, dt_le)[3]
         assert np.allclose(rep.le1_running, running, rtol=1e-12, atol=0.0)
 
 

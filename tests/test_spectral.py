@@ -286,6 +286,24 @@ class TestBlockedSolve:
         with pytest.raises(EigensolverError, match=rf"for indices \[{bad}\] of 'blk'"):
             eigen_full(self.op())
 
+    def test_nan_column_is_named(self, monkeypatch):
+        # a NaN residual compares false with the limit, so the gate must
+        # refuse every residual not known to lie at or below it
+        import scipy.linalg as sla
+
+        solve = sla.eigh_tridiagonal
+
+        def corrupt(*args, **kwargs):
+            vals, vecs = solve(*args, **kwargs)
+            vecs[100, 70] = np.nan
+            return vals, vecs
+
+        monkeypatch.setattr(sla, "eigh_tridiagonal", corrupt)
+        geom = WarpGeometry.of(1, -1.0)
+        op = build_operator(Grid(-1.0, 8.0, 200), lambda x: geom.potential(7, x), "nan")
+        with pytest.raises(EigensolverError, match=r"for indices \[70\] of 'nan'"):
+            eigen_full(op)
+
     def test_eigen_full_peak_memory(self):
         # one n x n eigenvector matrix plus block temporaries, not three matrices
         import tracemalloc

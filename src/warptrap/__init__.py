@@ -11,7 +11,7 @@ for times that grow exponentially in their angular frequency.
 Subpackage map:
 
 - ``geometry``:   the warp profile, its derivatives, per-mode potentials
-- ``spectral``:   grids, tridiagonal operators, eigensolver, norms
+- ``spectral``:   grids, tridiagonal operators, eigensolver, quadrature, shells
 - ``quasimode``:  confined near-eigenfunctions and decay-rate fits
 - ``evolve``:     exact spectral time evolution and confinement runs
 - ``multiplier``: integration-by-parts identity and coefficient audits

@@ -563,7 +563,8 @@ def main(argv: list[str] | None = None) -> int:
     except CheckFailure as exc:
         print(f"check failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # an oversize run ends here with numpy's size message
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(out.files)} files + manifest.json to {out.dir}")

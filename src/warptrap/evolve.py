@@ -42,7 +42,6 @@ from .spectral import (
 __all__ = [
     "EVOLUTION_CSV_COLUMNS",
     "EvolutionReport",
-    "ForcingSpec",
     "Le1Growth",
     "ModePropagator",
     "ModeState",
@@ -51,10 +50,7 @@ __all__ = [
     "er_history",
     "get_propagator",
     "le1_growth",
-    "load_checkpoint",
-    "propagate",
     "run_confinement",
-    "save_checkpoint",
     "space_time_norms",
     "wave_field",
 ]
@@ -290,71 +286,6 @@ def wave_field(geom: WarpGeometry, grid: Grid, entries, time: float = 0.0) -> Wa
         prop = get_propagator(geom, l, grid)
         modes.append(ModeState.from_grid_data(prop, w0, w1, mult))
     return WaveField(modes, time, geom)
-
-
-@dataclass
-class ForcingSpec:
-    """Second-component forcing: per-mode spatial profile times time profile.
-
-    Each entry is (l, profile, time_fn) with the profile given in the
-    conjugated variable on the evolution grid.
-    """
-
-    entries: list[tuple[int, np.ndarray, object]]
-    substeps: int = 4
-
-
-def propagate(state: WaveField, dt: float, steps: int,
-              forcing: ForcingSpec | None = None) -> list[WaveField]:
-    """Sampled evolution at times t0 + i*dt, i = 0..steps.
-
-    Homogeneous evolution is exact per eigencomponent; forcing enters
-    through the variation-of-constants integral with trapezoid quadrature
-    in the source time (``forcing.substeps`` subsamples per output step).
-    """
-    if dt == 0.0:
-        raise ValueError("dt must be nonzero")
-    out = [WaveField([ModeState(m.prop, m.c_plus.copy(), m.c_minus.copy(), m.mult)
-                      for m in state.modes], state.time, state.geom)]
-    for i in range(1, steps + 1):
-        out.append(state.advanced(i * dt))
-    if forcing is None:
-        return out
-    by_l = {}
-    for l, profile, fn in forcing.entries:
-        by_l.setdefault(l, []).append((np.asarray(profile, dtype=complex), fn))
-    nsub = max(1, int(forcing.substeps))
-    ds = dt / nsub
-    for mode_idx, mode in enumerate(state.modes):
-        if mode.l not in by_l:
-            continue
-        prop = mode.prop
-        omega = prop.omega
-        for profile, fn in by_l[mode.l]:
-            fhat = prop.to_spectral(profile)
-            coef = 1j * fhat / (2.0 * omega)
-            # running trapezoid of e^{+/- i omega s} g(s), per eigencomponent,
-            # carried across output steps one block of substeps at a time;
-            # phases run in time relative to the initial state, the source
-            # profile is evaluated at absolute time
-            g0 = complex(fn(state.time))
-            up_prev = np.full(omega.size, g0)
-            dn_prev = np.full(omega.size, g0)
-            cup = np.zeros(omega.size, complex)
-            cdn = np.zeros(omega.size, complex)
-            for i in range(1, steps + 1):
-                s = ds * np.arange((i - 1) * nsub + 1, i * nsub + 1)
-                g = np.asarray([fn(state.time + si) for si in s], dtype=complex)
-                up = np.exp(1j * np.outer(omega, s)) * g[None, :]
-                dn = np.exp(-1j * np.outer(omega, s)) * g[None, :]
-                cup += np.trapezoid(np.column_stack([up_prev, up]), dx=ds, axis=1)
-                cdn += np.trapezoid(np.column_stack([dn_prev, dn]), dx=ds, axis=1)
-                up_prev, dn_prev = up[:, -1], dn[:, -1]
-                phm = np.exp(-1j * omega * (i * dt))
-                m_out = out[i].modes[mode_idx]
-                m_out.c_plus = m_out.c_plus + phm * coef * cup
-                m_out.c_minus = m_out.c_minus - coef * cdn * phm.conj()
-    return out
 
 
 # -- confinement experiments ---------------------------------------------------
@@ -745,89 +676,3 @@ def er_history(field: WaveField, T_max: float, R: float,
     E = np.full(n_t + 1, field.energy_spectral())
     return times, E_R, E
 
-
-# -- checkpoints ----------------------------------------------------------------
-
-_CKPT_MAGIC = "warptrap-checkpoint"
-_CKPT_VERSION = 1
-
-
-def save_checkpoint(path, field: WaveField) -> None:
-    """Textual checkpoint: versioned header with the grid metadata, then the
-    per-mode half-wave coefficients."""
-    g = field.grid
-    p = field.geom.params
-    with open(path, "w") as fh:
-        fh.write(f"# {_CKPT_MAGIC} v{_CKPT_VERSION}\n")
-        fh.write(f"# m={p.m} x0={p.x0!r} x_left={g.x_left!r} x_right={g.x_right!r} "
-                 f"n={g.n_interior} time={field.time!r}\n")
-        fh.write(f"# modes={[m.l for m in field.modes]}\n")
-        for m in field.modes:
-            fh.write(f"# mode l={m.l} mult={m.mult}\n")
-            for cp, cm in zip(m.c_plus, m.c_minus):
-                fh.write(f"{float(cp.real)!r} {float(cp.imag)!r} "
-                         f"{float(cm.real)!r} {float(cm.imag)!r}\n")
-
-
-def _header_fields(lineno: int, tokens: list[str], keys: tuple[str, ...]) -> dict[str, str]:
-    """The key=value tokens of checkpoint header line ``lineno``, which must
-    hold every one of ``keys``."""
-    fields = {}
-    for tok in tokens:
-        key, sep, value = tok.partition("=")
-        if not sep:
-            raise ValueError(f"checkpoint header at line {lineno}: malformed token "
-                             f"{tok!r}, expected key=value")
-        fields[key] = value
-    for key in keys:
-        if key not in fields:
-            raise ValueError(f"checkpoint header at line {lineno}: missing key {key!r}")
-    return fields
-
-
-def _finite(lineno: int, key: str, text: str) -> float:
-    """Header value ``key`` of checkpoint line ``lineno`` as a finite float."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"checkpoint header at line {lineno}: {key}={text} is not finite")
-    return value
-
-
-def load_checkpoint(path) -> WaveField:
-    """Rebuild a field from a checkpoint (recomputes eigendecompositions)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(f"# {_CKPT_MAGIC} v{_CKPT_VERSION}"):
-        raise ValueError("not a recognized checkpoint file")
-    meta = _header_fields(2, lines[1][2:].split() if len(lines) > 1 else [],
-                          ("m", "x0", "x_left", "x_right", "n", "time"))
-    x0, x_left, x_right, time = (_finite(2, key, meta[key])
-                                 for key in ("x0", "x_left", "x_right", "time"))
-    geom = WarpGeometry.of(int(meta["m"]), x0)
-    grid = Grid(x_left, x_right, int(meta["n"]))
-    modes = []
-    i = 3
-    while i < len(lines):
-        head = lines[i]
-        if not head.startswith("# mode"):
-            raise ValueError(f"malformed checkpoint at line {i + 1}")
-        fields = _header_fields(i + 1, head[2:].split()[1:], ("l", "mult"))
-        l, mult = int(fields["l"]), int(fields["mult"])
-        n = grid.n_interior
-        rows = lines[i + 1:i + 1 + n]
-        found = next((k for k, row in enumerate(rows) if row.startswith("#")), len(rows))
-        if found != n:
-            raise ValueError(f"checkpoint mode header at line {i + 1}: expected {n} "
-                             f"coefficient rows, found {found}")
-        block = np.loadtxt(rows)
-        bad = np.nonzero(~np.isfinite(block).all(axis=1))[0]
-        if bad.size:
-            raise ValueError(f"checkpoint coefficients at line {i + 2 + bad[0]} are not finite")
-        cp = block[:, 0] + 1j * block[:, 1]
-        cm = block[:, 2] + 1j * block[:, 3]
-        modes.append(ModeState(get_propagator(geom, l, grid), cp, cm, mult))
-        i += 1 + n
-    if not modes:
-        raise ValueError(f"checkpoint ends at line {len(lines)} with no mode block; "
-                         f"expected '# mode' at line {max(len(lines), 3) + 1}")
-    return WaveField(modes, time, geom)

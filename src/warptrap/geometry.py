@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CallableWarpGeometry",
     "WarpGeometry",
     "WarpParams",
     "potential_is_monotone",
@@ -40,7 +39,7 @@ class WarpParams:
 
 
 class WarpGeometry:
-    """Evaluators for a(x), its first two derivatives, and V_l(x).
+    """Evaluators for a(x), its slope a'(x), a''(x)/a(x) and V_l(x).
 
     Evaluation is vectorized over numpy arrays.  Powers of x are routed
     through log1p so that x^{2m} underflow near x = 0 (large m) degrades
@@ -66,12 +65,6 @@ class WarpGeometry:
         m = self.params.m
         x = np.asarray(x, dtype=float)
         return np.sign(x) * (np.abs(x) / self.a(x)) ** (2 * m - 1)
-
-    def d2a(self, x):
-        # a'' = (2m-1) x^{2m-2} a^{1-4m}, using a^{2m} - x^{2m} = 1
-        m = self.params.m
-        x = np.asarray(x, dtype=float)
-        return (2 * m - 1) * np.abs(x) ** (2 * m - 2) * self.a(x) ** (1 - 4 * m)
 
     def a_sq(self, x):
         m = self.params.m
@@ -100,45 +93,6 @@ class WarpGeometry:
 
     def __repr__(self):
         return f"WarpGeometry(m={self.params.m}, x0={self.params.x0})"
-
-
-class CallableWarpGeometry:
-    """Warp defined by user callables (a, a', a'').
-
-    Internal seam for manufactured-solution tests only; the experiments all
-    use the closed-form family above.
-    """
-
-    def __init__(self, a, da, d2a, x0: float, m: int | None = None):
-        self._a, self._da, self._d2a = a, da, d2a
-        self.params = _CallableParams(m, x0)
-
-    def a(self, x):
-        return np.asarray(self._a(np.asarray(x, dtype=float)), dtype=float)
-
-    def da(self, x):
-        return np.asarray(self._da(np.asarray(x, dtype=float)), dtype=float)
-
-    def d2a(self, x):
-        return np.asarray(self._d2a(np.asarray(x, dtype=float)), dtype=float)
-
-    def a_sq(self, x):
-        return self.a(x) ** 2
-
-    def inv_a_sq(self, x):
-        return self.a(x) ** (-2.0)
-
-    def v0(self, x):
-        return self.d2a(x) / self.a(x)
-
-    def potential(self, l: int, x):
-        return l * (l + 1) * self.inv_a_sq(x) + self.v0(x)
-
-
-@dataclass(frozen=True)
-class _CallableParams:
-    m: int | None
-    x0: float
 
 
 def potential_is_monotone(geom: WarpGeometry, l: int) -> bool:

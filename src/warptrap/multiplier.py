@@ -41,7 +41,6 @@ __all__ = [
     "bump_profile",
     "coefficient_scan",
     "find_admissible_delta",
-    "flux_integrands",
     "hardy_check",
     "hardy_random_corpus",
     "ibp_richardson",
@@ -528,30 +527,6 @@ def ibp_richardson(geom: WarpGeometry, pair: MultiplierPair, sol: ManufacturedSo
     order = math.log2(r1.gap / r2.gap) if r2.gap > 0 else math.inf
     return {"gap_h": r1.gap, "gap_h2": r2.gap, "order": order,
             "report_h": r1, "report_h2": r2}
-
-
-def flux_integrands(geom: WarpGeometry, pair: MultiplierPair, sol: ManufacturedSolution):
-    """Densities I1 (time flux) and I2 (radial flux) whose divergence form
-    reassembles the integrated identity; angular integrals collapsed."""
-    sig2 = sol.sigma_sq
-
-    def I1(tv, xv):
-        a2 = geom.a_sq(xv)
-        d = pair.derivatives(xv)
-        return -sol.ut(tv, xv) * (d["f"] * sol.ux(tv, xv) + d["g"] * sol.u(tv, xv)) * a2
-
-    def I2(tv, xv):
-        a2 = geom.a_sq(xv)
-        d = pair.derivatives(xv)
-        u = sol.u(tv, xv)
-        ut = sol.ut(tv, xv)
-        ux = sol.ux(tv, xv)
-        ang = sig2 * u**2 / a2
-        return (0.5 * (ut**2 + ux**2 - ang) * d["f"] * a2
-                + u * ux * d["g"] * a2
-                - 0.5 * d["dg"] * u**2 * a2)
-
-    return I1, I2
 
 
 # -- Hardy inequality ------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Uniform Dirichlet grids, tridiagonal operators, eigensolver, and norms.
+"""Uniform Dirichlet grids, tridiagonal operators, eigensolver, quadrature,
+the energy-density kernel and dyadic shells.
 
 The second derivative is the standard 3-point stencil, so every radial
 operator -d^2/dx^2 + V is a symmetric tridiagonal matrix, solved with
@@ -24,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import WarpGeometry
-
 __all__ = [
     "EigenPair",
     "EigensolverError",
@@ -35,10 +34,7 @@ __all__ = [
     "build_operator",
     "eigen_full",
     "eigen_lowest",
-    "energy_norms",
     "fd_derivative",
-    "h_state_norm",
-    "le_norms",
     "quadrature_hk",
     "quadrature_l2",
 ]
@@ -323,27 +319,15 @@ class ShellWeights:
         self.masks = [self.shell_index == j for j in range(self.n_shells)]
         self.inv_bracket_sq = 1.0 / (bracket * bracket)
 
-    def shell_sums(self, density: np.ndarray) -> np.ndarray:
-        """h-weighted sum of a nodal density over each shell."""
-        out = np.zeros(self.n_shells)
-        np.add.at(out, self.shell_index, density * self.grid.h)
-        return out
 
-
-# -- field norms --------------------------------------------------------------
+# -- energy density and space-time norms -------------------------------------
 #
-# These evaluators take any state object exposing
-#   state.modes  -> iterable of mode objects with attributes
-#       mult, operator (TridiagonalOperator), sigma_sq
-#       w_grid(), wt_grid()  -> complex nodal arrays of w, dt w
-#   state.grid, state.time
-# (duck typing keeps this module free of the evolution layer's types).  The
-# energy density is evaluated by the one kernel below, which the evolution
-# layer's tiled passes share; here it is fed one state at a time.
+# The energy density is evaluated by the one kernel below, which every tiled
+# pass of the evolution layer shares.
 
 
 def _warp_factors(geom, grid) -> tuple[np.ndarray, np.ndarray]:
-    """Nodal a'/a and a^{-2}, computed once per norm evaluation."""
+    """Nodal a'/a and a^{-2}, computed once per pass."""
     x = grid.nodes()
     return geom.da(x) / geom.a(x), geom.inv_a_sq(x)
 
@@ -377,52 +361,6 @@ def _densities(R: np.ndarray, h: float, ratio: np.ndarray,
     return W[0::2] + W[1::2], e[0::2] + e[1::2]
 
 
-def _state_densities(w, wt, h, ratio, pot) -> tuple[np.ndarray, np.ndarray]:
-    """|w|^2 and the energy density with potential ``pot`` of one mode's
-    nodal w and dt w."""
-    u, e = _densities(np.stack([w.real, w.imag, wt.real, wt.imag]), h, ratio, pot)
-    return u[0], e[0]
-
-
-def energy_norms(state, geom: WarpGeometry, R: float) -> dict:
-    """Total energy E, near-region energy E_R, and the data norm on the
-    energy space.
-
-    E uses the operator quadratic form (exactly conserved by the spectral
-    propagator); E_R integrates the energy density over x <= R with the
-    finite-difference gradient.
-    """
-    x0 = state.grid.x_left
-    if R <= x0:
-        raise ValueError(f"truncation radius R={R} must exceed the boundary x0={x0}")
-    h = state.grid.h
-    ratio, inv_a2 = _warp_factors(geom, state.grid)
-    mask = state.grid.nodes() <= R
-    E = 0.0
-    E_R = 0.0
-    for mode in state.modes:
-        w = mode.w_grid()
-        wt = mode.wt_grid()
-        kin = h * float(np.sum(np.abs(wt) ** 2))
-        E += 0.5 * mode.mult * (kin + mode.operator.quad_form(w))
-        _, dens = _state_densities(w, wt, h, ratio, mode.sigma_sq * inv_a2)
-        E_R += 0.5 * mode.mult * h * float(np.sum(dens[mask]))
-    return {"E": E, "E_R": E_R, "H_x0_norm": math.sqrt(2.0 * E)}
-
-
-def h_state_norm(state) -> float:
-    """Norm of (u0, u1) in the energy space: gradient part via the operator
-    form, velocity part in L^2 of the volume measure."""
-    total = 0.0
-    for mode in state.modes:
-        w = mode.w_grid()
-        wt = mode.wt_grid()
-        total += mode.mult * (
-            mode.operator.quad_form(w) + state.grid.h * float(np.sum(np.abs(wt) ** 2))
-        )
-    return math.sqrt(total)
-
-
 @dataclass
 class LeNorms:
     """Dyadically weighted space-time norms of a sampled evolution."""
@@ -433,9 +371,6 @@ class LeNorms:
     shell_u: np.ndarray
     shell_le1: np.ndarray
     times: np.ndarray
-
-    def as_dict(self) -> dict:
-        return {"LE": self.le, "LE1": self.le1, "LE_star": self.le_star}
 
 
 class ShellAccumulator:
@@ -480,27 +415,3 @@ class ShellAccumulator:
         le1_running = np.max(wdown[None, :] * np.sqrt(E1), axis=1)
         return LeNorms(le, le1, le_star, U[-1], E1[-1], t), le1_running
 
-
-def le_norms(history, geom: WarpGeometry) -> LeNorms:
-    """LE, LE^1 and the dual LE* norm of a sampled evolution.
-
-    ``history`` is a time-ordered sequence of states (see the duck-typing
-    note above).
-    """
-    history = list(history)
-    if not history:
-        raise ValueError("empty history")
-    grid = history[0].grid
-    shells = ShellWeights(grid)
-    acc = ShellAccumulator(shells)
-    ratio, inv_a2 = _warp_factors(geom, grid)
-    for state in history:
-        u_dens = np.zeros(grid.n_interior)
-        e1_dens = np.zeros(grid.n_interior)
-        for mode in state.modes:
-            u, e1 = _state_densities(mode.w_grid(), mode.wt_grid(), grid.h, ratio,
-                                     mode.sigma_sq * inv_a2 + shells.inv_bracket_sq)
-            u_dens += mode.mult * u
-            e1_dens += mode.mult * e1
-        acc.add([state.time], u_dens[None, :], e1_dens[None, :])
-    return acc.finish()[0]

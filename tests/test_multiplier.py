@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 import sympy_oracle
 
@@ -275,7 +276,7 @@ class TestIdentity:
                                                   corpus_m1):
         sol = corpus_m1[-1]
         T, x_max = 2.0, 12.0
-        I1, I2 = mul.flux_integrands(geom_m1_front, pair_m1, sol)
+        I1, I2 = oracles.flux_integrands(geom_m1_front, pair_m1, sol)
         rep = mul.verify_ibp(geom_m1_front, pair_m1, sol, T=T, x_max=x_max,
                              nx=600, nt=300)
         xs = np.linspace(1.0, x_max, 601)
@@ -385,7 +386,7 @@ class TestAudit:
         x, h, m = grid.nodes(), grid.h, geom.params.m
         ratio_a, inv_a2 = geom.da(x) / geom.a(x), geom.inv_a_sq(x)
         rows, times = [], []
-        for state in evolve.propagate(fld, 0.25, 60):
+        for state in oracles.propagate(fld, 0.25, 60):
             dens = 0.0
             for mode in state.modes:
                 w, wt = mode.w_grid(), mode.wt_grid()

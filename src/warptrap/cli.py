@@ -345,7 +345,7 @@ def cmd_le1_growth(cfg: ExperimentConfig) -> OutputCollector:
         grid = qmod.interval_grid(geom, l, cfg.n_interval, cfg.h_per_sigma_evolve)
         qms.append(qmod.build_quasimode(geom, l, grid_interval=grid))
     res = evolve.le1_growth(geom, qms, cfg.k, cfg.A, budget=cfg.T_max, R=cfg.R,
-                            x_max=cfg.x_max, causal=cfg.causal)
+                            x_max=cfg.x_max, causal=cfg.causal, dt=cfg.dt)
     rows = [[qms[j].l, res.taus[j], res.T_list[j], res.dbk_norms[j], res.ratios[j]]
             for j in range(len(qms))]
     out.write_csv("le1_growth.csv", ["l", "tau", "T", "dbk_norm", "ratio"], rows)
@@ -358,7 +358,7 @@ def cmd_le1_growth(cfg: ExperimentConfig) -> OutputCollector:
 
 
 def _bump_field(geom: WarpGeometry, grid: Grid, l: int, center: float,
-                width: float) -> evolve.WaveField:
+                width: float) -> evolve.ModeState:
     x = grid.nodes()
     s = (x - center) / width
     w0 = np.zeros_like(x)
@@ -393,7 +393,7 @@ def cmd_bifurcation(cfg: ExperimentConfig) -> OutputCollector:
         geom = WarpGeometry.of(cfg.m, x0)
         grid = Grid(x0, cfg.x_max, max(int((cfg.x_max - x0) / 0.04), 400))
         fld = _bump_field(geom, grid, 1, center, width)
-        times, er, _ = evolve.er_history(fld, T, cfg.R, dt=cfg.dt)
+        times, er = evolve.er_history(fld, T, cfg.R, dt=cfg.dt)
         curves[f"bump_{tag}"] = (times, er / er[0])
         out.write_csv(f"er_bump_{tag}.csv", ["t", "ratio_E_R"],
                       [[t, r] for t, r in zip(times, er / er[0])])

@@ -6,6 +6,9 @@ wall at X_max.  After one full eigendecomposition of the mode operator
 (cached per mode and grid), evolution is exact in time: spectral
 coefficients just rotate, so there is no CFL restriction, no
 time-stepping error, and the discrete energy is conserved to roundoff.
+The geometry is rotationally symmetric, so a state, ``ModeState``, is
+one mode, and every reduction over time samples consumes one pass over
+them, ``_sweep``.
 
 Domain truncation policy.  A run is causally exact when the wall sits
 beyond the range any energy can reach, X_max >= R + T + margin; that is
@@ -45,7 +48,6 @@ __all__ = [
     "Le1Growth",
     "ModePropagator",
     "ModeState",
-    "WaveField",
     "dbk_norm",
     "er_history",
     "get_propagator",
@@ -169,15 +171,13 @@ class ModeState:
     prop: ModePropagator
     c_plus: np.ndarray
     c_minus: np.ndarray
-    mult: int = 1
 
     @classmethod
-    def from_grid_data(cls, prop: ModePropagator, w0: np.ndarray, w1: np.ndarray,
-                       mult: int = 1) -> "ModeState":
+    def from_grid_data(cls, prop: ModePropagator, w0: np.ndarray, w1: np.ndarray) -> "ModeState":
         ab = prop.to_spectral(np.column_stack([w0, w1]).astype(complex, copy=False))
         ib_over = 1j * ab[:, 1] / prop.omega
         a = ab[:, 0]
-        return cls(prop, 0.5 * (a + ib_over), 0.5 * (a - ib_over), mult)
+        return cls(prop, 0.5 * (a + ib_over), 0.5 * (a - ib_over))
 
     # -- views ---------------------------------------------------------------
 
@@ -197,6 +197,10 @@ class ModeState:
     def grid(self) -> Grid:
         return self.prop.grid
 
+    @property
+    def geom(self) -> WarpGeometry:
+        return self.prop.geom
+
     def a_coeff(self) -> np.ndarray:
         return self.c_plus + self.c_minus
 
@@ -211,7 +215,7 @@ class ModeState:
 
     def advanced(self, dt: float) -> "ModeState":
         ph = np.exp(-1j * self.prop.omega * dt)
-        return ModeState(self.prop, self.c_plus * ph, self.c_minus * ph.conj(), self.mult)
+        return ModeState(self.prop, self.c_plus * ph, self.c_minus * ph.conj())
 
     def graph_sq(self, k: int) -> float:
         """|B^k data|_H^2 for the generator B(w, dt w) = (i dt w, -i P w):
@@ -232,41 +236,17 @@ class ModeState:
         return num / den if den > 0 else 0.0
 
 
-@dataclass
-class WaveField:
-    """All retained modes of the field at one instant."""
-
-    modes: list[ModeState]
-    time: float
-    geom: WarpGeometry
-
-    def __post_init__(self):
-        if len({(m.grid.x_left, m.grid.x_right, m.grid.n_interior) for m in self.modes}) > 1:
-            raise ValueError("all modes of a field must share one grid")
-
-    @property
-    def grid(self) -> Grid:
-        return self.modes[0].grid
-
-    def advanced(self, dt: float) -> "WaveField":
-        return WaveField([m.advanced(dt) for m in self.modes], self.time + dt, self.geom)
-
-    def energy_spectral(self) -> float:
-        return sum(m.mult * m.energy_spectral() for m in self.modes)
-
-
-def dbk_norm(field: WaveField, k: int) -> float:
+def dbk_norm(state: ModeState, k: int) -> float:
     """Graph norm of the k-th generator power: |data| + |B^k data|.
 
     Warns when a generator power grows the norm by more than half the
-    largest mode's sqrt(norm_bound), which signals grid-scale content:
+    mode operator's sqrt(norm_bound), which signals grid-scale content:
     k exceeds the resolved discrete smoothness.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    norms = [math.sqrt(sum(m.mult * m.graph_sq(j) for m in field.modes))
-             for j in range(k + 1)]
-    scale = max(math.sqrt(m.operator.norm_bound) for m in field.modes)
+    norms = [math.sqrt(state.graph_sq(j)) for j in range(k + 1)]
+    scale = math.sqrt(state.operator.norm_bound)
     for step in range(1, k + 1):
         prev, cur = norms[step - 1], norms[step]
         if prev > 0 and cur / prev > 0.5 * scale:
@@ -279,13 +259,14 @@ def dbk_norm(field: WaveField, k: int) -> float:
     return norms[0] + norms[k]
 
 
-def wave_field(geom: WarpGeometry, grid: Grid, entries, time: float = 0.0) -> WaveField:
-    """Build a field from per-mode data tuples (l, mult, w0, w1)."""
-    modes = []
-    for l, mult, w0, w1 in entries:
-        prop = get_propagator(geom, l, grid)
-        modes.append(ModeState.from_grid_data(prop, w0, w1, mult))
-    return WaveField(modes, time, geom)
+def wave_field(geom: WarpGeometry, grid: Grid, entries) -> ModeState:
+    """The state of one mode from its data tuple: ``entries`` is
+    [(l, 1, w0, w1)], exactly one entry, of multiplicity 1."""
+    if len(entries) != 1 or entries[0][1] != 1:
+        raise ValueError("a field is one mode of multiplicity 1: entries must be "
+                         "[(l, 1, w0, w1)]")
+    l, _, w0, w1 = entries[0]
+    return ModeState.from_grid_data(get_propagator(geom, l, grid), w0, w1)
 
 
 # -- confinement experiments ---------------------------------------------------
@@ -296,7 +277,7 @@ class EvolutionReport:
     """Sampled observables of one evolution run."""
 
     times: np.ndarray
-    E: np.ndarray
+    E: float
     E_R: np.ndarray
     ratio_E_R: np.ndarray
     duhamel_gap: np.ndarray
@@ -316,7 +297,7 @@ class EvolutionReport:
         le1 = self._le1_on_times()
         rows = []
         for i, t in enumerate(self.times):
-            rows.append([t, self.E[i], self.E_R[i], self.ratio_E_R[i],
+            rows.append([t, self.E, self.E_R[i], self.ratio_E_R[i],
                          le1[i], self.duhamel_gap[i]])
         return rows
 
@@ -398,12 +379,66 @@ def _band_energy(prop: ModePropagator, AB, lo: int, hi: int, ratio, pot) -> np.n
     return 0.5 * prop.h * np.sum(e[:, lo - lo0:hi - lo0], axis=1)
 
 
-def _data_field(geom: WarpGeometry, qm: Quasimode, grid_ext: Grid) -> WaveField:
+def _sample_times(T: float, dt: float) -> np.ndarray:
+    """The sample times dt * i, i = 0, ..., round(T / dt), of every evolution
+    pass."""
+    return dt * np.arange(int(round(T / dt)) + 1)
+
+
+def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
+           whole: bool = False, tau: float | None = None):
+    """The one evolution pass over the samples ``times`` = dt * i of a mode.
+
+    The blocks are uniform, at most _TILE samples of step k * dt: block r of
+    each span of k * _TILE samples holds the samples r, r + k, ...  With
+    ``whole``, block 0 of each span is reconstructed on the whole grid,
+    which also gives its densities |w|^2 and the energy density, each
+    (samples, n); the other blocks only on the node bands [lo, hi) of
+    ``bands``.  With ``tau``, each block's phases also give its Duhamel gap,
+    the energy-norm distance from the data rotated by exp(-i tau t).
+
+    Yields per block (idx, energies, u, e, gap): its slice of ``times``, the
+    energy in each band, the whole-grid densities or None, and the gap or
+    None.  A consumer drops u and e before it asks for the next block, so
+    that one block's densities are live at a time.
+    """
+    prop, h = mode.prop, mode.grid.h
+    ratio, inv_a2 = _warp_factors(mode.geom, mode.grid)
+    pot = mode.sigma_sq * inv_a2
+    if tau is not None:
+        a0, b0 = mode.a_coeff(), mode.b_coeff()
+    for c0 in range(0, times.size, k * _TILE):
+        for r in range(min(k, times.size - c0)):
+            idx = slice(c0 + r, c0 + k * _TILE, k)
+            tc = times[idx]
+            AB = _phase_block(mode.c_plus, mode.c_minus, prop.omega, tc[0], k * dt, tc.size)
+            gap = None if tau is None else _rotation_gap(AB, a0, b0, prop.evals,
+                                                          np.exp(-1j * tau * tc))
+            if whole and r == 0:
+                W = _raw_product(prop.evecs, AB)
+                del AB  # free the block before the densities' temporaries
+                u, e = _densities(W, h, ratio, pot)
+                del W
+                yield idx, [0.5 * h * np.sum(e[:, lo:hi], axis=1) for lo, hi in bands], u, e, gap
+                del u, e  # free this block's densities before the next is built
+            else:
+                energies = [_band_energy(prop, AB, lo, hi, ratio, pot) for lo, hi in bands]
+                del AB  # free this block before the next one is built
+                yield idx, energies, None, None, gap
+
+
+def _feed_le1(acc: ShellAccumulator, times: np.ndarray, u: np.ndarray, e: np.ndarray) -> None:
+    """Add a block's densities to the LE1 accumulator; the order-one density
+    e + <x>^-2 |w|^2 is formed in place in e."""
+    e += acc.shells.inv_bracket_sq * u
+    acc.add(times, u, e)
+
+
+def _data_field(geom: WarpGeometry, qm: Quasimode, grid_ext: Grid) -> ModeState:
     """The quasimode data (v, -i tau v), zero-extended onto the evolution grid."""
     u_ext = qm.extend_to(grid_ext)
     prop = get_propagator(geom, qm.l, grid_ext)
-    mode = ModeState.from_grid_data(prop, u_ext.astype(complex), -1j * qm.tau * u_ext)
-    return WaveField([mode], 0.0, geom)
+    return ModeState.from_grid_data(prop, u_ext.astype(complex), -1j * qm.tau * u_ext)
 
 
 def _energy_drift(mode: ModeState, dt: float, m: int) -> float:
@@ -479,50 +514,27 @@ def run_confinement(
     if dt is None:
         dt = max(T_max / 1000.0, grid_ext.h)
     k = _le_stride(T_max, dt, dt_le) if le1 else 1
-    field = _data_field(geom, qm, grid_ext)
-    mode = field.modes[0]
+    mode = _data_field(geom, qm, grid_ext)
     prop = mode.prop
-    tau = qm.tau
     u_ext = qm.extend_to(grid_ext)
     f_vec = prop.op.apply(u_ext) - qm.tau_sq * u_ext
     f_norm = math.sqrt(grid_ext.h * float(np.sum(f_vec**2)))
-    a0 = mode.a_coeff()
-    b0 = mode.b_coeff()
 
-    times = dt * np.arange(int(round(T_max / dt)) + 1)
+    times = _sample_times(T_max, dt)
     x = grid_ext.nodes()
     nR = int(np.searchsorted(x, R, side="right"))
     n_buf = int(np.searchsorted(x, grid_ext.x_right - _WALL_MARGIN, side="left"))
-    ratio, inv_a2 = _warp_factors(geom, grid_ext)
-    pot = mode.sigma_sq * inv_a2
     acc = ShellAccumulator(ShellWeights(grid_ext)) if le1 else None
 
-    # One sweep over uniform blocks of step k * dt: block r of each span of
-    # k * _TILE samples holds the samples r, r + k, ...  With le1, block 0
-    # holds the LE1 samples, reconstructed on the whole grid; every other
-    # block is reconstructed on the E_R and wall bands only.  Each block's
-    # phases also give its Duhamel gap.
+    # one sweep of step k * dt; with le1 its whole-grid blocks are the LE1
+    # samples, whose densities also feed the accumulator
     E_R, wall, gap = (np.empty(times.size) for _ in range(3))
-    for c0 in range(0, times.size, k * _TILE):
-        for r in range(min(k, times.size - c0)):
-            idx = slice(c0 + r, c0 + k * _TILE, k)
-            tc = times[idx]
-            AB = _phase_block(mode.c_plus, mode.c_minus, prop.omega, tc[0], k * dt, tc.size)
-            gap[idx] = _rotation_gap(AB, a0, b0, prop.evals, np.exp(-1j * tau * tc))
-            if le1 and r == 0:
-                W = _raw_product(prop.evecs, AB)
-                del AB  # free the block before the densities' temporaries
-                u, e = _densities(W, grid_ext.h, ratio, pot)
-                del W
-                E_R[idx] = 0.5 * grid_ext.h * np.sum(e[:, :nR], axis=1)
-                wall[idx] = 0.5 * grid_ext.h * np.sum(e[:, n_buf:], axis=1)
-                e += acc.shells.inv_bracket_sq * u
-                acc.add(tc, u, e)
-                del u, e  # free this block's densities before the next is built
-            else:
-                E_R[idx] = _band_energy(prop, AB, 0, nR, ratio, pot)
-                wall[idx] = _band_energy(prop, AB, n_buf, grid_ext.n_interior, ratio, pot)
-                del AB  # free this block before the next one is built
+    bands = ((0, nR), (n_buf, grid_ext.n_interior))
+    for idx, (er, wl), u, e, g in _sweep(mode, times, dt, k, bands, whole=le1, tau=qm.tau):
+        E_R[idx], wall[idx], gap[idx] = er, wl, g
+        if u is not None:
+            _feed_le1(acc, times[idx], u, e)
+        del u, e  # free this block's densities before the next is built
     E_spec = mode.energy_spectral()
     data_h_norm = math.sqrt(2.0 * E_spec)
 
@@ -538,7 +550,7 @@ def run_confinement(
     wall_max = float(wall.max())
     return EvolutionReport(
         times=times,
-        E=np.full(times.size, E_spec),
+        E=E_spec,
         E_R=E_R,
         ratio_E_R=ratio_E_R,
         duhamel_gap=gap,
@@ -552,7 +564,7 @@ def run_confinement(
         wall_ok=bool(wall_max <= _WALL_TOL * E_spec),
         energy_drift=_energy_drift(mode, _DRIFT_STRIDE * dt, times[::_DRIFT_STRIDE].size),
         grid=grid_ext,
-        tau=tau,
+        tau=qm.tau,
     )
 
 
@@ -580,12 +592,14 @@ def le1_growth(
     R: float = 1.0,
     x_max: float | None = None,
     causal: str = "strict",
+    dt: float | None = None,
 ) -> Le1Growth:
     """Ratio of the accumulated space-time norm to the graph data norm,
     per quasimode, on horizons T_j = min(confinement time, budget).
 
     Returns the first mode index whose ratio exceeds A, or reports the
-    ratio trend when the budget is exhausted first.
+    ratio trend when the budget is exhausted first.  ``dt`` is the sample
+    step of each run (``run_confinement``'s default when None).
     """
     if any(quasimodes[i].tau > quasimodes[i + 1].tau for i in range(len(quasimodes) - 1)):
         raise ValueError("quasimodes must be ordered by increasing frequency")
@@ -593,7 +607,8 @@ def le1_growth(
     j_star = None
     T_star = None
     for j, qm in enumerate(quasimodes):
-        rep = run_confinement(geom, qm, budget, R, x_max=x_max, causal=causal, le1=True)
+        rep = run_confinement(geom, qm, budget, R, x_max=x_max, dt=dt, causal=causal,
+                              le1=True)
         T_j = min(rep.t_confinement, budget)
         dbk = dbk_norm(_data_field(geom, qm, rep.grid), k)
         ratio = rep.le1_at(T_j) / dbk
@@ -607,72 +622,37 @@ def le1_growth(
     return Le1Growth(taus, T_list, ratios, dbks, k, A, j_star, T_star, reason)
 
 
-def _density_tiles(field: WaveField, T: float, dt: float, ang: np.ndarray, extra):
-    """The tiled local-energy pass: for each _TILE-wide tile of the sample
-    times dt * i in [0, T], the tile's times, |w|^2 and the energy density
-    with potential sigma^2 * ang + extra, each (samples, n) and summed over
-    the modes with their multiplicities."""
-    ratio = _warp_factors(field.geom, field.grid)[0]
-    times = dt * np.arange(int(round(T / dt)) + 1)
-    for c0 in range(0, times.size, _TILE):
-        tc = times[c0:c0 + _TILE]
-        u = e = None
-        for mode in field.modes:
-            prop = mode.prop
-            u_m, e_m = _densities(
-                _raw_product(prop.evecs, _phase_block(mode.c_plus, mode.c_minus, prop.omega,
-                                                      tc[0], dt, tc.size)),
-                field.grid.h, ratio, mode.sigma_sq * ang + extra)
-            u_m *= mode.mult
-            e_m *= mode.mult
-            u, e = (u_m, e_m) if u is None else (u + u_m, e + e_m)
-        del u_m, e_m  # free this tile's densities before the next tile is built
-        yield tc, u, e
+def space_time_norms(state: ModeState, T: float, dt: float):
+    """Dyadic space-time norms of the homogeneous evolution sampled at dt * i
+    in [0, T], and the running LE1: (LeNorms, running LE1).
 
-
-def space_time_norms(field: WaveField, T: float, dt: float):
-    """Dyadic space-time norms of a homogeneous evolution, batched.
-
-    Equivalent to sampling the evolution and calling the history-based
-    norm evaluator, but reconstructs grid values in time blocks, which is
-    what makes wide frequency families affordable.
+    One sweep with every sample reconstructed on the whole grid, _TILE
+    samples at a time, which is what makes wide frequency families
+    affordable.
     """
-    shells = ShellWeights(field.grid)
-    acc = ShellAccumulator(shells)
-    inv_a2 = field.geom.inv_a_sq(field.grid.nodes())
-    for tc, u, e1 in _density_tiles(field, T, dt, inv_a2, shells.inv_bracket_sq):
-        acc.add(tc, u, e1)
+    acc = ShellAccumulator(ShellWeights(state.grid))
+    times = _sample_times(T, dt)
+    for idx, _, u, e, _ in _sweep(state, times, dt, whole=True):
+        _feed_le1(acc, times[idx], u, e)
+        del u, e  # free this block's densities before the next is built
     return acc.finish()
 
 
-def er_history(field: WaveField, T_max: float, R: float,
-               dt: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sampled near-region energy of a generic field: (times, E_R, E).
+def er_history(state: ModeState, T_max: float, R: float,
+               dt: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled near-region energy of a mode: (times, E_R).
 
-    E is the conserved spectral energy; E_R integrates the energy density
-    over x <= R with the finite-difference gradient, reconstructed in
-    batches on the prefix rows only.
+    E_R integrates the energy density over x <= R with the finite-difference
+    gradient, reconstructed on the rows up to R only.
     """
-    grid = field.grid
-    geom = field.geom
-    h = grid.h
-    x = grid.nodes()
+    grid = state.grid
     if R <= grid.x_left:
         raise ValueError("R must exceed the boundary location")
-    nR = int(np.searchsorted(x, R, side="right"))
+    nR = int(np.searchsorted(grid.nodes(), R, side="right"))
     if dt is None:
-        dt = max(T_max / 1000.0, h)
-    n_t = int(round(T_max / dt))
-    times = dt * np.arange(n_t + 1)
-    E_R = np.zeros(n_t + 1)
-    ratio, inv_a2 = _warp_factors(geom, grid)
-    for mode in field.modes:
-        prop = mode.prop
-        pot = mode.sigma_sq * inv_a2
-        for c0 in range(0, n_t + 1, _TILE):
-            tc = times[c0:c0 + _TILE]
-            AB = _phase_block(mode.c_plus, mode.c_minus, prop.omega, tc[0], dt, tc.size)
-            E_R[c0:c0 + _TILE] += mode.mult * _band_energy(prop, AB, 0, nR, ratio, pot)
-    E = np.full(n_t + 1, field.energy_spectral())
-    return times, E_R, E
-
+        dt = max(T_max / 1000.0, grid.h)
+    times = _sample_times(T_max, dt)
+    E_R = np.empty(times.size)
+    for idx, (er,), _, _, _ in _sweep(state, times, dt, bands=((0, nR),)):
+        E_R[idx] = er
+    return times, E_R

@@ -601,34 +601,39 @@ class AuditResult:
     E0: float
 
 
-def le_bound_audit(field, T: float, dt: float) -> AuditResult:
-    """Evaluate the audited inequalities on the homogeneous evolution of a
-    ``WaveField`` sampled at t = 0, dt, ..., T.
+def le_bound_audit(state, T: float, dt: float) -> AuditResult:
+    """Evaluate the audited inequalities on the homogeneous evolution of one
+    mode, an ``evolve.ModeState``, sampled at t = 0, dt, ..., T.
 
     lhs_lelocal carries the interior weights x^{-2m-1} (gradient and time
     derivative), x^{-1} a^{-2} (angular term) and x^{-2m-3} (|u|^2);
-    lhs_lepositive is LE1^2 + E0.  Both are reduced from the tiled
-    local-energy pass of ``evolve.space_time_norms``.
+    lhs_lepositive is LE1^2 + E0.  Both are reduced from the evolution's one
+    sweep, ``evolve._sweep``, whose energy density carries the angular term
+    sigma^2 a^{-2} |w|^2; the local side moves the difference of the two
+    angular weights onto |w|^2.
     """
-    from .evolve import _density_tiles, space_time_norms
+    from .evolve import _sample_times, _sweep, space_time_norms
 
-    geom = field.geom
+    geom = state.geom
     if geom.params.x0 <= 0:
         raise ValueError("the local-energy audit applies to the x0 > 0 side")
-    x = field.grid.nodes()
+    x = state.grid.nodes()
     m = geom.params.m
+    inv_a2 = geom.inv_a_sq(x)
     w_grad = x ** (-2.0 * m - 1.0)
-    w_u = x ** (-2.0 * m - 3.0)
-    # a potential whose product with w_grad is the angular weight x^{-1} a^{-2}
-    # on sigma^2 a^{-2} |w|^2
-    ang = x ** (2.0 * m) * geom.inv_a_sq(x) ** 2
-    times, rows = [], []
-    for tc, u, e in _density_tiles(field, T, dt, ang, 0.0):
-        times.extend(tc)
-        rows.extend(field.grid.h * (e @ w_grad + u @ w_u))
+    # the angular term sigma^2 a^{-2} |w|^2 takes the weight x^{-1} a^{-2}, so
+    # sigma^2 |w|^2 takes ang * w_grad = x^{-1} a^{-4}, of which e @ w_grad
+    # already gives a^{-2} w_grad
+    ang = x ** (2.0 * m) * inv_a2 ** 2
+    w_u = x ** (-2.0 * m - 3.0) + state.sigma_sq * (ang - inv_a2) * w_grad
+    times = _sample_times(T, dt)
+    rows = []
+    for _, _, u, e, _ in _sweep(state, times, dt, whole=True):
+        rows.extend(state.grid.h * (e @ w_grad + u @ w_u))
+        del u, e  # free this block's densities before the next is built
     lhs_local = float(np.trapezoid(rows, times))
-    le1 = space_time_norms(field, T, dt)[0].le1
-    E0 = field.energy_spectral()
+    le1 = space_time_norms(state, T, dt)[0].le1
+    E0 = state.energy_spectral()
     lhs_pos = le1**2 + E0
 
     def ratio(lhs):

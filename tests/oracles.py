@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from warptrap.evolve import ModeState, WaveField
+from warptrap.evolve import ModeState
 from warptrap.spectral import ShellAccumulator, ShellWeights, _densities, _warp_factors
 
 # -- forced propagation ----------------------------------------------------------
@@ -32,9 +32,10 @@ class ForcingSpec:
     substeps: int = 4
 
 
-def propagate(state: WaveField, dt: float, steps: int,
-              forcing: ForcingSpec | None = None) -> list[WaveField]:
-    """Sampled evolution at times t0 + i*dt, i = 0..steps.
+def propagate(state: ModeState, dt: float, steps: int,
+              forcing: ForcingSpec | None = None) -> list[ModeState]:
+    """Sampled evolution of one mode at times i*dt, i = 0..steps, with the
+    data ``state`` at time 0.
 
     Homogeneous evolution is exact per eigencomponent; forcing enters
     through the variation-of-constants integral with trapezoid quadrature
@@ -42,59 +43,45 @@ def propagate(state: WaveField, dt: float, steps: int,
     """
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
-    out = [WaveField([ModeState(m.prop, m.c_plus.copy(), m.c_minus.copy(), m.mult)
-                      for m in state.modes], state.time, state.geom)]
+    out = [ModeState(state.prop, state.c_plus.copy(), state.c_minus.copy())]
     for i in range(1, steps + 1):
         out.append(state.advanced(i * dt))
     if forcing is None:
         return out
-    by_l = {}
-    for l, profile, fn in forcing.entries:
-        by_l.setdefault(l, []).append((np.asarray(profile, dtype=complex), fn))
     nsub = max(1, int(forcing.substeps))
     ds = dt / nsub
-    for mode_idx, mode in enumerate(state.modes):
-        if mode.l not in by_l:
+    omega = state.prop.omega
+    for l, profile, fn in forcing.entries:
+        if l != state.l:
             continue
-        prop = mode.prop
-        omega = prop.omega
-        for profile, fn in by_l[mode.l]:
-            fhat = prop.to_spectral(profile)
-            coef = 1j * fhat / (2.0 * omega)
-            # running trapezoid of e^{+/- i omega s} g(s), per eigencomponent,
-            # carried across output steps one block of substeps at a time;
-            # phases run in time relative to the initial state, the source
-            # profile is evaluated at absolute time
-            g0 = complex(fn(state.time))
-            up_prev = np.full(omega.size, g0)
-            dn_prev = np.full(omega.size, g0)
-            cup = np.zeros(omega.size, complex)
-            cdn = np.zeros(omega.size, complex)
-            for i in range(1, steps + 1):
-                s = ds * np.arange((i - 1) * nsub + 1, i * nsub + 1)
-                g = np.asarray([fn(state.time + si) for si in s], dtype=complex)
-                up = np.exp(1j * np.outer(omega, s)) * g[None, :]
-                dn = np.exp(-1j * np.outer(omega, s)) * g[None, :]
-                cup += np.trapezoid(np.column_stack([up_prev, up]), dx=ds, axis=1)
-                cdn += np.trapezoid(np.column_stack([dn_prev, dn]), dx=ds, axis=1)
-                up_prev, dn_prev = up[:, -1], dn[:, -1]
-                phm = np.exp(-1j * omega * (i * dt))
-                m_out = out[i].modes[mode_idx]
-                m_out.c_plus = m_out.c_plus + phm * coef * cup
-                m_out.c_minus = m_out.c_minus - coef * cdn * phm.conj()
+        fhat = state.prop.to_spectral(np.asarray(profile, dtype=complex))
+        coef = 1j * fhat / (2.0 * omega)
+        # running trapezoid of e^{+/- i omega s} g(s), per eigencomponent,
+        # carried across output steps one block of substeps at a time
+        g0 = complex(fn(0.0))
+        up_prev = np.full(omega.size, g0)
+        dn_prev = np.full(omega.size, g0)
+        cup = np.zeros(omega.size, complex)
+        cdn = np.zeros(omega.size, complex)
+        for i in range(1, steps + 1):
+            s = ds * np.arange((i - 1) * nsub + 1, i * nsub + 1)
+            g = np.asarray([fn(si) for si in s], dtype=complex)
+            up = np.exp(1j * np.outer(omega, s)) * g[None, :]
+            dn = np.exp(-1j * np.outer(omega, s)) * g[None, :]
+            cup += np.trapezoid(np.column_stack([up_prev, up]), dx=ds, axis=1)
+            cdn += np.trapezoid(np.column_stack([dn_prev, dn]), dx=ds, axis=1)
+            up_prev, dn_prev = up[:, -1], dn[:, -1]
+            phm = np.exp(-1j * omega * (i * dt))
+            out[i].c_plus = out[i].c_plus + phm * coef * cup
+            out[i].c_minus = out[i].c_minus - coef * cdn * phm.conj()
     return out
 
 
 # -- per-state norms -------------------------------------------------------------
 #
-# These evaluators take any state object exposing
-#   state.modes  -> iterable of mode objects with attributes
-#       mult, operator (TridiagonalOperator), sigma_sq
-#       w_grid(), wt_grid()  -> complex nodal arrays of w, dt w
-#   state.grid, state.time
-# so a test may hand in a frozen stand-in as well as a ``WaveField``.  The
-# energy density comes from the package's one kernel, ``_densities``, fed
-# one state at a time.
+# These evaluators take ``ModeState``s, a history with its sample times
+# given explicitly.  The energy density comes from the package's one
+# kernel, ``_densities``, fed one state at a time.
 
 
 def _state_densities(w, wt, h, ratio, pot) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +91,7 @@ def _state_densities(w, wt, h, ratio, pot) -> tuple[np.ndarray, np.ndarray]:
     return u[0], e[0]
 
 
-def energy_norms(state, geom, R: float) -> dict:
+def energy_norms(state: ModeState, R: float) -> dict:
     """Total energy E, near-region energy E_R, and the data norm on the
     energy space.
 
@@ -116,42 +103,29 @@ def energy_norms(state, geom, R: float) -> dict:
     if R <= x0:
         raise ValueError(f"truncation radius R={R} must exceed the boundary x0={x0}")
     h = state.grid.h
-    ratio, inv_a2 = _warp_factors(geom, state.grid)
-    mask = state.grid.nodes() <= R
-    E = 0.0
-    E_R = 0.0
-    for mode in state.modes:
-        w = mode.w_grid()
-        wt = mode.wt_grid()
-        kin = h * float(np.sum(np.abs(wt) ** 2))
-        E += 0.5 * mode.mult * (kin + mode.operator.quad_form(w))
-        _, dens = _state_densities(w, wt, h, ratio, mode.sigma_sq * inv_a2)
-        E_R += 0.5 * mode.mult * h * float(np.sum(dens[mask]))
+    ratio, inv_a2 = _warp_factors(state.geom, state.grid)
+    w = state.w_grid()
+    wt = state.wt_grid()
+    E = 0.5 * (h * float(np.sum(np.abs(wt) ** 2)) + state.operator.quad_form(w))
+    _, dens = _state_densities(w, wt, h, ratio, state.sigma_sq * inv_a2)
+    E_R = 0.5 * h * float(np.sum(dens[state.grid.nodes() <= R]))
     return {"E": E, "E_R": E_R, "H_x0_norm": math.sqrt(2.0 * E)}
 
 
-def le_norms(history, geom):
-    """LE, LE^1 and the dual LE* norm of a sampled evolution.
-
-    ``history`` is a time-ordered sequence of states (see the duck-typing
-    note above).
-    """
+def le_norms(history, times):
+    """LE, LE^1 and the dual LE* norm of a sampled evolution: the states
+    ``history``, one per sample time of ``times``, in time order."""
     history = list(history)
     if not history:
         raise ValueError("empty history")
     grid = history[0].grid
     shells = ShellWeights(grid)
     acc = ShellAccumulator(shells)
-    ratio, inv_a2 = _warp_factors(geom, grid)
-    for state in history:
-        u_dens = np.zeros(grid.n_interior)
-        e1_dens = np.zeros(grid.n_interior)
-        for mode in state.modes:
-            u, e1 = _state_densities(mode.w_grid(), mode.wt_grid(), grid.h, ratio,
-                                     mode.sigma_sq * inv_a2 + shells.inv_bracket_sq)
-            u_dens += mode.mult * u
-            e1_dens += mode.mult * e1
-        acc.add([state.time], u_dens[None, :], e1_dens[None, :])
+    ratio, inv_a2 = _warp_factors(history[0].geom, grid)
+    for state, t in zip(history, times, strict=True):
+        u, e1 = _state_densities(state.w_grid(), state.wt_grid(), grid.h, ratio,
+                                 state.sigma_sq * inv_a2 + shells.inv_bracket_sq)
+        acc.add([t], u[None, :], e1[None, :])
     return acc.finish()[0]
 
 

@@ -385,19 +385,14 @@ class TestAudit:
         grid, geom = fld.grid, geom_m1_front
         x, h, m = grid.nodes(), grid.h, geom.params.m
         ratio_a, inv_a2 = geom.da(x) / geom.a(x), geom.inv_a_sq(x)
-        rows, times = [], []
+        rows = []
         for state in oracles.propagate(fld, 0.25, 60):
-            dens = 0.0
-            for mode in state.modes:
-                w, wt = mode.w_grid(), mode.wt_grid()
-                dw = fd_derivative(grid, w, 1)
-                dens = dens + mode.mult * (
-                    x ** (-2.0 * m - 1.0) * (np.abs(dw - ratio_a * w) ** 2 + np.abs(wt) ** 2)
-                    + x ** (-1.0) * inv_a2 * mode.sigma_sq * inv_a2 * np.abs(w) ** 2
-                    + x ** (-2.0 * m - 3.0) * np.abs(w) ** 2
-                )
-            times.append(state.time)
+            w, wt = state.w_grid(), state.wt_grid()
+            dw = fd_derivative(grid, w, 1)
+            dens = (x ** (-2.0 * m - 1.0) * (np.abs(dw - ratio_a * w) ** 2 + np.abs(wt) ** 2)
+                    + x ** (-1.0) * inv_a2 * state.sigma_sq * inv_a2 * np.abs(w) ** 2
+                    + x ** (-2.0 * m - 3.0) * np.abs(w) ** 2)
             rows.append(h * float(np.sum(dens)))
-        want = float(np.trapezoid(rows, times))
+        want = float(np.trapezoid(rows, 0.25 * np.arange(61)))
         res = mul.le_bound_audit(fld, 15.0, 0.25)
         assert res.lhs_lelocal == pytest.approx(want, rel=1e-12)

@@ -464,6 +464,20 @@ def _unreferenced_exports(pkg: Path) -> list[str]:
     return found
 
 
+def _callers(pkg: Path, name: str) -> set[str]:
+    """module.function of every function of the package whose body calls
+    ``name``, by name or as an attribute."""
+    found = set()
+    for path in sorted(pkg.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(node, ast.Call)
+                    and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                    for node in ast.walk(fn)):
+                found.add(f"{path.stem}.{fn.name}")
+    return found
+
+
 # exported names that may lack a caller in the package, each with its reason
 UNCALLED_EXPORTS = {
     "quasimode.bracket_check": "acceptance criterion 02 and the benchmark's tracer call it",
@@ -480,6 +494,14 @@ class TestModuleBoundaries:
         assert not uncalled, f"exported without a caller in src: {uncalled}"
         # an allowed name that gains a caller leaves the list
         assert found >= UNCALLED_EXPORTS.keys(), UNCALLED_EXPORTS.keys() - found
+
+    def test_one_evolution_sweep(self):
+        # every reduction over time samples goes through evolve._sweep; only
+        # the drift check builds its own phase block, and only the band
+        # reconstruction its own densities
+        pkg = Path(spectral.__file__).parent
+        assert _callers(pkg, "_phase_block") == {"evolve._sweep", "evolve._energy_drift"}
+        assert _callers(pkg, "_densities") == {"evolve._sweep", "evolve._band_energy"}
 
     def test_no_call_time_imports_between_spectral_and_evolve(self):
         pkg = Path(spectral.__file__).parent

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import WarpGeometry
-from .quasimode import Quasimode
+from .quasimode import Quasimode, mode_operator
 from .spectral import (
     EigensolverError,
     Grid,
@@ -105,9 +105,7 @@ class ModePropagator:
         self.l = l
         self.grid = grid
         self.op: TridiagonalOperator = (
-            build_operator(grid, lambda x: geom.potential(l, x),
-                           potential_id=f"V_l(m={geom.params.m}, x0={geom.params.x0}, l={l})")
-            if potential is None else
+            mode_operator(geom, l, grid) if potential is None else
             build_operator(grid, potential, potential_id=f"potential override, l={l}"))
         self.evals, self.evecs = eigen_full(self.op)
         if self.evals[0] <= 0.0:
@@ -212,10 +210,6 @@ class ModeState:
 
     def wt_grid(self) -> np.ndarray:
         return self.prop.from_spectral(self.b_coeff())
-
-    def advanced(self, dt: float) -> "ModeState":
-        ph = np.exp(-1j * self.prop.omega * dt)
-        return ModeState(self.prop, self.c_plus * ph, self.c_minus * ph.conj())
 
     def graph_sq(self, k: int) -> float:
         """|B^k data|_H^2 for the generator B(w, dt w) = (i dt w, -i P w):

@@ -28,12 +28,11 @@ import numpy as np
 
 from .geometry import WarpGeometry
 from .smoothstep import smooth_step
-from .spectral import Grid, fd_derivative
+from .spectral import Grid, ShellAccumulator, ShellWeights, fd_derivative
 
 __all__ = [
     "AuditResult",
     "CoefficientScan",
-    "HardyResult",
     "IdentityReport",
     "ManufacturedSolution",
     "MultiplierPair",
@@ -46,7 +45,6 @@ __all__ = [
     "ibp_richardson",
     "le_bound_audit",
     "make_corpus",
-    "manufactured_solution",
     "time_profile",
     "verify_ibp",
 ]
@@ -199,13 +197,9 @@ def _comparison_weights(m: int, x: np.ndarray) -> dict[str, np.ndarray]:
 
 @dataclass
 class CoefficientScan:
-    """Pointwise coefficient values and their positivity margins."""
+    """Least positivity margin of each identity coefficient over the scan,
+    and the agreement of the assembled coefficients with the closed forms."""
 
-    x: np.ndarray
-    delta: float
-    coeffs: dict[str, np.ndarray]
-    closed: dict[str, np.ndarray]
-    margins: dict[str, np.ndarray]
     min_margins: dict[str, float]
     route_agreement: float
 
@@ -248,11 +242,6 @@ def coefficient_scan(geom: WarpGeometry, pair: MultiplierPair) -> CoefficientSca
         for k in closed
     )
     return CoefficientScan(
-        x=x,
-        delta=pair.delta,
-        coeffs=coeffs,
-        closed=closed,
-        margins=margins,
         min_margins={k: float(np.min(v)) for k, v in margins.items()},
         route_agreement=agree,
     )
@@ -293,8 +282,7 @@ class ManufacturedSolution:
         Box u = -p'' phi + p radial(phi),
         radial(phi) = phi'' + 2 (a'/a) phi' - l(l+1) a^{-2} phi.
 
-    ``u``, ``ut``, ``ux`` and ``box`` evaluate these at (t, x) and broadcast
-    t against x; ``verify_ibp`` uses the profiles directly.
+    ``verify_ibp`` integrates the profiles and ``radial`` directly.
     """
 
     name: str
@@ -311,25 +299,6 @@ class ManufacturedSolution:
         geom, phi = self.geom, self.phi
         return (phi(x, 2) + 2.0 * geom.da(x) / geom.a(x) * phi(x, 1)
                 - self.sigma_sq * geom.inv_a_sq(x) * phi(x, 0))
-
-    def u(self, t, x):
-        return self.p(t, 0) * self.phi(x, 0)
-
-    def ut(self, t, x):
-        return self.p(t, 1) * self.phi(x, 0)
-
-    def ux(self, t, x):
-        return self.p(t, 0) * self.phi(x, 1)
-
-    def box(self, t, x):
-        return -self.p(t, 2) * self.phi(x, 0) + self.p(t, 0) * self.radial(x)
-
-
-def manufactured_solution(geom: WarpGeometry, l: int, p, phi,
-                          name: str = "") -> ManufacturedSolution:
-    """u = p(t) phi(x) on a degree-l harmonic, from a time and a space
-    profile (see ``ManufacturedSolution``)."""
-    return ManufacturedSolution(name or f"l={l}", geom, l, p, phi)
 
 
 def time_profile(terms, const: float = 0.0):
@@ -428,7 +397,7 @@ def make_corpus(geom: WarpGeometry, x_max: float = 12.0) -> list[ManufacturedSol
          bump_profile(mid, 0.25 * span)),
         ("wall-l1-sin", 1, sin_t, boundary_ramp_profile(x0, 0.12 * span)),
     ]
-    return [manufactured_solution(geom, l, p, phi, name) for name, l, p, phi in entries]
+    return [ManufacturedSolution(name, geom, l, p, phi) for name, l, p, phi in entries]
 
 
 @dataclass
@@ -439,10 +408,6 @@ class IdentityReport:
     rhs: float
     gap: float
     terms: dict[str, float]
-    boundary_term: float
-    trace_norm: float
-    nx: int
-    nt: int
 
 
 def verify_ibp(geom: WarpGeometry, pair: MultiplierPair, sol: ManufacturedSolution,
@@ -512,10 +477,6 @@ def verify_ibp(geom: WarpGeometry, pair: MultiplierPair, sol: ManufacturedSoluti
             "u_sq": term_uu,
             "wall_flux": term_wall,
         },
-        boundary_term=term_wall,
-        trace_norm=trace,
-        nx=nx,
-        nt=nt,
     )
 
 
@@ -525,23 +486,15 @@ def ibp_richardson(geom: WarpGeometry, pair: MultiplierPair, sol: ManufacturedSo
     r1 = verify_ibp(geom, pair, sol, T, x_max, nx, nt)
     r2 = verify_ibp(geom, pair, sol, T, x_max, 2 * nx, 2 * nt)
     order = math.log2(r1.gap / r2.gap) if r2.gap > 0 else math.inf
-    return {"gap_h": r1.gap, "gap_h2": r2.gap, "order": order,
-            "report_h": r1, "report_h2": r2}
+    return {"gap_h": r1.gap, "order": order, "report_h": r1, "report_h2": r2}
 
 
 # -- Hardy inequality ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HardyResult:
-    lhs: float
-    rhs: float
-    ratio: float
-    degenerate: bool
-
-
-def hardy_check(geom: WarpGeometry, grid: Grid, u: np.ndarray) -> HardyResult:
-    """Weighted-mass to derivative-energy ratio for a wall-anchored function.
+def hardy_check(geom: WarpGeometry, grid: Grid, u: np.ndarray) -> float:
+    """Weighted-mass to derivative-energy ratio lhs / rhs for a
+    wall-anchored function, 0.0 when rhs vanishes (u constant zero).
 
     lhs integrates a^{-2} u^2 over the volume (the a^2 factors cancel on
     the line); rhs integrates (d_x u)^2 dV.  The wall must lie on the
@@ -554,9 +507,7 @@ def hardy_check(geom: WarpGeometry, grid: Grid, u: np.ndarray) -> HardyResult:
     lhs = h * float(np.sum(u**2))
     du = fd_derivative(grid, u, 1)
     rhs = h * float(np.sum(du**2 * geom.a_sq(x)))
-    if rhs <= 1e-300:
-        return HardyResult(lhs, rhs, 0.0, True)
-    return HardyResult(lhs, rhs, lhs / rhs, False)
+    return 0.0 if rhs <= 1e-300 else lhs / rhs
 
 
 # the Hardy corpus: this many draws, each a sine series of this many terms
@@ -565,9 +516,10 @@ _HARDY_TERMS = 12
 
 
 def hardy_random_corpus(geom: WarpGeometry, grid: Grid,
-                        seed: int = 20260809) -> list[HardyResult]:
-    """Seeded family of admissible functions: random sine series on random
-    wall-anchored subintervals, vanishing at both subinterval ends."""
+                        seed: int = 20260809) -> list[float]:
+    """Hardy ratios of a seeded family of admissible functions: random sine
+    series on random wall-anchored subintervals, vanishing at both
+    subinterval ends."""
     rng = np.random.default_rng(seed)
     x = grid.nodes()
     span = grid.x_right - grid.x_left
@@ -607,12 +559,13 @@ def le_bound_audit(state, T: float, dt: float) -> AuditResult:
 
     lhs_lelocal carries the interior weights x^{-2m-1} (gradient and time
     derivative), x^{-1} a^{-2} (angular term) and x^{-2m-3} (|u|^2);
-    lhs_lepositive is LE1^2 + E0.  Both are reduced from the evolution's one
-    sweep, ``evolve._sweep``, whose energy density carries the angular term
-    sigma^2 a^{-2} |w|^2; the local side moves the difference of the two
-    angular weights onto |w|^2.
+    lhs_lepositive is LE1^2 + E0.  Both are reduced from one pass of the
+    evolution's sweep, ``evolve._sweep``, whose energy density carries the
+    angular term sigma^2 a^{-2} |w|^2; the local side moves the difference
+    of the two angular weights onto |w|^2, and each block's densities then
+    feed LE1 as in ``evolve.space_time_norms``.
     """
-    from .evolve import _sample_times, _sweep, space_time_norms
+    from .evolve import _feed_le1, _sample_times, _sweep
 
     geom = state.geom
     if geom.params.x0 <= 0:
@@ -627,12 +580,14 @@ def le_bound_audit(state, T: float, dt: float) -> AuditResult:
     ang = x ** (2.0 * m) * inv_a2 ** 2
     w_u = x ** (-2.0 * m - 3.0) + state.sigma_sq * (ang - inv_a2) * w_grad
     times = _sample_times(T, dt)
+    acc = ShellAccumulator(ShellWeights(state.grid))
     rows = []
-    for _, _, u, e, _ in _sweep(state, times, dt, whole=True):
+    for idx, _, u, e, _ in _sweep(state, times, dt, whole=True):
         rows.extend(state.grid.h * (e @ w_grad + u @ w_u))
+        _feed_le1(acc, times[idx], u, e)  # overwrites e, so after the local rows
         del u, e  # free this block's densities before the next is built
     lhs_local = float(np.trapezoid(rows, times))
-    le1 = space_time_norms(state, T, dt)[0].le1
+    le1 = acc.finish()[0].le1
     E0 = state.energy_spectral()
     lhs_pos = le1**2 + E0
 

@@ -26,7 +26,6 @@ import numpy as np
 from .geometry import WarpGeometry, potential_is_monotone
 from .smoothstep import smooth_step
 from .spectral import (
-    EigenPair,
     Grid,
     build_operator,
     eigen_lowest,
@@ -78,9 +77,6 @@ class CutoffProfile:
         val = smooth_step(s, order)
         return val * (-1.0 / self.width) ** order if order else val
 
-    def __call__(self, x):
-        return self.chi(x)
-
 
 def default_cutoff(x0: float) -> CutoffProfile:
     """Plateau through 0.4*x0 and support ending at 0.1*x0.
@@ -124,8 +120,6 @@ class BracketResult:
     V_at_threequarters_bound: float
     tau_sq: float
     in_bracket: bool
-    monotone: bool
-    chain_ok: bool
     below_threshold: bool
 
 
@@ -149,8 +143,6 @@ def _bracket(geom: WarpGeometry, l: int, tau_sq: float) -> BracketResult:
     v_lo = float(geom.potential(l, x0))
     v_hi = float(geom.potential(l, x0 / 2))
     swb = float(geom.potential(l, 3 * x0 / 4)) + 16.0 * math.pi**2 / x0**2
-    monotone = potential_is_monotone(geom, l)
-    chain_ok = swb <= v_hi
     return BracketResult(
         l=l,
         V_at_x0=v_lo,
@@ -158,27 +150,23 @@ def _bracket(geom: WarpGeometry, l: int, tau_sq: float) -> BracketResult:
         V_at_threequarters_bound=swb,
         tau_sq=float(tau_sq),
         in_bracket=bool(v_lo <= tau_sq <= v_hi),
-        monotone=monotone,
-        chain_ok=chain_ok,
-        below_threshold=not (monotone and chain_ok),
+        below_threshold=not (potential_is_monotone(geom, l) and swb <= v_hi),
     )
 
 
 @dataclass(frozen=True)
 class Quasimode:
-    """Cutoff-normalized near-eigenfunction and its certificates; its
-    arrays are read-only and ``residual_hk`` is a read-only mapping."""
+    """Cutoff-normalized near-eigenfunction and its certificates; ``u`` is
+    read-only and ``residual_hk`` is a read-only mapping."""
 
     l: int
     sigma: float
     tau_sq: float
-    psi: EigenPair
     u: np.ndarray
     grid: Grid
     cutoff: CutoffProfile
     residual_hk: MappingProxyType[int, float]
     agmon_ratio: float
-    chi_psi_norm: float
     bracket: BracketResult
 
     @property
@@ -222,27 +210,22 @@ def build_quasimode(
         )
     psi = pair.vector
     x = grid.nodes()
-    chi = cutoff.chi(x)
-    u_raw = chi * psi
-    nrm = quadrature_l2(grid, u_raw)
-    u = u_raw / nrm
+    u_raw = cutoff.chi(x) * psi
+    u = u_raw / quadrature_l2(grid, u_raw)
     resid_vec = op.apply(u) - pair.value * u
     residual_hk = MappingProxyType({k: quadrature_hk(grid, resid_vec, k) for k in range(3)})
     u.flags.writeable = False
-    psi.flags.writeable = False
     tail_mask = x > cutoff.plateau_end
     agmon_ratio = quadrature_l2(grid, psi * tail_mask) / quadrature_l2(grid, psi)
     return Quasimode(
         l=l,
         sigma=math.sqrt(l * (l + 1)),
         tau_sq=float(pair.value),
-        psi=pair,
         u=u,
         grid=grid,
         cutoff=cutoff,
         residual_hk=residual_hk,
         agmon_ratio=float(agmon_ratio),
-        chi_psi_norm=float(nrm),
         bracket=bracket,
     )
 
@@ -255,9 +238,6 @@ class FitError(ValueError):
 class DecayFit:
     """Least-squares fit of log(quantity) against sigma (or tau)."""
 
-    quantity: str
-    abscissa: str
-    samples: list[tuple[float, float]]
     slope: float
     intercept: float
     r_squared: float
@@ -311,7 +291,7 @@ def fit_exponential_rate(
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
     if require_negative and slope >= 0:
         raise FitError(f"{quantity} fit slope {slope:.3e} is not negative")
-    return DecayFit(quantity, abscissa, pts, float(slope), float(intercept), r2, n_excluded)
+    return DecayFit(float(slope), float(intercept), r2, n_excluded)
 
 
 QUASIMODE_CSV_COLUMNS = [

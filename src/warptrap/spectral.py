@@ -148,11 +148,10 @@ def build_operator(grid: Grid, V, potential_id: str = "") -> TridiagonalOperator
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Eigenvalue, quadrature-normalized eigenvector, and 2-norm residual."""
+    """Eigenvalue and quadrature-normalized eigenvector."""
 
     value: float
     vector: np.ndarray
-    residual: float
 
 
 # Columns handled at a time, here by the eigenpair post-processing and in
@@ -171,8 +170,7 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _solve_pairs(op: TridiagonalOperator,
-                 k: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve_pairs(op: TridiagonalOperator, k: int | None) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest eigenpairs (all of them for k=None), residual-gated.
 
     LAPACK's eigenvector matrix is normalized, sign-fixed and gated in place,
@@ -238,21 +236,20 @@ def _solve_pairs(op: TridiagonalOperator,
             f"eigenpair residuals {resid[bad].tolist()} exceed {limit:.3e} "
             f"for indices {bad.tolist()} of {op.potential_id!r}"
         )
-    return vals, vecs, resid
+    return vals, vecs
 
 
 def eigen_lowest(op: TridiagonalOperator, k: int) -> list[EigenPair]:
     """The k smallest eigenpairs, ascending."""
     if not 1 <= k <= op.n:
         raise ValueError(f"k must lie in [1, {op.n}]")
-    vals, vecs, resid = _solve_pairs(op, k)
-    return [EigenPair(float(vals[i]), vecs[:, i].copy(), float(resid[i])) for i in range(k)]
+    vals, vecs = _solve_pairs(op, k)
+    return [EigenPair(float(vals[i]), vecs[:, i].copy()) for i in range(k)]
 
 
 def eigen_full(op: TridiagonalOperator) -> tuple[np.ndarray, np.ndarray]:
     """Complete spectrum and h-orthonormal eigenvector matrix (columns)."""
-    vals, vecs, _ = _solve_pairs(op, None)
-    return vals, vecs
+    return _solve_pairs(op, None)
 
 
 # -- quadrature ---------------------------------------------------------------
@@ -368,8 +365,6 @@ class LeNorms:
     le: float
     le1: float
     le_star: float
-    shell_u: np.ndarray
-    shell_le1: np.ndarray
     times: np.ndarray
 
 
@@ -413,5 +408,5 @@ class ShellAccumulator:
         le1 = float(np.max(wdown * np.sqrt(E1[-1])))
         le_star = float(np.sum(wup * np.sqrt(U[-1])))
         le1_running = np.max(wdown[None, :] * np.sqrt(E1), axis=1)
-        return LeNorms(le, le1, le_star, U[-1], E1[-1], t), le1_running
+        return LeNorms(le, le1, le_star, t), le1_running
 

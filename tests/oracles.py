@@ -2,9 +2,10 @@
 
 Each works one state or one sample at a time, in the plainest form of its
 definition, where the package computes the same quantity in tiled passes
-or closed forms: forced propagation by variation of constants, per-state
-energies and space-time norms, per-shell sums, and the flux densities of
-the multiplier identity.  No command runs any of them.
+or closed forms: the phase rotation of one state and forced propagation by
+variation of constants, per-state energies and space-time norms, per-shell
+sums, the fields of a manufactured solution, and the flux densities of the
+multiplier identity.  No command runs any of them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ import numpy as np
 from warptrap.evolve import ModeState
 from warptrap.spectral import ShellAccumulator, ShellWeights, _densities, _warp_factors
 
-# -- forced propagation ----------------------------------------------------------
+# -- propagation -----------------------------------------------------------------
+
+
+def advanced(state: ModeState, dt: float) -> ModeState:
+    """The state after time dt: each half wave rotated by exp(-/+ i omega dt)."""
+    ph = np.exp(-1j * state.prop.omega * dt)
+    return ModeState(state.prop, state.c_plus * ph, state.c_minus * ph.conj())
 
 
 @dataclass
@@ -45,7 +52,7 @@ def propagate(state: ModeState, dt: float, steps: int,
         raise ValueError("dt must be nonzero")
     out = [ModeState(state.prop, state.c_plus.copy(), state.c_minus.copy())]
     for i in range(1, steps + 1):
-        out.append(state.advanced(i * dt))
+        out.append(advanced(state, i * dt))
     if forcing is None:
         return out
     nsub = max(1, int(forcing.substeps))
@@ -137,6 +144,26 @@ def shell_sums(shells: ShellWeights, density: np.ndarray) -> np.ndarray:
 
 
 # -- multiplier identity ---------------------------------------------------------
+#
+# The fields of a manufactured solution u = p(t) phi(x) at (t, x), t
+# broadcast against x; ``verify_ibp`` integrates the profiles instead.
+
+
+def u(sol, t, x):
+    return sol.p(t, 0) * sol.phi(x, 0)
+
+
+def ut(sol, t, x):
+    return sol.p(t, 1) * sol.phi(x, 0)
+
+
+def ux(sol, t, x):
+    return sol.p(t, 0) * sol.phi(x, 1)
+
+
+def box(sol, t, x):
+    """Box u = -p'' phi + p radial(phi)."""
+    return -sol.p(t, 2) * sol.phi(x, 0) + sol.p(t, 0) * sol.radial(x)
 
 
 def flux_integrands(geom, pair, sol):
@@ -147,17 +174,15 @@ def flux_integrands(geom, pair, sol):
     def I1(tv, xv):
         a2 = geom.a_sq(xv)
         d = pair.derivatives(xv)
-        return -sol.ut(tv, xv) * (d["f"] * sol.ux(tv, xv) + d["g"] * sol.u(tv, xv)) * a2
+        return -ut(sol, tv, xv) * (d["f"] * ux(sol, tv, xv) + d["g"] * u(sol, tv, xv)) * a2
 
     def I2(tv, xv):
         a2 = geom.a_sq(xv)
         d = pair.derivatives(xv)
-        u = sol.u(tv, xv)
-        ut = sol.ut(tv, xv)
-        ux = sol.ux(tv, xv)
-        ang = sig2 * u**2 / a2
-        return (0.5 * (ut**2 + ux**2 - ang) * d["f"] * a2
-                + u * ux * d["g"] * a2
-                - 0.5 * d["dg"] * u**2 * a2)
+        u0, u_t, u_x = u(sol, tv, xv), ut(sol, tv, xv), ux(sol, tv, xv)
+        ang = sig2 * u0**2 / a2
+        return (0.5 * (u_t**2 + u_x**2 - ang) * d["f"] * a2
+                + u0 * u_x * d["g"] * a2
+                - 0.5 * d["dg"] * u0**2 * a2)
 
     return I1, I2

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -251,6 +252,15 @@ class TestExitCodes:
         assert err.startswith("error: Unable to allocate 7.28 TiB")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_uncreatable_output_dir_is_validation_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = run_cli(["multiplier-audit", "--x0", "1.0", "--out", str(blocker / "sub")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Not a directory" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_failed_check_is_exit_two(self, tmp_path, capsys):
         # horizon too short for the open side to empty the near region
         code = run_cli([
@@ -338,6 +348,29 @@ class TestConfinementCommand:
         assert per_l["min_ratio_E_R"] > 0.9
         assert per_l["half_bound_ok"]
         assert per_l["t_confinement"] == "inf"
+
+    @pytest.mark.parametrize("t_conf,ok", [((math.inf, 5.0), False), ((5.0, math.inf), True)],
+                             ids=["drop-at-higher-degree", "drop-at-lower-degree"])
+    def test_confinement_times_must_not_decrease(self, tmp_path, monkeypatch, t_conf, ok):
+        # stand-in runs that differ only in their confinement times, one per
+        # degree in increasing order; a degree that never drops (inf) before
+        # one that does is a decrease
+        import numpy as np
+
+        from warptrap import evolve
+
+        reports = iter(SimpleNamespace(
+            tau=1.0, t_confinement=t, times=np.zeros(2), ratio_E_R=np.ones(2),
+            duhamel_gap=np.zeros(2), f_norm=0.0, data_h_norm=1.0, half_bound_ok=True,
+            wall_ok=True, wall_buffer_max=0.0, energy_drift=0.0, csv_rows=lambda: [])
+            for t in t_conf)
+        monkeypatch.setattr(evolve, "run_confinement", lambda *args, **kwargs: next(reports))
+        out = tmp_path / "c"
+        code = run_cli(["confinement", "--x0", "-1.0", "--l", "20", "40", "--out", str(out)])
+        passes = json.loads((out / "manifest.json").read_text())["passes"]
+        assert passes.pop("t_confinement_nondecreasing") is ok
+        assert all(passes.values())
+        assert code == (0 if ok else 2)
 
 
 class TestGrowthCommand:

@@ -109,6 +109,14 @@ class ExperimentConfig:
             raise ConfigError("causal", "must be 'strict' or 'audited'")
         if len(self.l_list) != len(set(self.l_list)):
             raise ConfigError("l_list", "duplicate angular degrees")
+        if any(l < 0 for l in self.l_list):
+            raise ConfigError("l_list", "angular degrees must be nonnegative")
+        if self.n_interval is not None and self.n_interval < 3:
+            raise ConfigError("n_interval", "grid requires at least 3 interior nodes")
+        if self.delta is not None and self.delta <= 0:
+            raise ConfigError("delta", "multiplier parameter must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed", "seed must be nonnegative")
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -228,17 +236,25 @@ def _jsonable(o):
 # -- subcommands -----------------------------------------------------------------
 
 
-def cmd_quasimode(cfg: ExperimentConfig) -> OutputCollector:
+def _trapped_quasimodes(cfg: ExperimentConfig, command: str, h_per_sigma: float,
+                        ) -> tuple[OutputCollector, WarpGeometry, list[qmod.Quasimode]]:
+    """The output collector of a trapped-side command, its geometry and the
+    quasimodes of the configured degrees, ascending, on interval grids of
+    spacing rule ``h_per_sigma`` (``n_interval`` nodes when set).  The
+    side and degree guards run before the output directory is made."""
     if cfg.x0 >= 0:
-        raise ConfigError("x0", "quasimode construction requires the trapped side (x0 < 0)")
+        raise ConfigError("x0", f"{command} requires the trapped side (x0 < 0)")
     if not cfg.l_list:
-        raise ConfigError("l_list", "need at least one angular degree")
-    out = OutputCollector(cfg.out_dir, cfg, "quasimode")
+        raise ConfigError("l_list", f"{command} needs at least one angular degree")
+    out = OutputCollector(cfg.out_dir, cfg, command)
     geom = WarpGeometry.of(cfg.m, cfg.x0)
-    qms = []
-    for l in sorted(cfg.l_list):
-        grid = qmod.interval_grid(geom, l, cfg.n_interval, cfg.h_per_sigma)
-        qms.append(qmod.build_quasimode(geom, l, grid_interval=grid))
+    qms = [qmod.build_quasimode(geom, l, grid_interval=qmod.interval_grid(
+        geom, l, cfg.n_interval, h_per_sigma)) for l in sorted(cfg.l_list)]
+    return out, geom, qms
+
+
+def cmd_quasimode(cfg: ExperimentConfig) -> OutputCollector:
+    out, _, qms = _trapped_quasimodes(cfg, "quasimode", cfg.h_per_sigma)
     out.write_csv("quasimodes.csv", qmod.QUASIMODE_CSV_COLUMNS,
                   qmod.quasimode_csv_rows(qms))
     fits = {}
@@ -281,17 +297,11 @@ plot 'decay_curves.dat' using 2:5 with linespoints title 'residual H0', \\
 
 
 def cmd_confinement(cfg: ExperimentConfig) -> OutputCollector:
-    if cfg.x0 >= 0:
-        raise ConfigError("x0", "confinement runs require the trapped side (x0 < 0)")
-    if not cfg.l_list:
-        raise ConfigError("l_list", "need at least one angular degree")
-    out = OutputCollector(cfg.out_dir, cfg, "confinement")
-    geom = WarpGeometry.of(cfg.m, cfg.x0)
+    out, geom, qms = _trapped_quasimodes(cfg, "confinement", cfg.h_per_sigma_evolve)
     summary = {}
     reports = []
-    for l in sorted(cfg.l_list):
-        grid = qmod.interval_grid(geom, l, cfg.n_interval, cfg.h_per_sigma_evolve)
-        qm = qmod.build_quasimode(geom, l, grid_interval=grid)
+    for qm in qms:
+        l = qm.l
         rep = evolve.run_confinement(geom, qm, cfg.T_max, cfg.R, x_max=cfg.x_max,
                                      dt=cfg.dt, causal=cfg.causal, le1=True)
         reports.append(rep)
@@ -331,16 +341,7 @@ def cmd_confinement(cfg: ExperimentConfig) -> OutputCollector:
 
 
 def cmd_le1_growth(cfg: ExperimentConfig) -> OutputCollector:
-    if cfg.x0 >= 0:
-        raise ConfigError("x0", "growth runs require the trapped side (x0 < 0)")
-    if not cfg.l_list:
-        raise ConfigError("l_list", "need at least one angular degree")
-    out = OutputCollector(cfg.out_dir, cfg, "le1-growth")
-    geom = WarpGeometry.of(cfg.m, cfg.x0)
-    qms = []
-    for l in sorted(cfg.l_list):
-        grid = qmod.interval_grid(geom, l, cfg.n_interval, cfg.h_per_sigma_evolve)
-        qms.append(qmod.build_quasimode(geom, l, grid_interval=grid))
+    out, geom, qms = _trapped_quasimodes(cfg, "le1-growth", cfg.h_per_sigma_evolve)
     res = evolve.le1_growth(geom, qms, cfg.k, cfg.A, budget=cfg.T_max, R=cfg.R,
                             x_max=cfg.x_max, causal=cfg.causal, dt=cfg.dt)
     rows = [[qms[j].l, res.taus[j], res.T_list[j], res.dbk_norms[j], res.ratios[j]]
@@ -465,7 +466,7 @@ def cmd_multiplier_audit(cfg: ExperimentConfig) -> OutputCollector:
     for R in (4.0, 8.0, 16.0):
         ext = multiplier.MultiplierPair.exterior_family(geom, R, rho=R)
         xs = np.geomspace(max(cfg.x0, 1e-2), 1e3, 301)
-        cext = ext.coefficients(xs)
+        cext = ext.coefficients(xs, ext.derivatives(xs))
         rows.append([f"exterior_R{int(R)}", f"rho={R!r}",
                      float(np.min(cext["xx"])), float(np.min(cext["tt"])),
                      0.0, "", True])

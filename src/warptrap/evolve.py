@@ -131,9 +131,8 @@ class ModePropagator:
         rows = slice(nz[0], nz[-1] + 1)
         return self.h * _real_matmul(self.evecs[rows].T, v[rows])
 
-    def from_spectral(self, c: np.ndarray, rows: slice | None = None) -> np.ndarray:
-        M = self.evecs if rows is None else self.evecs[rows]
-        return _real_matmul(M, c)
+    def from_spectral(self, c: np.ndarray) -> np.ndarray:
+        return _real_matmul(self.evecs, c)
 
 
 _PROP_CACHE: OrderedDict[tuple, ModePropagator] = OrderedDict()

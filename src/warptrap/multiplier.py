@@ -143,9 +143,10 @@ class MultiplierPair:
 
     # -- identity coefficients (any family) -----------------------------------
 
-    def coefficients(self, x) -> dict[str, np.ndarray]:
-        """The four square-term weights of the integrated identity, computed
-        from (f, g) and the warp:
+    def coefficients(self, x, d: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """The four square-term weights of the integrated identity at x,
+        computed from the warp and d = ``self.derivatives(x)``, which the
+        callers hold already:
 
             K     = (1/2) a^{-2} (a^2 f)' = f'/2 + (a'/a) f
             c_xx  = f' + g - K          (multiplies (d_x u)^2)
@@ -156,7 +157,6 @@ class MultiplierPair:
         """
         x = np.asarray(x, dtype=float)
         ra = self.geom.da(x) / self.geom.a(x)
-        d = self.derivatives(x)
         f, df, g, dg, d2g = d["f"], d["df"], d["g"], d["dg"], d["d2g"]
         K = 0.5 * df + ra * f
         return {
@@ -221,7 +221,8 @@ def coefficient_scan(geom: WarpGeometry, pair: MultiplierPair) -> CoefficientSca
     if pair.family != "delta":
         raise ValueError("the coefficient scan applies to the delta family only")
     x = np.geomspace(*_SCAN_POINTS)
-    coeffs = pair.coefficients(x)
+    d = pair.derivatives(x)
+    coeffs = pair.coefficients(x, d)
     closed = _closed_forms(geom.params.m, x, pair.delta)
     weights = _comparison_weights(geom.params.m, x)
     margins = {k: closed[k] / weights[k] for k in closed}
@@ -229,7 +230,6 @@ def coefficient_scan(geom: WarpGeometry, pair: MultiplierPair) -> CoefficientSca
     # against the assembly scale (the assembly cancels many digits at large x,
     # so a plain relative comparison would be meaningless there)
     ra = geom.da(x) / geom.a(x)
-    d = pair.derivatives(x)
     K = 0.5 * d["df"] + ra * d["f"]
     scales = {
         "xx": np.abs(d["df"]) + np.abs(d["g"]) + np.abs(K),
@@ -442,7 +442,7 @@ def verify_ibp(geom: WarpGeometry, pair: MultiplierPair, sol: ManufacturedSoluti
         )
     a2 = geom.a_sq(xs)
     d = pair.derivatives(xs)
-    c = pair.coefficients(xs)
+    c = pair.coefficients(xs, d)
 
     def time_int(v):
         return float(np.trapezoid(v, dx=dt))

@@ -5,8 +5,9 @@ The second derivative is the standard 3-point stencil, so every radial
 operator -d^2/dx^2 + V is a symmetric tridiagonal matrix, solved with
 LAPACK through ``scipy.linalg.eigh_tridiagonal``: bisection plus inverse
 iteration (stebz+stein) for the few lowest pairs, MRRR (stemr) for the
-full spectrum.  Every pair is then quadrature-normalized, sign-fixed and
-held to the residual gate 1e-10 * max|diag|.  Quadrature is the
+full spectrum.  Every pair is then quadrature-normalized and held to the
+residual gate 1e-10 * max|diag|; an eigenvector keeps the sign LAPACK
+gives it, which no output reads.  Quadrature is the
 midpoint-weight sum h * sum(v_i), exact enough at second order for
 everything done here.
 
@@ -160,33 +161,19 @@ class EigenPair:
 _TILE = 64
 
 
-def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    """Per-column signs making the first entry above 1e-12 of the column's
-    largest magnitude positive."""
-    mag = np.abs(vecs)
-    first = (mag > 1e-12 * mag.max(axis=0)).argmax(axis=0)
-    signs = np.sign(vecs[first, np.arange(vecs.shape[1])])
-    signs[signs == 0] = 1.0
-    return signs
-
-
 def _solve_pairs(op: TridiagonalOperator, k: int | None) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest eigenpairs (all of them for k=None), residual-gated.
 
-    LAPACK's eigenvector matrix is normalized, sign-fixed and gated in place,
-    one column block at a time, so the solve holds one n-row matrix plus two
-    reused (n, _TILE) buffers.  Each block is read a few times only: the sign
-    comes from the normalized first entry, which fixes it whenever it
-    exceeds 1e-12 * h^(-1/2), since no entry of a normalized column is
-    larger than h^(-1/2); only the columns below that bound are searched for
-    their largest magnitude, and ``_fix_signs`` runs on those whose first
-    entry is at most 1e-12 of it.  The normalization and the sign are one
-    division, and the residual norm divides by |v| = h^(-1/2), which the
-    normalization fixes.  The vectors are bit-identical to normalizing and
-    sign-fixing the whole matrix at once.  A residual above the gate, or one
-    that is not a number, raises ``EigensolverError``.  scipy is imported
-    here rather than with the module: commands that never solve an
-    eigenproblem do not pay for loading LAPACK.
+    LAPACK's eigenvector matrix is normalized and gated in place, one
+    column block at a time, so the solve holds one n-row matrix plus two
+    reused (n, _TILE) buffers; the residual norm divides by |v| = h^(-1/2),
+    which the normalization fixes.  An eigenvector's sign is LAPACK's: no
+    output reads it, as flipping column j negates the spectral coefficient
+    c_j and every phase-block entry exactly, leaving each reconstructed
+    product bit-identical.  A residual above the gate, or one that is not a
+    number, raises ``EigensolverError``.  scipy is imported here rather
+    than with the module: commands that never solve an eigenproblem do not
+    pay for loading LAPACK.
     """
     from scipy.linalg import LinAlgError, eigh_tridiagonal
 
@@ -206,24 +193,11 @@ def _solve_pairs(op: TridiagonalOperator, k: int | None) -> tuple[np.ndarray, np
     # ``op.apply``; F-ordered like LAPACK's matrix
     r_buf = np.empty((op.n, min(_TILE, vals.size)), order="F")
     t_buf = np.empty_like(r_buf)
-    first_bound = 1e-12 * (1.0 + 1e-6) / math.sqrt(h)
     for j0 in range(0, vals.size, _TILE):
         cols = slice(j0, j0 + _TILE)
         blk = vecs[:, cols]
         r, t = r_buf[:, :blk.shape[1]], t_buf[:, :blk.shape[1]]
-        norm = np.sqrt(h * np.sum(np.multiply(blk, blk, out=t), axis=0))
-        first = blk[0] / norm
-        signs = np.sign(first)
-        near = np.flatnonzero(np.abs(first) <= first_bound)
-        if near.size:
-            # division rounds monotonically, so these are exactly the
-            # normalized columns' largest magnitudes
-            sub = blk[:, near]
-            big = np.maximum(sub.max(axis=0), -sub.min(axis=0)) / norm[near]
-            low = near[np.abs(first[near]) <= 1e-12 * big]
-            if low.size:
-                signs[low] = _fix_signs(blk[:, low] / norm[low])
-        blk /= norm * signs  # x / (-d) is exactly -(x / d)
+        blk /= np.sqrt(h * np.sum(np.multiply(blk, blk, out=t), axis=0))
         np.multiply(d[:, None], blk, out=r)
         r[:-1] += np.multiply(op.offdiag, blk[1:], out=t[:-1])
         r[1:] += np.multiply(op.offdiag, blk[:-1], out=t[1:])

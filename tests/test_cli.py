@@ -3,6 +3,8 @@ import dataclasses
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -45,9 +47,13 @@ CONFIG_FIELDS = {
     "x0": (_FLOAT, None),
     "x0_plus": (_FLOAT | {"null"}, None),
     "x0_minus": (_FLOAT | {"null"}, None),
-    "l_list": (set(), st.lists(st.integers(0, 100), min_size=1, max_size=4)
-               .map(lambda ls: ls + ls[:1])),
-    "n_interval": ({"int", "null"}, None),
+    # a repeated degree, or a negative one no lower than -100: grids grow
+    # with |l|, so a run that misses the check stays small
+    "l_list": (set(), st.one_of(
+        st.lists(st.integers(0, 100), min_size=1, max_size=4).map(lambda ls: ls + ls[:1]),
+        st.tuples(st.lists(st.integers(0, 100), max_size=3), st.integers(-100, -1))
+        .map(lambda p: p[0] + [p[1]]))),
+    "n_interval": ({"int", "null"}, _at_or_below(2, st.integers)),
     "h_per_sigma": (_FLOAT, _NONPOSITIVE),
     "h_per_sigma_evolve": (_FLOAT, _NONPOSITIVE),
     "x_max": (_FLOAT, None),
@@ -55,10 +61,10 @@ CONFIG_FIELDS = {
     "T_max": (_FLOAT, _NONPOSITIVE),
     "k": ({"int"}, _at_or_below(-1, st.integers)),
     "A": (_FLOAT, None),
-    "delta": (_FLOAT | {"null"}, None),
+    "delta": (_FLOAT | {"null"}, _NONPOSITIVE),
     "dt": (_FLOAT | {"null"}, _NONPOSITIVE),
     "causal": ({"str"}, st.text(max_size=8).filter(lambda s: s not in ("strict", "audited"))),
-    "seed": ({"int"}, None),
+    "seed": ({"int"}, _at_or_below(-1, st.integers)),
     "out_dir": ({"str"}, None),
 }
 
@@ -556,3 +562,33 @@ class TestMultiplierAuditCommand:
                         "--out", str(tmp_path / "m")])
         assert code == 1
         assert "x0" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_command_lines():
+    """The argument lists of the ``warptrap`` lines in README's command
+    block, with backslash continuations joined."""
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("warptrap ")]
+
+
+class TestReadmeCommands:
+    def test_block_holds_every_command(self):
+        from warptrap import cli as cli_mod
+
+        assert sorted(argv[0] for argv in readme_command_lines()) == sorted(cli_mod._COMMANDS)
+
+    @pytest.mark.parametrize("argv", readme_command_lines(), ids=lambda argv: argv[0])
+    def test_command_line_is_accepted(self, argv, tmp_path, monkeypatch):
+        # flags and config values only: each command is stubbed to write nothing
+        from warptrap import cli as cli_mod
+
+        monkeypatch.chdir(tmp_path)
+        for name in cli_mod._COMMANDS:
+            monkeypatch.setitem(cli_mod._COMMANDS, name,
+                                lambda cfg, name=name: OutputCollector(cfg.out_dir, cfg, name))
+        assert run_cli(argv) == 0

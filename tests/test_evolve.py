@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warptrap import evolve
+from warptrap import evolve, quasimode
 from warptrap.evolve import dbk_norm
 from warptrap.geometry import WarpGeometry
 from warptrap.quasimode import build_quasimode, interval_grid
 from warptrap.spectral import (
     _TILE,
+    EigenPair,
     EigensolverError,
     Grid,
     fd_derivative,
@@ -84,11 +85,9 @@ class TestPackedProduct:
     def test_from_spectral_matches_split_product(self, geom_m1_trapped):
         prop = evolve.get_propagator(geom_m1_trapped, 2, Grid(-1.0, 5.0, self.n))
         for name, c in self.blocks().items():
-            for rows in (None, slice(10, 60)):
-                M = prop.evecs if rows is None else prop.evecs[rows]
-                ref = split_product(M, c)
-                got = prop.from_spectral(c, rows)
-                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+            ref = split_product(prop.evecs, c)
+            got = prop.from_spectral(c)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
 
 
 class TestProjection:
@@ -685,6 +684,61 @@ class TestGrowthExperiment:
         with pytest.raises(ValueError, match="ordered"):
             evolve.le1_growth(geom_m1_trapped, qms, k=0, A=1.0, budget=5.0,
                               x_max=12.0, causal="audited")
+
+
+def flip_half(n, seed):
+    """A seeded random half of n column indices, rounded up so that a lone
+    column is flipped too."""
+    return np.random.default_rng(seed).permutation(n)[:(n + 1) // 2]
+
+
+class TestEigenvectorSigns:
+    """No output reads an eigenvector's sign: negating column j negates the
+    spectral coefficient c_j and every phase-block entry exactly, so each
+    reconstructed product, and every energy and norm, is bit-identical."""
+
+    def outputs(self, geom):
+        qm = build_quasimode(geom, 12, grid_interval=Grid.interval(-1.0, 120),
+                             require_bracket=False)
+        rep = evolve.run_confinement(geom, qm, 30.0, R=1.0, x_max=12.0, causal="audited",
+                                     le1=True)
+        grid = Grid(-1.0, 9.0, 500)
+        v0 = (bump(grid.nodes(), 1.5, 0.9) * np.exp(2.0j * grid.nodes())).astype(complex)
+        fld = evolve.wave_field(geom, grid, [(4, 1, v0, 0.5 * v0)])
+        norms, running = evolve.space_time_norms(fld, 20.0, 0.25)
+        return qm, {
+            "E_R": rep.E_R, "duhamel_gap": rep.duhamel_gap, "le1_running": rep.le1_running,
+            "wall_buffer_max": rep.wall_buffer_max, "energy_drift": rep.energy_drift,
+            "le": norms.le, "le1": norms.le1, "le_star": norms.le_star,
+            "running_le1": running,
+            "er_history": evolve.er_history(fld, 20.0, 1.0, dt=0.25)[1],
+            "dbk_norm": [dbk_norm(fld, k) for k in range(3)],
+            "residual_hk": list(qm.residual_hk.values()), "agmon_ratio": qm.agmon_ratio,
+        }
+
+    def test_outputs_do_not_read_eigenvector_signs(self, geom_m1_trapped, monkeypatch):
+        full, lowest = evolve.eigen_full, quasimode.eigen_lowest
+
+        def flipped_full(op):
+            vals, vecs = full(op)
+            vecs[:, flip_half(vecs.shape[1], 5)] *= -1.0
+            return vals, vecs
+
+        def flipped_lowest(op, k):
+            pairs = lowest(op, k)
+            for j in flip_half(k, 6):
+                pairs[j] = EigenPair(pairs[j].value, -pairs[j].vector)
+            return pairs
+
+        monkeypatch.setattr(evolve, "_PROP_CACHE", OrderedDict())
+        qm_ref, ref = self.outputs(geom_m1_trapped)
+        monkeypatch.setattr(evolve, "_PROP_CACHE", OrderedDict())
+        monkeypatch.setattr(evolve, "eigen_full", flipped_full)
+        monkeypatch.setattr(quasimode, "eigen_lowest", flipped_lowest)
+        qm, got = self.outputs(geom_m1_trapped)
+        assert np.array_equal(qm.u, -qm_ref.u)  # the flip reached the quasimode
+        for key, want in ref.items():
+            assert np.array_equal(got[key], want), key
 
 
 class TestNorms:

@@ -23,15 +23,16 @@ def pair_m1(geom_m1_front):
 class TestCoefficients:
     def test_time_term_matches_closed_form_exactly(self, geom_m1_front, pair_m1):
         x = np.geomspace(1e-3, 1e3, 400)
-        c = pair_m1.coefficients(x)
-        closed = 0.5 * x**3 / (1.0 + x**2) ** 3
         d = pair_m1.derivatives(x)
+        c = pair_m1.coefficients(x, d)
+        closed = 0.5 * x**3 / (1.0 + x**2) ** 3
         scale = np.abs(d["g"]) + np.abs(0.5 * d["df"]
                                         + geom_m1_front.da(x) / geom_m1_front.a(x) * d["f"])
         assert np.max(np.abs(c["tt"] - closed) / scale) < 1e-13
 
     def test_all_vanish_at_neck(self, pair_m1):
-        c = pair_m1.coefficients(np.array([0.0]))
+        x = np.array([0.0])
+        c = pair_m1.coefficients(x, pair_m1.derivatives(x))
         for name in ("xx", "ang", "tt", "uu"):
             assert c[name][0] == pytest.approx(0.0, abs=1e-300)
 
@@ -70,6 +71,24 @@ class TestCoefficients:
         assert np.all((f >= 0) & (f <= 1))
         assert np.max(d["g"] * geom_m1_front.a(x)) <= G_TIMES_A_BOUND
 
+    def test_derivatives_evaluated_once_per_point_set(self, geom_m1_front, pair_m1,
+                                                      corpus_m1, monkeypatch):
+        # the scan and the identity hand their derivative dict to
+        # coefficients rather than have it evaluated a second time
+        calls = []
+        derivatives = mul.MultiplierPair.derivatives
+
+        def counted(self, x):
+            calls.append(len(x))
+            return derivatives(self, x)
+
+        monkeypatch.setattr(mul.MultiplierPair, "derivatives", counted)
+        mul.coefficient_scan(geom_m1_front, pair_m1)
+        assert calls == [mul._SCAN_POINTS[2]]
+        calls.clear()
+        mul.verify_ibp(geom_m1_front, pair_m1, corpus_m1[0], T=2.0, x_max=12.0, nx=400)
+        assert calls == [401]
+
     def test_scan_rejects_exterior_family(self, geom_m1_front):
         ext = mul.MultiplierPair.exterior_family(geom_m1_front, 4.0, 4.0)
         with pytest.raises(ValueError):
@@ -97,7 +116,7 @@ class TestExteriorFamily:
     def test_coefficients_finite_across_radii(self, geom_m1_front, R):
         ext = mul.MultiplierPair.exterior_family(geom_m1_front, R, R)
         x = np.geomspace(1.0, 1e3, 200)
-        c = ext.coefficients(x)
+        c = ext.coefficients(x, ext.derivatives(x))
         for name in ("xx", "ang", "tt", "uu"):
             assert np.all(np.isfinite(c[name]))
 
@@ -183,7 +202,7 @@ def tensor_grid_ibp(geom, pair, sol, T, x_max, nx, nt):
     a2 = geom.a_sq(xs)[None, :]
     d = pair.derivatives(xs)
     f, g = d["f"][None, :], d["g"][None, :]
-    c = {k: v[None, :] for k, v in pair.coefficients(xs).items()}
+    c = {k: v[None, :] for k, v in pair.coefficients(xs, d).items()}
     mult = f * ux + g * u
     bdry_t = ut * mult * a2
     ux_wall = oracles.ux(sol, ts, np.full_like(ts, x0))

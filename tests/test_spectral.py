@@ -96,12 +96,6 @@ class TestEigenLowest:
         signs = np.sign(v[np.abs(v) > 1e-9 * np.abs(v).max()])
         assert np.all(signs == signs[0])
 
-    def test_sign_convention_first_component_positive(self):
-        g = Grid(0.0, 1.0, 50)
-        for p in eigen_lowest(build_operator(g, lambda x: 0.0 * x), 4):
-            nz = p.vector[np.abs(p.vector) > 1e-12 * np.abs(p.vector).max()]
-            assert nz[0] > 0
-
     def test_quadrature_normalization(self):
         g = Grid(0.0, 2.0, 77)
         p = eigen_lowest(build_operator(g, lambda x: x), 1)[0]
@@ -224,7 +218,7 @@ class TestEigenFull:
 
 def whole_matrix_pairs(op, k):
     """Reference post-processing on the whole eigenvector matrix at once:
-    quadrature normalisation and first-significant-entry sign convention."""
+    quadrature normalisation of LAPACK's columns."""
     import scipy.linalg as sla
 
     if k is None:
@@ -232,50 +226,27 @@ def whole_matrix_pairs(op, k):
     else:
         vals, vecs = sla.eigh_tridiagonal(op.diag, op.offdiag_vector(), select="i",
                                           select_range=(0, k - 1), lapack_driver="stebz")
-    vecs = vecs / np.sqrt(op.grid.h * np.sum(vecs * vecs, axis=0))
-    amax = np.abs(vecs).max(axis=0)
-    first = (np.abs(vecs) > 1e-12 * amax).argmax(axis=0)
-    signs = np.sign(vecs[first, np.arange(vecs.shape[1])])
-    signs[signs == 0] = 1.0
-    return vals, vecs * signs
+    return vals, vecs / np.sqrt(op.grid.h * np.sum(vecs * vecs, axis=0))
 
 
 class TestBlockedSolve:
     # an n that is not a multiple of the tile width, so the last tile is short
     N = 8 * spectral._TILE + 45
 
-    def op(self):
+    def op(self, l=7):
         geom = WarpGeometry.of(1, -1.0)
-        return build_operator(Grid(-1.0, 8.0, self.N), lambda x: geom.potential(7, x), "blk")
+        return build_operator(Grid(-1.0, 8.0, self.N), lambda x: geom.potential(l, x), "blk")
 
     @pytest.mark.parametrize("k", [None, 4 * spectral._TILE + 10])
     def test_blocks_match_whole_matrix(self, k):
-        op = self.op()
-        vals, vecs = spectral._solve_pairs(op, k)
-        ref_vals, ref_vecs = whole_matrix_pairs(op, k)
-        assert np.array_equal(vals, ref_vals)
-        assert np.max(np.abs(vecs - ref_vecs)) <= 1e-14
-
-    def test_sign_fallback_keeps_vectors_bit_identical(self, monkeypatch):
-        # at l = 30 the lowest modes live behind the barrier at x0: their first
-        # entries lie below 1e-12 of their largest, and only those columns
-        # take the first-significant-entry search
-        geom = WarpGeometry.of(1, -1.0)
-        op = build_operator(Grid(-1.0, 8.0, self.N), lambda x: geom.potential(30, x), "blk")
-        searched = []
-
-        def spy(vecs, _fix=spectral._fix_signs):
-            searched.append(vecs.shape[1])
-            return _fix(vecs)
-
-        monkeypatch.setattr(spectral, "_fix_signs", spy)
-        vals, vecs = eigen_full(op)
-        ref_vals, ref_vecs = whole_matrix_pairs(op, None)
-        small_first = np.abs(ref_vecs[0]) <= 1e-12 * np.abs(ref_vecs).max(axis=0)
-        assert small_first.sum() > 0
-        assert sum(searched) == small_first.sum()
-        assert np.array_equal(vals, ref_vals)
-        assert np.array_equal(vecs, ref_vecs)
+        # at l = 30 the lowest modes live behind the barrier at x0, with
+        # first entries far below their largest
+        for l in (7, 30):
+            op = self.op(l)
+            vals, vecs = spectral._solve_pairs(op, k)
+            ref_vals, ref_vecs = whole_matrix_pairs(op, k)
+            assert np.array_equal(vals, ref_vals)
+            assert np.array_equal(vecs, ref_vecs)
 
     def test_corrupted_column_in_later_block_is_named(self, monkeypatch):
         import scipy.linalg as sla

@@ -13,32 +13,13 @@ Subpackage map:
 - ``geometry``:   the warp profile, its derivatives, per-mode potentials
 - ``spectral``:   grids, tridiagonal operators, eigensolver, quadrature, shells
 - ``quasimode``:  confined near-eigenfunctions and decay-rate fits
-- ``evolve``:     exact spectral time evolution and confinement runs
-- ``multiplier``: integration-by-parts identity and coefficient audits
+- ``evolve``:     exact spectral time evolution, the energy-density kernel,
+                  confinement runs and the local-energy audit
+- ``multiplier``: integration-by-parts identity, coefficient and Hardy audits
 - ``cli``:        experiment driver (``warptrap`` entry point)
+
+Each name is imported from the module that defines it; this package root
+re-exports nothing.
 """
 
 __version__ = "0.1.0"
-
-from .geometry import WarpGeometry, WarpParams
-from .spectral import (
-    EigenPair,
-    Grid,
-    TridiagonalOperator,
-    build_operator,
-    eigen_lowest,
-    quadrature_hk,
-    quadrature_l2,
-)
-
-__all__ = [
-    "EigenPair",
-    "Grid",
-    "TridiagonalOperator",
-    "WarpGeometry",
-    "WarpParams",
-    "build_operator",
-    "eigen_lowest",
-    "quadrature_hk",
-    "quadrature_l2",
-]

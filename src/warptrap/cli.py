@@ -373,7 +373,7 @@ def cmd_bifurcation(cfg: ExperimentConfig) -> OutputCollector:
     if cfg.x0_minus is None or cfg.x0_minus >= 0:
         raise ConfigError("x0_minus", "bifurcation needs a trapped-side boundary x0_minus < 0")
     if cfg.R <= cfg.x0_plus + 2.0:
-        raise ConfigError("R", "bifurcation needs R >= x0_plus + 2 so the matched "
+        raise ConfigError("R", "bifurcation needs R > x0_plus + 2 so the matched "
                                "bump data fits inside [x0, R)")
     out = OutputCollector(cfg.out_dir, cfg, "bifurcation")
     l_qm = max(cfg.l_list) if cfg.l_list else 40

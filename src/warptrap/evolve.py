@@ -8,14 +8,18 @@ coefficients just rotate, so there is no CFL restriction, no
 time-stepping error, and the discrete energy is conserved to roundoff.
 The geometry is rotationally symmetric, so a state, ``ModeState``, is
 one mode, and every reduction over time samples consumes one pass over
-them, ``_sweep``.
+them, ``_sweep``: the confinement run, the near-energy history, the
+space-time norms and the local-energy audit of the nontrapping side.
+This module alone knows the layout of a sweep block, the packed [a | b]
+phase rows and the raw product the energy-density kernel reads.
 
-Domain truncation policy.  A run is causally exact when the wall sits
-beyond the range any energy can reach, X_max >= R + T + margin; that is
-the default, strict mode.  Confinement experiments over long horizons
-use the audited mode instead: the wall may sit inside the light cone,
-and the energy reaching a buffer strip in front of the wall is measured
-and reported, bounding the wall's influence on every reported quantity.
+Domain truncation policy.  Every run names its wall X_max.  A run is
+causally exact when the wall sits beyond the range any energy can
+reach, X_max >= R + T; the default, strict mode refuses a shorter
+domain.  Confinement experiments over long horizons use the audited
+mode instead: the wall may sit inside the light cone, and the energy
+reaching a buffer strip in front of the wall is measured and reported,
+bounding the wall's influence on every reported quantity.
 """
 
 from __future__ import annotations
@@ -30,20 +34,18 @@ import numpy as np
 from .geometry import WarpGeometry
 from .quasimode import Quasimode, mode_operator
 from .spectral import (
+    TILE,
     EigensolverError,
     Grid,
     ShellAccumulator,
-    ShellWeights,
     TridiagonalOperator,
-    _TILE,
-    _densities,
-    _warp_factors,
     build_operator,
     eigen_full,
 )
 
 __all__ = [
     "EVOLUTION_CSV_COLUMNS",
+    "AuditResult",
     "EvolutionReport",
     "Le1Growth",
     "ModePropagator",
@@ -52,6 +54,7 @@ __all__ = [
     "er_history",
     "get_propagator",
     "le1_growth",
+    "le_bound_audit",
     "run_confinement",
     "space_time_norms",
     "wave_field",
@@ -179,16 +182,8 @@ class ModeState:
     # -- views ---------------------------------------------------------------
 
     @property
-    def l(self) -> int:
-        return self.prop.l
-
-    @property
     def sigma_sq(self) -> float:
         return float(self.prop.l * (self.prop.l + 1))
-
-    @property
-    def operator(self) -> TridiagonalOperator:
-        return self.prop.op
 
     @property
     def grid(self) -> Grid:
@@ -239,7 +234,7 @@ def dbk_norm(state: ModeState, k: int) -> float:
     if k < 0:
         raise ValueError("k must be nonnegative")
     norms = [math.sqrt(state.graph_sq(j)) for j in range(k + 1)]
-    scale = math.sqrt(state.operator.norm_bound)
+    scale = math.sqrt(state.prop.op.norm_bound)
     for step in range(1, k + 1):
         prev, cur = norms[step - 1], norms[step]
         if prev > 0 and cur / prev > 0.5 * scale:
@@ -340,6 +335,47 @@ def _phase_block(cp, cm, omega, t0, dt, m):
     return AB
 
 
+# -- energy density ------------------------------------------------------------
+#
+# The energy density is evaluated by the one kernel below, which every tiled
+# pass over the samples shares.
+
+
+def _warp_factors(geom, grid) -> tuple[np.ndarray, np.ndarray]:
+    """Nodal a'/a and a^{-2}, computed once per pass."""
+    x = grid.nodes()
+    return geom.da(x) / geom.a(x), geom.inv_a_sq(x)
+
+
+def _densities(R: np.ndarray, h: float, ratio: np.ndarray,
+               pot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|w|^2 and the energy density |dt w|^2 + |dx w - (a'/a) w|^2 + pot |w|^2
+    of m samples, each (m, rows), from the raw product R (4m, rows) of a
+    packed [a | b] block: rows 2j, 2j + 1 hold Re, Im of w at sample j and
+    rows 2m + 2j, 2m + 2j + 1 those of dt w.
+
+    Every term is a sum of squares of real rows, |z|^2 = Re^2 + Im^2, so
+    the centred stencil (Dirichlet ghost zeros beyond both ends of the
+    rows) and the squares act on R as it is, overwriting it, and adjacent
+    row pairs are summed at the end.
+    """
+    k = R.shape[0] // 2
+    W, e = R[:k], R[k:]
+    dW = np.zeros_like(W)
+    dW[:, :-1] = W[:, 1:]
+    dW[:, 1:] -= W[:, :-1]
+    dW /= 2.0 * h
+    dW -= ratio * W
+    dW *= dW
+    e *= e
+    e += dW
+    W *= W
+    np.multiply(W, pot, out=dW)
+    e += dW
+    del dW  # free this temporary before the pair sums are allocated
+    return W[0::2] + W[1::2], e[0::2] + e[1::2]
+
+
 def _rotation_gap(AB, a0, b0, evals, ph):
     """Energy-norm distance of each packed [a | b] sample from the pure
     phase rotation (a0, b0) * ph.
@@ -382,8 +418,8 @@ def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
            whole: bool = False, tau: float | None = None):
     """The one evolution pass over the samples ``times`` = dt * i of a mode.
 
-    The blocks are uniform, at most _TILE samples of step k * dt: block r of
-    each span of k * _TILE samples holds the samples r, r + k, ...  With
+    The blocks are uniform, at most TILE samples of step k * dt: block r of
+    each span of k * TILE samples holds the samples r, r + k, ...  With
     ``whole``, block 0 of each span is reconstructed on the whole grid,
     which also gives its densities |w|^2 and the energy density, each
     (samples, n); the other blocks only on the node bands [lo, hi) of
@@ -400,9 +436,9 @@ def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
     pot = mode.sigma_sq * inv_a2
     if tau is not None:
         a0, b0 = mode.a_coeff(), mode.b_coeff()
-    for c0 in range(0, times.size, k * _TILE):
+    for c0 in range(0, times.size, k * TILE):
         for r in range(min(k, times.size - c0)):
-            idx = slice(c0 + r, c0 + k * _TILE, k)
+            idx = slice(c0 + r, c0 + k * TILE, k)
             tc = times[idx]
             AB = _phase_block(mode.c_plus, mode.c_minus, prop.omega, tc[0], k * dt, tc.size)
             gap = None if tau is None else _rotation_gap(AB, a0, b0, prop.evals,
@@ -423,7 +459,7 @@ def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
 def _feed_le1(acc: ShellAccumulator, times: np.ndarray, u: np.ndarray, e: np.ndarray) -> None:
     """Add a block's densities to the LE1 accumulator; the order-one density
     e + <x>^-2 |w|^2 is formed in place in e."""
-    e += acc.shells.inv_bracket_sq * u
+    e += acc.inv_bracket_sq * u
     acc.add(times, u, e)
 
 
@@ -465,7 +501,7 @@ def run_confinement(
     qm: Quasimode,
     T_max: float,
     R: float,
-    x_max: float | None = None,
+    x_max: float,
     dt: float | None = None,
     causal: str = "strict",
     le1: bool = False,
@@ -494,10 +530,6 @@ def run_confinement(
         raise ValueError("causal must be 'strict' or 'audited'")
     if qm.cutoff.support_end >= R:
         raise ValueError("quasimode data must be supported inside [x0, R)")
-    if x_max is None:
-        if causal == "audited":
-            raise ValueError("audited mode needs an explicit x_max")
-        x_max = R + T_max + _WALL_MARGIN
     if causal == "strict" and x_max < R + T_max:
         raise ValueError(
             f"domain too short for a causally exact run: x_max={x_max} < "
@@ -517,7 +549,7 @@ def run_confinement(
     x = grid_ext.nodes()
     nR = int(np.searchsorted(x, R, side="right"))
     n_buf = int(np.searchsorted(x, grid_ext.x_right - _WALL_MARGIN, side="left"))
-    acc = ShellAccumulator(ShellWeights(grid_ext)) if le1 else None
+    acc = ShellAccumulator(grid_ext) if le1 else None
 
     # one sweep of step k * dt; with le1 its whole-grid blocks are the LE1
     # samples, whose densities also feed the accumulator
@@ -583,7 +615,8 @@ def le1_growth(
     A: float,
     budget: float,
     R: float = 1.0,
-    x_max: float | None = None,
+    *,
+    x_max: float,
     causal: str = "strict",
     dt: float | None = None,
 ) -> Le1Growth:
@@ -619,16 +652,79 @@ def space_time_norms(state: ModeState, T: float, dt: float):
     """Dyadic space-time norms of the homogeneous evolution sampled at dt * i
     in [0, T], and the running LE1: (LeNorms, running LE1).
 
-    One sweep with every sample reconstructed on the whole grid, _TILE
+    One sweep with every sample reconstructed on the whole grid, TILE
     samples at a time, which is what makes wide frequency families
     affordable.
     """
-    acc = ShellAccumulator(ShellWeights(state.grid))
+    acc = ShellAccumulator(state.grid)
     times = _sample_times(T, dt)
     for idx, _, u, e, _ in _sweep(state, times, dt, whole=True):
         _feed_le1(acc, times[idx], u, e)
         del u, e  # free this block's densities before the next is built
     return acc.finish()
+
+
+@dataclass
+class AuditResult:
+    """Both sides of the interior local-energy bound and of the global one;
+    both right-hand sides are the (conserved) initial energy E0."""
+
+    lhs_lelocal: float
+    ratio_lelocal: float
+    lhs_lepositive: float
+    ratio_lepositive: float
+    le1: float
+    E0: float
+
+
+def le_bound_audit(state: ModeState, T: float, dt: float) -> AuditResult:
+    """Evaluate the audited inequalities of the nontrapping side on the
+    homogeneous evolution of one mode, sampled at t = 0, dt, ..., T.
+
+    lhs_lelocal carries the interior weights x^{-2m-1} (gradient and time
+    derivative), x^{-1} a^{-2} (angular term) and x^{-2m-3} (|u|^2);
+    lhs_lepositive is LE1^2 + E0.  Both are reduced from one sweep, whose
+    energy density carries the angular term sigma^2 a^{-2} |w|^2; the local
+    side moves the difference of the two angular weights onto |w|^2, and
+    each block's densities then feed LE1 as in ``space_time_norms``.
+    """
+    geom = state.geom
+    if geom.params.x0 <= 0:
+        raise ValueError("the local-energy audit applies to the x0 > 0 side")
+    x = state.grid.nodes()
+    m = geom.params.m
+    inv_a2 = geom.inv_a_sq(x)
+    w_grad = x ** (-2.0 * m - 1.0)
+    # the angular term sigma^2 a^{-2} |w|^2 takes the weight x^{-1} a^{-2}, so
+    # sigma^2 |w|^2 takes ang * w_grad = x^{-1} a^{-4}, of which e @ w_grad
+    # already gives a^{-2} w_grad
+    ang = x ** (2.0 * m) * inv_a2 ** 2
+    w_u = x ** (-2.0 * m - 3.0) + state.sigma_sq * (ang - inv_a2) * w_grad
+    times = _sample_times(T, dt)
+    acc = ShellAccumulator(state.grid)
+    rows = []
+    for idx, _, u, e, _ in _sweep(state, times, dt, whole=True):
+        rows.extend(state.grid.h * (e @ w_grad + u @ w_u))
+        _feed_le1(acc, times[idx], u, e)  # overwrites e, so after the local rows
+        del u, e  # free this block's densities before the next is built
+    lhs_local = float(np.trapezoid(rows, times))
+    le1 = acc.finish()[0].le1
+    E0 = state.energy_spectral()
+    lhs_pos = le1**2 + E0
+
+    def ratio(lhs):
+        if E0 > 0:
+            return lhs / E0
+        return 0.0 if lhs == 0 else math.inf
+
+    return AuditResult(
+        lhs_lelocal=lhs_local,
+        ratio_lelocal=ratio(lhs_local),
+        lhs_lepositive=lhs_pos,
+        ratio_lepositive=ratio(lhs_pos),
+        le1=le1,
+        E0=E0,
+    )
 
 
 def er_history(state: ModeState, T_max: float, R: float,

@@ -6,9 +6,10 @@ parts over [0,T] x {x >= x0} turns the space-time integral of
 integrals, and a nonnegative wall flux.  For the right (f, g) all four
 weights are positive, which is the engine behind lossless local energy
 decay when x0 > 0.  This module evaluates both sides of that identity on
-manufactured solutions, scans the coefficient positivity, checks the
-Hardy inequality that controls the zeroth-order multiplier term, and
-audits the resulting local-energy bound on evolved solutions.
+manufactured solutions, scans the coefficient positivity and checks the
+Hardy inequality that controls the zeroth-order multiplier term; the
+resulting local-energy bound is audited on evolved solutions by
+``evolve.le_bound_audit``.
 
 Two multiplier families are provided: the interior family
 f = x^2 / a^2 with a small damping parameter delta, and the exterior
@@ -28,10 +29,9 @@ import numpy as np
 
 from .geometry import WarpGeometry
 from .smoothstep import smooth_step
-from .spectral import Grid, ShellAccumulator, ShellWeights, fd_derivative
+from .spectral import Grid, fd_derivative
 
 __all__ = [
-    "AuditResult",
     "CoefficientScan",
     "IdentityReport",
     "ManufacturedSolution",
@@ -43,7 +43,6 @@ __all__ = [
     "hardy_check",
     "hardy_random_corpus",
     "ibp_richardson",
-    "le_bound_audit",
     "make_corpus",
     "time_profile",
     "verify_ibp",
@@ -535,72 +534,3 @@ def hardy_random_corpus(geom: WarpGeometry, grid: Grid,
         u[inside] = np.sin(np.multiply.outer(s[inside], k * np.pi)) @ coeff
         out.append(hardy_check(geom, grid, u))
     return out
-
-
-# -- local-energy bound audit ---------------------------------------------------
-
-
-@dataclass
-class AuditResult:
-    """Both sides of the interior local-energy bound and of the global one;
-    both right-hand sides are the (conserved) initial energy E0."""
-
-    lhs_lelocal: float
-    ratio_lelocal: float
-    lhs_lepositive: float
-    ratio_lepositive: float
-    le1: float
-    E0: float
-
-
-def le_bound_audit(state, T: float, dt: float) -> AuditResult:
-    """Evaluate the audited inequalities on the homogeneous evolution of one
-    mode, an ``evolve.ModeState``, sampled at t = 0, dt, ..., T.
-
-    lhs_lelocal carries the interior weights x^{-2m-1} (gradient and time
-    derivative), x^{-1} a^{-2} (angular term) and x^{-2m-3} (|u|^2);
-    lhs_lepositive is LE1^2 + E0.  Both are reduced from one pass of the
-    evolution's sweep, ``evolve._sweep``, whose energy density carries the
-    angular term sigma^2 a^{-2} |w|^2; the local side moves the difference
-    of the two angular weights onto |w|^2, and each block's densities then
-    feed LE1 as in ``evolve.space_time_norms``.
-    """
-    from .evolve import _feed_le1, _sample_times, _sweep
-
-    geom = state.geom
-    if geom.params.x0 <= 0:
-        raise ValueError("the local-energy audit applies to the x0 > 0 side")
-    x = state.grid.nodes()
-    m = geom.params.m
-    inv_a2 = geom.inv_a_sq(x)
-    w_grad = x ** (-2.0 * m - 1.0)
-    # the angular term sigma^2 a^{-2} |w|^2 takes the weight x^{-1} a^{-2}, so
-    # sigma^2 |w|^2 takes ang * w_grad = x^{-1} a^{-4}, of which e @ w_grad
-    # already gives a^{-2} w_grad
-    ang = x ** (2.0 * m) * inv_a2 ** 2
-    w_u = x ** (-2.0 * m - 3.0) + state.sigma_sq * (ang - inv_a2) * w_grad
-    times = _sample_times(T, dt)
-    acc = ShellAccumulator(ShellWeights(state.grid))
-    rows = []
-    for idx, _, u, e, _ in _sweep(state, times, dt, whole=True):
-        rows.extend(state.grid.h * (e @ w_grad + u @ w_u))
-        _feed_le1(acc, times[idx], u, e)  # overwrites e, so after the local rows
-        del u, e  # free this block's densities before the next is built
-    lhs_local = float(np.trapezoid(rows, times))
-    le1 = acc.finish()[0].le1
-    E0 = state.energy_spectral()
-    lhs_pos = le1**2 + E0
-
-    def ratio(lhs):
-        if E0 > 0:
-            return lhs / E0
-        return 0.0 if lhs == 0 else math.inf
-
-    return AuditResult(
-        lhs_lelocal=lhs_local,
-        ratio_lelocal=ratio(lhs_local),
-        lhs_lepositive=lhs_pos,
-        ratio_lepositive=ratio(lhs_pos),
-        le1=le1,
-        E0=E0,
-    )

@@ -71,11 +71,9 @@ class CutoffProfile:
     def width(self) -> float:
         return self.support_end - self.plateau_end
 
-    def chi(self, x, order: int = 0):
-        """Cutoff value or derivative; monotone nonincreasing transition."""
-        s = (self.support_end - np.asarray(x, dtype=float)) / self.width
-        val = smooth_step(s, order)
-        return val * (-1.0 / self.width) ** order if order else val
+    def chi(self, x):
+        """Cutoff value; monotone nonincreasing transition."""
+        return smooth_step((self.support_end - np.asarray(x, dtype=float)) / self.width)
 
 
 def default_cutoff(x0: float) -> CutoffProfile:
@@ -127,14 +125,10 @@ def bracket_check(geom: WarpGeometry, l: int, n: int | None = None) -> BracketRe
     """Locate the lowest Dirichlet eigenvalue on (x0, 0) and test the
     bracket [V(x0), V(x0/2)] plus the square-well upper bound
     V(3 x0/4) + 16 pi^2 / x0^2."""
-    _require_trapped_side(geom)
-    grid = interval_grid(geom, l, n)
-    return _bracket(geom, l, eigen_lowest(mode_operator(geom, l, grid), 1)[0].value)
-
-
-def _require_trapped_side(geom: WarpGeometry) -> None:
     if geom.params.x0 >= 0:
         raise ValueError("bracket check requires the trapped side, x0 < 0")
+    grid = interval_grid(geom, l, n)
+    return _bracket(geom, l, eigen_lowest(mode_operator(geom, l, grid), 1)[0].value)
 
 
 def _bracket(geom: WarpGeometry, l: int, tau_sq: float) -> BracketResult:
@@ -198,7 +192,6 @@ def build_quasimode(
     eigenfunction mass where the cutoff is below 1.
     """
     cutoff = default_cutoff(geom.params.x0)
-    _require_trapped_side(geom)
     grid = grid_interval if grid_interval is not None else interval_grid(geom, l)
     op = mode_operator(geom, l, grid)
     pair = eigen_lowest(op, 1)[0]

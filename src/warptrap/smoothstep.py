@@ -5,10 +5,10 @@ so step == 0 for s <= 0, == 1 for s >= 1, and is strictly increasing in
 between with all derivatives vanishing at both ends.
 
 On the open transition the step is the logistic function y = 1/(1 + e^u)
-of u = 1/s - 1/(1-s), so its derivatives up to order 4 follow in closed
-form from Faa di Bruno's formula.  y and 1 - y are each evaluated
-directly, never one from the other, which keeps full relative accuracy
-near the ends, where one of them underflows.
+of u = 1/s - 1/(1-s), so its derivatives up to order 3, the highest any
+caller takes, follow in closed form from Faa di Bruno's formula.  y and
+1 - y are each evaluated directly, never one from the other, which keeps
+full relative accuracy near the ends, where one of them underflows.
 
 The multiplier families and manufactured solutions build their
 derivatives from these orders; the tests check the closed form against
@@ -21,7 +21,7 @@ import numpy as np
 
 __all__ = ["smooth_step"]
 
-MAX_ORDER = 4
+MAX_ORDER = 3
 
 
 def _transition(s: np.ndarray, order: int) -> np.ndarray:
@@ -32,19 +32,16 @@ def _transition(s: np.ndarray, order: int) -> np.ndarray:
     if order == 0:
         return y
     yb = 1.0 / (1.0 + np.exp(-u))
-    # y in u: y' = p, y'' = p q, y''' = p r, y'''' = p q (r + 6 p)
+    # y in u: y' = p, y'' = p q, y''' = p r
     p, q, r = -y * yb, y - yb, 1.0 - 6.0 * y * yb
     # u in s: u^(k) = (-1)^k k! / s^(k+1) - k! / (1-s)^(k+1)
     u1, u2 = -(a**2 + b**2), 2.0 * (a**3 - b**3)
-    u3, u4 = -6.0 * (a**4 + b**4), 24.0 * (a**5 - b**5)
+    u3 = -6.0 * (a**4 + b**4)
     if order == 1:
         return p * u1
     if order == 2:
         return p * (q * u1**2 + u2)
-    if order == 3:
-        return p * (r * u1**3 + 3.0 * q * u1 * u2 + u3)
-    return p * (q * (r + 6.0 * p) * u1**4 + 6.0 * r * u1**2 * u2
-                + q * (3.0 * u2**2 + 4.0 * u1 * u3) + u4)
+    return p * (r * u1**3 + 3.0 * q * u1 * u2 + u3)
 
 
 def smooth_step(s, order: int = 0):

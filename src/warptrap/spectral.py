@@ -1,5 +1,5 @@
-"""Uniform Dirichlet grids, tridiagonal operators, eigensolver, quadrature,
-the energy-density kernel and dyadic shells.
+"""Uniform Dirichlet grids, tridiagonal operators, eigensolver, quadrature
+and the dyadic shells of the space-time norms.
 
 The second derivative is the standard 3-point stencil, so every radial
 operator -d^2/dx^2 + V is a symmetric tridiagonal matrix, solved with
@@ -30,7 +30,7 @@ __all__ = [
     "EigenPair",
     "EigensolverError",
     "Grid",
-    "ShellWeights",
+    "ShellAccumulator",
     "TridiagonalOperator",
     "build_operator",
     "eigen_full",
@@ -88,7 +88,7 @@ class Grid:
 
     @classmethod
     def for_sigma(cls, x0: float, x_right: float, sigma: float,
-                  h_per_sigma: float = 0.05) -> "Grid":
+                  h_per_sigma: float) -> "Grid":
         """Grid resolving oscillation at angular frequency sigma,
         h * sigma <= h_per_sigma, with at least 200 interior nodes."""
         span = x_right - x0
@@ -157,8 +157,8 @@ class EigenPair:
 
 # Columns handled at a time, here by the eigenpair post-processing and in
 # ``evolve`` by every evolution pass (time samples per tile): temporaries
-# stay at a few n * _TILE entries instead of n * n.
-_TILE = 64
+# stay at a few n * TILE entries instead of n * n.
+TILE = 64
 
 
 def _solve_pairs(op: TridiagonalOperator, k: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +166,7 @@ def _solve_pairs(op: TridiagonalOperator, k: int | None) -> tuple[np.ndarray, np
 
     LAPACK's eigenvector matrix is normalized and gated in place, one
     column block at a time, so the solve holds one n-row matrix plus two
-    reused (n, _TILE) buffers; the residual norm divides by |v| = h^(-1/2),
+    reused (n, TILE) buffers; the residual norm divides by |v| = h^(-1/2),
     which the normalization fixes.  An eigenvector's sign is LAPACK's: no
     output reads it, as flipping column j negates the spectral coefficient
     c_j and every phase-block entry exactly, leaving each reconstructed
@@ -191,10 +191,10 @@ def _solve_pairs(op: TridiagonalOperator, k: int | None) -> tuple[np.ndarray, np
     resid = np.empty(vals.size)
     # the residual P v - lambda v and each product it sums, in the order of
     # ``op.apply``; F-ordered like LAPACK's matrix
-    r_buf = np.empty((op.n, min(_TILE, vals.size)), order="F")
+    r_buf = np.empty((op.n, min(TILE, vals.size)), order="F")
     t_buf = np.empty_like(r_buf)
-    for j0 in range(0, vals.size, _TILE):
-        cols = slice(j0, j0 + _TILE)
+    for j0 in range(0, vals.size, TILE):
+        cols = slice(j0, j0 + TILE)
         blk = vecs[:, cols]
         r, t = r_buf[:, :blk.shape[1]], t_buf[:, :blk.shape[1]]
         blk /= np.sqrt(h * np.sum(np.multiply(blk, blk, out=t), axis=0))
@@ -271,65 +271,7 @@ def quadrature_hk(grid: Grid, v: np.ndarray, k: int) -> float:
     return math.sqrt(total)
 
 
-# -- dyadic shells ------------------------------------------------------------
-
-
-class ShellWeights:
-    """Dyadic shell decomposition <x> ~ 2^j of a grid.
-
-    <x> = sqrt(1 + x^2), so shell j holds the nodes with <x> in
-    [2^j, 2^(j+1)); every node lands in exactly one shell.
-    """
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        x = grid.nodes()
-        bracket = np.sqrt(1.0 + x * x)
-        self.shell_index = np.floor(np.log2(bracket)).astype(int)
-        self.n_shells = int(self.shell_index.max()) + 1
-        self.masks = [self.shell_index == j for j in range(self.n_shells)]
-        self.inv_bracket_sq = 1.0 / (bracket * bracket)
-
-
-# -- energy density and space-time norms -------------------------------------
-#
-# The energy density is evaluated by the one kernel below, which every tiled
-# pass of the evolution layer shares.
-
-
-def _warp_factors(geom, grid) -> tuple[np.ndarray, np.ndarray]:
-    """Nodal a'/a and a^{-2}, computed once per pass."""
-    x = grid.nodes()
-    return geom.da(x) / geom.a(x), geom.inv_a_sq(x)
-
-
-def _densities(R: np.ndarray, h: float, ratio: np.ndarray,
-               pot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|w|^2 and the energy density |dt w|^2 + |dx w - (a'/a) w|^2 + pot |w|^2
-    of m samples, each (m, rows), from the raw product R (4m, rows) of a
-    packed [a | b] block: rows 2j, 2j + 1 hold Re, Im of w at sample j and
-    rows 2m + 2j, 2m + 2j + 1 those of dt w.
-
-    Every term is a sum of squares of real rows, |z|^2 = Re^2 + Im^2, so
-    the centred stencil (Dirichlet ghost zeros beyond both ends of the
-    rows) and the squares act on R as it is, overwriting it, and adjacent
-    row pairs are summed at the end.
-    """
-    k = R.shape[0] // 2
-    W, e = R[:k], R[k:]
-    dW = np.zeros_like(W)
-    dW[:, :-1] = W[:, 1:]
-    dW[:, 1:] -= W[:, :-1]
-    dW /= 2.0 * h
-    dW -= ratio * W
-    dW *= dW
-    e *= e
-    e += dW
-    W *= W
-    np.multiply(W, pot, out=dW)
-    e += dW
-    del dW  # free this temporary before the pair sums are allocated
-    return W[0::2] + W[1::2], e[0::2] + e[1::2]
+# -- dyadic shells and space-time norms ---------------------------------------
 
 
 @dataclass
@@ -345,15 +287,22 @@ class LeNorms:
 class ShellAccumulator:
     """Accumulates per-shell space-time integrals from sampled states.
 
-    Feed sample times with time-major (k, n) node-density blocks of |u|^2
-    and the order-one density, one row per time, in time order; integrals
-    use the trapezoid rule over the fed times.
+    The grid splits into dyadic shells <x> ~ 2^j, <x> = sqrt(1 + x^2):
+    shell j holds the nodes with <x> in [2^j, 2^(j+1)), so every node lands
+    in exactly one shell.  Feed sample times with time-major (k, n)
+    node-density blocks of |u|^2 and the order-one density, one row per
+    time, in time order; integrals use the trapezoid rule over the fed
+    times.
     """
 
-    def __init__(self, shells: ShellWeights):
-        self.shells = shells
+    def __init__(self, grid: Grid):
+        x = grid.nodes()
+        bracket = np.sqrt(1.0 + x * x)
+        shell = np.floor(np.log2(bracket)).astype(int)
+        self.n_shells = int(shell.max()) + 1
+        self.inv_bracket_sq = 1.0 / (bracket * bracket)
         # h-weighted shell indicator: one product sums a density block per shell
-        self.indicator = shells.grid.h * np.asarray(shells.masks, dtype=float)
+        self.indicator = grid.h * (np.arange(self.n_shells)[:, None] == shell).astype(float)
         self.times: list[float] = []
         self.u_rows: list[np.ndarray] = []
         self.e1_rows: list[np.ndarray] = []
@@ -375,7 +324,7 @@ class ShellAccumulator:
         t = np.asarray(self.times)
         U = self._cum_trapz(np.vstack(self.u_rows), t)
         E1 = self._cum_trapz(np.vstack(self.e1_rows), t)
-        j = np.arange(self.shells.n_shells)
+        j = np.arange(self.n_shells)
         wdown = np.power(2.0, -0.5 * j)
         wup = np.power(2.0, 0.5 * j)
         le = float(np.max(wdown * np.sqrt(U[-1])))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from warptrap.evolve import ModeState
-from warptrap.spectral import ShellAccumulator, ShellWeights, _densities, _warp_factors
+from warptrap.evolve import ModeState, _densities, _warp_factors
+from warptrap.spectral import ShellAccumulator
 
 # -- propagation -----------------------------------------------------------------
 
@@ -59,7 +59,7 @@ def propagate(state: ModeState, dt: float, steps: int,
     ds = dt / nsub
     omega = state.prop.omega
     for l, profile, fn in forcing.entries:
-        if l != state.l:
+        if l != state.prop.l:
             continue
         fhat = state.prop.to_spectral(np.asarray(profile, dtype=complex))
         coef = 1j * fhat / (2.0 * omega)
@@ -113,7 +113,7 @@ def energy_norms(state: ModeState, R: float) -> dict:
     ratio, inv_a2 = _warp_factors(state.geom, state.grid)
     w = state.w_grid()
     wt = state.wt_grid()
-    E = 0.5 * (h * float(np.sum(np.abs(wt) ** 2)) + state.operator.quad_form(w))
+    E = 0.5 * (h * float(np.sum(np.abs(wt) ** 2)) + state.prop.op.quad_form(w))
     _, dens = _state_densities(w, wt, h, ratio, state.sigma_sq * inv_a2)
     E_R = 0.5 * h * float(np.sum(dens[state.grid.nodes() <= R]))
     return {"E": E, "E_R": E_R, "H_x0_norm": math.sqrt(2.0 * E)}
@@ -126,20 +126,22 @@ def le_norms(history, times):
     if not history:
         raise ValueError("empty history")
     grid = history[0].grid
-    shells = ShellWeights(grid)
-    acc = ShellAccumulator(shells)
+    acc = ShellAccumulator(grid)
     ratio, inv_a2 = _warp_factors(history[0].geom, grid)
     for state, t in zip(history, times, strict=True):
         u, e1 = _state_densities(state.w_grid(), state.wt_grid(), grid.h, ratio,
-                                 state.sigma_sq * inv_a2 + shells.inv_bracket_sq)
+                                 state.sigma_sq * inv_a2 + acc.inv_bracket_sq)
         acc.add([t], u[None, :], e1[None, :])
     return acc.finish()[0]
 
 
-def shell_sums(shells: ShellWeights, density: np.ndarray) -> np.ndarray:
-    """h-weighted sum of a nodal density over each shell."""
-    out = np.zeros(shells.n_shells)
-    np.add.at(out, shells.shell_index, density * shells.grid.h)
+def shell_sums(grid, density: np.ndarray) -> np.ndarray:
+    """h-weighted sum of a nodal density over each dyadic shell: node x
+    belongs to shell floor(log2 <x>), <x> = sqrt(1 + x^2)."""
+    x = grid.nodes()
+    index = np.floor(np.log2(np.sqrt(1.0 + x * x))).astype(int)
+    out = np.zeros(index.max() + 1)
+    np.add.at(out, index, density * grid.h)
     return out
 
 

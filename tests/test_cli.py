@@ -325,6 +325,21 @@ class TestQuasimodeCommand:
         assert [ln for ln in a if not ln.startswith("#")] == \
                [ln for ln in b if not ln.startswith("#")]
 
+    def test_too_few_degrees_fail_the_fits(self, tmp_path):
+        # two degrees cannot fit a decay rate: every fit records its error and
+        # the run exits 2 after writing all its artifacts
+        out = tmp_path / "qm2"
+        assert run_cli(["quasimode", "--x0", "-1.0", "--l", "20", "30",
+                        "--out", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["passes"] == {"decay_fits_negative": False}
+        assert not manifest["all_pass"]
+        fits = json.loads((out / "decay_fits.json").read_text())["fits"]
+        assert len(fits) == 8
+        for fit in fits.values():
+            assert fit == {"error": "need at least 5 quasimodes with distinct "
+                                    "frequencies above the floor"}
+
 
 class TestDeterminism:
     def test_identical_config_identical_bytes(self, tmp_path):
@@ -420,19 +435,30 @@ class TestBifurcationCommand:
         assert passes == {"plus_side_decays": True, "minus_side_confines": True,
                           "wall_audit_minus": False}
 
-    def test_needs_both_sides(self, tmp_path, capsys):
-        code = run_cli(["bifurcation", "--x0-plus", "1.0", "--R", "3.5",
-                        "--out", str(tmp_path / "b")])
+    @pytest.mark.parametrize("args, field", [
+        (["--x0-plus", "1.0", "--R", "3.5"], "x0_minus"),
+        (["--x0-plus", "-0.5", "--x0-minus", "-1.0", "--R", "3.5"], "x0_plus"),
+        # the bump's support ends at x0_plus + 2, which must lie before R
+        (["--R", "3.0", "--x0-plus", "1.0", "--x0-minus", "-1.0"], "R"),
+    ], ids=["x0_minus", "x0_plus", "R"])
+    def test_needs_both_sides(self, args, field, tmp_path, capsys):
+        code = run_cli(["bifurcation", *args, "--out", str(tmp_path / "b")])
         assert code == 1
-        assert "x0_minus" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field '{field}'")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "b").exists()
 
 
 class TestImports:
     def test_cli_loads_neither_scipy_nor_sympy(self, tmp_path):
         # every CLI run pays for what importing the entry point loads; the
         # multiplier audit is closed-form numpy and loads no sympy either
+        import os
         import subprocess
         import sys
+
+        import warptrap
 
         code = ("import sys, warptrap.cli\n"
                 "print(sorted({'scipy', 'sympy'} & set(sys.modules)))\n"
@@ -441,8 +467,12 @@ class TestImports:
                 "code = warptrap.cli.main(['multiplier-audit', '--x0', '1.0',\n"
                 f"                          '--out', {str(tmp_path / 'audit')!r}])\n"
                 "print(code, 'sympy' in sys.modules)\n")
+        # the child finds the package where this process found it
+        src = str(Path(warptrap.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, timeout=120)
+                             text=True, timeout=120, env=env)
         assert res.returncode == 0, res.stderr
         lines = res.stdout.strip().splitlines()
         assert lines[0] == "[]"

@@ -13,7 +13,7 @@ from warptrap.evolve import dbk_norm
 from warptrap.geometry import WarpGeometry
 from warptrap.quasimode import build_quasimode, interval_grid
 from warptrap.spectral import (
-    _TILE,
+    TILE,
     EigenPair,
     EigensolverError,
     Grid,
@@ -71,7 +71,7 @@ class TestPackedProduct:
             "row_window": tall[7:7 + self.n],
             "vector": cplx(self.n),
             "strided_vector": wide[:, 3],
-            "tile": cplx(self.n, _TILE),
+            "tile": cplx(self.n, TILE),
         }
 
     def test_matches_split_product(self):
@@ -153,7 +153,7 @@ def random_coefficients(rng, n):
 class TestPhaseBlock:
     n = 90
 
-    @pytest.mark.parametrize("m", [1, 7, 8, 41, _TILE])
+    @pytest.mark.parametrize("m", [1, 7, 8, 41, TILE])
     @pytest.mark.parametrize("t0, dt", [(3.7, 0.13), (250.0, 1.0), (-4.1, -0.35)])
     def test_matches_direct_exponentials(self, m, t0, dt):
         rng = np.random.default_rng(m)
@@ -183,7 +183,7 @@ class TestPhaseBlock:
         assert np.array_equal(AB[:, 0], cp + cm)
         assert np.array_equal(AB[:, 9], -1j * omega * (cp - cm))
 
-    @pytest.mark.parametrize("m", [1, 8, _TILE])
+    @pytest.mark.parametrize("m", [1, 8, TILE])
     def test_rotation_gap_matches_abs_form(self, m):
         rng = np.random.default_rng(11 + m)
         evals = np.sort(rng.uniform(1.0, 2500.0, self.n))
@@ -217,13 +217,13 @@ class TestPhaseProperties:
     phase path on random grids, degrees and data."""
 
     @settings(max_examples=30)
-    @given(dt=st.floats(0.01, 20.0), m=st.integers(1, 2 * _TILE), **mode_draws)
+    @given(dt=st.floats(0.01, 20.0), m=st.integers(1, 2 * TILE), **mode_draws)
     def test_grid_energy_matches_spectral(self, dt, m, n, x0, span, l, seed):
         mode, _, _ = random_mode(x0, span, n, l, seed)
         assert evolve._energy_drift(mode, dt, m) <= 1e-12
 
     @settings(max_examples=30)
-    @given(t0=st.floats(-100.0, 100.0), dt=st.floats(-5.0, 5.0), m=st.integers(1, _TILE),
+    @given(t0=st.floats(-100.0, 100.0), dt=st.floats(-5.0, 5.0), m=st.integers(1, TILE),
            **mode_draws)
     def test_time_reversal_returns_coefficients(self, t0, dt, m, n, x0, span, l, seed):
         mode, _, _ = random_mode(x0, span, n, l, seed)
@@ -241,7 +241,7 @@ class TestPhaseProperties:
             assert np.all(np.abs(0.5 * (back[:, j] - ib) - cm) <= tol)
 
     @settings(max_examples=30)
-    @given(dt=st.floats(0.01, 20.0), m=st.integers(1, _TILE), **mode_draws)
+    @given(dt=st.floats(0.01, 20.0), m=st.integers(1, TILE), **mode_draws)
     def test_grid_spectral_grid_round_trip(self, dt, m, n, x0, span, l, seed):
         mode, w0, w1 = random_mode(x0, span, n, l, seed)
         prop = mode.prop
@@ -260,7 +260,7 @@ def test_wave_field_is_one_mode(geom_m1_trapped):
     w0 = bump(grid.nodes(), 1.0, 0.5).astype(complex)
     state = evolve.wave_field(geom_m1_trapped, grid, [(2, 1, w0, -0.5j * w0)])
     assert isinstance(state, evolve.ModeState)
-    assert state.l == 2 and state.geom is geom_m1_trapped and state.grid == grid
+    assert state.prop.l == 2 and state.geom is geom_m1_trapped and state.grid == grid
     for entries in ([], [(2, 2, w0, w0)], [(1, 1, w0, w0), (2, 1, w0, w0)]):
         with pytest.raises(ValueError, match="one mode"):
             evolve.wave_field(geom_m1_trapped, grid, entries)
@@ -457,14 +457,6 @@ class TestConfinement:
         with pytest.raises(ValueError, match="domain too short"):
             evolve.run_confinement(geom_m1_trapped, qm, T_max=50.0, R=1.0,
                                    x_max=10.0, causal="strict")
-
-    def test_audited_mode_needs_x_max(self, geom_m1_trapped):
-        qm = build_quasimode(geom_m1_trapped, 12,
-                             grid_interval=Grid.interval(-1.0, 100),
-                             require_bracket=False)
-        with pytest.raises(ValueError, match="x_max"):
-            evolve.run_confinement(geom_m1_trapped, qm, T_max=50.0, R=1.0,
-                                   causal="audited")
 
     def test_support_must_sit_inside_near_region(self, geom_m1_trapped):
         qm = build_quasimode(geom_m1_trapped, 12,
@@ -797,7 +789,7 @@ class TestCrossSite:
         x = grid.nodes()
         ratio, inv_a2 = geom.da(x) / geom.a(x), geom.inv_a_sq(x)
         w, wt = state.w_grid(), state.wt_grid()
-        pot = state.l * (state.l + 1) * inv_a2 + extra
+        pot = state.prop.l * (state.prop.l + 1) * inv_a2 + extra
         u = np.abs(w) ** 2
         e = (np.abs(wt) ** 2 + np.abs(fd_derivative(grid, w, 1) - ratio * w) ** 2
              + pot * np.abs(w) ** 2)
@@ -928,7 +920,7 @@ def grid_dbk_norm(state, k):
     """Reference graph norm |data| + |B^k data| on grid values: B(w, dt w) =
     (i dt w, -i P w) applied k times to the nodal data, each energy norm
     from the operator form."""
-    op, h = state.operator, state.grid.h
+    op, h = state.prop.op, state.grid.h
 
     def norm(w, wt):
         return math.sqrt(op.quad_form(w) + h * float(np.sum(np.abs(wt) ** 2)))

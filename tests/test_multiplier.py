@@ -370,14 +370,14 @@ class TestAudit:
         grid = Grid(1.0, 12.0, 300)
         z = np.zeros(300, dtype=complex)
         fld = evolve.wave_field(geom_m1_front, grid, [(0, 1, z, z)])
-        res = mul.le_bound_audit(fld, 4.0, 0.5)
+        res = evolve.le_bound_audit(fld, 4.0, 0.5)
         assert res.ratio_lelocal == 0.0 and res.ratio_lepositive == 0.0
 
     def test_rejects_trapped_side(self, geom_m1_trapped):
         z = np.zeros(100, dtype=complex)
         fld = evolve.wave_field(geom_m1_trapped, Grid(-1.0, 9.0, 100), [(0, 1, z, z)])
         with pytest.raises(ValueError):
-            mul.le_bound_audit(fld, 4.0, 0.5)
+            evolve.le_bound_audit(fld, 4.0, 0.5)
 
     @staticmethod
     def front_field(geom):
@@ -390,7 +390,7 @@ class TestAudit:
         return evolve.wave_field(geom, grid, [(1, 1, w0, w1)])
 
     def test_homogeneous_run_ratios_finite(self, geom_m1_front):
-        res = mul.le_bound_audit(self.front_field(geom_m1_front), 15.0, 0.25)
+        res = evolve.le_bound_audit(self.front_field(geom_m1_front), 15.0, 0.25)
         assert 0 < res.ratio_lelocal < 50
         assert 1 <= res.ratio_lepositive < 50
 
@@ -406,12 +406,12 @@ class TestAudit:
             return raw(M, X)
 
         monkeypatch.setattr(evolve, "_raw_product", counted)
-        mul.le_bound_audit(fld, 40.0, 0.25)
-        assert len(calls) == math.ceil(evolve._sample_times(40.0, 0.25).size / spectral._TILE)
+        evolve.le_bound_audit(fld, 40.0, 0.25)
+        assert len(calls) == math.ceil(evolve._sample_times(40.0, 0.25).size / spectral.TILE)
 
     def test_le1_matches_space_time_norms(self, geom_m1_front):
         fld = self.front_field(geom_m1_front)
-        res = mul.le_bound_audit(fld, 40.0, 0.25)
+        res = evolve.le_bound_audit(fld, 40.0, 0.25)
         assert res.le1 == evolve.space_time_norms(fld, 40.0, 0.25)[0].le1
 
     def test_tiled_local_side_matches_per_state_sum(self, geom_m1_front):
@@ -430,5 +430,5 @@ class TestAudit:
                     + x ** (-2.0 * m - 3.0) * np.abs(w) ** 2)
             rows.append(h * float(np.sum(dens)))
         want = float(np.trapezoid(rows, 0.25 * np.arange(61)))
-        res = mul.le_bound_audit(fld, 15.0, 0.25)
+        res = evolve.le_bound_audit(fld, 15.0, 0.25)
         assert res.lhs_lelocal == pytest.approx(want, rel=1e-12)

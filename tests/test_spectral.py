@@ -1,5 +1,6 @@
 import ast
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,6 @@ from warptrap.spectral import (
     EigensolverError,
     Grid,
     ShellAccumulator,
-    ShellWeights,
     TridiagonalOperator,
     build_operator,
     eigen_full,
@@ -231,13 +231,13 @@ def whole_matrix_pairs(op, k):
 
 class TestBlockedSolve:
     # an n that is not a multiple of the tile width, so the last tile is short
-    N = 8 * spectral._TILE + 45
+    N = 8 * spectral.TILE + 45
 
     def op(self, l=7):
         geom = WarpGeometry.of(1, -1.0)
         return build_operator(Grid(-1.0, 8.0, self.N), lambda x: geom.potential(l, x), "blk")
 
-    @pytest.mark.parametrize("k", [None, 4 * spectral._TILE + 10])
+    @pytest.mark.parametrize("k", [None, 4 * spectral.TILE + 10])
     def test_blocks_match_whole_matrix(self, k):
         # at l = 30 the lowest modes live behind the barrier at x0, with
         # first entries far below their largest
@@ -253,7 +253,7 @@ class TestBlockedSolve:
 
         solve = sla.eigh_tridiagonal
         # one column in the second block and the last one, in the short block
-        bad = [spectral._TILE + 7, self.N - 1]
+        bad = [spectral.TILE + 7, self.N - 1]
         seen = []
 
         def corrupt(*args, **kwargs):
@@ -351,49 +351,45 @@ class TestQuadrature:
 
 class TestShells:
     def test_partition(self):
+        # the indicator is h on each node's one shell and 0 elsewhere
         g = Grid(-1.0, 40.0, 1500)
-        shells = ShellWeights(g)
-        counts = np.zeros(g.n_interior, dtype=int)
-        for mask in shells.masks:
-            counts += mask
-        assert np.all(counts == 1)
+        ind = ShellAccumulator(g).indicator
+        assert np.all((ind > 0).sum(axis=0) == 1)
+        assert np.all(ind[ind > 0] == g.h)
 
     def test_bracket_ranges(self):
         g = Grid(-1.0, 40.0, 1500)
-        shells = ShellWeights(g)
         br = np.sqrt(1.0 + g.nodes() ** 2)
-        for j, mask in enumerate(shells.masks):
+        for j, mask in enumerate(ShellAccumulator(g).indicator > 0):
             if np.any(mask):
                 assert np.all(br[mask] >= 2.0**j)
                 assert np.all(br[mask] < 2.0 ** (j + 1))
 
     def test_shell_sums_synthetic(self):
         g = Grid(-1.0, 40.0, 800)
-        shells = ShellWeights(g)
         dens = np.ones(g.n_interior)
-        sums = oracles.shell_sums(shells, dens)
+        sums = oracles.shell_sums(g, dens)
         assert sums.sum() == pytest.approx(g.h * g.n_interior, rel=1e-12)
         # a bump confined to shell 0 (<x> < 2) contributes only there
         x = g.nodes()
         dens = np.where(np.abs(x) < 1.0, 1.0, 0.0)
-        sums = oracles.shell_sums(shells, dens)
+        sums = oracles.shell_sums(g, dens)
         assert sums[0] > 0
         assert np.all(sums[1:] == 0)
 
     def test_batched_add_matches_shell_sums(self):
         g = Grid(-1.0, 40.0, 800)
-        shells = ShellWeights(g)
         rng = np.random.default_rng(9)
         u = rng.uniform(0.0, 1.0, (g.n_interior, 7))
         e1 = rng.uniform(0.0, 1.0, (g.n_interior, 7))
-        acc = ShellAccumulator(shells)
+        acc = ShellAccumulator(g)
         acc.add(np.arange(4.0), u[:, :4].T, e1[:, :4].T)
         acc.add(np.arange(4.0, 7.0), u[:, 4:].T, e1[:, 4:].T)
         assert acc.times == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         got_u, got_e1 = np.vstack(acc.u_rows), np.vstack(acc.e1_rows)
         for i in range(7):
-            want_u = oracles.shell_sums(shells, u[:, i])
-            want_e1 = oracles.shell_sums(shells, e1[:, i])
+            want_u = oracles.shell_sums(g, u[:, i])
+            want_e1 = oracles.shell_sums(g, e1[:, i])
             assert np.allclose(got_u[i], want_u, rtol=1e-13, atol=0.0)
             assert np.allclose(got_e1[i], want_e1, rtol=1e-13, atol=0.0)
 
@@ -422,6 +418,14 @@ def _definition(tree, name):
                 None)
 
 
+def _exports(tree) -> list[str]:
+    """The ``__all__`` names of a parsed module, none if it has no ``__all__``."""
+    exported = next((node.value for node in tree.body if isinstance(node, ast.Assign)
+                     and any(getattr(t, "id", None) == "__all__" for t in node.targets)),
+                    ast.List(elts=[]))
+    return [e.value for e in exported.elts]
+
+
 def _unreferenced_exports(pkg: Path) -> list[str]:
     """The ``__all__`` names of the package, as module.name, that no code in
     it references, by name or as an attribute, outside their own definition.
@@ -429,10 +433,7 @@ def _unreferenced_exports(pkg: Path) -> list[str]:
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(pkg.glob("*.py"))}
     found = []
     for module, tree in trees.items():
-        exported = next((node.value for node in tree.body if isinstance(node, ast.Assign)
-                         and any(getattr(t, "id", None) == "__all__" for t in node.targets)),
-                        ast.List(elts=[]))
-        for name in (e.value for e in exported.elts):
+        for name in _exports(tree):
             own = _definition(tree, name)
             inside = {id(node) for node in ast.walk(own)} if own is not None else set()
             if not any(id(node) not in inside
@@ -440,6 +441,73 @@ def _unreferenced_exports(pkg: Path) -> list[str]:
                             or getattr(node, "attr", None) == name)
                        for t in trees.values() for node in ast.walk(t)):
                 found.append(f"{module}.{name}")
+    return found
+
+
+def _package_module(name: str | None, level: int = 0) -> str | None:
+    """The package module an import names ("" for the package root), or
+    None for a module outside the package."""
+    if level == 0 and not (name == "warptrap" or (name or "").startswith("warptrap.")):
+        return None
+    return (name or "").removeprefix("warptrap").strip(".")
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _foreign_private_names(pkg: Path) -> list[str]:
+    """user: owner.name for each single-underscore name of another package
+    module that a package module imports, at module level or inside a
+    function, or reads as an attribute of an imported module."""
+    modules = {p.stem for p in pkg.glob("*.py")}
+    found = set()
+    for path in sorted(pkg.glob("*.py")):
+        user, tree = path.stem, ast.parse(path.read_text())
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        # local name -> the package module it is bound to
+        bound = {}
+        for node in imports:
+            if isinstance(node, ast.ImportFrom):
+                base = _package_module(node.module, node.level)
+                if base:
+                    found.update(f"{user}: {base}.{alias.name}"
+                                 for alias in node.names if _is_private(alias.name))
+                elif base == "":
+                    bound.update({alias.asname or alias.name: alias.name
+                                  for alias in node.names if alias.name in modules})
+            else:
+                for alias in node.names:
+                    base = _package_module(alias.name)
+                    if base is not None:
+                        bound[alias.asname or "warptrap"] = base if alias.asname else ""
+
+        def owner(node):
+            # the package module an expression names, or None
+            if isinstance(node, ast.Name):
+                return bound.get(node.id)
+            if (isinstance(node, ast.Attribute) and node.attr in modules
+                    and owner(node.value) == ""):
+                return node.attr
+            return None
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _is_private(node.attr):
+                mod = owner(node.value)
+                if mod is not None and mod != user:
+                    found.add(f"{user}: {mod or 'warptrap'}.{node.attr}")
+    return sorted(found)
+
+
+def _unbound_exports(pkg: Path) -> list[str]:
+    """module.name for each ``__all__`` entry of a package module that no
+    top-level def, class or assignment of that module binds."""
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [f"{path.stem}.{name}" for name in _exports(tree)
+                  if _definition(tree, name) is None]
     return found
 
 
@@ -510,8 +578,8 @@ UNREAD_MEMBERS = {
                                                         "item 2)",
     "quasimode.BracketResult.below_threshold": "acceptance criterion 02 reads it through "
                                                "bracket_check (ROADMAP.md item 2)",
-    **{f"multiplier.AuditResult.{name}": "le_bound_audit's result, which the bifurcation "
-                                         "command is to report (ROADMAP.md item 4)"
+    **{f"evolve.AuditResult.{name}": "le_bound_audit's result, which the bifurcation "
+                                     "command is to report (ROADMAP.md item 4)"
        for name in ("lhs_lelocal", "ratio_lelocal", "lhs_lepositive", "ratio_lepositive",
                     "E0")},
 }
@@ -519,7 +587,7 @@ UNREAD_MEMBERS = {
 # exported names that may lack a caller in the package, each with its reason
 UNCALLED_EXPORTS = {
     "quasimode.bracket_check": "acceptance criterion 02 and the benchmark's tracer call it",
-    "multiplier.le_bound_audit": "the open-side family of `bifurcation` is to call it "
+    "evolve.le_bound_audit": "the open-side family of `bifurcation` is to call it "
                                  "(ROADMAP.md)",
     "evolve.space_time_norms": "the benchmark's open-family workload and acceptance "
                                "criterion 08 call it; le_bound_audit, its former caller, "
@@ -546,6 +614,17 @@ class TestModuleBoundaries:
         # an allowed member that gains a reader leaves the list
         assert found >= UNREAD_MEMBERS.keys(), UNREAD_MEMBERS.keys() - found
 
+    def test_no_private_name_crosses_a_module(self):
+        # a name with a leading underscore is used only in the module that
+        # defines it; a name another module needs is public there
+        found = _foreign_private_names(Path(spectral.__file__).parent)
+        assert not found, f"private names used outside their module: {found}"
+
+    def test_every_export_is_defined_in_its_module(self):
+        # each name has one home: no module re-exports another's names
+        found = _unbound_exports(Path(spectral.__file__).parent)
+        assert not found, f"exported but not defined in the exporting module: {found}"
+
     def test_one_evolution_sweep(self):
         # every reduction over time samples goes through evolve._sweep; only
         # the drift check builds its own phase block, and only the band
@@ -562,7 +641,11 @@ class TestModuleBoundaries:
 
     def test_spectral_loads_without_evolve(self):
         code = "import sys, warptrap.spectral; print('warptrap.evolve' in sys.modules)"
+        # the child finds the package where this process found it
+        src = str(Path(spectral.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, timeout=60)
+                             text=True, timeout=60, env=env)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"

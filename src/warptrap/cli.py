@@ -27,7 +27,7 @@ from . import __version__, evolve, quasimode as qmod
 from .geometry import WarpGeometry
 from .spectral import EigensolverError, Grid, fd_derivative
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -50,15 +50,11 @@ class ExperimentConfig:
     x0_plus: float | None = None
     x0_minus: float | None = None
     l_list: list[int] = field(default_factory=lambda: [20, 30, 40])
-    n_interval: int | None = None
-    h_per_sigma: float = qmod.EIGEN_H_PER_SIGMA
-    h_per_sigma_evolve: float = evolve.EVOLUTION_H_PER_SIGMA
     x_max: float = 24.0
     R: float = 1.0
     T_max: float = 200.0
     k: int = 1
     A: float = 10.0
-    delta: float | None = None
     dt: float | None = None
     causal: str = "audited"
     seed: int = 20260809
@@ -97,10 +93,8 @@ class ExperimentConfig:
             raise ConfigError("m", "warp exponent must be >= 1")
         if self.T_max <= 0:
             raise ConfigError("T_max", "horizon must be positive")
-        for name in ("dt", "h_per_sigma", "h_per_sigma_evolve"):
-            step = getattr(self, name)
-            if step is not None and step <= 0:
-                raise ConfigError(name, "step must be positive")
+        if self.dt is not None and self.dt <= 0:
+            raise ConfigError("dt", "step must be positive")
         if self.R <= self.x0 and self.x0 < 0:
             raise ConfigError("R", "truncation radius must exceed the boundary")
         if self.k < 0:
@@ -111,10 +105,6 @@ class ExperimentConfig:
             raise ConfigError("l_list", "duplicate angular degrees")
         if any(l < 0 for l in self.l_list):
             raise ConfigError("l_list", "angular degrees must be nonnegative")
-        if self.n_interval is not None and self.n_interval < 3:
-            raise ConfigError("n_interval", "grid requires at least 3 interior nodes")
-        if self.delta is not None and self.delta <= 0:
-            raise ConfigError("delta", "multiplier parameter must be positive")
         if self.seed < 0:
             raise ConfigError("seed", "seed must be nonnegative")
 
@@ -240,21 +230,22 @@ def _trapped_quasimodes(cfg: ExperimentConfig, command: str, h_per_sigma: float,
                         ) -> tuple[OutputCollector, WarpGeometry, list[qmod.Quasimode]]:
     """The output collector of a trapped-side command, its geometry and the
     quasimodes of the configured degrees, ascending, on interval grids of
-    spacing rule ``h_per_sigma`` (``n_interval`` nodes when set).  The
-    side and degree guards run before the output directory is made."""
+    spacing rule ``h_per_sigma``.  The side and degree guards run before
+    the output directory is made."""
     if cfg.x0 >= 0:
         raise ConfigError("x0", f"{command} requires the trapped side (x0 < 0)")
     if not cfg.l_list:
         raise ConfigError("l_list", f"{command} needs at least one angular degree")
     out = OutputCollector(cfg.out_dir, cfg, command)
     geom = WarpGeometry.of(cfg.m, cfg.x0)
-    qms = [qmod.build_quasimode(geom, l, grid_interval=qmod.interval_grid(
-        geom, l, cfg.n_interval, h_per_sigma)) for l in sorted(cfg.l_list)]
+    qms = [qmod.build_quasimode(geom, l,
+                                grid_interval=qmod.interval_grid(geom, l, h_per_sigma))
+           for l in sorted(cfg.l_list)]
     return out, geom, qms
 
 
 def cmd_quasimode(cfg: ExperimentConfig) -> OutputCollector:
-    out, _, qms = _trapped_quasimodes(cfg, "quasimode", cfg.h_per_sigma)
+    out, _, qms = _trapped_quasimodes(cfg, "quasimode", qmod.EIGEN_H_PER_SIGMA)
     out.write_csv("quasimodes.csv", qmod.QUASIMODE_CSV_COLUMNS,
                   qmod.quasimode_csv_rows(qms))
     fits = {}
@@ -297,7 +288,7 @@ plot 'decay_curves.dat' using 2:5 with linespoints title 'residual H0', \\
 
 
 def cmd_confinement(cfg: ExperimentConfig) -> OutputCollector:
-    out, geom, qms = _trapped_quasimodes(cfg, "confinement", cfg.h_per_sigma_evolve)
+    out, geom, qms = _trapped_quasimodes(cfg, "confinement", evolve.EVOLUTION_H_PER_SIGMA)
     summary = {}
     reports = []
     for qm in qms:
@@ -341,17 +332,17 @@ def cmd_confinement(cfg: ExperimentConfig) -> OutputCollector:
 
 
 def cmd_le1_growth(cfg: ExperimentConfig) -> OutputCollector:
-    out, geom, qms = _trapped_quasimodes(cfg, "le1-growth", cfg.h_per_sigma_evolve)
+    out, geom, qms = _trapped_quasimodes(cfg, "le1-growth", evolve.EVOLUTION_H_PER_SIGMA)
     res = evolve.le1_growth(geom, qms, cfg.k, cfg.A, budget=cfg.T_max, R=cfg.R,
                             x_max=cfg.x_max, causal=cfg.causal, dt=cfg.dt)
     rows = [[qms[j].l, res.taus[j], res.T_list[j], res.dbk_norms[j], res.ratios[j]]
             for j in range(len(qms))]
     out.write_csv("le1_growth.csv", ["l", "tau", "T", "dbk_norm", "ratio"], rows)
     out.write_json("le1_growth_summary.json", {
-        "k": res.k, "A": res.A, "j_star": res.j_star, "T_star": res.T_star,
+        "k": cfg.k, "A": cfg.A, "j_star": res.j_star, "T_star": res.T_star,
         "reason": res.reason, "ratios": res.ratios,
     })
-    out.record("no_false_success", res.j_star is None or res.ratios[res.j_star] > res.A)
+    out.record("no_false_success", res.j_star is None or res.ratios[res.j_star] > cfg.A)
     return out
 
 
@@ -375,8 +366,10 @@ def cmd_bifurcation(cfg: ExperimentConfig) -> OutputCollector:
     if cfg.R <= cfg.x0_plus + 2.0:
         raise ConfigError("R", "bifurcation needs R > x0_plus + 2 so the matched "
                                "bump data fits inside [x0, R)")
+    if not cfg.l_list:
+        raise ConfigError("l_list", "bifurcation needs at least one angular degree")
     out = OutputCollector(cfg.out_dir, cfg, "bifurcation")
-    l_qm = max(cfg.l_list) if cfg.l_list else 40
+    l_qm = max(cfg.l_list)
     T = cfg.T_max
 
     # matched bump runs on both sides; decay claims need a causally exact wall
@@ -398,7 +391,7 @@ def cmd_bifurcation(cfg: ExperimentConfig) -> OutputCollector:
 
     # trapped-side quasimode run (audited wall on its own compact domain)
     geom_m = WarpGeometry.of(cfg.m, cfg.x0_minus)
-    grid_i = qmod.interval_grid(geom_m, l_qm, cfg.n_interval, cfg.h_per_sigma_evolve)
+    grid_i = qmod.interval_grid(geom_m, l_qm, evolve.EVOLUTION_H_PER_SIGMA)
     qm = qmod.build_quasimode(geom_m, l_qm, grid_interval=grid_i)
     x_max_qm = min(cfg.x_max, cfg.x0_minus + 25.0)
     rep = evolve.run_confinement(geom_m, qm, T, cfg.R, x_max=x_max_qm,
@@ -432,9 +425,7 @@ def cmd_multiplier_audit(cfg: ExperimentConfig) -> OutputCollector:
         raise ConfigError("x0", "the multiplier audit applies to the x0 > 0 side")
     out = OutputCollector(cfg.out_dir, cfg, "multiplier-audit")
     geom = WarpGeometry.of(cfg.m, cfg.x0)
-    delta = cfg.delta
-    if delta is None:
-        delta = 0.5 * multiplier.find_admissible_delta(geom)
+    delta = 0.5 * multiplier.find_admissible_delta(geom)
     pair = multiplier.MultiplierPair.delta_family(geom, delta)
     rows = []
 
@@ -508,13 +499,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x0-plus", dest="x0_plus", type=float, default=None)
     p.add_argument("--x0-minus", dest="x0_minus", type=float, default=None)
     p.add_argument("--l", dest="l_list", type=int, nargs="*", default=None)
-    p.add_argument("--n", dest="n_interval", type=int, default=None)
     p.add_argument("--x-max", dest="x_max", type=float, default=None)
     p.add_argument("--R", type=float, default=None)
     p.add_argument("--T", dest="T_max", type=float, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--A", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--causal", choices=("strict", "audited"), default=None)

@@ -601,8 +601,6 @@ class Le1Growth:
     T_list: list[float]
     ratios: list[float]
     dbk_norms: list[float]
-    k: int
-    A: float
     j_star: int | None
     T_star: float | None
     reason: str
@@ -645,7 +643,7 @@ def le1_growth(
         if j_star is None and ratio > A:
             j_star, T_star = j, T_j
     reason = "achieved" if j_star is not None else "budget-exhausted"
-    return Le1Growth(taus, T_list, ratios, dbks, k, A, j_star, T_star, reason)
+    return Le1Growth(taus, T_list, ratios, dbks, j_star, T_star, reason)
 
 
 def space_time_norms(state: ModeState, T: float, dt: float):

@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "WarpGeometry",
     "WarpParams",
-    "potential_is_monotone",
 ]
 
 
@@ -94,12 +93,3 @@ class WarpGeometry:
     def __repr__(self):
         return f"WarpGeometry(m={self.params.m}, x0={self.params.x0})"
 
-
-def potential_is_monotone(geom: WarpGeometry, l: int) -> bool:
-    """Whether V_l is strictly increasing on [x0, x0/2] (x0 < 0), sampled at
-    257 points."""
-    x0 = geom.params.x0
-    if x0 >= 0:
-        raise ValueError("monotonicity window [x0, x0/2] requires x0 < 0")
-    xs = np.linspace(x0, x0 / 2, 257)
-    return bool(np.all(np.diff(geom.potential(l, xs)) > 0))

@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .geometry import WarpGeometry, potential_is_monotone
+from .geometry import WarpGeometry
 from .smoothstep import smooth_step
 from .spectral import (
     Grid,
@@ -39,7 +39,6 @@ __all__ = [
     "DecayFit",
     "FitError",
     "Quasimode",
-    "bracket_check",
     "build_quasimode",
     "default_cutoff",
     "fit_exponential_rate",
@@ -88,12 +87,9 @@ def default_cutoff(x0: float) -> CutoffProfile:
     return CutoffProfile(x0, 0.4 * x0, 0.1 * x0)
 
 
-def interval_grid(geom: WarpGeometry, l: int, n: int | None = None,
-                  h_per_sigma: float = EIGEN_H_PER_SIGMA) -> Grid:
-    """Grid on (x0, 0) with n interior points, or else fine enough that
-    h * sigma <= h_per_sigma for the mode-l frequency."""
-    if n is not None:
-        return Grid.interval(geom.params.x0, n)
+def interval_grid(geom: WarpGeometry, l: int, h_per_sigma: float = EIGEN_H_PER_SIGMA) -> Grid:
+    """Grid on (x0, 0) fine enough that h * sigma <= h_per_sigma for the
+    mode-l frequency."""
     return Grid.for_sigma(geom.params.x0, 0.0, math.sqrt(l * (l + 1)), h_per_sigma)
 
 
@@ -104,48 +100,13 @@ def mode_operator(geom: WarpGeometry, l: int, grid: Grid):
 
 @dataclass(frozen=True)
 class BracketResult:
-    """Frequency bracket check for one angular degree.
+    """The frequency bracket [V_l(x0), V_l(x0/2)] of one angular degree,
+    and whether the lowest Dirichlet eigenvalue tau^2 on (x0, 0) lies in
+    it."""
 
-    ``below_threshold`` is True when the hypotheses that make the bracket
-    argument run (potential increasing on [x0, x0/2] and the square-well
-    bound fitting under V(x0/2)) fail at this l; the computed numbers are
-    still reported.
-    """
-
-    l: int
     V_at_x0: float
     V_at_half: float
-    V_at_threequarters_bound: float
-    tau_sq: float
     in_bracket: bool
-    below_threshold: bool
-
-
-def bracket_check(geom: WarpGeometry, l: int, n: int | None = None) -> BracketResult:
-    """Locate the lowest Dirichlet eigenvalue on (x0, 0) and test the
-    bracket [V(x0), V(x0/2)] plus the square-well upper bound
-    V(3 x0/4) + 16 pi^2 / x0^2."""
-    if geom.params.x0 >= 0:
-        raise ValueError("bracket check requires the trapped side, x0 < 0")
-    grid = interval_grid(geom, l, n)
-    return _bracket(geom, l, eigen_lowest(mode_operator(geom, l, grid), 1)[0].value)
-
-
-def _bracket(geom: WarpGeometry, l: int, tau_sq: float) -> BracketResult:
-    """The bracket arithmetic of ``bracket_check`` for a solved tau^2."""
-    x0 = geom.params.x0
-    v_lo = float(geom.potential(l, x0))
-    v_hi = float(geom.potential(l, x0 / 2))
-    swb = float(geom.potential(l, 3 * x0 / 4)) + 16.0 * math.pi**2 / x0**2
-    return BracketResult(
-        l=l,
-        V_at_x0=v_lo,
-        V_at_half=v_hi,
-        V_at_threequarters_bound=swb,
-        tau_sq=float(tau_sq),
-        in_bracket=bool(v_lo <= tau_sq <= v_hi),
-        below_threshold=not (potential_is_monotone(geom, l) and swb <= v_hi),
-    )
 
 
 @dataclass(frozen=True)
@@ -195,7 +156,9 @@ def build_quasimode(
     grid = grid_interval if grid_interval is not None else interval_grid(geom, l)
     op = mode_operator(geom, l, grid)
     pair = eigen_lowest(op, 1)[0]
-    bracket = _bracket(geom, l, pair.value)
+    v_lo = float(geom.potential(l, geom.params.x0))
+    v_hi = float(geom.potential(l, geom.params.x0 / 2))
+    bracket = BracketResult(v_lo, v_hi, bool(v_lo <= pair.value <= v_hi))
     if require_bracket and not bracket.in_bracket:
         raise ValueError(
             f"frequency bracket fails at l={l} for m={geom.params.m}, "
@@ -251,13 +214,12 @@ def fit_exponential_rate(
     quasimodes: list[Quasimode],
     quantity: str = "residual_h0",
     abscissa: str = "sigma",
-    require_negative: bool = True,
 ) -> DecayFit:
     """Fit log(quantity) = intercept + slope * abscissa over the family.
 
     Values at or below the floating-point floor are excluded (reported via
     ``n_excluded``); an all-floored family is an error, as is a
-    nonnegative slope unless ``require_negative`` is disabled.
+    nonnegative slope.
     """
     if quantity not in _QUANTITY_GETTERS:
         raise ValueError(f"unknown quantity {quantity!r}")
@@ -282,7 +244,7 @@ def fit_exponential_rate(
     resid = y - (intercept + slope * s)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    if require_negative and slope >= 0:
+    if slope >= 0:
         raise FitError(f"{quantity} fit slope {slope:.3e} is not negative")
     return DecayFit(float(slope), float(intercept), r2, n_excluded)
 

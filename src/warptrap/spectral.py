@@ -67,13 +67,6 @@ class Grid:
     def nodes(self) -> np.ndarray:
         return self.x_left + self.h * np.arange(1, self.n_interior + 1)
 
-    @classmethod
-    def interval(cls, x0: float, n_interior: int) -> "Grid":
-        """Grid on (x0, 0) for the quasimode eigenvalue problems."""
-        if x0 >= 0:
-            raise ValueError("interval grid requires x0 < 0")
-        return cls(x0, 0.0, n_interior)
-
     def extended(self, x_max: float) -> "Grid":
         """Evolution grid on (x_left, >= x_max) sharing this grid's spacing.
 

@@ -5,7 +5,10 @@ definition, where the package computes the same quantity in tiled passes
 or closed forms: the phase rotation of one state and forced propagation by
 variation of constants, per-state energies and space-time norms, per-shell
 sums, the fields of a manufactured solution, and the flux densities of the
-multiplier identity.  No command runs any of them.
+multiplier identity.  The frequency bracket check, with its square-well
+bound and the monotonicity window of its hypotheses, lives here too: the
+package checks only the bracket itself, inside ``build_quasimode``.  No
+command runs any of them.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from warptrap.evolve import ModeState, _densities, _warp_factors
-from warptrap.spectral import ShellAccumulator
+from warptrap.geometry import WarpGeometry
+from warptrap.quasimode import interval_grid, mode_operator
+from warptrap.spectral import Grid, ShellAccumulator, eigen_lowest
 
 # -- propagation -----------------------------------------------------------------
 
@@ -188,3 +193,58 @@ def flux_integrands(geom, pair, sol):
                 - 0.5 * d["dg"] * u0**2 * a2)
 
     return I1, I2
+
+
+# -- frequency bracket -----------------------------------------------------------
+
+
+def potential_is_monotone(geom: WarpGeometry, l: int) -> bool:
+    """Whether V_l is strictly increasing on [x0, x0/2] (x0 < 0), sampled at
+    257 points."""
+    x0 = geom.params.x0
+    if x0 >= 0:
+        raise ValueError("monotonicity window [x0, x0/2] requires x0 < 0")
+    xs = np.linspace(x0, x0 / 2, 257)
+    return bool(np.all(np.diff(geom.potential(l, xs)) > 0))
+
+
+@dataclass(frozen=True)
+class BracketCheck:
+    """Frequency bracket check for one angular degree.
+
+    ``below_threshold`` is True when the hypotheses that make the bracket
+    argument run (potential increasing on [x0, x0/2] and the square-well
+    bound fitting under V(x0/2)) fail at this l; the computed numbers are
+    still reported.
+    """
+
+    l: int
+    V_at_x0: float
+    V_at_half: float
+    V_at_threequarters_bound: float
+    tau_sq: float
+    in_bracket: bool
+    below_threshold: bool
+
+
+def bracket_check(geom: WarpGeometry, l: int, n: int | None = None) -> BracketCheck:
+    """Locate the lowest Dirichlet eigenvalue on (x0, 0), on n interior
+    nodes or else the quasimode grid, and test the bracket [V(x0), V(x0/2)]
+    plus the square-well upper bound V(3 x0/4) + 16 pi^2 / x0^2."""
+    x0 = geom.params.x0
+    if x0 >= 0:
+        raise ValueError("bracket check requires the trapped side, x0 < 0")
+    grid = interval_grid(geom, l) if n is None else Grid(x0, 0.0, n)
+    tau_sq = eigen_lowest(mode_operator(geom, l, grid), 1)[0].value
+    v_lo = float(geom.potential(l, x0))
+    v_hi = float(geom.potential(l, x0 / 2))
+    swb = float(geom.potential(l, 3 * x0 / 4)) + 16.0 * math.pi**2 / x0**2
+    return BracketCheck(
+        l=l,
+        V_at_x0=v_lo,
+        V_at_half=v_hi,
+        V_at_threequarters_bound=swb,
+        tau_sq=float(tau_sq),
+        in_bracket=bool(v_lo <= tau_sq <= v_hi),
+        below_threshold=not (potential_is_monotone(geom, l) and swb <= v_hi),
+    )

@@ -18,7 +18,6 @@ from warptrap import multiplier as mul
 from warptrap.cli import HARDY_FROZEN_BOUND
 from warptrap.geometry import WarpGeometry
 from warptrap.quasimode import (
-    bracket_check,
     build_quasimode,
     fit_exponential_rate,
     interval_grid,
@@ -53,7 +52,7 @@ def fit_families(geom):
     for l in FIT_DEGREES:
         g = interval_grid(geom, l)
         base.append(build_quasimode(geom, l, grid_interval=g))
-        g2 = Grid.interval(geom.params.x0, 2 * g.n_interior + 1)
+        g2 = Grid(geom.params.x0, 0.0, 2 * g.n_interior + 1)
         double.append(build_quasimode(geom, l, grid_interval=g2))
     return base, double
 
@@ -106,7 +105,7 @@ def test_criterion_02_frequency_bracket_sweep():
         for l in range(10, 61):
             n = interval_grid(gm, l).n_interior
             for nn in (n, 2 * n + 1):
-                res = bracket_check(gm, l, n=nn)
+                res = oracles.bracket_check(gm, l, n=nn)
                 if res.below_threshold:
                     skipped[m] += 1
                     continue

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 from types import SimpleNamespace
@@ -53,15 +54,11 @@ CONFIG_FIELDS = {
         st.lists(st.integers(0, 100), min_size=1, max_size=4).map(lambda ls: ls + ls[:1]),
         st.tuples(st.lists(st.integers(0, 100), max_size=3), st.integers(-100, -1))
         .map(lambda p: p[0] + [p[1]]))),
-    "n_interval": ({"int", "null"}, _at_or_below(2, st.integers)),
-    "h_per_sigma": (_FLOAT, _NONPOSITIVE),
-    "h_per_sigma_evolve": (_FLOAT, _NONPOSITIVE),
     "x_max": (_FLOAT, None),
     "R": (_FLOAT, _at_or_below(-1.0, st.floats)),  # at or behind the default wall x0 = -1
     "T_max": (_FLOAT, _NONPOSITIVE),
     "k": ({"int"}, _at_or_below(-1, st.integers)),
     "A": (_FLOAT, None),
-    "delta": (_FLOAT | {"null"}, _NONPOSITIVE),
     "dt": (_FLOAT | {"null"}, _NONPOSITIVE),
     "causal": ({"str"}, st.text(max_size=8).filter(lambda s: s not in ("strict", "audited"))),
     "seed": ({"int"}, _at_or_below(-1, st.integers)),
@@ -100,11 +97,17 @@ def strict_json_artifacts():
 
 
 class TestConfig:
-    def test_unknown_field_rejected(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"nonsense": 1}))
-        with pytest.raises(ConfigError, match="nonsense"):
-            ExperimentConfig.load(str(cfg), {})
+    def test_unknown_field_rejected(self, tmp_path, capsys):
+        # besides a made-up name, the four grid and multiplier overrides the
+        # config no longer carries, each at a value it once accepted
+        for name, value in [("nonsense", 1), ("n_interval", 300), ("h_per_sigma", 0.05),
+                            ("h_per_sigma_evolve", 0.2), ("delta", 0.1)]:
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({name: value, "out_dir": str(tmp_path / name)}))
+            assert run_cli(["quasimode", "--config", str(cfg)]) == 1, name
+            assert capsys.readouterr().err == (
+                f"error: config field '{name}': unknown field in config file\n")
+            assert not (tmp_path / name).exists()
 
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -117,14 +120,13 @@ class TestConfig:
             ExperimentConfig.load(None, {"T_max": -1.0})
         with pytest.raises(ConfigError, match="causal"):
             ExperimentConfig.load(None, {"causal": "maybe"})
-        for name in ("dt", "h_per_sigma", "h_per_sigma_evolve"):
-            with pytest.raises(ConfigError, match=f"'{name}'"):
-                ExperimentConfig.load(None, {name: 0.0})
+        with pytest.raises(ConfigError, match="'dt'"):
+            ExperimentConfig.load(None, {"dt": 0.0})
 
     @pytest.mark.parametrize("field, value", [
         ("m", "2"), ("m", 2.0), ("m", True), ("x0", "-1"), ("x0_plus", [1.0]),
         ("l_list", 20), ("l_list", [20, "30"]), ("l_list", [20.0]),
-        ("n_interval", 1.5), ("causal", 1), ("out_dir", None),
+        ("causal", 1), ("out_dir", None),
     ])
     def test_field_types_checked(self, tmp_path, field, value):
         cfg = tmp_path / "c.json"
@@ -135,9 +137,9 @@ class TestConfig:
     def test_annotated_types_accepted(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"m": 2, "x0": -2, "x0_plus": None, "l_list": [],
-                                   "n_interval": 300, "dt": 0.5, "causal": "strict"}))
+                                   "dt": 0.5, "causal": "strict"}))
         out = ExperimentConfig.load(str(cfg), {})
-        assert (out.m, out.x0, out.l_list, out.n_interval, out.dt) == (2, -2, [], 300, 0.5)
+        assert (out.m, out.x0, out.l_list, out.dt) == (2, -2, [], 0.5)
 
     @pytest.mark.parametrize("text", ["{", "[1, 2]"])
     def test_unreadable_config_names_the_path(self, tmp_path, text):
@@ -153,10 +155,21 @@ class TestExitCodes:
         assert code == 1
         assert "x0" in capsys.readouterr().err
 
-    def test_empty_l_list_is_validation_error(self, tmp_path, capsys):
-        code = run_cli(["quasimode", "--x0", "-1.0", "--l", "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize("argv", [
+        ["quasimode", "--x0", "-1.0"],
+        ["confinement", "--x0", "-1.0"],
+        ["le1-growth", "--x0", "-1.0"],
+        # a horizon inside the bump runs' causality budget, so that only the
+        # degrees are wrong
+        ["bifurcation", "--x0-plus", "1.0", "--x0-minus", "-1.0", "--R", "3.5",
+         "--T", "5", "--x-max", "40"],
+    ], ids=lambda argv: argv[0])
+    def test_empty_l_list_is_validation_error(self, argv, tmp_path, capsys):
+        code = run_cli([*argv, "--l", "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "l_list" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'l_list': ")
+        assert err.count("\n") == 1 and not (tmp_path / "o").exists()
 
     def test_causality_budget_rejected(self, tmp_path, capsys):
         code = run_cli([
@@ -194,7 +207,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("text, field", [
         ('{"T_max": Infinity}', "T_max"), ('{"x_max": NaN}', "x_max"),
-        ('{"x0_plus": -Infinity}', "x0_plus"), ('{"delta": NaN}', "delta"),
+        ('{"x0_plus": -Infinity}', "x0_plus"),
     ])
     def test_non_finite_config_field_is_validation_error(self, tmp_path, capsys, text,
                                                          field):
@@ -405,6 +418,17 @@ class TestGrowthCommand:
         assert summary["j_star"] is None
         assert summary["reason"] == "budget-exhausted"
 
+    def test_threshold_reached_reported(self, tmp_path):
+        # every ratio exceeds A = 0, so the first degree reaches it and the
+        # check compares its ratio with the configured A
+        out = tmp_path / "g"
+        code = run_cli(["le1-growth", "--x0", "-1.0", "--l", "14", "18",
+                        "--T", "25", "--x-max", "12", "--A", "0", "--k", "1",
+                        "--out", str(out)])
+        assert code == 0
+        summary = json.loads((out / "le1_growth_summary.json").read_text())
+        assert (summary["j_star"], summary["reason"], summary["A"]) == (0, "achieved", 0.0)
+
 
 class TestBifurcationCommand:
     def test_matched_split_with_frozen_thresholds(self, tmp_path):
@@ -606,7 +630,33 @@ def readme_command_lines():
             if line.startswith("warptrap ")]
 
 
+FLAG = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
+
+
+def cli_flags():
+    """Every option string the parser accepts, at the top level or for some
+    command, read from the help texts."""
+    from warptrap import cli as cli_mod
+
+    flags = set()
+    for argv in [[], *([name] for name in cli_mod._COMMANDS)]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            run_cli([*argv, "--help"])
+        flags |= set(FLAG.findall(out.getvalue()))
+    return flags
+
+
 class TestReadmeCommands:
+    def test_every_flag_named_is_accepted(self):
+        # a flag dropped from the parser cannot live on in the prose; the
+        # install section before the command line names pip's flags
+        text = README.read_text().split("## Command line", 1)[1]
+        named = set(FLAG.findall(text))
+        assert named, "README names no flag"
+        unknown = sorted(named - cli_flags())
+        assert not unknown, unknown
+
     def test_block_holds_every_command(self):
         from warptrap import cli as cli_mod
 

@@ -363,7 +363,7 @@ class TestPropagate:
 
 class TestForcing:
     def test_duhamel_reproduces_phase_rotation(self, geom_m1_trapped):
-        grid_i = Grid.interval(-1.0, 120)
+        grid_i = Grid(-1.0, 0.0, 120)
         qm = build_quasimode(geom_m1_trapped, 8, grid_interval=grid_i,
                              require_bracket=False)
         gext = qm.grid.extended(8.0)
@@ -439,7 +439,7 @@ class TestForcing:
         assert peak < 2 * history
 
     def test_gap_bound_holds_pointwise(self, geom_m1_trapped):
-        grid_i = Grid.interval(-1.0, 140)
+        grid_i = Grid(-1.0, 0.0, 140)
         qm = build_quasimode(geom_m1_trapped, 12, grid_interval=grid_i,
                              require_bracket=False)
         rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=30.0, R=1.0,
@@ -452,7 +452,7 @@ class TestForcing:
 class TestConfinement:
     def test_strict_mode_rejects_short_domain(self, geom_m1_trapped):
         qm = build_quasimode(geom_m1_trapped, 12,
-                             grid_interval=Grid.interval(-1.0, 100),
+                             grid_interval=Grid(-1.0, 0.0, 100),
                              require_bracket=False)
         with pytest.raises(ValueError, match="domain too short"):
             evolve.run_confinement(geom_m1_trapped, qm, T_max=50.0, R=1.0,
@@ -460,7 +460,7 @@ class TestConfinement:
 
     def test_support_must_sit_inside_near_region(self, geom_m1_trapped):
         qm = build_quasimode(geom_m1_trapped, 12,
-                             grid_interval=Grid.interval(-1.0, 100),
+                             grid_interval=Grid(-1.0, 0.0, 100),
                              require_bracket=False)
         with pytest.raises(ValueError, match="supported"):
             evolve.run_confinement(geom_m1_trapped, qm, T_max=10.0, R=-0.5,
@@ -468,7 +468,7 @@ class TestConfinement:
 
     def test_confined_energy_floor(self, geom_m1_trapped):
         qm = build_quasimode(geom_m1_trapped, 12,
-                             grid_interval=Grid.interval(-1.0, 120),
+                             grid_interval=Grid(-1.0, 0.0, 120),
                              require_bracket=False)
         rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=40.0, R=1.0,
                                      x_max=14.0, causal="audited", le1=True)
@@ -483,7 +483,7 @@ class TestConfinement:
     def test_energy_drift_checks_every_256th_sample(self, geom_m1_trapped, monkeypatch):
         # damping the rotation makes the grid energy fall with time, so the
         # reported drift is the one at the last checked sample
-        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid.interval(-1.0, 120),
+        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120),
                              require_bracket=False)
         grid_ext = qm.grid.extended(13.0)
         prop = evolve.get_propagator(geom_m1_trapped, 12, grid_ext)
@@ -510,7 +510,7 @@ class TestConfinement:
         # 0.80 x 8n^2 with 256-sample blocks, about 0.3 x 8n^2 with 64
         import tracemalloc
 
-        grid_i = interval_grid(geom_m1_trapped, 20, None, evolve.EVOLUTION_H_PER_SIGMA)
+        grid_i = interval_grid(geom_m1_trapped, 20, evolve.EVOLUTION_H_PER_SIGMA)
         qm = build_quasimode(geom_m1_trapped, 20, grid_interval=grid_i)
         grid_ext = qm.grid.extended(12.0)
         n = grid_ext.n_interior
@@ -539,7 +539,7 @@ class TestConfinement:
                 evolve._le_stride(1000.0, 1.0, dt_le)
 
     def test_le1_samples_end_at_or_below_horizon(self, geom_m1_trapped):
-        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid.interval(-1.0, 120),
+        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120),
                              require_bracket=False)
         with pytest.raises(ValueError, match="whole multiple"):
             evolve.run_confinement(geom_m1_trapped, qm, T_max=3.5, R=1.0, x_max=12.0,
@@ -559,7 +559,7 @@ class TestConfinement:
         # over the wall strip, as the whole grid minus the rows before it) and
         # the space-time norm pass on the same field; at most 600 nodes
         geom = WarpGeometry.of(m, x0)
-        qm = build_quasimode(geom, l, grid_interval=Grid.interval(x0, n),
+        qm = build_quasimode(geom, l, grid_interval=Grid(x0, 0.0, n),
                              require_bracket=False)
         h = qm.grid.h
         x_max = 1.0 + reach * (x0 + 600 * h - 1.0)
@@ -630,7 +630,7 @@ class TestPropagatorCache:
 class TestGrowthExperiment:
     def test_budget_exhaustion_reported_honestly(self, geom_m1_trapped):
         qms = [build_quasimode(geom_m1_trapped, l,
-                               grid_interval=Grid.interval(-1.0, 120),
+                               grid_interval=Grid(-1.0, 0.0, 120),
                                require_bracket=False) for l in (10, 14)]
         res = evolve.le1_growth(geom_m1_trapped, qms, k=1, A=1e6, budget=20.0,
                                 R=1.0, x_max=12.0, causal="audited")
@@ -640,7 +640,7 @@ class TestGrowthExperiment:
 
     def test_running_ratio_tracks_sqrt_horizon(self, geom_m1_trapped):
         qm = build_quasimode(geom_m1_trapped, 14,
-                             grid_interval=Grid.interval(-1.0, 120),
+                             grid_interval=Grid(-1.0, 0.0, 120),
                              require_bracket=False)
         rep = evolve.run_confinement(geom_m1_trapped, qm, 40.0, R=1.0, x_max=12.0,
                                      causal="audited", le1=True)
@@ -648,7 +648,7 @@ class TestGrowthExperiment:
 
     def test_small_threshold_achieved(self, geom_m1_trapped):
         qms = [build_quasimode(geom_m1_trapped, 14,
-                               grid_interval=Grid.interval(-1.0, 120),
+                               grid_interval=Grid(-1.0, 0.0, 120),
                                require_bracket=False)]
         res = evolve.le1_growth(geom_m1_trapped, qms, k=0, A=1e-3, budget=20.0,
                                 R=1.0, x_max=12.0, causal="audited")
@@ -656,7 +656,7 @@ class TestGrowthExperiment:
         assert res.reason == "achieved"
 
     def test_sample_step_reaches_the_runs(self, geom_m1_trapped):
-        qm = build_quasimode(geom_m1_trapped, 14, grid_interval=Grid.interval(-1.0, 120),
+        qm = build_quasimode(geom_m1_trapped, 14, grid_interval=Grid(-1.0, 0.0, 120),
                              require_bracket=False)
         kw = dict(R=1.0, x_max=12.0, causal="audited")
         ratios = []
@@ -671,7 +671,7 @@ class TestGrowthExperiment:
 
     def test_requires_frequency_ordering(self, geom_m1_trapped):
         qms = [build_quasimode(geom_m1_trapped, l,
-                               grid_interval=Grid.interval(-1.0, 120),
+                               grid_interval=Grid(-1.0, 0.0, 120),
                                require_bracket=False) for l in (14, 10)]
         with pytest.raises(ValueError, match="ordered"):
             evolve.le1_growth(geom_m1_trapped, qms, k=0, A=1.0, budget=5.0,
@@ -690,7 +690,7 @@ class TestEigenvectorSigns:
     reconstructed product, and every energy and norm, is bit-identical."""
 
     def outputs(self, geom):
-        qm = build_quasimode(geom, 12, grid_interval=Grid.interval(-1.0, 120),
+        qm = build_quasimode(geom, 12, grid_interval=Grid(-1.0, 0.0, 120),
                              require_bracket=False)
         rep = evolve.run_confinement(geom, qm, 30.0, R=1.0, x_max=12.0, causal="audited",
                                      le1=True)
@@ -844,7 +844,7 @@ class TestCrossSite:
     def test_confinement_run_agrees(self, geom_m1_trapped, k):
         # with dt_le = 2 dt, samples 0 and 12 come from the whole-grid LE1
         # reconstruction and sample 5 from the E_R band's
-        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid.interval(-1.0, 120),
+        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120),
                              require_bracket=False)
         T, dt = 3.0, 0.25
         dt_le = k * dt
@@ -890,7 +890,7 @@ class TestEnergyNorms:
 
         for l in (14, 20):
             qm = build_quasimode(geom_m1_trapped, l,
-                                 grid_interval=Grid.interval(-1.0, 160),
+                                 grid_interval=Grid(-1.0, 0.0, 160),
                                  require_bracket=False)
             gext = qm.grid.extended(8.0)
             fld = evolve._data_field(geom_m1_trapped, qm, gext)
@@ -938,7 +938,7 @@ class TestDbk:
         assert dbk_norm(small_field, 0) == pytest.approx(2 * base, rel=1e-12)
 
     def test_matches_grid_oracle(self, oscillating_field, geom_m1_trapped):
-        qm = build_quasimode(geom_m1_trapped, 14, grid_interval=Grid.interval(-1.0, 160),
+        qm = build_quasimode(geom_m1_trapped, 14, grid_interval=Grid(-1.0, 0.0, 160),
                              require_bracket=False)
         qm_field = evolve._data_field(geom_m1_trapped, qm, qm.grid.extended(8.0))
         for fld in (oscillating_field, qm_field):

@@ -1,10 +1,11 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 import sympy_oracle
 
-from warptrap.geometry import WarpGeometry, WarpParams, potential_is_monotone
+from warptrap.geometry import WarpGeometry, WarpParams
 
 
 def central_diff(f, x, h):
@@ -98,7 +99,7 @@ class TestMonotonicityWindow:
     @staticmethod
     def hypotheses_hold(geom, l):
         x0 = geom.params.x0
-        return (potential_is_monotone(geom, l)
+        return (oracles.potential_is_monotone(geom, l)
                 and geom.potential(l, x0 / 2) < geom.potential(l, 0.0))
 
     def test_threshold_exists_m1(self, geom_m1_trapped):
@@ -110,4 +111,4 @@ class TestMonotonicityWindow:
 
     def test_window_requires_trapped_side(self, geom_m1_front):
         with pytest.raises(ValueError):
-            potential_is_monotone(geom_m1_front, 5)
+            oracles.potential_is_monotone(geom_m1_front, 5)

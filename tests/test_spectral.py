@@ -43,7 +43,7 @@ class TestGrid:
             Grid(0.0, 1.0, 2)
 
     def test_extension_shares_nodes(self):
-        g = Grid.interval(-1.0, 99)
+        g = Grid(-1.0, 0.0, 99)
         ge = g.extended(5.0)
         assert ge.h == pytest.approx(g.h, rel=1e-15)
         np.testing.assert_array_equal(ge.nodes()[:99], g.nodes())
@@ -573,11 +573,6 @@ UNREAD_MEMBERS = {
     "spectral.LeNorms.le": "the paper's LE norm; TestNorms pins it to closed forms, the only "
                            "closed-form check of the shell weights LE1 shares",
     "spectral.LeNorms.le_star": "the paper's dual LE* norm; pinned by TestNorms with LE",
-    "quasimode.BracketResult.V_at_threequarters_bound": "acceptance criterion 02 reads it "
-                                                        "through bracket_check (ROADMAP.md "
-                                                        "item 2)",
-    "quasimode.BracketResult.below_threshold": "acceptance criterion 02 reads it through "
-                                               "bracket_check (ROADMAP.md item 2)",
     **{f"evolve.AuditResult.{name}": "le_bound_audit's result, which the bifurcation "
                                      "command is to report (ROADMAP.md item 4)"
        for name in ("lhs_lelocal", "ratio_lelocal", "lhs_lepositive", "ratio_lepositive",
@@ -586,7 +581,6 @@ UNREAD_MEMBERS = {
 
 # exported names that may lack a caller in the package, each with its reason
 UNCALLED_EXPORTS = {
-    "quasimode.bracket_check": "acceptance criterion 02 and the benchmark's tracer call it",
     "evolve.le_bound_audit": "the open-side family of `bifurcation` is to call it "
                                  "(ROADMAP.md)",
     "evolve.space_time_norms": "the benchmark's open-family workload and acceptance "

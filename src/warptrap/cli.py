@@ -343,6 +343,9 @@ def cmd_le1_growth(cfg: ExperimentConfig) -> OutputCollector:
         "reason": res.reason, "ratios": res.ratios,
     })
     out.record("no_false_success", res.j_star is None or res.ratios[res.j_star] > cfg.A)
+    if cfg.causal == "audited":
+        for qm, ok in zip(qms, res.wall_ok):
+            out.record(f"wall_audit_l{qm.l}", ok)
     return out
 
 
@@ -368,19 +371,21 @@ def cmd_bifurcation(cfg: ExperimentConfig) -> OutputCollector:
                                "bump data fits inside [x0, R)")
     if not cfg.l_list:
         raise ConfigError("l_list", "bifurcation needs at least one angular degree")
+    # matched bump runs on both sides; decay claims need a causally exact
+    # wall, and the plus side's support, ending at x0_plus + 2, reaches
+    # furthest toward it
+    budget = cfg.x_max - (cfg.x0_plus + 2.0)
+    if cfg.T_max > budget:
+        raise ConfigError("T_max", "horizon exceeds the causality budget "
+                                   f"x_max - support = {budget:g}")
     out = OutputCollector(cfg.out_dir, cfg, "bifurcation")
     l_qm = max(cfg.l_list)
     T = cfg.T_max
 
-    # matched bump runs on both sides; decay claims need a causally exact wall
     curves = {}
     for tag, x0 in (("plus", cfg.x0_plus), ("minus", cfg.x0_minus)):
         center = x0 + 1.5
         width = 0.5
-        support_max = center + width
-        if T > cfg.x_max - support_max:
-            raise ConfigError("T_max", "horizon exceeds the causality budget "
-                                       f"x_max - support = {cfg.x_max - support_max:g}")
         geom = WarpGeometry.of(cfg.m, x0)
         grid = Grid(x0, cfg.x_max, max(int((cfg.x_max - x0) / 0.04), 400))
         fld = _bump_field(geom, grid, 1, center, width)

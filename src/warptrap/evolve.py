@@ -601,6 +601,7 @@ class Le1Growth:
     T_list: list[float]
     ratios: list[float]
     dbk_norms: list[float]
+    wall_ok: list[bool]
     j_star: int | None
     T_star: float | None
     reason: str
@@ -627,7 +628,7 @@ def le1_growth(
     """
     if any(quasimodes[i].tau > quasimodes[i + 1].tau for i in range(len(quasimodes) - 1)):
         raise ValueError("quasimodes must be ordered by increasing frequency")
-    taus, ratios, dbks, T_list = [], [], [], []
+    taus, ratios, dbks, T_list, wall_ok = [], [], [], [], []
     j_star = None
     T_star = None
     for j, qm in enumerate(quasimodes):
@@ -640,10 +641,11 @@ def le1_growth(
         ratios.append(ratio)
         dbks.append(dbk)
         T_list.append(T_j)
+        wall_ok.append(rep.wall_ok)
         if j_star is None and ratio > A:
             j_star, T_star = j, T_j
     reason = "achieved" if j_star is not None else "budget-exhausted"
-    return Le1Growth(taus, T_list, ratios, dbks, j_star, T_star, reason)
+    return Le1Growth(taus, T_list, ratios, dbks, wall_ok, j_star, T_star, reason)
 
 
 def space_time_norms(state: ModeState, T: float, dt: float):

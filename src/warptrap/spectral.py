@@ -2,12 +2,14 @@
 and the dyadic shells of the space-time norms.
 
 The second derivative is the standard 3-point stencil, so every radial
-operator -d^2/dx^2 + V is a symmetric tridiagonal matrix, solved with
-LAPACK through ``scipy.linalg.eigh_tridiagonal``: bisection plus inverse
-iteration (stebz+stein) for the few lowest pairs, MRRR (stemr) for the
-full spectrum.  Every pair is then quadrature-normalized and held to the
-residual gate 1e-10 * max|diag|; an eigenvector keeps the sign LAPACK
-gives it, which no output reads.  Quadrature is the
+operator -d^2/dx^2 + V is a symmetric tridiagonal matrix.  The few
+lowest pairs (``eigen_lowest``) come from Sturm-count bisection plus
+inverse iteration in numpy, which loads no scipy; the full spectrum
+(``eigen_full``) from LAPACK's MRRR (stemr) through
+``scipy.linalg.eigh_tridiagonal``, imported at the first full solve.
+Every pair is then quadrature-normalized and held to the residual gate
+1e-10 * max|diag|; an eigenvector keeps the sign its solver gives it,
+which no output reads.  Quadrature is the
 midpoint-weight sum h * sum(v_i), exact enough at second order for
 everything done here.
 
@@ -22,6 +24,7 @@ u variable agrees with it to O(h^2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +45,9 @@ __all__ = [
 
 
 class EigensolverError(RuntimeError):
-    """Raised when LAPACK reports a failed solve, or an eigenpair misses the
-    residual gate 1e-10 * max|diag|."""
+    """Raised when LAPACK reports a failed solve, an operator holds a
+    non-finite entry, or an eigenpair misses the residual gate
+    1e-10 * max|diag|."""
 
 
 @dataclass(frozen=True)
@@ -154,36 +158,22 @@ class EigenPair:
 TILE = 64
 
 
-def _solve_pairs(op: TridiagonalOperator, k: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest eigenpairs (all of them for k=None), residual-gated.
+def _gate_pairs(op: TridiagonalOperator, vals: np.ndarray, vecs: np.ndarray) -> None:
+    """Quadrature-normalize the eigenvector columns in place and hold every
+    pair to the residual gate.
 
-    LAPACK's eigenvector matrix is normalized and gated in place, one
-    column block at a time, so the solve holds one n-row matrix plus two
-    reused (n, TILE) buffers; the residual norm divides by |v| = h^(-1/2),
-    which the normalization fixes.  An eigenvector's sign is LAPACK's: no
-    output reads it, as flipping column j negates the spectral coefficient
-    c_j and every phase-block entry exactly, leaving each reconstructed
-    product bit-identical.  A residual above the gate, or one that is not a
-    number, raises ``EigensolverError``.  scipy is imported here rather
-    than with the module: commands that never solve an eigenproblem do not
-    pay for loading LAPACK.
+    The matrix is processed one column block at a time, so the check holds
+    two reused (n, TILE) buffers besides it; the residual norm divides by
+    |v| = h^(-1/2), which the normalization fixes.  An eigenvector's sign
+    is the solver's: no output reads it, as flipping column j negates the
+    spectral coefficient c_j and every phase-block entry exactly, leaving
+    each reconstructed product bit-identical.  A residual above the gate,
+    or one that is not a number, raises ``EigensolverError``.
     """
-    from scipy.linalg import LinAlgError, eigh_tridiagonal
-
-    d, e, h = op.diag, op.offdiag_vector(), op.grid.h
-    try:
-        if k is None:
-            vals, vecs = eigh_tridiagonal(d, e, lapack_driver="stemr")
-        else:
-            vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
-                                          lapack_driver="stebz")
-    except LinAlgError as exc:
-        raise EigensolverError(
-            f"LAPACK eigensolver failed for operator {op.potential_id!r} (n={op.n}): {exc}"
-        ) from exc
+    d, h = op.diag, op.grid.h
     resid = np.empty(vals.size)
     # the residual P v - lambda v and each product it sums, in the order of
-    # ``op.apply``; F-ordered like LAPACK's matrix
+    # ``op.apply``; F-ordered like the eigenvector matrix
     r_buf = np.empty((op.n, min(TILE, vals.size)), order="F")
     t_buf = np.empty_like(r_buf)
     for j0 in range(0, vals.size, TILE):
@@ -203,20 +193,105 @@ def _solve_pairs(op: TridiagonalOperator, k: int | None) -> tuple[np.ndarray, np
             f"eigenpair residuals {resid[bad].tolist()} exceed {limit:.3e} "
             f"for indices {bad.tolist()} of {op.potential_id!r}"
         )
-    return vals, vecs
+
+
+def _count_below(d: list[float], e2: float, s: float, pivmin: float) -> int:
+    """Eigenvalues of T below s: the negative pivots of T - s I = L D L^T
+    (Sylvester's law of inertia).  A zero pivot counts as negative and
+    continues as -pivmin, which keeps e^2 / pivmin finite."""
+    count = 0
+    q = math.inf
+    for di in d:
+        q = di - s - e2 / q
+        if q <= 0.0:
+            count += 1
+            if q == 0.0:
+                q = -pivmin
+    return count
+
+
+def _shifted_solve(d: list[float], e: float, s: float, b: list[float],
+                   pivmin: float) -> np.ndarray:
+    """x with (T - s I) x = b, by L D L^T elimination without pivoting; a
+    zero pivot continues as pivmin."""
+    piv = [0.0] * len(d)
+    z = [0.0] * len(d)
+    p, zi = math.inf, 0.0
+    for i, di in enumerate(d):
+        m = e / p
+        p = di - s - m * e
+        if p == 0.0:
+            p = pivmin
+        zi = b[i] - m * zi
+        piv[i], z[i] = p, zi
+    xi = 0.0
+    for i in range(len(d) - 1, -1, -1):
+        xi = (z[i] - e * xi) / piv[i]
+        z[i] = xi
+    return np.array(z)
 
 
 def eigen_lowest(op: TridiagonalOperator, k: int) -> list[EigenPair]:
-    """The k smallest eigenpairs, ascending."""
+    """The k smallest eigenpairs, ascending.
+
+    Each eigenvalue is bisected on Sturm counts (Barth, Martin & Wilkinson,
+    Numer. Math. 9, 1967) from [-``norm_bound``, ``norm_bound``] down to a
+    bracket [a, b] of width 2 eps * ``norm_bound``, 52 halvings; its value
+    is the midpoint.  Its eigenvector is two inverse-iteration solves with
+    T - a I, started from a fixed pseudo-random vector and kept orthogonal
+    to the vectors below it.  For the lowest pair a lies below the whole
+    spectrum, so T - a I is positive definite.  The recurrences are plain
+    Python loops: at the sizes solved here (n up to a few thousand, k = 1
+    in production) they cost less than loading LAPACK through scipy.
+    """
     if not 1 <= k <= op.n:
         raise ValueError(f"k must lie in [1, {op.n}]")
-    vals, vecs = _solve_pairs(op, k)
+    if not math.isfinite(op.norm_bound):
+        raise EigensolverError(
+            f"operator {op.potential_id!r} (n={op.n}) has a non-finite entry")
+    d, e = op.diag.tolist(), op.offdiag
+    e2 = e * e
+    pivmin = sys.float_info.min * max(e2, 1.0)
+    width = 2.0 * sys.float_info.epsilon * op.norm_bound
+    start = np.random.default_rng(0).standard_normal((k, op.n))
+    vals = np.empty(k)
+    vecs = np.empty((op.n, k), order="F")
+    for j in range(k):
+        a, b = -op.norm_bound, op.norm_bound
+        while b - a > width:
+            mid = 0.5 * (a + b)
+            if _count_below(d, e2, mid, pivmin) > j:
+                b = mid
+            else:
+                a = mid
+        vals[j] = 0.5 * (a + b)
+        v = start[j]
+        for _ in range(2):
+            v = _shifted_solve(d, e, a, v.tolist(), pivmin)
+            v -= vecs[:, :j] @ (vecs[:, :j].T @ v)
+            v /= np.linalg.norm(v)
+        vecs[:, j] = v
+    _gate_pairs(op, vals, vecs)
     return [EigenPair(float(vals[i]), vecs[:, i].copy()) for i in range(k)]
 
 
 def eigen_full(op: TridiagonalOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Complete spectrum and h-orthonormal eigenvector matrix (columns)."""
-    return _solve_pairs(op, None)
+    """Complete spectrum and h-orthonormal eigenvector matrix (columns),
+    from LAPACK's MRRR (stemr).
+
+    scipy is imported here rather than with the module: commands that
+    never solve a full spectrum do not pay for loading LAPACK.
+    """
+    from scipy.linalg import LinAlgError, eigh_tridiagonal
+
+    try:
+        vals, vecs = eigh_tridiagonal(op.diag, op.offdiag_vector(), lapack_driver="stemr")
+    except LinAlgError as exc:
+        raise EigensolverError(
+            f"LAPACK eigensolver failed for operator {op.potential_id!r} (n={op.n}): {exc}"
+        ) from exc
+    _gate_pairs(op, vals, vecs)
+    return vals, vecs
 
 
 # -- quadrature ---------------------------------------------------------------

@@ -408,22 +408,36 @@ class TestConfinementCommand:
 
 
 class TestGrowthCommand:
+    # T = 8 keeps the front of the data, supported in x < 0, out of the
+    # audited wall strip [10, 12]
     def test_budget_exhaustion_reported(self, tmp_path):
         out = tmp_path / "g"
         code = run_cli(["le1-growth", "--x0", "-1.0", "--l", "14", "18",
-                        "--T", "25", "--x-max", "12", "--A", "1e9", "--k", "1",
+                        "--T", "8", "--x-max", "12", "--A", "1e9", "--k", "1",
                         "--out", str(out)])
         assert code == 0
         summary = json.loads((out / "le1_growth_summary.json").read_text())
         assert summary["j_star"] is None
         assert summary["reason"] == "budget-exhausted"
 
+    def test_wall_inside_light_cone_fails_audit(self, tmp_path):
+        # a wall at x_max = 3 that the front reaches well before T = 100: the
+        # default audited mode gates each degree's wall-strip energy, as
+        # confinement does
+        out = tmp_path / "g"
+        code = run_cli(["le1-growth", "--x0", "-1.0", "--l", "14", "18", "--T", "100",
+                        "--x-max", "3", "--out", str(out)])
+        assert code == 2
+        passes = json.loads((out / "manifest.json").read_text())["passes"]
+        assert passes == {"no_false_success": True, "wall_audit_l14": False,
+                          "wall_audit_l18": False}
+
     def test_threshold_reached_reported(self, tmp_path):
         # every ratio exceeds A = 0, so the first degree reaches it and the
         # check compares its ratio with the configured A
         out = tmp_path / "g"
         code = run_cli(["le1-growth", "--x0", "-1.0", "--l", "14", "18",
-                        "--T", "25", "--x-max", "12", "--A", "0", "--k", "1",
+                        "--T", "8", "--x-max", "12", "--A", "0", "--k", "1",
                         "--out", str(out)])
         assert code == 0
         summary = json.loads((out / "le1_growth_summary.json").read_text())
@@ -464,7 +478,10 @@ class TestBifurcationCommand:
         (["--x0-plus", "-0.5", "--x0-minus", "-1.0", "--R", "3.5"], "x0_plus"),
         # the bump's support ends at x0_plus + 2, which must lie before R
         (["--R", "3.0", "--x0-plus", "1.0", "--x0-minus", "-1.0"], "R"),
-    ], ids=["x0_minus", "x0_plus", "R"])
+        # the bump runs' causality budget, x_max - (x0_plus + 2) = 37 < T
+        (["--x0-plus", "1.0", "--x0-minus", "-1.0", "--R", "3.5", "--l", "15", "--T", "100",
+          "--x-max", "40"], "T_max"),
+    ], ids=["x0_minus", "x0_plus", "R", "T_max"])
     def test_needs_both_sides(self, args, field, tmp_path, capsys):
         code = run_cli(["bifurcation", *args, "--out", str(tmp_path / "b")])
         assert code == 1
@@ -477,7 +494,9 @@ class TestBifurcationCommand:
 class TestImports:
     def test_cli_loads_neither_scipy_nor_sympy(self, tmp_path):
         # every CLI run pays for what importing the entry point loads; the
-        # multiplier audit is closed-form numpy and loads no sympy either
+        # multiplier audit is closed-form numpy and loads no sympy either,
+        # and the quasimode scan solves its lowest pairs in numpy, so only a
+        # full spectrum loads LAPACK through scipy
         import os
         import subprocess
         import sys
@@ -490,7 +509,11 @@ class TestImports:
                 "print('sympy' in sys.modules)\n"
                 "code = warptrap.cli.main(['multiplier-audit', '--x0', '1.0',\n"
                 f"                          '--out', {str(tmp_path / 'audit')!r}])\n"
-                "print(code, 'sympy' in sys.modules)\n")
+                "print('audit', code, 'sympy' in sys.modules)\n"
+                "code = warptrap.cli.main(['quasimode', '--x0', '-1.0',\n"
+                "                          '--l', '20', '30', '40', '50', '60', '70',\n"
+                f"                          '--out', {str(tmp_path / 'qm')!r}])\n"
+                "print('quasimode', code, 'scipy' in sys.modules)\n")
         # the child finds the package where this process found it
         src = str(Path(warptrap.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -501,7 +524,8 @@ class TestImports:
         lines = res.stdout.strip().splitlines()
         assert lines[0] == "[]"
         assert lines[1] == "False"
-        assert lines[-1] == "0 False"
+        assert "audit 0 False" in lines
+        assert lines[-1] == "quasimode 0 False"
 
 
 class TestExceptionMapping:
@@ -551,19 +575,39 @@ class TestExceptionMapping:
         assert "lowest eigenvalue -27.53" in err and err.count("\n") == 1
 
     def test_eigensolver_error_is_exit_three(self, tmp_path, capsys, monkeypatch):
-        from warptrap import spectral
+        # LAPACK solves the full spectrum of the evolved mode
+        import scipy.linalg as sla
 
-        def fail(op, k):
-            raise spectral.EigensolverError(
-                f"LAPACK eigensolver failed for operator {op.potential_id!r} (n={op.n})")
+        def fail(*args, **kwargs):
+            raise sla.LinAlgError("2 eigenvectors failed to converge")
 
-        monkeypatch.setattr(spectral, "_solve_pairs", fail)
-        code = run_cli(["quasimode", "--x0", "-1.0", "--l", "20",
-                        "--out", str(tmp_path / "e")])
+        monkeypatch.setattr(sla, "eigh_tridiagonal", fail)
+        code = run_cli(["confinement", "--x0", "-1.0", "--l", "20", "--T", "1",
+                        "--x-max", "3", "--out", str(tmp_path / "e")])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("convergence failure: LAPACK eigensolver failed")
         assert err.count("\n") == 1
+
+    def test_non_finite_operator_is_exit_three(self, tmp_path, capsys, monkeypatch):
+        from warptrap import quasimode as qmod
+        from warptrap.spectral import TridiagonalOperator
+
+        build = qmod.mode_operator
+
+        def with_nan(geom, l, grid):
+            op = build(geom, l, grid)
+            diag = op.diag.copy()
+            diag[len(diag) // 2] = float("nan")
+            return TridiagonalOperator(op.grid, diag, op.offdiag, op.potential_id)
+
+        monkeypatch.setattr(qmod, "mode_operator", with_nan)
+        code = run_cli(["quasimode", "--x0", "-1.0", "--l", "20",
+                        "--out", str(tmp_path / "e")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("convergence failure: operator 'V_l(m=1, x0=-1.0, l=20)'")
+        assert "non-finite entry" in err and err.count("\n") == 1
 
 
 class TestCsvNumbers:

@@ -173,7 +173,7 @@ class TestEigenOracles:
         monkeypatch.setattr(sla, "eigh_tridiagonal", fail)
         op = build_operator(Grid(0.0, 1.0, 9), lambda x: 0.0 * x, potential_id="flat")
         with pytest.raises(EigensolverError, match=r"'flat' \(n=9\)"):
-            eigen_lowest(op, 1)
+            eigen_full(op)
 
     @pytest.mark.parametrize("c", [0.0, 12.0], ids=["zero", "flat_warp_l3"])
     def test_constant_potential_shifts_laplacian(self, c):
@@ -201,6 +201,32 @@ class TestEigenOracles:
         assume(np.min(np.abs(vals - lam)) > 1e-9 * op.norm_bound)
         assert sturm_count(op.diag, op.offdiag_vector(), lam) == int(np.sum(vals < lam))
 
+    @settings(max_examples=60)
+    @given(m=st.sampled_from([1, 2, 3]), x0=st.floats(0.5, 2.0), side=st.sampled_from([-1, 1]),
+           span=st.floats(1.0, 10.0), l=st.integers(0, 30), n=st.integers(20, 400),
+           k=st.integers(1, 4))
+    def test_property_eigen_lowest_matches_lapack(self, m, x0, side, span, l, n, k):
+        # values within 4 eps * norm_bound of LAPACK's bisection (stebz), each
+        # pair's index certified by Sturm counts either side of its value, and
+        # the vectors h-orthonormal
+        import scipy.linalg as sla
+
+        geom = WarpGeometry.of(m, side * x0)
+        op = build_operator(Grid(side * x0, side * x0 + span, n),
+                            lambda x: geom.potential(l, x))
+        pairs = eigen_lowest(op, k)
+        vals = np.array([p.value for p in pairs])
+        ref = sla.eigh_tridiagonal(op.diag, op.offdiag_vector(), eigvals_only=True,
+                                   select="i", select_range=(0, k - 1),
+                                   lapack_driver="stebz")
+        tol = 4 * np.finfo(float).eps * op.norm_bound
+        assert np.max(np.abs(vals - ref)) <= tol
+        off = op.offdiag_vector()
+        for j, lam in enumerate(vals):
+            assert sturm_count(op.diag, off, lam - tol) <= j < sturm_count(op.diag, off, lam + tol)
+        vecs = np.column_stack([p.vector for p in pairs])
+        assert np.max(np.abs(op.grid.h * vecs.T @ vecs - np.eye(k))) <= 1e-12
+
 
 class TestEigenFull:
     def test_orthonormal_and_roundtrip(self):
@@ -216,16 +242,12 @@ class TestEigenFull:
         assert np.linalg.norm(back - w) / np.linalg.norm(w) < 1e-10
 
 
-def whole_matrix_pairs(op, k):
+def whole_matrix_pairs(op):
     """Reference post-processing on the whole eigenvector matrix at once:
     quadrature normalisation of LAPACK's columns."""
     import scipy.linalg as sla
 
-    if k is None:
-        vals, vecs = sla.eigh_tridiagonal(op.diag, op.offdiag_vector(), lapack_driver="stemr")
-    else:
-        vals, vecs = sla.eigh_tridiagonal(op.diag, op.offdiag_vector(), select="i",
-                                          select_range=(0, k - 1), lapack_driver="stebz")
+    vals, vecs = sla.eigh_tridiagonal(op.diag, op.offdiag_vector(), lapack_driver="stemr")
     return vals, vecs / np.sqrt(op.grid.h * np.sum(vecs * vecs, axis=0))
 
 
@@ -237,14 +259,13 @@ class TestBlockedSolve:
         geom = WarpGeometry.of(1, -1.0)
         return build_operator(Grid(-1.0, 8.0, self.N), lambda x: geom.potential(l, x), "blk")
 
-    @pytest.mark.parametrize("k", [None, 4 * spectral.TILE + 10])
-    def test_blocks_match_whole_matrix(self, k):
+    def test_blocks_match_whole_matrix(self):
         # at l = 30 the lowest modes live behind the barrier at x0, with
         # first entries far below their largest
         for l in (7, 30):
             op = self.op(l)
-            vals, vecs = spectral._solve_pairs(op, k)
-            ref_vals, ref_vecs = whole_matrix_pairs(op, k)
+            vals, vecs = eigen_full(op)
+            ref_vals, ref_vecs = whole_matrix_pairs(op)
             assert np.array_equal(vals, ref_vals)
             assert np.array_equal(vecs, ref_vecs)
 

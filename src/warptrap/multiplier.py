@@ -11,13 +11,12 @@ Hardy inequality that controls the zeroth-order multiplier term; the
 resulting local-energy bound is audited on evolved solutions by
 ``evolve.le_bound_audit``.
 
-Two multiplier families are provided: the interior family
-f = x^2 / a^2 with a small damping parameter delta, and the exterior
-family f = (1 - beta(x/R)) x / (x + rho) used for the large-R regime.
-Both, and the manufactured solutions, are closed-form numpy: every
-derivative is written out by hand (the product rule over the smooth
-step, the warp ratio a'/a and the profile factors), so no symbolic
-algebra runs here.  The tests check these forms against sympy.
+The multiplier is the interior family f = x^2 / a^2 with a small
+damping parameter delta in g.  It and the manufactured solutions are
+closed-form numpy: every derivative is written out by hand (powers of
+1 + x^{2m}, the product rule over the smooth step and the profile
+factors), so no symbolic algebra runs here.  The tests check these forms
+against sympy.
 """
 
 from __future__ import annotations
@@ -77,70 +76,21 @@ def _delta_family(m: int, d: float, x: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def _exterior_family(m: int, R: float, rho: float, x: np.ndarray) -> dict[str, np.ndarray]:
-    """f = chi q and g = q (chi'/2 + r chi) with their derivatives.
-
-    chi = 1 - beta(x/R) = step(2x/R - 1), q = x / (x + rho) and
-    r = a'/a = x^{2m-1} / (1 + x^{2m}); g is (1/2) a^{-2} q (chi a^2)'
-    rewritten with (a^2)'/a^2 = 2r.  Everything vanishes for x <= R/2,
-    where chi and all its derivatives do, so only x > R/2 is evaluated.
-    """
-    out = {name: np.zeros_like(x) for name in ("f", "df", "g", "dg", "d2g")}
-    on = x > 0.5 * R
-    x = x[on]
-    c0, c1, c2, c3 = ((2.0 / R) ** k * smooth_step(2.0 * x / R - 1.0, k) for k in range(4))
-    # r and its derivatives in u = 1/(1 + x^{2m}) and w = x^{2m} u, both in [0, 1]
-    u = 1.0 / (1.0 + x ** (2 * m))
-    w = x ** (2 * m) * u
-    r0 = w / x
-    r1 = w * ((2 * m - 1) * u - w) / x**2
-    r2 = w * ((2 * m - 1) * (2 * m - 2) * u * u + (4 - 6 * m - 4 * m * m) * u * w
-              + 2.0 * w * w) / x**3
-    y = 1.0 / (x + rho)
-    q0, q1, q2 = x * y, rho * y * y, -2.0 * rho * y**3
-    h0 = 0.5 * c1 + r0 * c0
-    h1 = 0.5 * c2 + r1 * c0 + r0 * c1
-    h2 = 0.5 * c3 + r2 * c0 + 2.0 * r1 * c1 + r0 * c2
-    out["f"][on] = q0 * c0
-    out["df"][on] = q1 * c0 + q0 * c1
-    out["g"][on] = q0 * h0
-    out["dg"][on] = q1 * h0 + q0 * h1
-    out["d2g"][on] = q2 * h0 + 2.0 * q1 * h1 + q0 * h2
-    return out
-
-
 @dataclass(frozen=True)
 class MultiplierPair:
-    """Multiplier functions (f, g) with first and second derivative data."""
+    """The delta-family multiplier functions (f, g) with first and second
+    derivative data."""
 
-    family: str
     geom: WarpGeometry
-    params: tuple
+    delta: float
 
-    @classmethod
-    def delta_family(cls, geom: WarpGeometry, delta: float) -> "MultiplierPair":
-        if delta <= 0:
+    def __post_init__(self):
+        if self.delta <= 0:
             raise ValueError("delta must be positive")
-        return cls("delta", geom, (float(delta),))
-
-    @classmethod
-    def exterior_family(cls, geom: WarpGeometry, R: float, rho: float) -> "MultiplierPair":
-        if rho < R:
-            raise ValueError("exterior family requires rho >= R")
-        return cls("exterior", geom, (float(R), float(rho)))
-
-    @property
-    def delta(self) -> float:
-        if self.family != "delta":
-            raise AttributeError("delta is a parameter of the delta family only")
-        return self.params[0]
 
     def derivatives(self, x) -> dict[str, np.ndarray]:
         """f, f', g, g' and g'' at x, keyed "f", "df", "g", "dg", "d2g"."""
-        family = _delta_family if self.family == "delta" else _exterior_family
-        return family(self.geom.params.m, *self.params, np.asarray(x, dtype=float))
-
-    # -- identity coefficients (any family) -----------------------------------
+        return _delta_family(self.geom.params.m, self.delta, np.asarray(x, dtype=float))
 
     def coefficients(self, x, d: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """The four square-term weights of the integrated identity at x,
@@ -217,8 +167,6 @@ def coefficient_scan(geom: WarpGeometry, pair: MultiplierPair) -> CoefficientSca
     """Evaluate all four identity coefficients on the scan's log-spaced
     positive sample set, against the closed forms and the comparison
     weights."""
-    if pair.family != "delta":
-        raise ValueError("the coefficient scan applies to the delta family only")
     x = np.geomspace(*_SCAN_POINTS)
     d = pair.derivatives(x)
     coeffs = pair.coefficients(x, d)

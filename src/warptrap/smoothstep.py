@@ -5,14 +5,14 @@ so step == 0 for s <= 0, == 1 for s >= 1, and is strictly increasing in
 between with all derivatives vanishing at both ends.
 
 On the open transition the step is the logistic function y = 1/(1 + e^u)
-of u = 1/s - 1/(1-s), so its derivatives up to order 3, the highest any
+of u = 1/s - 1/(1-s), so its derivatives up to order 2, the highest any
 caller takes, follow in closed form from Faa di Bruno's formula.  y and
 1 - y are each evaluated directly, never one from the other, which keeps
 full relative accuracy near the ends, where one of them underflows.
 
-The multiplier families and manufactured solutions build their
-derivatives from these orders; the tests check the closed form against
-the derivatives sympy takes of phi(s) / (phi(s) + phi(1-s)).
+The quasimode cutoff and the wall-attached manufactured solution build
+their derivatives from these orders; the tests check the closed form
+against the derivatives sympy takes of phi(s) / (phi(s) + phi(1-s)).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 __all__ = ["smooth_step"]
 
-MAX_ORDER = 3
+MAX_ORDER = 2
 
 
 def _transition(s: np.ndarray, order: int) -> np.ndarray:
@@ -32,16 +32,13 @@ def _transition(s: np.ndarray, order: int) -> np.ndarray:
     if order == 0:
         return y
     yb = 1.0 / (1.0 + np.exp(-u))
-    # y in u: y' = p, y'' = p q, y''' = p r
-    p, q, r = -y * yb, y - yb, 1.0 - 6.0 * y * yb
+    # y in u: y' = p, y'' = p q
+    p, q = -y * yb, y - yb
     # u in s: u^(k) = (-1)^k k! / s^(k+1) - k! / (1-s)^(k+1)
     u1, u2 = -(a**2 + b**2), 2.0 * (a**3 - b**3)
-    u3 = -6.0 * (a**4 + b**4)
     if order == 1:
         return p * u1
-    if order == 2:
-        return p * (q * u1**2 + u2)
-    return p * (r * u1**3 + 3.0 * q * u1 * u2 + u3)
+    return p * (q * u1**2 + u2)
 
 
 def smooth_step(s, order: int = 0):

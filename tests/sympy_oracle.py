@@ -39,18 +39,15 @@ def _lambdify(args, expr):
     return wrapped
 
 
-def exterior_family(m: int, R: float, rho: float) -> dict:
-    """f, f', g, g', g'' of the exterior multiplier family, each a callable
-    of x, differentiated by sympy."""
-    x, s = sp.symbols("x s")
+def delta_family(m: int, delta: float) -> dict:
+    """f, f', g, g', g'' of the interior multiplier family, each a callable
+    of x, differentiated by sympy: f = x^2 / a^2 and g = (1/2) a^{-2} (a^2 f)'
+    less the damping delta x^{2m+1} / (1 + x^{2m})^{2 + 1/m}."""
+    x = sp.Symbol("x", positive=True)
     a2 = (1 + x ** (2 * m)) ** sp.Rational(1, m)
-    beta = sp.Piecewise(
-        (1, x / R <= sp.Rational(1, 2)),
-        (0, x / R >= 1),
-        (step_expr(s).subs(s, 2 * (1 - x / R)), True),
-    )
-    f = (1 - beta) * x / (x + rho)
-    g = sp.Rational(1, 2) / a2 * (x / (x + rho)) * sp.diff((1 - beta) * a2, x)
+    f = x**2 / a2
+    damping = x ** (2 * m + 1) / (1 + x ** (2 * m)) ** (2 + sp.Rational(1, m))
+    g = sp.diff(a2 * f, x) / (2 * a2) - delta * damping
     exprs = (f, sp.diff(f, x), g, sp.diff(g, x), sp.diff(g, x, 2))
     return {name: _lambdify((x,), e) for name, e in zip(FAMILY_NAMES, exprs)}
 

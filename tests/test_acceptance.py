@@ -277,7 +277,7 @@ def test_criterion_08_bifurcation_contrast(confinement_runs):
 
 
 def test_criterion_09_identity_and_hardy(geom_m1_front):
-    pair = mul.MultiplierPair.delta_family(
+    pair = mul.MultiplierPair(
         geom_m1_front, 0.5 * mul.find_admissible_delta(geom_m1_front))
     orders = {}
     wall_ok = True
@@ -306,7 +306,7 @@ def test_criterion_10_coefficient_positivity():
     for m in (1, 2, 3):
         gm = WarpGeometry.of(m, 1.0)
         delta = 0.5 * mul.find_admissible_delta(gm)
-        scan = mul.coefficient_scan(gm, mul.MultiplierPair.delta_family(gm, delta))
+        scan = mul.coefficient_scan(gm, mul.MultiplierPair(gm, delta))
         agreements.append(scan.route_agreement)
         min_margins.append(min(scan.min_margins.values()))
         assert scan.all_positive, (m, scan.min_margins)

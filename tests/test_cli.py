@@ -149,11 +149,28 @@ class TestConfig:
             ExperimentConfig.load(str(cfg), {})
 
 
+# the two domains evolve.run_confinement refuses: a strict-mode wall inside
+# the light cone, and R inside the quasimode data's support
+_SHORT_STRICT = ["--x0", "-1.0", "--l", "20", "--T", "500", "--x-max", "24",
+                 "--causal", "strict"]
+_R_IN_SUPPORT = ["--x0", "-1.0", "--l", "20", "--T", "5", "--R", "-0.5"]
+
+
 class TestExitCodes:
-    def test_wrong_side_is_validation_error(self, tmp_path, capsys):
-        code = run_cli(["quasimode", "--x0", "1.0", "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize("argv, field", [
+        (["quasimode", "--x0", "1.0"], "x0"),
+        (["multiplier-audit", "--x0", "-1.0"], "x0"),
+        (["confinement", *_SHORT_STRICT], "x_max"),
+        (["confinement", *_R_IN_SUPPORT], "R"),
+        (["le1-growth", *_SHORT_STRICT], "x_max"),
+        (["le1-growth", *_R_IN_SUPPORT], "R"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v)
+    def test_refused_before_output_dir(self, argv, field, tmp_path, capsys):
+        code = run_cli([*argv, "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "x0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field '{field}': ")
+        assert err.count("\n") == 1 and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
         ["quasimode", "--x0", "-1.0"],
@@ -318,6 +335,19 @@ class TestQuasimodeCommand:
             "residual_h0", "residual_h1", "residual_h2", "agmon_ratio",
         ]
         assert any(ln.startswith("# config=") for ln in lines)
+
+    def test_gnuplot_columns_match_data_header(self, quasimode_run):
+        # each plotted column, looked up by name in the data file's header
+        lines = (quasimode_run / "decay_curves.dat").read_text().splitlines()
+        header = next(ln for ln in lines if not ln.startswith("#")).split(",")
+        names = dict(enumerate(header, start=1))
+        script = (quasimode_run / "decay_curves.gp").read_text()
+        plotted = re.findall(r"using (\d+):(\d+) .*title '([^']*)'", script)
+        want = {"residual H0": "log10_r0", "tail ratio": "log10_tail"}
+        assert sorted(title for *_, title in plotted) == sorted(want)
+        for x_col, y_col, title in plotted:
+            assert names.get(int(x_col)) == "sigma", title
+            assert names.get(int(y_col)) == want[title], title
 
     def test_fit_summary_negative_slopes(self, quasimode_run):
         fits = json.loads((quasimode_run / "decay_fits.json").read_text())["fits"]
@@ -643,23 +673,35 @@ class TestJsonNumbers:
                                                                 [1.5, "inf"])
 
 
+@pytest.fixture(scope="module")
+def audit_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("mul")
+    assert run_cli(["multiplier-audit", "--x0", "1.0", "--out", str(out)]) == 0
+    return out
+
+
 class TestMultiplierAuditCommand:
-    def test_audit_passes(self, tmp_path):
-        out = tmp_path / "mul"
-        code = run_cli(["multiplier-audit", "--x0", "1.0", "--out", str(out)])
-        assert code == 0
-        lines = (out / "multiplier_checks.csv").read_text().splitlines()
+    def test_audit_passes(self, audit_run):
+        lines = (audit_run / "multiplier_checks.csv").read_text().splitlines()
         header = [ln for ln in lines if not ln.startswith("#")][0]
         assert header.split(",") == ["check", "params", "lhs", "rhs", "gap",
                                      "order", "passed"]
         rows = [ln for ln in lines if not ln.startswith(("#", "check"))]
         assert sum(1 for r in rows if r.startswith("ibp_")) >= 5
 
-    def test_wrong_side_rejected(self, tmp_path, capsys):
-        code = run_cli(["multiplier-audit", "--x0", "-1.0",
-                        "--out", str(tmp_path / "m")])
-        assert code == 1
-        assert "x0" in capsys.readouterr().err
+    def test_every_passed_cell_is_a_recorded_check(self, audit_run):
+        # one row per recorded check, its passed cell the manifest's value
+        passes = json.loads((audit_run / "manifest.json").read_text())["passes"]
+        recorded_as = {"coefficient_scan": "coefficient_positivity",
+                       "hardy_corpus": "hardy_bound"}
+        lines = (audit_run / "multiplier_checks.csv").read_text().splitlines()
+        rows = [ln.split(",") for ln in lines if not ln.startswith(("#", "check"))]
+        for row in rows:
+            check = row[0]
+            name = check if check.startswith("ibp_") else recorded_as.get(check)
+            assert name in passes, check
+            assert row[-1] == str(passes[name]), check
+        assert len(rows) == len(passes)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

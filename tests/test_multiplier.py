@@ -17,7 +17,7 @@ G_TIMES_A_BOUND = 1.05
 
 @pytest.fixture(scope="module")
 def pair_m1(geom_m1_front):
-    return mul.MultiplierPair.delta_family(geom_m1_front, 0.5)
+    return mul.MultiplierPair(geom_m1_front, 0.5)
 
 
 class TestCoefficients:
@@ -40,7 +40,7 @@ class TestCoefficients:
     def test_routes_agree_and_margins_positive(self, m):
         geom = WarpGeometry.of(m, 1.0)
         delta = 0.5 * mul.find_admissible_delta(geom)
-        pair = mul.MultiplierPair.delta_family(geom, delta)
+        pair = mul.MultiplierPair(geom, delta)
         scan = mul.coefficient_scan(geom, pair)
         assert scan.route_agreement < 1e-12
         assert scan.all_positive
@@ -89,45 +89,17 @@ class TestCoefficients:
         mul.verify_ibp(geom_m1_front, pair_m1, corpus_m1[0], T=2.0, x_max=12.0, nx=400)
         assert calls == [401]
 
-    def test_scan_rejects_exterior_family(self, geom_m1_front):
-        ext = mul.MultiplierPair.exterior_family(geom_m1_front, 4.0, 4.0)
-        with pytest.raises(ValueError):
-            mul.coefficient_scan(geom_m1_front, ext)
-
     def test_family_validation(self, geom_m1_front):
         with pytest.raises(ValueError):
-            mul.MultiplierPair.delta_family(geom_m1_front, 0.0)
-        with pytest.raises(ValueError):
-            mul.MultiplierPair.exterior_family(geom_m1_front, 8.0, 4.0)
+            mul.MultiplierPair(geom_m1_front, 0.0)
 
-
-class TestExteriorFamily:
-    def test_vanishes_inside_half_radius(self, geom_m1_front):
-        ext = mul.MultiplierPair.exterior_family(geom_m1_front, 8.0, 8.0)
-        x = np.linspace(1.0, 3.9, 50)
-        assert np.max(np.abs(ext.derivatives(x)["f"])) == 0.0
-
-    def test_approaches_unit_slope_outside(self, geom_m1_front):
-        ext = mul.MultiplierPair.exterior_family(geom_m1_front, 8.0, 8.0)
-        x = np.array([100.0, 400.0])
-        np.testing.assert_allclose(ext.derivatives(x)["f"], x / (x + 8.0), rtol=1e-12)
-
-    @pytest.mark.parametrize("R", [4.0, 8.0, 16.0])
-    def test_coefficients_finite_across_radii(self, geom_m1_front, R):
-        ext = mul.MultiplierPair.exterior_family(geom_m1_front, R, R)
-        x = np.geomspace(1.0, 1e3, 200)
-        c = ext.coefficients(x, ext.derivatives(x))
-        for name in ("xx", "ang", "tt", "uu"):
-            assert np.all(np.isfinite(c[name]))
-
-
-    @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("R", [4.0, 8.0, 16.0])
-    def test_closed_form_matches_symbolic(self, m, R):
-        ext = mul.MultiplierPair.exterior_family(WarpGeometry.of(m, 1.0), R, R)
-        ref = sympy_oracle.exterior_family(m, R, R)
-        x = np.concatenate([np.geomspace(1.0, 1e3, 301), np.linspace(0.5 * R, R, 401)])
-        got = ext.derivatives(x)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_closed_form_matches_symbolic(self, m):
+        geom = WarpGeometry.of(m, 1.0)
+        pair = mul.MultiplierPair(geom, 0.5 * mul.find_admissible_delta(geom))
+        ref = sympy_oracle.delta_family(m, pair.delta)
+        x = np.geomspace(1e-3, 1e3, 601)
+        got = pair.derivatives(x)
         for name in sympy_oracle.FAMILY_NAMES:
             want = ref[name](x)
             assert np.max(np.abs(got[name] - want)) < 1e-13 * np.max(np.abs(want)), name
@@ -252,21 +224,12 @@ class TestIdentity:
             mul.verify_ibp(geom_m1_front, pair_m1, sol, T=1.0, x_max=12.0,
                            nx=100, nt=50)
 
-    def test_exterior_family_satisfies_identity_too(self, geom_m1_front, corpus_m1):
-        ext = mul.MultiplierPair.exterior_family(geom_m1_front, 4.0, 4.0)
-        conv = mul.ibp_richardson(geom_m1_front, ext, corpus_m1[0],
-                                  T=2.0, x_max=12.0)
-        assert 1.8 <= conv["order"] <= 2.6
-
-    @pytest.mark.parametrize("family", ["delta", "exterior"])
     def test_factored_quadrature_matches_tensor_grid(self, geom_m1_front, pair_m1,
-                                                     corpus_m1, family):
-        pair = pair_m1 if family == "delta" else \
-            mul.MultiplierPair.exterior_family(geom_m1_front, 4.0, 4.0)
+                                                     corpus_m1):
         for sol in corpus_m1:
-            rep = mul.verify_ibp(geom_m1_front, pair, sol, T=2.0, x_max=12.0,
+            rep = mul.verify_ibp(geom_m1_front, pair_m1, sol, T=2.0, x_max=12.0,
                                  nx=200, nt=100)
-            lhs, rhs, terms = tensor_grid_ibp(geom_m1_front, pair, sol, 2.0, 12.0,
+            lhs, rhs, terms = tensor_grid_ibp(geom_m1_front, pair_m1, sol, 2.0, 12.0,
                                               200, 100)
             assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0), sol.name
             assert rep.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0), sol.name

@@ -133,15 +133,6 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def _fmt(v) -> str:
-    # np.float64 subclasses float, and its repr is "np.float64(...)" under numpy 2
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (np.integer,)):
-        return str(int(v))
-    return str(v)
-
-
 class OutputCollector:
     """Single writer for all artifacts of one command run."""
 
@@ -162,7 +153,7 @@ class OutputCollector:
             fh.write(f"# config={self.config.echo()}\n")
             fh.write(",".join(columns) + "\n")
             for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+                fh.write(",".join(str(_jsonable(v)) for v in row) + "\n")
         self.files.append(name)
         return path
 
@@ -400,8 +391,8 @@ def cmd_bifurcation(cfg: ExperimentConfig) -> OutputCollector:
         width = 0.5
         geom = WarpGeometry.of(cfg.m, x0)
         grid = Grid(x0, cfg.x_max, max(int((cfg.x_max - x0) / 0.04), 400))
-        fld = _bump_field(geom, grid, 1, center, width)
-        times, er = evolve.er_history(fld, T, cfg.R, dt=cfg.dt)
+        times, er = evolve.er_history(_bump_field(geom, grid, 1, center, width), T,
+                                      cfg.R, dt=cfg.dt)
         curves[f"bump_{tag}"] = (times, er / er[0])
         out.write_csv(f"er_bump_{tag}.csv", ["t", "ratio_E_R"],
                       [[t, r] for t, r in zip(times, er / er[0])])

@@ -3,7 +3,7 @@
 Each retained angular mode evolves in the conjugated radial variable
 w = a*u on a truncated domain (x0, X_max) with an artificial Dirichlet
 wall at X_max.  After one full eigendecomposition of the mode operator
-(cached per mode and grid), evolution is exact in time: spectral
+(the latest one is cached), evolution is exact in time: spectral
 coefficients just rotate, so there is no CFL restriction, no
 time-stepping error, and the discrete energy is conserved to roundoff.
 The geometry is rotationally symmetric, so a state, ``ModeState``, is
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,25 +137,20 @@ class ModePropagator:
         return _real_matmul(self.evecs, c)
 
 
-_PROP_CACHE: OrderedDict[tuple, ModePropagator] = OrderedDict()
-# eigenvector bytes the cache may hold; the newest entry is kept even alone
-# above it
-_PROP_CACHE_BYTES = 1 << 30
+# at most one entry: the latest propagator, keyed by (params, l, grid)
+_PROP_CACHE: dict[tuple, ModePropagator] = {}
 
 
 def get_propagator(geom: WarpGeometry, l: int, grid: Grid) -> ModePropagator:
-    """Cached eigendecomposition; the cache evicts the least recently used
-    entries while their eigenvector matrices exceed ``_PROP_CACHE_BYTES``."""
-    key = (geom.params.m, geom.params.x0, l, grid.x_left, grid.x_right, grid.n_interior)
-    if key in _PROP_CACHE:
-        _PROP_CACHE.move_to_end(key)
-        return _PROP_CACHE[key]
-    prop = ModePropagator(geom, l, grid)
-    _PROP_CACHE[key] = prop
-    held = sum(p.evecs.nbytes for p in _PROP_CACHE.values())
-    while len(_PROP_CACHE) > 1 and held > _PROP_CACHE_BYTES:
-        held -= _PROP_CACHE.popitem(last=False)[1].evecs.nbytes
-    return prop
+    """Cached eigendecomposition.  The cache holds the latest propagator
+    only; a new key empties it before the solve, so the cache never keeps
+    a second n x n eigenvector matrix alive.  A live ``ModeState`` still
+    keeps its own propagator alive."""
+    key = (geom.params, l, grid)
+    if key not in _PROP_CACHE:
+        _PROP_CACHE.clear()
+        _PROP_CACHE[key] = ModePropagator(geom, l, grid)
+    return _PROP_CACHE[key]
 
 
 @dataclass

@@ -188,14 +188,6 @@ class TestExitCodes:
         assert err.startswith("error: config field 'l_list': ")
         assert err.count("\n") == 1 and not (tmp_path / "o").exists()
 
-    def test_causality_budget_rejected(self, tmp_path, capsys):
-        code = run_cli([
-            "bifurcation", "--x0-plus", "1.0", "--x0-minus", "-1.0", "--R", "3.5",
-            "--l", "15", "--T", "100", "--x-max", "40", "--out", str(tmp_path / "o"),
-        ])
-        assert code == 1
-        assert "causality" in capsys.readouterr().err
-
     def test_wrongly_typed_config_field_is_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"m": "2"}))
@@ -503,22 +495,60 @@ class TestBifurcationCommand:
         assert passes == {"plus_side_decays": True, "minus_side_confines": True,
                           "wall_audit_minus": False}
 
-    @pytest.mark.parametrize("args, field", [
-        (["--x0-plus", "1.0", "--R", "3.5"], "x0_minus"),
-        (["--x0-plus", "-0.5", "--x0-minus", "-1.0", "--R", "3.5"], "x0_plus"),
+    @pytest.mark.parametrize("args, field, says", [
+        (["--x0-plus", "1.0", "--R", "3.5"], "x0_minus", "trapped-side boundary"),
+        (["--x0-plus", "-0.5", "--x0-minus", "-1.0", "--R", "3.5"], "x0_plus",
+         "positive-side boundary"),
         # the bump's support ends at x0_plus + 2, which must lie before R
-        (["--R", "3.0", "--x0-plus", "1.0", "--x0-minus", "-1.0"], "R"),
+        (["--R", "3.0", "--x0-plus", "1.0", "--x0-minus", "-1.0"], "R", "fits inside"),
         # the bump runs' causality budget, x_max - (x0_plus + 2) = 37 < T
         (["--x0-plus", "1.0", "--x0-minus", "-1.0", "--R", "3.5", "--l", "15", "--T", "100",
-          "--x-max", "40"], "T_max"),
+          "--x-max", "40"], "T_max", "causality budget"),
     ], ids=["x0_minus", "x0_plus", "R", "T_max"])
-    def test_needs_both_sides(self, args, field, tmp_path, capsys):
+    def test_needs_both_sides(self, args, field, says, tmp_path, capsys):
         code = run_cli(["bifurcation", *args, "--out", str(tmp_path / "b")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: config field '{field}'")
+        assert says in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "b").exists()
+
+
+class TestPropagatorLifetime:
+    """A command that solves one mode after another keeps at most one
+    eigenvector matrix alive: whenever the full eigensolver is entered, the
+    propagator it is building is the only one."""
+
+    @pytest.mark.parametrize("args, solves", [
+        (["confinement", "--x0", "-1.0", "--l", "14", "15", "--T", "2", "--x-max", "4"], 2),
+        (["le1-growth", "--x0", "-1.0", "--l", "14", "15", "--T", "2", "--x-max", "4",
+          "--A", "1e9", "--k", "1"], 2),
+        (["bifurcation", "--x0-plus", "1.0", "--x0-minus", "-1.0", "--R", "3.5", "--l", "14",
+          "--T", "0.5", "--x-max", "6"], 3),
+    ], ids=["confinement", "le1-growth", "bifurcation"])
+    def test_one_propagator_alive_per_solve(self, args, solves, tmp_path, monkeypatch):
+        import weakref
+
+        from warptrap import evolve
+
+        live, alive_at_solve = weakref.WeakSet(), []
+        init, full = evolve.ModePropagator.__init__, evolve.eigen_full
+
+        def tracked_init(self, *a, **kw):
+            live.add(self)
+            init(self, *a, **kw)
+
+        def spy(op):
+            alive_at_solve.append(len(live))
+            return full(op)
+
+        # a propagator cached by an earlier test would be alive uncounted
+        evolve._PROP_CACHE.clear()
+        monkeypatch.setattr(evolve.ModePropagator, "__init__", tracked_init)
+        monkeypatch.setattr(evolve, "eigen_full", spy)
+        assert run_cli([*args, "--out", str(tmp_path / "o")]) in (0, 2)
+        assert alive_at_solve == [1] * solves
 
 
 class TestImports:

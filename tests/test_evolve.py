@@ -1,6 +1,6 @@
 import math
 import warnings
-from collections import OrderedDict
+import weakref
 
 import numpy as np
 import oracles
@@ -603,28 +603,26 @@ class TestConfinement:
 
 
 class TestPropagatorCache:
-    def test_evicts_least_recent_beyond_byte_budget(self, geom_m1_trapped, monkeypatch):
-        monkeypatch.setattr(evolve, "_PROP_CACHE", OrderedDict())
-        sizes = (100, 110, 120, 130)
-        grids = {n: Grid(-1.0, 5.0, n) for n in sizes}
-        monkeypatch.setattr(evolve, "_PROP_CACHE_BYTES", 8 * (100**2 + 110**2 + 120**2))
+    def test_one_slot(self, geom_m1_trapped, monkeypatch):
+        monkeypatch.setattr(evolve, "_PROP_CACHE", {})
+        first = evolve.get_propagator(geom_m1_trapped, 1, Grid(-1.0, 5.0, 100))
+        # equal parameters and grid, fresh objects: the same propagator
+        assert evolve.get_propagator(WarpGeometry.of(1, -1.0), 1,
+                                     Grid(-1.0, 5.0, 100)) is first
+        old = weakref.ref(first)
+        del first
+        full, seen = evolve.eigen_full, []
 
-        def cached():
-            return [key[-1] for key in evolve._PROP_CACHE]
+        def spy(op):
+            seen.append(old() is None)
+            return full(op)
 
-        first = evolve.get_propagator(geom_m1_trapped, 1, grids[100])
-        for n in (110, 120):
-            evolve.get_propagator(geom_m1_trapped, 1, grids[n])
-        assert cached() == [100, 110, 120]
-        # a hit makes 100 the most recent; 130 then needs the room of both
-        # 110 and 120, the least recent two
-        assert evolve.get_propagator(geom_m1_trapped, 1, grids[100]) is first
-        evolve.get_propagator(geom_m1_trapped, 1, grids[130])
-        assert cached() == [100, 130]
-        # the newest entry stays even when it alone exceeds the budget
-        monkeypatch.setattr(evolve, "_PROP_CACHE_BYTES", 1)
-        evolve.get_propagator(geom_m1_trapped, 1, grids[110])
-        assert cached() == [110]
+        # a new key frees the cached propagator before its own solve, and
+        # its repeat is a hit
+        monkeypatch.setattr(evolve, "eigen_full", spy)
+        second = evolve.get_propagator(geom_m1_trapped, 1, Grid(-1.0, 5.0, 110))
+        assert evolve.get_propagator(geom_m1_trapped, 1, Grid(-1.0, 5.0, 110)) is second
+        assert seen == [True]
 
 
 class TestGrowthExperiment:
@@ -722,9 +720,9 @@ class TestEigenvectorSigns:
                 pairs[j] = EigenPair(pairs[j].value, -pairs[j].vector)
             return pairs
 
-        monkeypatch.setattr(evolve, "_PROP_CACHE", OrderedDict())
+        monkeypatch.setattr(evolve, "_PROP_CACHE", {})
         qm_ref, ref = self.outputs(geom_m1_trapped)
-        monkeypatch.setattr(evolve, "_PROP_CACHE", OrderedDict())
+        monkeypatch.setattr(evolve, "_PROP_CACHE", {})
         monkeypatch.setattr(evolve, "eigen_full", flipped_full)
         monkeypatch.setattr(quasimode, "eigen_lowest", flipped_lowest)
         qm, got = self.outputs(geom_m1_trapped)

@@ -143,7 +143,6 @@ class OutputCollector:
         self.command = command
         self.files: list[str] = []
         self.passes: dict[str, bool] = {}
-        self.t0 = time.perf_counter()
 
     def write_csv(self, name: str, columns: list[str], rows: list[list]) -> Path:
         path = self.dir / name
@@ -176,7 +175,7 @@ class OutputCollector:
     def record(self, check: str, ok: bool) -> None:
         self.passes[check] = bool(ok)
 
-    def finish(self) -> Path:
+    def finish(self, started: float) -> Path:
         for name in self.files:
             p = self.dir / name
             if not p.exists() or p.stat().st_size == 0:
@@ -186,7 +185,7 @@ class OutputCollector:
             "tool_version": __version__,
             "command": self.command,
             "config": self.config.as_dict(),
-            "wall_clock_s": time.perf_counter() - self.t0,
+            "wall_clock_s": time.perf_counter() - started,
             "files": sorted(self.files),
             "passes": self.passes,
             "all_pass": all(self.passes.values()) if self.passes else True,
@@ -217,14 +216,27 @@ def _jsonable(o):
 # -- subcommands -----------------------------------------------------------------
 
 
+def _quasimode(geom: WarpGeometry, l: int, h_per_sigma: float) -> qmod.Quasimode:
+    """The degree-l quasimode on the interval grid of the spacing rule
+    ``h_per_sigma``, refused if tau^2 misses its frequency bracket."""
+    grid = qmod.interval_grid(geom, l, h_per_sigma)
+    qm = qmod.build_quasimode(geom, l, grid_interval=grid, require_bracket=False)
+    if not qm.bracket.in_bracket:
+        lo, hi, _ = dataclasses.astuple(qm.bracket)
+        raise ConfigError("l_list", f"tau^2 = {qm.tau_sq:g} of degree {l} lies outside its "
+                                    f"frequency bracket [V_l(x0), V_l(x0/2)] = [{lo:g}, {hi:g}]")
+    return qm
+
+
 def _trapped_quasimodes(cfg: ExperimentConfig, command: str, evolves: bool,
                         ) -> tuple[OutputCollector, WarpGeometry, list[qmod.Quasimode]]:
     """The output collector of a trapped-side command, its geometry and the
     quasimodes of the configured degrees, ascending, on the interval grids
     of the eigenproblem's spacing rule, or of the evolution's if the
     command ``evolves`` them.  Every guard runs before the output directory
-    is made: the side and degrees, and for an evolving command the domain
-    that ``evolve.run_confinement`` would refuse."""
+    is made: the side and degrees, for an evolving command the domain that
+    ``evolve.run_confinement`` would refuse, and each degree's frequency
+    bracket, so the quasimodes are built first."""
     if cfg.x0 >= 0:
         raise ConfigError("x0", f"{command} requires the trapped side (x0 < 0)")
     if not cfg.l_list:
@@ -238,13 +250,12 @@ def _trapped_quasimodes(cfg: ExperimentConfig, command: str, evolves: bool,
             raise ConfigError("x_max", f"strict mode needs x_max >= R + T_max = "
                                        f"{cfg.R + cfg.T_max:g}; enlarge the domain or "
                                        "use --causal audited")
+        if cfg.x_max <= 0:
+            raise ConfigError("x_max", f"{command} needs x_max > 0, past the neck at 0")
     h_per_sigma = evolve.EVOLUTION_H_PER_SIGMA if evolves else qmod.EIGEN_H_PER_SIGMA
-    out = OutputCollector(cfg.out_dir, cfg, command)
     geom = WarpGeometry.of(cfg.m, cfg.x0)
-    qms = [qmod.build_quasimode(geom, l,
-                                grid_interval=qmod.interval_grid(geom, l, h_per_sigma))
-           for l in sorted(cfg.l_list)]
-    return out, geom, qms
+    qms = [_quasimode(geom, l, h_per_sigma) for l in sorted(cfg.l_list)]
+    return OutputCollector(cfg.out_dir, cfg, command), geom, qms
 
 
 def cmd_quasimode(cfg: ExperimentConfig) -> OutputCollector:
@@ -369,6 +380,9 @@ def cmd_bifurcation(cfg: ExperimentConfig) -> OutputCollector:
         raise ConfigError("x0_plus", "bifurcation needs a positive-side boundary x0_plus > 0")
     if cfg.x0_minus is None or cfg.x0_minus >= 0:
         raise ConfigError("x0_minus", "bifurcation needs a trapped-side boundary x0_minus < 0")
+    if cfg.x0_minus <= -25.0:
+        raise ConfigError("x0_minus", "bifurcation needs x0_minus > -25: its quasimode "
+                                      "evolves on (x0_minus, x0_minus + 25), past the neck")
     if cfg.R <= cfg.x0_plus + 2.0:
         raise ConfigError("R", "bifurcation needs R > x0_plus + 2 so the matched "
                                "bump data fits inside [x0, R)")
@@ -381,8 +395,10 @@ def cmd_bifurcation(cfg: ExperimentConfig) -> OutputCollector:
     if cfg.T_max > budget:
         raise ConfigError("T_max", "horizon exceeds the causality budget "
                                    f"x_max - support = {budget:g}")
-    out = OutputCollector(cfg.out_dir, cfg, "bifurcation")
     l_qm = max(cfg.l_list)
+    geom_m = WarpGeometry.of(cfg.m, cfg.x0_minus)
+    qm = _quasimode(geom_m, l_qm, evolve.EVOLUTION_H_PER_SIGMA)
+    out = OutputCollector(cfg.out_dir, cfg, "bifurcation")
     T = cfg.T_max
 
     curves = {}
@@ -398,9 +414,6 @@ def cmd_bifurcation(cfg: ExperimentConfig) -> OutputCollector:
                       [[t, r] for t, r in zip(times, er / er[0])])
 
     # trapped-side quasimode run (audited wall on its own compact domain)
-    geom_m = WarpGeometry.of(cfg.m, cfg.x0_minus)
-    grid_i = qmod.interval_grid(geom_m, l_qm, evolve.EVOLUTION_H_PER_SIGMA)
-    qm = qmod.build_quasimode(geom_m, l_qm, grid_interval=grid_i)
     x_max_qm = min(cfg.x_max, cfg.x0_minus + 25.0)
     rep = evolve.run_confinement(geom_m, qm, T, cfg.R, x_max=x_max_qm,
                                  dt=cfg.dt, causal="audited")
@@ -533,10 +546,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    started = time.perf_counter()
     try:
         cfg = ExperimentConfig.load(args.config, overrides)
         out = _COMMANDS[args.command](cfg)
-        out.finish()
+        out.finish(started)
         failed = [name for name, ok in out.passes.items() if not ok]
         if failed:
             raise CheckFailure(f"{args.command} checks failed: {failed}")

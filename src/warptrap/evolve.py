@@ -402,10 +402,13 @@ def _band_energy(prop: ModePropagator, AB, lo: int, hi: int, ratio, pot) -> np.n
     return 0.5 * prop.h * np.sum(e[:, lo - lo0:hi - lo0], axis=1)
 
 
-def _sample_times(T: float, dt: float) -> np.ndarray:
-    """The sample times dt * i, i = 0, ..., round(T / dt), of every evolution
-    pass."""
-    return dt * np.arange(int(round(T / dt)) + 1)
+def _sample_times(T: float, dt: float | None, h: float) -> tuple[float, np.ndarray]:
+    """The sample step of every evolution pass, dt or by default
+    max(T / 1000, h) on a grid of spacing h, and its sample times
+    step * i, i = 0, ..., round(T / step)."""
+    if dt is None:
+        dt = max(T / 1000.0, h)
+    return dt, dt * np.arange(int(round(T / dt)) + 1)
 
 
 def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
@@ -530,8 +533,7 @@ def run_confinement(
             f"R + T_max = {R + T_max}; enlarge the domain or use causal='audited'"
         )
     grid_ext = qm.grid.extended(x_max)
-    if dt is None:
-        dt = max(T_max / 1000.0, grid_ext.h)
+    dt, times = _sample_times(T_max, dt, grid_ext.h)
     k = _le_stride(T_max, dt, dt_le) if le1 else 1
     mode = _data_field(geom, qm, grid_ext)
     prop = mode.prop
@@ -539,7 +541,6 @@ def run_confinement(
     f_vec = prop.op.apply(u_ext) - qm.tau_sq * u_ext
     f_norm = math.sqrt(grid_ext.h * float(np.sum(f_vec**2)))
 
-    times = _sample_times(T_max, dt)
     x = grid_ext.nodes()
     nR = int(np.searchsorted(x, R, side="right"))
     n_buf = int(np.searchsorted(x, grid_ext.x_right - _WALL_MARGIN, side="left"))
@@ -651,7 +652,7 @@ def space_time_norms(state: ModeState, T: float, dt: float):
     affordable.
     """
     acc = ShellAccumulator(state.grid)
-    times = _sample_times(T, dt)
+    _, times = _sample_times(T, dt, state.grid.h)
     for idx, _, u, e, _ in _sweep(state, times, dt, whole=True):
         _feed_le1(acc, times[idx], u, e)
         del u, e  # free this block's densities before the next is built
@@ -694,7 +695,7 @@ def le_bound_audit(state: ModeState, T: float, dt: float) -> AuditResult:
     # already gives a^{-2} w_grad
     ang = x ** (2.0 * m) * inv_a2 ** 2
     w_u = x ** (-2.0 * m - 3.0) + state.sigma_sq * (ang - inv_a2) * w_grad
-    times = _sample_times(T, dt)
+    _, times = _sample_times(T, dt, state.grid.h)
     acc = ShellAccumulator(state.grid)
     rows = []
     for idx, _, u, e, _ in _sweep(state, times, dt, whole=True):
@@ -732,9 +733,7 @@ def er_history(state: ModeState, T_max: float, R: float,
     if R <= grid.x_left:
         raise ValueError("R must exceed the boundary location")
     nR = int(np.searchsorted(grid.nodes(), R, side="right"))
-    if dt is None:
-        dt = max(T_max / 1000.0, grid.h)
-    times = _sample_times(T_max, dt)
+    dt, times = _sample_times(T_max, dt, grid.h)
     E_R = np.empty(times.size)
     for idx, (er,), _, _, _ in _sweep(state, times, dt, bands=((0, nR),)):
         E_R[idx] = er

@@ -28,7 +28,7 @@ from .smoothstep import smooth_step
 from .spectral import (
     Grid,
     build_operator,
-    eigen_lowest,
+    lowest_pair,
     quadrature_hk,
     quadrature_l2,
 )
@@ -155,20 +155,19 @@ def build_quasimode(
     cutoff = default_cutoff(geom.params.x0)
     grid = grid_interval if grid_interval is not None else interval_grid(geom, l)
     op = mode_operator(geom, l, grid)
-    pair = eigen_lowest(op, 1)[0]
+    tau_sq, psi = lowest_pair(op)
     v_lo = float(geom.potential(l, geom.params.x0))
     v_hi = float(geom.potential(l, geom.params.x0 / 2))
-    bracket = BracketResult(v_lo, v_hi, bool(v_lo <= pair.value <= v_hi))
+    bracket = BracketResult(v_lo, v_hi, bool(v_lo <= tau_sq <= v_hi))
     if require_bracket and not bracket.in_bracket:
         raise ValueError(
             f"frequency bracket fails at l={l} for m={geom.params.m}, "
             f"x0={geom.params.x0}; pass require_bracket=False to build anyway"
         )
-    psi = pair.vector
     x = grid.nodes()
     u_raw = cutoff.chi(x) * psi
     u = u_raw / quadrature_l2(grid, u_raw)
-    resid_vec = op.apply(u) - pair.value * u
+    resid_vec = op.apply(u) - tau_sq * u
     residual_hk = MappingProxyType({k: quadrature_hk(grid, resid_vec, k) for k in range(3)})
     u.flags.writeable = False
     tail_mask = x > cutoff.plateau_end
@@ -176,7 +175,7 @@ def build_quasimode(
     return Quasimode(
         l=l,
         sigma=math.sqrt(l * (l + 1)),
-        tau_sq=float(pair.value),
+        tau_sq=tau_sq,
         u=u,
         grid=grid,
         cutoff=cutoff,

@@ -2,16 +2,15 @@
 and the dyadic shells of the space-time norms.
 
 The second derivative is the standard 3-point stencil, so every radial
-operator -d^2/dx^2 + V is a symmetric tridiagonal matrix.  The few
-lowest pairs (``eigen_lowest``) come from Sturm-count bisection plus
-inverse iteration in numpy, which loads no scipy; the full spectrum
-(``eigen_full``) from LAPACK's MRRR (stemr) through
+operator -d^2/dx^2 + V is a symmetric tridiagonal matrix.  The lowest
+pair (``lowest_pair``, one per quasimode) comes from bisection on the
+pivots of T - s I plus inverse iteration in numpy, which loads no scipy;
+the full spectrum (``eigen_full``) from LAPACK's MRRR (stemr) through
 ``scipy.linalg.eigh_tridiagonal``, imported at the first full solve.
 Every pair is then quadrature-normalized and held to the residual gate
 1e-10 * max|diag|; an eigenvector keeps the sign its solver gives it,
-which no output reads.  Quadrature is the
-midpoint-weight sum h * sum(v_i), exact enough at second order for
-everything done here.
+which no output reads.  Quadrature is the midpoint-weight sum
+h * sum(v_i), exact enough at second order for everything done here.
 
 Norm conventions.  States are held per angular mode in the conjugated
 radial variable w = a * u, where the volume element collapses:
@@ -30,15 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "EigenPair",
     "EigensolverError",
     "Grid",
     "ShellAccumulator",
     "TridiagonalOperator",
     "build_operator",
     "eigen_full",
-    "eigen_lowest",
     "fd_derivative",
+    "lowest_pair",
     "quadrature_hk",
     "quadrature_l2",
 ]
@@ -131,25 +129,15 @@ class TridiagonalOperator:
 
 
 def build_operator(grid: Grid, V, potential_id: str = "") -> TridiagonalOperator:
-    """Assemble -d^2/dx^2 + V on the grid (V callable or node array)."""
-    x = grid.nodes()
-    vals = np.asarray(V(x) if callable(V) else V, dtype=float)
-    if vals.shape == ():
-        vals = np.full(grid.n_interior, float(vals))
+    """Assemble -d^2/dx^2 + V on the grid; V maps the node array to the
+    potential's values there."""
+    vals = np.asarray(V(grid.nodes()), dtype=float)
     if vals.shape != (grid.n_interior,):
         raise ValueError("potential array does not match the grid")
     if not np.all(np.isfinite(vals)):
         raise ValueError("potential must be finite on all grid nodes")
     h = grid.h
     return TridiagonalOperator(grid, 2.0 / h**2 + vals, -1.0 / h**2, potential_id)
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    """Eigenvalue and quadrature-normalized eigenvector."""
-
-    value: float
-    vector: np.ndarray
 
 
 # Columns handled at a time, here by the eigenpair post-processing and in
@@ -195,19 +183,16 @@ def _gate_pairs(op: TridiagonalOperator, vals: np.ndarray, vecs: np.ndarray) -> 
         )
 
 
-def _count_below(d: list[float], e2: float, s: float, pivmin: float) -> int:
-    """Eigenvalues of T below s: the negative pivots of T - s I = L D L^T
-    (Sylvester's law of inertia).  A zero pivot counts as negative and
-    continues as -pivmin, which keeps e^2 / pivmin finite."""
-    count = 0
+def _nonpositive_pivot(d: list[float], e2: float, s: float) -> bool:
+    """Whether T - s I = L D L^T has a nonpositive pivot, i.e. whether T has
+    an eigenvalue at or below s (Sylvester's law of inertia); the loop
+    returns at the first one."""
     q = math.inf
     for di in d:
         q = di - s - e2 / q
         if q <= 0.0:
-            count += 1
-            if q == 0.0:
-                q = -pivmin
-    return count
+            return True
+    return False
 
 
 def _shifted_solve(d: list[float], e: float, s: float, b: list[float],
@@ -231,48 +216,39 @@ def _shifted_solve(d: list[float], e: float, s: float, b: list[float],
     return np.array(z)
 
 
-def eigen_lowest(op: TridiagonalOperator, k: int) -> list[EigenPair]:
-    """The k smallest eigenpairs, ascending.
+def lowest_pair(op: TridiagonalOperator) -> tuple[float, np.ndarray]:
+    """The lowest eigenvalue and its quadrature-normalized eigenvector.
 
-    Each eigenvalue is bisected on Sturm counts (Barth, Martin & Wilkinson,
-    Numer. Math. 9, 1967) from [-``norm_bound``, ``norm_bound``] down to a
-    bracket [a, b] of width 2 eps * ``norm_bound``, 52 halvings; its value
-    is the midpoint.  Its eigenvector is two inverse-iteration solves with
-    T - a I, started from a fixed pseudo-random vector and kept orthogonal
-    to the vectors below it.  For the lowest pair a lies below the whole
-    spectrum, so T - a I is positive definite.  The recurrences are plain
-    Python loops: at the sizes solved here (n up to a few thousand, k = 1
-    in production) they cost less than loading LAPACK through scipy.
+    The eigenvalue is bisected on the pivots of T - s I (Barth, Martin &
+    Wilkinson, Numer. Math. 9, 1967) from [-``norm_bound``, ``norm_bound``]
+    down to a bracket [a, b] of width 2 eps * ``norm_bound``, 52 halvings;
+    its value is the midpoint.  Its eigenvector is two inverse-iteration
+    solves with T - a I, started from a fixed pseudo-random vector; a lies
+    below the whole spectrum, so T - a I is positive definite.  The
+    recurrences are plain Python loops: at the sizes solved here (n up to
+    a few thousand) they cost less than loading LAPACK through scipy.
     """
-    if not 1 <= k <= op.n:
-        raise ValueError(f"k must lie in [1, {op.n}]")
     if not math.isfinite(op.norm_bound):
         raise EigensolverError(
             f"operator {op.potential_id!r} (n={op.n}) has a non-finite entry")
     d, e = op.diag.tolist(), op.offdiag
     e2 = e * e
-    pivmin = sys.float_info.min * max(e2, 1.0)
     width = 2.0 * sys.float_info.epsilon * op.norm_bound
-    start = np.random.default_rng(0).standard_normal((k, op.n))
-    vals = np.empty(k)
-    vecs = np.empty((op.n, k), order="F")
-    for j in range(k):
-        a, b = -op.norm_bound, op.norm_bound
-        while b - a > width:
-            mid = 0.5 * (a + b)
-            if _count_below(d, e2, mid, pivmin) > j:
-                b = mid
-            else:
-                a = mid
-        vals[j] = 0.5 * (a + b)
-        v = start[j]
-        for _ in range(2):
-            v = _shifted_solve(d, e, a, v.tolist(), pivmin)
-            v -= vecs[:, :j] @ (vecs[:, :j].T @ v)
-            v /= np.linalg.norm(v)
-        vecs[:, j] = v
-    _gate_pairs(op, vals, vecs)
-    return [EigenPair(float(vals[i]), vecs[:, i].copy()) for i in range(k)]
+    a, b = -op.norm_bound, op.norm_bound
+    while b - a > width:
+        mid = 0.5 * (a + b)
+        if _nonpositive_pivot(d, e2, mid):
+            b = mid
+        else:
+            a = mid
+    pivmin = sys.float_info.min * max(e2, 1.0)
+    v = np.random.default_rng(0).standard_normal(op.n)
+    for _ in range(2):
+        v = _shifted_solve(d, e, a, v.tolist(), pivmin)
+        v /= np.linalg.norm(v)
+    value = 0.5 * (a + b)
+    _gate_pairs(op, np.array([value]), v[:, None])  # normalizes v through the view
+    return value, v
 
 
 def eigen_full(op: TridiagonalOperator) -> tuple[np.ndarray, np.ndarray]:

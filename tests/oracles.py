@@ -21,7 +21,7 @@ import numpy as np
 from warptrap.evolve import ModeState, _densities, _warp_factors
 from warptrap.geometry import WarpGeometry
 from warptrap.quasimode import interval_grid, mode_operator
-from warptrap.spectral import Grid, ShellAccumulator, eigen_lowest
+from warptrap.spectral import Grid, ShellAccumulator, lowest_pair
 
 # -- propagation -----------------------------------------------------------------
 
@@ -235,7 +235,7 @@ def bracket_check(geom: WarpGeometry, l: int, n: int | None = None) -> BracketCh
     if x0 >= 0:
         raise ValueError("bracket check requires the trapped side, x0 < 0")
     grid = interval_grid(geom, l) if n is None else Grid(x0, 0.0, n)
-    tau_sq = eigen_lowest(mode_operator(geom, l, grid), 1)[0].value
+    tau_sq, _ = lowest_pair(mode_operator(geom, l, grid))
     v_lo = float(geom.potential(l, x0))
     v_hi = float(geom.potential(l, x0 / 2))
     swb = float(geom.potential(l, 3 * x0 / 4)) + 16.0 * math.pi**2 / x0**2
@@ -244,7 +244,7 @@ def bracket_check(geom: WarpGeometry, l: int, n: int | None = None) -> BracketCh
         V_at_x0=v_lo,
         V_at_half=v_hi,
         V_at_threequarters_bound=swb,
-        tau_sq=float(tau_sq),
+        tau_sq=tau_sq,
         in_bracket=bool(v_lo <= tau_sq <= v_hi),
         below_threshold=not (potential_is_monotone(geom, l) and swb <= v_hi),
     )

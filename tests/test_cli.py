@@ -154,6 +154,9 @@ class TestConfig:
 _SHORT_STRICT = ["--x0", "-1.0", "--l", "20", "--T", "500", "--x-max", "24",
                  "--causal", "strict"]
 _R_IN_SUPPORT = ["--x0", "-1.0", "--l", "20", "--T", "5", "--R", "-0.5"]
+# l = 2 at x0 = -1: tau^2 lies outside the frequency bracket
+_OUT_OF_BRACKET = ["--x0", "-1.0", "--l", "2"]
+_BIFURCATION = ["bifurcation", "--x0-plus", "1", "--R", "3.5", "--T", "1", "--x-max", "6"]
 
 
 class TestExitCodes:
@@ -164,6 +167,20 @@ class TestExitCodes:
         (["confinement", *_R_IN_SUPPORT], "R"),
         (["le1-growth", *_SHORT_STRICT], "x_max"),
         (["le1-growth", *_R_IN_SUPPORT], "R"),
+        pytest.param(["quasimode", *_OUT_OF_BRACKET, "20", "30"], "l_list",
+                     id="quasimode-bracket"),
+        pytest.param(["confinement", *_OUT_OF_BRACKET], "l_list", id="confinement-bracket"),
+        pytest.param(["le1-growth", *_OUT_OF_BRACKET], "l_list", id="le1-growth-bracket"),
+        # an evolution domain that ends before the neck
+        pytest.param(["confinement", "--x0", "-1.0", "--l", "20", "--T", "5", "--x-max", "0"],
+                     "x_max", id="confinement-x_max-before-neck"),
+        pytest.param(["le1-growth", "--x0", "-1.0", "--l", "20", "--T", "5", "--x-max", "-0.5"],
+                     "x_max", id="le1-growth-x_max-before-neck"),
+        pytest.param([*_BIFURCATION, "--x0-minus", "-1", "--l", "2"], "l_list",
+                     id="bifurcation-bracket"),
+        # the trapped-side run's domain, up to min(x_max, x0_minus + 25), is empty
+        pytest.param([*_BIFURCATION, "--x0-minus", "-26", "--l", "12"], "x0_minus",
+                     id="bifurcation-x0_minus"),
     ], ids=lambda v: v[0] if isinstance(v, list) else v)
     def test_refused_before_output_dir(self, argv, field, tmp_path, capsys):
         code = run_cli([*argv, "--out", str(tmp_path / "o")])

@@ -14,7 +14,6 @@ from warptrap.geometry import WarpGeometry
 from warptrap.quasimode import build_quasimode, interval_grid
 from warptrap.spectral import (
     TILE,
-    EigenPair,
     EigensolverError,
     Grid,
     fd_derivative,
@@ -677,8 +676,7 @@ class TestGrowthExperiment:
 
 
 def flip_half(n, seed):
-    """A seeded random half of n column indices, rounded up so that a lone
-    column is flipped too."""
+    """A seeded random half of n column indices, rounded up."""
     return np.random.default_rng(seed).permutation(n)[:(n + 1) // 2]
 
 
@@ -707,24 +705,22 @@ class TestEigenvectorSigns:
         }
 
     def test_outputs_do_not_read_eigenvector_signs(self, geom_m1_trapped, monkeypatch):
-        full, lowest = evolve.eigen_full, quasimode.eigen_lowest
+        full, lowest = evolve.eigen_full, quasimode.lowest_pair
 
         def flipped_full(op):
             vals, vecs = full(op)
             vecs[:, flip_half(vecs.shape[1], 5)] *= -1.0
             return vals, vecs
 
-        def flipped_lowest(op, k):
-            pairs = lowest(op, k)
-            for j in flip_half(k, 6):
-                pairs[j] = EigenPair(pairs[j].value, -pairs[j].vector)
-            return pairs
+        def flipped_lowest(op):
+            value, vec = lowest(op)
+            return value, -vec
 
         monkeypatch.setattr(evolve, "_PROP_CACHE", {})
         qm_ref, ref = self.outputs(geom_m1_trapped)
         monkeypatch.setattr(evolve, "_PROP_CACHE", {})
         monkeypatch.setattr(evolve, "eigen_full", flipped_full)
-        monkeypatch.setattr(quasimode, "eigen_lowest", flipped_lowest)
+        monkeypatch.setattr(quasimode, "lowest_pair", flipped_lowest)
         qm, got = self.outputs(geom_m1_trapped)
         assert np.array_equal(qm.u, -qm_ref.u)  # the flip reached the quasimode
         for key, want in ref.items():

@@ -370,7 +370,8 @@ class TestAudit:
 
         monkeypatch.setattr(evolve, "_raw_product", counted)
         evolve.le_bound_audit(fld, 40.0, 0.25)
-        assert len(calls) == math.ceil(evolve._sample_times(40.0, 0.25).size / spectral.TILE)
+        _, times = evolve._sample_times(40.0, 0.25, fld.grid.h)
+        assert len(calls) == math.ceil(times.size / spectral.TILE)
 
     def test_le1_matches_space_time_norms(self, geom_m1_front):
         fld = self.front_field(geom_m1_front)

@@ -20,7 +20,7 @@ from warptrap.spectral import (
     TridiagonalOperator,
     build_operator,
     eigen_full,
-    eigen_lowest,
+    lowest_pair,
     quadrature_hk,
     quadrature_l2,
 )
@@ -58,14 +58,14 @@ class TestBuildOperator:
 
     def test_constant_shift_moves_spectrum(self):
         g = Grid(0.0, 1.0, 60)
-        base = eigen_lowest(build_operator(g, lambda x: 0.0 * x), 4)
-        shifted = eigen_lowest(build_operator(g, lambda x: 0.0 * x + 7.5), 4)
-        for p, q in zip(base, shifted):
-            assert q.value == pytest.approx(p.value + 7.5, rel=1e-12)
+        base, _ = eigen_full(build_operator(g, lambda x: 0.0 * x))
+        shifted, _ = eigen_full(build_operator(g, lambda x: 0.0 * x + 7.5))
+        for p, q in zip(base[:4], shifted[:4]):
+            assert q == pytest.approx(p + 7.5, rel=1e-12)
 
     def test_continuum_limit_first_eigenvalue(self):
         op = build_operator(Grid(0.0, 1.0, 999), lambda x: 0.0 * x)
-        lam = eigen_lowest(op, 1)[0].value
+        lam, _ = lowest_pair(op)
         assert lam == pytest.approx(math.pi**2, rel=1e-4)
 
     def test_rejects_nonfinite_potential(self):
@@ -76,37 +76,30 @@ class TestBuildOperator:
 class TestEigenLowest:
     def test_matches_closed_form_discrete_spectrum(self):
         g = Grid(0.0, 1.0, 99)
-        pairs = eigen_lowest(build_operator(g, lambda x: 0.0 * x), 3)
-        for k, p in enumerate(pairs, start=1):
-            assert p.value == pytest.approx(laplacian_eigenvalue(g.h, k), rel=1e-10)
+        vals, _ = eigen_full(build_operator(g, lambda x: 0.0 * x))
+        for k, lam in enumerate(vals[:3], start=1):
+            assert lam == pytest.approx(laplacian_eigenvalue(g.h, k), rel=1e-10)
 
     def test_residual_invariant(self):
         geom = WarpGeometry.of(1, -1.0)
         g = Grid(-1.0, 0.0, 400)
         op = build_operator(g, lambda x: geom.potential(25, x))
-        for p in eigen_lowest(op, 5):
-            assert quadrature_l2(g, op.apply(p.vector) - p.value * p.vector) \
-                <= 1e-10 * op.diag_inf
+        vals, vecs = eigen_full(op)
+        for lam, v in zip(vals[:5], vecs[:, :5].T):
+            assert quadrature_l2(g, op.apply(v) - lam * v) <= 1e-10 * op.diag_inf
 
     def test_ground_state_has_no_sign_change(self):
         geom = WarpGeometry.of(1, -1.0)
         g = Grid(-1.0, 0.0, 300)
         op = build_operator(g, lambda x: geom.potential(12, x))
-        v = eigen_lowest(op, 1)[0].vector
+        _, v = lowest_pair(op)
         signs = np.sign(v[np.abs(v) > 1e-9 * np.abs(v).max()])
         assert np.all(signs == signs[0])
 
     def test_quadrature_normalization(self):
         g = Grid(0.0, 2.0, 77)
-        p = eigen_lowest(build_operator(g, lambda x: x), 1)[0]
-        assert g.h * np.sum(p.vector**2) == pytest.approx(1.0, rel=1e-12)
-
-    def test_k_out_of_range(self):
-        op = build_operator(Grid(0.0, 1.0, 9), lambda x: 0.0 * x)
-        with pytest.raises(ValueError):
-            eigen_lowest(op, 0)
-        with pytest.raises(ValueError):
-            eigen_lowest(op, 10)
+        _, v = lowest_pair(build_operator(g, lambda x: x))
+        assert g.h * np.sum(v**2) == pytest.approx(1.0, rel=1e-12)
 
 
 def characteristic_polynomial_roots(diag, off):
@@ -140,7 +133,7 @@ class TestEigenOracles:
         rng = np.random.default_rng(100 + n)
         diag = rng.uniform(1.0, 5.0, n)
         op = TridiagonalOperator(Grid(0.0, 1.0, n), diag, -0.7, "random")
-        vals = np.array([p.value for p in eigen_lowest(op, n)])
+        vals, _ = eigen_full(op)
         ref = characteristic_polynomial_roots(diag, -0.7)
         scale = np.abs(ref).max()
         assert np.max(np.abs(vals - ref)) <= 1e-8 * scale
@@ -181,10 +174,10 @@ class TestEigenOracles:
         # eigenvalues by c; c = l(l+1) = 12 is the potential of a flat warp
         # (a = 1, a'' = 0) at l = 3
         g = Grid(0.0, 1.0, 99)
-        pairs = eigen_lowest(build_operator(g, c), 3)
-        for k, p in enumerate(pairs, start=1):
+        vals, _ = eigen_full(build_operator(g, lambda x: 0.0 * x + c))
+        for k, lam in enumerate(vals[:3], start=1):
             ex = laplacian_eigenvalue(g.h, k) + c
-            assert abs(p.value - ex) / ex < 1e-10
+            assert abs(lam - ex) / ex < 1e-10
 
     @settings(max_examples=100)
     @given(m=st.sampled_from([1, 2, 3]), x0=st.floats(0.5, 2.0), side=st.sampled_from([-1, 1]),
@@ -203,29 +196,34 @@ class TestEigenOracles:
 
     @settings(max_examples=60)
     @given(m=st.sampled_from([1, 2, 3]), x0=st.floats(0.5, 2.0), side=st.sampled_from([-1, 1]),
-           span=st.floats(1.0, 10.0), l=st.integers(0, 30), n=st.integers(20, 400),
-           k=st.integers(1, 4))
-    def test_property_eigen_lowest_matches_lapack(self, m, x0, side, span, l, n, k):
-        # values within 4 eps * norm_bound of LAPACK's bisection (stebz), each
-        # pair's index certified by Sturm counts either side of its value, and
-        # the vectors h-orthonormal
+           span=st.floats(1.0, 10.0), l=st.integers(0, 30), n=st.integers(20, 400))
+    def test_property_lowest_pair_matches_lapack(self, m, x0, side, span, l, n):
+        # the value within 4 eps * norm_bound of LAPACK's bisection (stebz),
+        # its index 0 certified by Sturm counts either side of it, and the
+        # vector h-normalized
         import scipy.linalg as sla
 
         geom = WarpGeometry.of(m, side * x0)
         op = build_operator(Grid(side * x0, side * x0 + span, n),
                             lambda x: geom.potential(l, x))
-        pairs = eigen_lowest(op, k)
-        vals = np.array([p.value for p in pairs])
+        lam, v = lowest_pair(op)
         ref = sla.eigh_tridiagonal(op.diag, op.offdiag_vector(), eigvals_only=True,
-                                   select="i", select_range=(0, k - 1),
+                                   select="i", select_range=(0, 0),
                                    lapack_driver="stebz")
         tol = 4 * np.finfo(float).eps * op.norm_bound
-        assert np.max(np.abs(vals - ref)) <= tol
+        assert abs(lam - ref[0]) <= tol
         off = op.offdiag_vector()
-        for j, lam in enumerate(vals):
-            assert sturm_count(op.diag, off, lam - tol) <= j < sturm_count(op.diag, off, lam + tol)
-        vecs = np.column_stack([p.vector for p in pairs])
-        assert np.max(np.abs(op.grid.h * vecs.T @ vecs - np.eye(k))) <= 1e-12
+        assert sturm_count(op.diag, off, lam - tol) == 0 < sturm_count(op.diag, off, lam + tol)
+        assert abs(op.grid.h * v @ v - 1.0) <= 1e-12
+
+    @settings(max_examples=200)
+    @given(diag=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=60),
+           e=st.floats(-5.0, 5.0), s=st.floats(-25.0, 25.0))
+    def test_property_first_pivot_matches_sturm_count(self, diag, e, s):
+        # the bisection's question, a nonpositive pivot of T - s I, is the
+        # oracle's "some eigenvalue at or below s"
+        off = np.full(len(diag) - 1, e)
+        assert spectral._nonpositive_pivot(diag, e * e, s) == (sturm_count(diag, off, s) > 0)
 
 
 class TestEigenFull:

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 import types
@@ -220,12 +221,28 @@ def _quasimode(geom: WarpGeometry, l: int, h_per_sigma: float) -> qmod.Quasimode
     """The degree-l quasimode on the interval grid of the spacing rule
     ``h_per_sigma``, refused if tau^2 misses its frequency bracket."""
     grid = qmod.interval_grid(geom, l, h_per_sigma)
-    qm = qmod.build_quasimode(geom, l, grid_interval=grid, require_bracket=False)
+    qm = qmod.build_quasimode(geom, l, grid)
     if not qm.bracket.in_bracket:
         lo, hi, _ = dataclasses.astuple(qm.bracket)
         raise ConfigError("l_list", f"tau^2 = {qm.tau_sq:g} of degree {l} lies outside its "
                                     f"frequency bracket [V_l(x0), V_l(x0/2)] = [{lo:g}, {hi:g}]")
     return qm
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, as ``os.sysconf`` reports them."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _refuse_oversize(grid: Grid, field_name: str, what: str) -> None:
+    """Refuse a full eigensolve on ``grid`` whose eigenvector matrix alone,
+    8 n^2 bytes, exceeds physical memory."""
+    n = grid.n_interior
+    need, have = 8 * n * n, _physical_memory()
+    if need > have:
+        raise ConfigError(field_name, f"{what} needs a full eigensolve on n = {n} nodes, "
+                                      f"whose eigenvectors alone take {need / 1e9:.3g} GB "
+                                      f"of the {have / 1e9:.3g} GB of physical memory")
 
 
 def _trapped_quasimodes(cfg: ExperimentConfig, command: str, evolves: bool,
@@ -234,9 +251,10 @@ def _trapped_quasimodes(cfg: ExperimentConfig, command: str, evolves: bool,
     quasimodes of the configured degrees, ascending, on the interval grids
     of the eigenproblem's spacing rule, or of the evolution's if the
     command ``evolves`` them.  Every guard runs before the output directory
-    is made: the side and degrees, for an evolving command the domain that
-    ``evolve.run_confinement`` would refuse, and each degree's frequency
-    bracket, so the quasimodes are built first."""
+    is made: the side and degrees; for an evolving command the domain that
+    ``evolve.run_confinement`` would refuse and the size of each degree's
+    full solve, before any solve; and each degree's frequency bracket, so
+    the quasimodes are built first."""
     if cfg.x0 >= 0:
         raise ConfigError("x0", f"{command} requires the trapped side (x0 < 0)")
     if not cfg.l_list:
@@ -254,6 +272,10 @@ def _trapped_quasimodes(cfg: ExperimentConfig, command: str, evolves: bool,
             raise ConfigError("x_max", f"{command} needs x_max > 0, past the neck at 0")
     h_per_sigma = evolve.EVOLUTION_H_PER_SIGMA if evolves else qmod.EIGEN_H_PER_SIGMA
     geom = WarpGeometry.of(cfg.m, cfg.x0)
+    if evolves:
+        for l in cfg.l_list:
+            _refuse_oversize(qmod.interval_grid(geom, l, h_per_sigma).extended(cfg.x_max),
+                             "l_list", f"degree {l} on (x0, x_max)")
     qms = [_quasimode(geom, l, h_per_sigma) for l in sorted(cfg.l_list)]
     return OutputCollector(cfg.out_dir, cfg, command), geom, qms
 
@@ -363,16 +385,33 @@ def cmd_le1_growth(cfg: ExperimentConfig) -> OutputCollector:
     return out
 
 
-def _bump_field(geom: WarpGeometry, grid: Grid, l: int, center: float,
-                width: float) -> evolve.ModeState:
+# bifurcation's matched l = 1 bump data sits at x0 + _BUMP_OFFSET with
+# half-width _BUMP_WIDTH, on a grid of spacing about _BUMP_H with at least
+# _BUMP_MIN_NODES nodes; its quasimode evolves on (x0_minus, x0_minus +
+# _TRAPPED_SPAN), past the neck
+_BUMP_OFFSET = 1.5
+_BUMP_WIDTH = 0.5
+_BUMP_H = 0.04
+_BUMP_MIN_NODES = 400
+_TRAPPED_SPAN = 25.0
+
+
+def _bump_grid(x0: float, x_max: float) -> Grid:
+    return Grid(x0, x_max, max(int((x_max - x0) / _BUMP_H), _BUMP_MIN_NODES))
+
+
+def _bump_field(geom: WarpGeometry, x_max: float) -> evolve.ModeState:
+    """The outgoing bump data of one side, on its grid (x0, x_max)."""
+    x0 = geom.params.x0
+    grid = _bump_grid(x0, x_max)
     x = grid.nodes()
-    s = (x - center) / width
+    s = (x - (x0 + _BUMP_OFFSET)) / _BUMP_WIDTH
     w0 = np.zeros_like(x)
     inside = np.abs(s) < 1
     w0[inside] = np.exp(-1.0 / (1.0 - s[inside] ** 2))
     w0 /= math.sqrt(grid.h * float(np.sum(w0**2)))
     w1 = -fd_derivative(grid, w0, 1)
-    return evolve.wave_field(geom, grid, [(l, 1, w0.astype(complex), w1.astype(complex))])
+    return evolve.wave_field(geom, grid, [(1, 1, w0.astype(complex), w1.astype(complex))])
 
 
 def cmd_bifurcation(cfg: ExperimentConfig) -> OutputCollector:
@@ -380,41 +419,43 @@ def cmd_bifurcation(cfg: ExperimentConfig) -> OutputCollector:
         raise ConfigError("x0_plus", "bifurcation needs a positive-side boundary x0_plus > 0")
     if cfg.x0_minus is None or cfg.x0_minus >= 0:
         raise ConfigError("x0_minus", "bifurcation needs a trapped-side boundary x0_minus < 0")
-    if cfg.x0_minus <= -25.0:
-        raise ConfigError("x0_minus", "bifurcation needs x0_minus > -25: its quasimode "
-                                      "evolves on (x0_minus, x0_minus + 25), past the neck")
-    if cfg.R <= cfg.x0_plus + 2.0:
-        raise ConfigError("R", "bifurcation needs R > x0_plus + 2 so the matched "
-                               "bump data fits inside [x0, R)")
+    if cfg.x0_minus <= -_TRAPPED_SPAN:
+        raise ConfigError("x0_minus", f"bifurcation needs x0_minus > {-_TRAPPED_SPAN:g}: its "
+                                      "quasimode evolves on (x0_minus, x0_minus + "
+                                      f"{_TRAPPED_SPAN:g}), past the neck")
+    # the plus side's bump support ends here, reaching furthest toward R and
+    # toward the wall
+    support_end = cfg.x0_plus + (_BUMP_OFFSET + _BUMP_WIDTH)
+    if cfg.R <= support_end:
+        raise ConfigError("R", f"bifurcation needs R > x0_plus + {_BUMP_OFFSET + _BUMP_WIDTH:g} "
+                               "so the matched bump data fits inside [x0, R)")
     if not cfg.l_list:
         raise ConfigError("l_list", "bifurcation needs at least one angular degree")
-    # matched bump runs on both sides; decay claims need a causally exact
-    # wall, and the plus side's support, ending at x0_plus + 2, reaches
-    # furthest toward it
-    budget = cfg.x_max - (cfg.x0_plus + 2.0)
+    # matched bump runs on both sides; decay claims need a causally exact wall
+    budget = cfg.x_max - support_end
     if cfg.T_max > budget:
         raise ConfigError("T_max", "horizon exceeds the causality budget "
                                    f"x_max - support = {budget:g}")
+    for x0 in (cfg.x0_plus, cfg.x0_minus):
+        _refuse_oversize(_bump_grid(x0, cfg.x_max), "x_max", f"the bump run on (x0={x0:g}, x_max)")
     l_qm = max(cfg.l_list)
     geom_m = WarpGeometry.of(cfg.m, cfg.x0_minus)
+    x_max_qm = min(cfg.x_max, cfg.x0_minus + _TRAPPED_SPAN)
+    _refuse_oversize(qmod.interval_grid(geom_m, l_qm, evolve.EVOLUTION_H_PER_SIGMA)
+                     .extended(x_max_qm), "l_list", f"the degree-{l_qm} quasimode run")
     qm = _quasimode(geom_m, l_qm, evolve.EVOLUTION_H_PER_SIGMA)
     out = OutputCollector(cfg.out_dir, cfg, "bifurcation")
     T = cfg.T_max
 
     curves = {}
     for tag, x0 in (("plus", cfg.x0_plus), ("minus", cfg.x0_minus)):
-        center = x0 + 1.5
-        width = 0.5
-        geom = WarpGeometry.of(cfg.m, x0)
-        grid = Grid(x0, cfg.x_max, max(int((cfg.x_max - x0) / 0.04), 400))
-        times, er = evolve.er_history(_bump_field(geom, grid, 1, center, width), T,
+        times, er = evolve.er_history(_bump_field(WarpGeometry.of(cfg.m, x0), cfg.x_max), T,
                                       cfg.R, dt=cfg.dt)
         curves[f"bump_{tag}"] = (times, er / er[0])
         out.write_csv(f"er_bump_{tag}.csv", ["t", "ratio_E_R"],
                       [[t, r] for t, r in zip(times, er / er[0])])
 
     # trapped-side quasimode run (audited wall on its own compact domain)
-    x_max_qm = min(cfg.x_max, cfg.x0_minus + 25.0)
     rep = evolve.run_confinement(geom_m, qm, T, cfg.R, x_max=x_max_qm,
                                  dt=cfg.dt, causal="audited")
     out.write_csv("er_quasimode_minus.csv", ["t", "ratio_E_R"],
@@ -457,16 +498,14 @@ def cmd_multiplier_audit(cfg: ExperimentConfig) -> OutputCollector:
                  min(scan.min_margins.values()), 0.0, scan.route_agreement,
                  "", ok_scan])
 
-    corpus = multiplier.make_corpus(geom)
-    for sol in corpus:
-        conv = multiplier.ibp_richardson(geom, pair, sol, T=2.0, x_max=12.0)
-        ok = 1.8 <= conv["order"] <= 2.2 and conv["report_h"].terms["wall_flux"] >= 0
+    for sol in multiplier.make_corpus(geom):
+        rep, order = multiplier.ibp_richardson(geom, pair, sol)
+        ok = 1.8 <= order <= 2.2 and rep.terms["wall_flux"] >= 0
         out.record(f"ibp_{sol.name}", ok)
-        rows.append([f"ibp_{sol.name}", f"l={sol.l}", conv["report_h"].lhs,
-                     conv["report_h"].rhs, conv["gap_h"], conv["order"], ok])
+        rows.append([f"ibp_{sol.name}", f"l={sol.l}", rep.lhs, rep.rhs, rep.gap, order, ok])
         if not ok:
             raise ConvergenceFailure(
-                f"identity gap order {conv['order']:.2f} out of range for {sol.name}")
+                f"identity gap order {order:.2f} out of range for {sol.name}")
 
     grid = Grid(cfg.x0, cfg.x0 + 10.0, 2000)
     worst = max(multiplier.hardy_random_corpus(geom, grid, seed=cfg.seed))

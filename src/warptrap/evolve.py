@@ -38,7 +38,6 @@ from .spectral import (
     Grid,
     ShellAccumulator,
     TridiagonalOperator,
-    build_operator,
     eigen_full,
 )
 
@@ -97,18 +96,14 @@ class ModePropagator:
 
     Every V_l is nonnegative, so the operator is positive definite and
     omega = sqrt(lambda) is real; a nonpositive eigenvalue raises
-    ``EigensolverError``.  ``potential`` overrides the warp's mode
-    potential (testing seam; the experiments always use the default), and
-    the operator's ``potential_id`` then says so.
+    ``EigensolverError`` naming the operator, its size and that eigenvalue.
     """
 
-    def __init__(self, geom: WarpGeometry, l: int, grid: Grid, potential=None):
+    def __init__(self, geom: WarpGeometry, l: int, grid: Grid):
         self.geom = geom
         self.l = l
         self.grid = grid
-        self.op: TridiagonalOperator = (
-            mode_operator(geom, l, grid) if potential is None else
-            build_operator(grid, potential, potential_id=f"potential override, l={l}"))
+        self.op: TridiagonalOperator = mode_operator(geom, l, grid)
         self.evals, self.evecs = eigen_full(self.op)
         if self.evals[0] <= 0.0:
             raise EigensolverError(

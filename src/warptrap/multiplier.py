@@ -11,6 +11,10 @@ Hardy inequality that controls the zeroth-order multiplier term; the
 resulting local-energy bound is audited on evolved solutions by
 ``evolve.le_bound_audit``.
 
+The identity audit has one window, [0, 2] x [x0, 12], holding the corpus
+supports; ``ibp_richardson`` evaluates it on 400 x 200 cells in x and t
+and on twice both counts, and the ratio of the two gaps gives the order.
+
 The multiplier is the interior family f = x^2 / a^2 with a small
 damping parameter delta in g.  It and the manufactured solutions are
 closed-form numpy: every derivative is written out by hand (powers of
@@ -325,11 +329,18 @@ def boundary_ramp_profile(x0: float, width: float):
     return profile
 
 
-def make_corpus(geom: WarpGeometry, x_max: float = 12.0) -> list[ManufacturedSolution]:
+# the identity audit's window [0, _AUDIT_T] x [x0, _AUDIT_X_MAX] and its cells
+_AUDIT_T = 2.0
+_AUDIT_X_MAX = 12.0
+_AUDIT_NX = 400
+_AUDIT_NT = 200
+
+
+def make_corpus(geom: WarpGeometry) -> list[ManufacturedSolution]:
     """Five separated test solutions with varied degree, time profile and
     support (one attached to the wall so the wall flux term is exercised)."""
     x0 = geom.params.x0
-    span = x_max - x0
+    span = _AUDIT_X_MAX - x0
     mid = x0 + 0.45 * span
     far = x0 + 0.7 * span
     sin_t = time_profile([(1.0, 0.0, 1.0, 0.0)])
@@ -427,13 +438,13 @@ def verify_ibp(geom: WarpGeometry, pair: MultiplierPair, sol: ManufacturedSoluti
     )
 
 
-def ibp_richardson(geom: WarpGeometry, pair: MultiplierPair, sol: ManufacturedSolution,
-                   T: float, x_max: float, nx: int = 400, nt: int = 200) -> dict:
-    """Identity gap at (nx, nt) and (2nx, 2nt) and the implied order."""
-    r1 = verify_ibp(geom, pair, sol, T, x_max, nx, nt)
-    r2 = verify_ibp(geom, pair, sol, T, x_max, 2 * nx, 2 * nt)
-    order = math.log2(r1.gap / r2.gap) if r2.gap > 0 else math.inf
-    return {"gap_h": r1.gap, "order": order, "report_h": r1, "report_h2": r2}
+def ibp_richardson(geom: WarpGeometry, pair: MultiplierPair,
+                   sol: ManufacturedSolution) -> tuple[IdentityReport, float]:
+    """The identity on the audit window at the coarse cell counts, and the
+    order of its gap: log2 of its ratio to the gap at twice both counts."""
+    coarse = verify_ibp(geom, pair, sol, _AUDIT_T, _AUDIT_X_MAX, _AUDIT_NX, _AUDIT_NT)
+    fine = verify_ibp(geom, pair, sol, _AUDIT_T, _AUDIT_X_MAX, 2 * _AUDIT_NX, 2 * _AUDIT_NT)
+    return coarse, math.log2(coarse.gap / fine.gap) if fine.gap > 0 else math.inf
 
 
 # -- Hardy inequality ------------------------------------------------------------
@@ -462,8 +473,7 @@ _HARDY_DRAWS = 64
 _HARDY_TERMS = 12
 
 
-def hardy_random_corpus(geom: WarpGeometry, grid: Grid,
-                        seed: int = 20260809) -> list[float]:
+def hardy_random_corpus(geom: WarpGeometry, grid: Grid, seed: int) -> list[float]:
     """Hardy ratios of a seeded family of admissible functions: random sine
     series on random wall-anchored subintervals, vanishing at both
     subinterval ends."""

@@ -87,7 +87,7 @@ def default_cutoff(x0: float) -> CutoffProfile:
     return CutoffProfile(x0, 0.4 * x0, 0.1 * x0)
 
 
-def interval_grid(geom: WarpGeometry, l: int, h_per_sigma: float = EIGEN_H_PER_SIGMA) -> Grid:
+def interval_grid(geom: WarpGeometry, l: int, h_per_sigma: float) -> Grid:
     """Grid on (x0, 0) fine enough that h * sigma <= h_per_sigma for the
     mode-l frequency."""
     return Grid.for_sigma(geom.params.x0, 0.0, math.sqrt(l * (l + 1)), h_per_sigma)
@@ -140,30 +140,23 @@ class Quasimode:
         return out
 
 
-def build_quasimode(
-    geom: WarpGeometry,
-    l: int,
-    grid_interval: Grid | None = None,
-    require_bracket: bool = True,
-) -> Quasimode:
-    """Construct the mode-l quasimode on (x0, 0) with the default cutoff.
+def build_quasimode(geom: WarpGeometry, l: int, grid_interval: Grid) -> Quasimode:
+    """Construct the mode-l quasimode on the interval grid (x0, 0) with the
+    default cutoff.
 
     Residual norms |(-d^2/dx^2 + V_l - tau^2) u| in H^k, k = 0, 1, 2, are
     computed on the interval grid; the tail ratio measures the
-    eigenfunction mass where the cutoff is below 1.
+    eigenfunction mass where the cutoff is below 1.  The state is built
+    whether or not tau^2 lies in its frequency bracket; ``bracket`` holds
+    that verdict, and a caller that needs the bracket refuses the miss.
     """
     cutoff = default_cutoff(geom.params.x0)
-    grid = grid_interval if grid_interval is not None else interval_grid(geom, l)
+    grid = grid_interval
     op = mode_operator(geom, l, grid)
     tau_sq, psi = lowest_pair(op)
     v_lo = float(geom.potential(l, geom.params.x0))
     v_hi = float(geom.potential(l, geom.params.x0 / 2))
     bracket = BracketResult(v_lo, v_hi, bool(v_lo <= tau_sq <= v_hi))
-    if require_bracket and not bracket.in_bracket:
-        raise ValueError(
-            f"frequency bracket fails at l={l} for m={geom.params.m}, "
-            f"x0={geom.params.x0}; pass require_bracket=False to build anyway"
-        )
     x = grid.nodes()
     u_raw = cutoff.chi(x) * psi
     u = u_raw / quadrature_l2(grid, u_raw)

@@ -20,7 +20,7 @@ import numpy as np
 
 from warptrap.evolve import ModeState, _densities, _warp_factors
 from warptrap.geometry import WarpGeometry
-from warptrap.quasimode import interval_grid, mode_operator
+from warptrap.quasimode import EIGEN_H_PER_SIGMA, interval_grid, mode_operator
 from warptrap.spectral import Grid, ShellAccumulator, lowest_pair
 
 # -- propagation -----------------------------------------------------------------
@@ -234,7 +234,7 @@ def bracket_check(geom: WarpGeometry, l: int, n: int | None = None) -> BracketCh
     x0 = geom.params.x0
     if x0 >= 0:
         raise ValueError("bracket check requires the trapped side, x0 < 0")
-    grid = interval_grid(geom, l) if n is None else Grid(x0, 0.0, n)
+    grid = interval_grid(geom, l, EIGEN_H_PER_SIGMA) if n is None else Grid(x0, 0.0, n)
     tau_sq, _ = lowest_pair(mode_operator(geom, l, grid))
     v_lo = float(geom.potential(l, x0))
     v_hi = float(geom.potential(l, x0 / 2))

@@ -157,6 +157,16 @@ _R_IN_SUPPORT = ["--x0", "-1.0", "--l", "20", "--T", "5", "--R", "-0.5"]
 # l = 2 at x0 = -1: tau^2 lies outside the frequency bracket
 _OUT_OF_BRACKET = ["--x0", "-1.0", "--l", "2"]
 _BIFURCATION = ["bifurcation", "--x0-plus", "1", "--R", "3.5", "--T", "1", "--x-max", "6"]
+# runs whose full eigensolve would need far more than any physical memory:
+# about 1.25e7 nodes for the degree, 2.5e7 for the bump grids
+_OVERSIZE = [
+    pytest.param(["confinement", "--x0", "-1.0", "--l", "100000", "--T", "1", "--x-max", "24"],
+                 "l_list", id="confinement-oversize"),
+    pytest.param(["le1-growth", "--x0", "-1.0", "--l", "100000", "--T", "1", "--x-max", "24"],
+                 "l_list", id="le1-growth-oversize"),
+    pytest.param(["bifurcation", "--x0-plus", "1", "--x0-minus", "-1", "--R", "3.5", "--l", "40",
+                  "--T", "1", "--x-max", "1000000"], "x_max", id="bifurcation-oversize"),
+]
 
 
 class TestExitCodes:
@@ -181,6 +191,7 @@ class TestExitCodes:
         # the trapped-side run's domain, up to min(x_max, x0_minus + 25), is empty
         pytest.param([*_BIFURCATION, "--x0-minus", "-26", "--l", "12"], "x0_minus",
                      id="bifurcation-x0_minus"),
+        *_OVERSIZE,
     ], ids=lambda v: v[0] if isinstance(v, list) else v)
     def test_refused_before_output_dir(self, argv, field, tmp_path, capsys):
         code = run_cli([*argv, "--out", str(tmp_path / "o")])
@@ -188,6 +199,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config field '{field}': ")
         assert err.count("\n") == 1 and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, field", _OVERSIZE)
+    def test_oversize_refused_before_any_solve(self, argv, field, tmp_path, capsys,
+                                               monkeypatch):
+        from warptrap import evolve, quasimode
+
+        solves = []
+        monkeypatch.setattr(quasimode, "lowest_pair", lambda op: solves.append(op.n))
+        monkeypatch.setattr(evolve, "eigen_full", lambda op: solves.append(op.n))
+        assert run_cli([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert "physical memory" in capsys.readouterr().err
+        assert solves == []
+
+    @pytest.mark.parametrize("spare, code", [(-1, 1), (0, 0)])
+    def test_oversize_boundary(self, spare, code, tmp_path, capsys, monkeypatch):
+        # refused when the eigenvector matrix, 8 n^2 bytes, exceeds the
+        # physical memory by one byte; run when it fits exactly
+        from warptrap import cli as cli_mod, evolve, quasimode
+        from warptrap.geometry import WarpGeometry
+
+        geom = WarpGeometry.of(1, -1.0)
+        n = quasimode.interval_grid(geom, 14, evolve.EVOLUTION_H_PER_SIGMA).extended(4.0) \
+            .n_interior
+        monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 8 * n * n + spare)
+        out = tmp_path / "o"
+        assert run_cli(["confinement", "--x0", "-1.0", "--l", "14", "--T", "2",
+                        "--x-max", "4", "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: config field 'l_list': degree 14 ")
+            assert f"n = {n} nodes" in err and not out.exists()
+        else:
+            assert err == "" and (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["quasimode", "--x0", "-1.0"],
@@ -638,17 +682,18 @@ class TestExceptionMapping:
         from warptrap import cli as cli_mod
         from warptrap import evolve
         from warptrap.geometry import WarpGeometry
-        from warptrap.spectral import Grid
+        from warptrap.spectral import Grid, build_operator
 
         def indefinite(cfg):
-            evolve.ModePropagator(WarpGeometry.of(1, -1.0), 0, Grid(-1.0, 1.0, 60),
-                                  potential=lambda x: 0.0 * x - 30.0)
+            evolve.ModePropagator(WarpGeometry.of(1, -1.0), 0, Grid(-1.0, 1.0, 60))
 
+        monkeypatch.setattr(evolve, "mode_operator", lambda geom, l, grid: build_operator(
+            grid, lambda x: 0.0 * x - 30.0, potential_id=f"constant -30, l={l}"))
         monkeypatch.setitem(cli_mod._COMMANDS, "confinement", indefinite)
         code = run_cli(["confinement", "--out", str(tmp_path / "c")])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("convergence failure: operator 'potential override, l=0'")
+        assert err.startswith("convergence failure: operator 'constant -30, l=0' (n=60)")
         assert "lowest eigenvalue -27.53" in err and err.count("\n") == 1
 
     def test_eigensolver_error_is_exit_three(self, tmp_path, capsys, monkeypatch):

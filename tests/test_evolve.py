@@ -16,6 +16,7 @@ from warptrap.spectral import (
     TILE,
     EigensolverError,
     Grid,
+    build_operator,
     fd_derivative,
 )
 
@@ -335,12 +336,14 @@ class TestPropagate:
             beyond = x > R + t + 5 * h
             assert 0.5 * h * np.sum(dens[beyond]) < 1e-6 * E0
 
-    def test_indefinite_operator_raises(self):
+    def test_indefinite_operator_raises(self, monkeypatch):
         geom = WarpGeometry.of(1, -1.0)
         grid = Grid(-1.0, 1.0, 60)
+        monkeypatch.setattr(evolve, "mode_operator", lambda geom, l, grid: build_operator(
+            grid, lambda x: 0.0 * x - 30.0, potential_id=f"constant -30, l={l}"))
         with pytest.raises(EigensolverError, match="not positive definite") as exc:
-            evolve.ModePropagator(geom, 0, grid, potential=lambda x: 0.0 * x - 30.0)
-        assert str(exc.value).startswith("operator 'potential override, l=0' (n=60)")
+            evolve.ModePropagator(geom, 0, grid)
+        assert str(exc.value).startswith("operator 'constant -30, l=0' (n=60)")
         # the message ends with the lowest eigenvalue, -30 plus the Dirichlet
         # Laplacian's lowest
         lowest = -30.0 + 4.0 / grid.h**2 * math.sin(math.pi / (2 * 61)) ** 2
@@ -363,8 +366,7 @@ class TestPropagate:
 class TestForcing:
     def test_duhamel_reproduces_phase_rotation(self, geom_m1_trapped):
         grid_i = Grid(-1.0, 0.0, 120)
-        qm = build_quasimode(geom_m1_trapped, 8, grid_interval=grid_i,
-                             require_bracket=False)
+        qm = build_quasimode(geom_m1_trapped, 8, grid_interval=grid_i)
         gext = qm.grid.extended(8.0)
         u = qm.extend_to(gext).astype(complex)
         prop = evolve.get_propagator(geom_m1_trapped, 8, gext)
@@ -439,8 +441,7 @@ class TestForcing:
 
     def test_gap_bound_holds_pointwise(self, geom_m1_trapped):
         grid_i = Grid(-1.0, 0.0, 140)
-        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=grid_i,
-                             require_bracket=False)
+        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=grid_i)
         rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=30.0, R=1.0,
                                      x_max=12.0, causal="audited")
         bound = rep.times * rep.f_norm + 1e-9 * rep.data_h_norm
@@ -450,25 +451,19 @@ class TestForcing:
 
 class TestConfinement:
     def test_strict_mode_rejects_short_domain(self, geom_m1_trapped):
-        qm = build_quasimode(geom_m1_trapped, 12,
-                             grid_interval=Grid(-1.0, 0.0, 100),
-                             require_bracket=False)
+        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 100))
         with pytest.raises(ValueError, match="domain too short"):
             evolve.run_confinement(geom_m1_trapped, qm, T_max=50.0, R=1.0,
                                    x_max=10.0, causal="strict")
 
     def test_support_must_sit_inside_near_region(self, geom_m1_trapped):
-        qm = build_quasimode(geom_m1_trapped, 12,
-                             grid_interval=Grid(-1.0, 0.0, 100),
-                             require_bracket=False)
+        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 100))
         with pytest.raises(ValueError, match="supported"):
             evolve.run_confinement(geom_m1_trapped, qm, T_max=10.0, R=-0.5,
                                    x_max=12.0, causal="audited")
 
     def test_confined_energy_floor(self, geom_m1_trapped):
-        qm = build_quasimode(geom_m1_trapped, 12,
-                             grid_interval=Grid(-1.0, 0.0, 120),
-                             require_bracket=False)
+        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120))
         rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=40.0, R=1.0,
                                      x_max=14.0, causal="audited", le1=True)
         assert rep.ratio_E_R.min() >= 0.9
@@ -482,8 +477,7 @@ class TestConfinement:
     def test_energy_drift_checks_every_256th_sample(self, geom_m1_trapped, monkeypatch):
         # damping the rotation makes the grid energy fall with time, so the
         # reported drift is the one at the last checked sample
-        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120),
-                             require_bracket=False)
+        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120))
         grid_ext = qm.grid.extended(13.0)
         prop = evolve.get_propagator(geom_m1_trapped, 12, grid_ext)
         monkeypatch.setattr(prop, "omega", prop.omega * (1.0 - 1e-7j))
@@ -511,6 +505,7 @@ class TestConfinement:
 
         grid_i = interval_grid(geom_m1_trapped, 20, evolve.EVOLUTION_H_PER_SIGMA)
         qm = build_quasimode(geom_m1_trapped, 20, grid_interval=grid_i)
+        assert qm.bracket.in_bracket
         grid_ext = qm.grid.extended(12.0)
         n = grid_ext.n_interior
         evolve.get_propagator(geom_m1_trapped, 20, grid_ext)
@@ -538,8 +533,7 @@ class TestConfinement:
                 evolve._le_stride(1000.0, 1.0, dt_le)
 
     def test_le1_samples_end_at_or_below_horizon(self, geom_m1_trapped):
-        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120),
-                             require_bracket=False)
+        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120))
         with pytest.raises(ValueError, match="whole multiple"):
             evolve.run_confinement(geom_m1_trapped, qm, T_max=3.5, R=1.0, x_max=12.0,
                                    dt=0.25, causal="audited", le1=True, dt_le=0.6)
@@ -558,8 +552,7 @@ class TestConfinement:
         # over the wall strip, as the whole grid minus the rows before it) and
         # the space-time norm pass on the same field; at most 600 nodes
         geom = WarpGeometry.of(m, x0)
-        qm = build_quasimode(geom, l, grid_interval=Grid(x0, 0.0, n),
-                             require_bracket=False)
+        qm = build_quasimode(geom, l, grid_interval=Grid(x0, 0.0, n))
         h = qm.grid.h
         x_max = 1.0 + reach * (x0 + 600 * h - 1.0)
         T = spans * k * dt
@@ -626,9 +619,8 @@ class TestPropagatorCache:
 
 class TestGrowthExperiment:
     def test_budget_exhaustion_reported_honestly(self, geom_m1_trapped):
-        qms = [build_quasimode(geom_m1_trapped, l,
-                               grid_interval=Grid(-1.0, 0.0, 120),
-                               require_bracket=False) for l in (10, 14)]
+        qms = [build_quasimode(geom_m1_trapped, l, grid_interval=Grid(-1.0, 0.0, 120))
+               for l in (10, 14)]
         res = evolve.le1_growth(geom_m1_trapped, qms, k=1, A=1e6, budget=20.0,
                                 R=1.0, x_max=12.0, causal="audited")
         assert res.j_star is None
@@ -636,25 +628,20 @@ class TestGrowthExperiment:
         assert len(res.ratios) == 2
 
     def test_running_ratio_tracks_sqrt_horizon(self, geom_m1_trapped):
-        qm = build_quasimode(geom_m1_trapped, 14,
-                             grid_interval=Grid(-1.0, 0.0, 120),
-                             require_bracket=False)
+        qm = build_quasimode(geom_m1_trapped, 14, grid_interval=Grid(-1.0, 0.0, 120))
         rep = evolve.run_confinement(geom_m1_trapped, qm, 40.0, R=1.0, x_max=12.0,
                                      causal="audited", le1=True)
         assert rep.le1_at(40.0) / rep.le1_at(10.0) == pytest.approx(2.0, rel=0.1)
 
     def test_small_threshold_achieved(self, geom_m1_trapped):
-        qms = [build_quasimode(geom_m1_trapped, 14,
-                               grid_interval=Grid(-1.0, 0.0, 120),
-                               require_bracket=False)]
+        qms = [build_quasimode(geom_m1_trapped, 14, grid_interval=Grid(-1.0, 0.0, 120))]
         res = evolve.le1_growth(geom_m1_trapped, qms, k=0, A=1e-3, budget=20.0,
                                 R=1.0, x_max=12.0, causal="audited")
         assert res.j_star == 0
         assert res.reason == "achieved"
 
     def test_sample_step_reaches_the_runs(self, geom_m1_trapped):
-        qm = build_quasimode(geom_m1_trapped, 14, grid_interval=Grid(-1.0, 0.0, 120),
-                             require_bracket=False)
+        qm = build_quasimode(geom_m1_trapped, 14, grid_interval=Grid(-1.0, 0.0, 120))
         kw = dict(R=1.0, x_max=12.0, causal="audited")
         ratios = []
         for dt in (None, 0.1):
@@ -667,9 +654,8 @@ class TestGrowthExperiment:
         assert ratios[0] != ratios[1]
 
     def test_requires_frequency_ordering(self, geom_m1_trapped):
-        qms = [build_quasimode(geom_m1_trapped, l,
-                               grid_interval=Grid(-1.0, 0.0, 120),
-                               require_bracket=False) for l in (14, 10)]
+        qms = [build_quasimode(geom_m1_trapped, l, grid_interval=Grid(-1.0, 0.0, 120))
+               for l in (14, 10)]
         with pytest.raises(ValueError, match="ordered"):
             evolve.le1_growth(geom_m1_trapped, qms, k=0, A=1.0, budget=5.0,
                               x_max=12.0, causal="audited")
@@ -686,8 +672,7 @@ class TestEigenvectorSigns:
     reconstructed product, and every energy and norm, is bit-identical."""
 
     def outputs(self, geom):
-        qm = build_quasimode(geom, 12, grid_interval=Grid(-1.0, 0.0, 120),
-                             require_bracket=False)
+        qm = build_quasimode(geom, 12, grid_interval=Grid(-1.0, 0.0, 120))
         rep = evolve.run_confinement(geom, qm, 30.0, R=1.0, x_max=12.0, causal="audited",
                                      le1=True)
         grid = Grid(-1.0, 9.0, 500)
@@ -838,8 +823,7 @@ class TestCrossSite:
     def test_confinement_run_agrees(self, geom_m1_trapped, k):
         # with dt_le = 2 dt, samples 0 and 12 come from the whole-grid LE1
         # reconstruction and sample 5 from the E_R band's
-        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120),
-                             require_bracket=False)
+        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120))
         T, dt = 3.0, 0.25
         dt_le = k * dt
         rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=T, R=1.0, x_max=12.0,
@@ -883,9 +867,7 @@ class TestEnergyNorms:
         from warptrap.quasimode import build_quasimode
 
         for l in (14, 20):
-            qm = build_quasimode(geom_m1_trapped, l,
-                                 grid_interval=Grid(-1.0, 0.0, 160),
-                                 require_bracket=False)
+            qm = build_quasimode(geom_m1_trapped, l, grid_interval=Grid(-1.0, 0.0, 160))
             gext = qm.grid.extended(8.0)
             fld = evolve._data_field(geom_m1_trapped, qm, gext)
             base = oracles.energy_norms(fld, R=3.0)["H_x0_norm"]
@@ -932,8 +914,7 @@ class TestDbk:
         assert dbk_norm(small_field, 0) == pytest.approx(2 * base, rel=1e-12)
 
     def test_matches_grid_oracle(self, oscillating_field, geom_m1_trapped):
-        qm = build_quasimode(geom_m1_trapped, 14, grid_interval=Grid(-1.0, 0.0, 160),
-                             require_bracket=False)
+        qm = build_quasimode(geom_m1_trapped, 14, grid_interval=Grid(-1.0, 0.0, 160))
         qm_field = evolve._data_field(geom_m1_trapped, qm, qm.grid.extended(8.0))
         for fld in (oscillating_field, qm_field):
             for k in range(4):

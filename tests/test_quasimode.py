@@ -8,6 +8,7 @@ import pytest
 
 from warptrap.geometry import WarpGeometry
 from warptrap.quasimode import (
+    EIGEN_H_PER_SIGMA,
     CutoffProfile,
     FitError,
     build_quasimode,
@@ -109,16 +110,24 @@ class TestBracket:
             oracles.bracket_check(geom_m1_front, 10)
 
     def test_two_resolutions_agree(self, geom_m1_trapped):
-        base = interval_grid(geom_m1_trapped, 35)
+        base = interval_grid(geom_m1_trapped, 35, EIGEN_H_PER_SIGMA)
         r1 = oracles.bracket_check(geom_m1_trapped, 35, n=base.n_interior)
         r2 = oracles.bracket_check(geom_m1_trapped, 35, n=2 * base.n_interior + 1)
         assert r1.in_bracket and r2.in_bracket
         assert r1.tau_sq == pytest.approx(r2.tau_sq, rel=1e-3)
 
 
+def eigen_quasimode(geom, l):
+    """The degree-l quasimode on the interval grid of the eigenproblem's
+    spacing rule, as the quasimode command builds it."""
+    return build_quasimode(geom, l, interval_grid(geom, l, EIGEN_H_PER_SIGMA))
+
+
 @pytest.fixture(scope="module")
 def qm_family(geom_m1_trapped):
-    return [build_quasimode(geom_m1_trapped, l) for l in range(20, 61, 10)]
+    qms = [eigen_quasimode(geom_m1_trapped, l) for l in range(20, 61, 10)]
+    assert all(qm.bracket.in_bracket for qm in qms)
+    return qms
 
 
 class TestBuildQuasimode:
@@ -132,7 +141,7 @@ class TestBuildQuasimode:
         assert np.all(qm.u[x >= qm.cutoff.support_end] == 0.0)
 
     def test_zero_extension(self, geom_m1_trapped):
-        qm = build_quasimode(geom_m1_trapped, 25)
+        qm = eigen_quasimode(geom_m1_trapped, 25)
         ext = qm.grid.extended(8.0)
         u_ext = qm.extend_to(ext)
         x = ext.nodes()
@@ -150,8 +159,8 @@ class TestBuildQuasimode:
             qm.residual_hk[0] = -1.0
 
     def test_residual_decreases_with_degree(self, geom_m1_trapped):
-        r30 = build_quasimode(geom_m1_trapped, 30).residual_hk[0]
-        r60 = build_quasimode(geom_m1_trapped, 60).residual_hk[0]
+        r30 = eigen_quasimode(geom_m1_trapped, 30).residual_hk[0]
+        r60 = eigen_quasimode(geom_m1_trapped, 60).residual_hk[0]
         assert r60 < r30
 
     def test_residual_supported_in_transition(self, qm_family):
@@ -178,7 +187,7 @@ class TestBuildQuasimode:
             assert b <= 1.05 * a
 
     def test_tau_sq_richardson_ratio(self, geom_m1_trapped):
-        base = interval_grid(geom_m1_trapped, 30)
+        base = interval_grid(geom_m1_trapped, 30, EIGEN_H_PER_SIGMA)
         n = base.n_interior
         taus = [oracles.bracket_check(geom_m1_trapped, 30, n=nn).tau_sq
                 for nn in (n, 2 * n + 1, 4 * n + 3)]
@@ -196,7 +205,7 @@ class TestBuildQuasimode:
             return solve(op)
 
         monkeypatch.setattr(qmod, "lowest_pair", counted)
-        grid = interval_grid(geom_m1_trapped, 30)
+        grid = interval_grid(geom_m1_trapped, 30, EIGEN_H_PER_SIGMA)
         qm = build_quasimode(geom_m1_trapped, 30, grid_interval=grid)
         assert calls == [grid.n_interior]
         # the bracket matches a separate bracket check on the same grid
@@ -205,9 +214,9 @@ class TestBuildQuasimode:
         assert (res.V_at_x0, res.V_at_half, res.in_bracket) == dataclasses.astuple(qm.bracket)
 
     def test_out_of_bracket_degree_rejected(self, geom_m1_trapped):
-        with pytest.raises(ValueError):
-            build_quasimode(geom_m1_trapped, 10)
-        qm = build_quasimode(geom_m1_trapped, 10, require_bracket=False)
+        # the state is built and the verdict returned; the CLI refuses the
+        # degree (test_cli's test_refused_before_output_dir)
+        qm = eigen_quasimode(geom_m1_trapped, 10)
         assert not qm.bracket.in_bracket
 
     def test_csv_rows(self, qm_family):

@@ -576,10 +576,65 @@ def _callers(pkg: Path, name: str) -> set[str]:
     for path in sorted(pkg.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text())):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
-                    isinstance(node, ast.Call)
-                    and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-                    for node in ast.walk(fn)):
+                    isinstance(node, ast.Call) and _calls(node, name) for node in ast.walk(fn)):
                 found.add(f"{path.stem}.{fn.name}")
+    return found
+
+
+def _calls(call: ast.Call, name: str) -> bool:
+    """Whether a call names ``name``, as a bare name or as an attribute."""
+    return name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+
+
+def _options(pkg: Path):
+    """(module.[Class.]function.parameter, called name, position, default, the
+    calls of the package outside the function's own definition that name it)
+    for each parameter with a default of a top-level function or method of
+    the package.  A method's position leaves out self or cls, and
+    ``__init__`` is called by its class name; a keyword-only parameter has
+    no position."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(pkg.glob("*.py"))}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    for module, tree in trees.items():
+        defs = [(None, node) for node in tree.body]
+        defs += [(cls, node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for node in cls.body]
+        for cls, fn in defs:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            bound = cls is not None and not any(getattr(d, "id", None) == "staticmethod"
+                                                for d in fn.decorator_list)
+            name = cls.name if fn.name == "__init__" else fn.name
+            inside = {id(node) for node in ast.walk(fn)}
+            setters = [c for c in calls if id(c) not in inside and _calls(c, name)]
+            qualname = ".".join(filter(None, [module, cls and cls.name, fn.name]))
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, (arg, default) in enumerate(zip(positional[first:], args.defaults)):
+                yield f"{qualname}.{arg.arg}", arg.arg, first + i - bound, default, setters
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield f"{qualname}.{arg.arg}", arg.arg, None, default, setters
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether a call passes the parameter, by keyword or by position."""
+    return (any(kw.arg in (name, None) for kw in call.keywords)
+            or position is not None and (len(call.args) > position or any(
+                isinstance(a, ast.Starred) for a in call.args)))
+
+
+def _options_without_setter(pkg: Path) -> list[str]:
+    """The defaulted parameters of ``_options`` that no call in the package
+    passes, and the True/False ones that every call passes."""
+    found = []
+    for option, name, position, default, setters in _options(pkg):
+        passed = [_passes(c, name, position) for c in setters]
+        flag = isinstance(default, ast.Constant) and isinstance(default.value, bool)
+        if not any(passed) or flag and all(passed):
+            found.append(option)
     return found
 
 
@@ -608,7 +663,27 @@ UNCALLED_EXPORTS = {
 }
 
 
+# defaulted parameters that no call in the package may pass, each with its
+# reason
+OPTIONS_WITHOUT_SETTER = {
+    "cli.main.argv": "the console script calls main(), which then reads sys.argv",
+    "evolve.run_confinement.dt_le": "criterion 06 runs its T = 500 degrees at LE1 stride 2, "
+                                    "where the CLI takes 1, and the strided-sweep property "
+                                    "draws the stride",
+}
+
+
 class TestModuleBoundaries:
+    def test_every_option_has_a_production_setter(self):
+        # a default that no run overrides is a constant, and a True/False
+        # default that every call overrides is a missing default: either way
+        # the parameter carries a choice no run makes
+        found = set(_options_without_setter(Path(spectral.__file__).parent))
+        unset = sorted(found - OPTIONS_WITHOUT_SETTER.keys())
+        assert not unset, f"defaulted parameters without a setter in src: {unset}"
+        # an allowed parameter that gains a setter leaves the list
+        assert found >= OPTIONS_WITHOUT_SETTER.keys(), OPTIONS_WITHOUT_SETTER.keys() - found
+
     def test_every_export_has_a_caller(self):
         # reference evaluators that only tests run live in tests/oracles.py
         found = set(_unreferenced_exports(Path(spectral.__file__).parent))

@@ -1,9 +1,11 @@
-"""Experiment driver: quasimode scans, confinement runs, bifurcation
-comparisons, growth experiments, and multiplier audits.
+"""Experiment driver: quasimode scans, confinement runs with their LE1
+growth ratios, bifurcation comparisons, and multiplier audits.
 
 Configuration comes from an optional JSON file plus command-line flag
 overrides (flags win).  Every output artifact embeds the resolved
-configuration, so any CSV can be regenerated from its own header.  Exit
+configuration but its output directory, so any CSV can be regenerated
+from its own header, and identical runs into different directories write
+identical artifacts; the manifest records the directory too.  Exit
 codes: 0 all checks pass, 1 configuration/validation error, 2 check
 failure, 3 numerical-convergence failure.
 """
@@ -28,7 +30,7 @@ from . import __version__, evolve, quasimode as qmod
 from .geometry import WarpGeometry
 from .spectral import EigensolverError, Grid, fd_derivative
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class ConfigError(ValueError):
@@ -55,7 +57,6 @@ class ExperimentConfig:
     R: float = 1.0
     T_max: float = 200.0
     k: int = 1
-    A: float = 10.0
     dt: float | None = None
     causal: str = "audited"
     seed: int = 20260809
@@ -110,7 +111,8 @@ class ExperimentConfig:
             raise ConfigError("seed", "seed must be nonnegative")
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """Every field but out_dir: the config an artifact echoes."""
+        return {k: v for k, v in dataclasses.asdict(self).items() if k != "out_dir"}
 
     def echo(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"),
@@ -185,7 +187,7 @@ class OutputCollector:
             "schema_version": SCHEMA_VERSION,
             "tool_version": __version__,
             "command": self.command,
-            "config": self.config.as_dict(),
+            "config": dataclasses.asdict(self.config),
             "wall_clock_s": time.perf_counter() - started,
             "files": sorted(self.files),
             "passes": self.passes,
@@ -252,9 +254,9 @@ def _trapped_quasimodes(cfg: ExperimentConfig, command: str, evolves: bool,
     of the eigenproblem's spacing rule, or of the evolution's if the
     command ``evolves`` them.  Every guard runs before the output directory
     is made: the side and degrees; for an evolving command the domain that
-    ``evolve.run_confinement`` would refuse and the size of each degree's
-    full solve, before any solve; and each degree's frequency bracket, so
-    the quasimodes are built first."""
+    ``evolve.run_confinement`` would refuse, the size of each degree's full
+    solve and a k whose graph norm overflows, before any solve; and each
+    degree's frequency bracket, so the quasimodes are built first."""
     if cfg.x0 >= 0:
         raise ConfigError("x0", f"{command} requires the trapped side (x0 < 0)")
     if not cfg.l_list:
@@ -273,9 +275,16 @@ def _trapped_quasimodes(cfg: ExperimentConfig, command: str, evolves: bool,
     h_per_sigma = evolve.EVOLUTION_H_PER_SIGMA if evolves else qmod.EIGEN_H_PER_SIGMA
     geom = WarpGeometry.of(cfg.m, cfg.x0)
     if evolves:
+        bound = 0.0
         for l in cfg.l_list:
-            _refuse_oversize(qmod.interval_grid(geom, l, h_per_sigma).extended(cfg.x_max),
-                             "l_list", f"degree {l} on (x0, x_max)")
+            grid = qmod.interval_grid(geom, l, h_per_sigma).extended(cfg.x_max)
+            _refuse_oversize(grid, "l_list", f"degree {l} on (x0, x_max)")
+            bound = max(bound, qmod.mode_operator(geom, l, grid).norm_bound)
+        # the graph norm forms lambda^(k+1) for eigenvalues up to the bound
+        k_max = math.floor(math.log(sys.float_info.max) / math.log(bound)) - 1
+        if cfg.k > k_max:
+            raise ConfigError("k", f"lambda^(k+1) overflows for eigenvalues up to {bound:.4g}; "
+                                   f"the largest admissible k is {k_max}")
     qms = [_quasimode(geom, l, h_per_sigma) for l in sorted(cfg.l_list)]
     return OutputCollector(cfg.out_dir, cfg, command), geom, qms
 
@@ -332,6 +341,9 @@ def cmd_confinement(cfg: ExperimentConfig) -> OutputCollector:
         rep = evolve.run_confinement(geom, qm, cfg.T_max, cfg.R, x_max=cfg.x_max,
                                      dt=cfg.dt, causal=cfg.causal, le1=True)
         reports.append(rep)
+        le1_T = min(rep.t_confinement, cfg.T_max)
+        # the data state is a propagator-cache hit, released before the next solve
+        dbk = evolve.dbk_norm(evolve.data_field(geom, qm, rep.grid), cfg.k)
         out.write_csv(f"evolution_l{l}.csv", evolve.EVOLUTION_CSV_COLUMNS, rep.csv_rows())
         summary[str(l)] = {
             "tau": rep.tau,
@@ -342,6 +354,9 @@ def cmd_confinement(cfg: ExperimentConfig) -> OutputCollector:
             "wall_ok": rep.wall_ok,
             "wall_buffer_max": rep.wall_buffer_max,
             "energy_drift": rep.energy_drift,
+            "dbk_norm": dbk,
+            "le1_T": le1_T,
+            "le1_ratio": rep.le1_at(le1_T) / dbk,
         }
         out.record(f"gap_bound_l{l}",
                    bool(np.all(rep.duhamel_gap
@@ -364,24 +379,6 @@ def cmd_confinement(cfg: ExperimentConfig) -> OutputCollector:
             "|data| / |F|, which grows exponentially along the family."
         ),
     })
-    return out
-
-
-def cmd_le1_growth(cfg: ExperimentConfig) -> OutputCollector:
-    out, geom, qms = _trapped_quasimodes(cfg, "le1-growth", evolves=True)
-    res = evolve.le1_growth(geom, qms, cfg.k, cfg.A, budget=cfg.T_max, R=cfg.R,
-                            x_max=cfg.x_max, causal=cfg.causal, dt=cfg.dt)
-    rows = [[qms[j].l, res.taus[j], res.T_list[j], res.dbk_norms[j], res.ratios[j]]
-            for j in range(len(qms))]
-    out.write_csv("le1_growth.csv", ["l", "tau", "T", "dbk_norm", "ratio"], rows)
-    out.write_json("le1_growth_summary.json", {
-        "k": cfg.k, "A": cfg.A, "j_star": res.j_star, "T_star": res.T_star,
-        "reason": res.reason, "ratios": res.ratios,
-    })
-    out.record("no_false_success", res.j_star is None or res.ratios[res.j_star] > cfg.A)
-    if cfg.causal == "audited":
-        for qm, ok in zip(qms, res.wall_ok):
-            out.record(f"wall_audit_l{qm.l}", ok)
     return out
 
 
@@ -555,7 +552,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--R", type=float, default=None)
     p.add_argument("--T", dest="T_max", type=float, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--A", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--causal", choices=("strict", "audited"), default=None)
@@ -564,7 +560,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 _COMMANDS = {
     "quasimode": cmd_quasimode,
     "confinement": cmd_confinement,
-    "le1-growth": cmd_le1_growth,
     "bifurcation": cmd_bifurcation,
     "multiplier-audit": cmd_multiplier_audit,
 }

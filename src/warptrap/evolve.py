@@ -45,13 +45,12 @@ __all__ = [
     "EVOLUTION_CSV_COLUMNS",
     "AuditResult",
     "EvolutionReport",
-    "Le1Growth",
     "ModePropagator",
     "ModeState",
+    "data_field",
     "dbk_norm",
     "er_history",
     "get_propagator",
-    "le1_growth",
     "le_bound_audit",
     "run_confinement",
     "space_time_norms",
@@ -455,7 +454,7 @@ def _feed_le1(acc: ShellAccumulator, times: np.ndarray, u: np.ndarray, e: np.nda
     acc.add(times, u, e)
 
 
-def _data_field(geom: WarpGeometry, qm: Quasimode, grid_ext: Grid) -> ModeState:
+def data_field(geom: WarpGeometry, qm: Quasimode, grid_ext: Grid) -> ModeState:
     """The quasimode data (v, -i tau v), zero-extended onto the evolution grid."""
     u_ext = qm.extend_to(grid_ext)
     prop = get_propagator(geom, qm.l, grid_ext)
@@ -530,7 +529,7 @@ def run_confinement(
     grid_ext = qm.grid.extended(x_max)
     dt, times = _sample_times(T_max, dt, grid_ext.h)
     k = _le_stride(T_max, dt, dt_le) if le1 else 1
-    mode = _data_field(geom, qm, grid_ext)
+    mode = data_field(geom, qm, grid_ext)
     prop = mode.prop
     u_ext = qm.extend_to(grid_ext)
     f_vec = prop.op.apply(u_ext) - qm.tau_sq * u_ext
@@ -581,61 +580,6 @@ def run_confinement(
         grid=grid_ext,
         tau=qm.tau,
     )
-
-
-@dataclass
-class Le1Growth:
-    """Outcome of the growth experiment for the dyadic space-time norm."""
-
-    taus: list[float]
-    T_list: list[float]
-    ratios: list[float]
-    dbk_norms: list[float]
-    wall_ok: list[bool]
-    j_star: int | None
-    T_star: float | None
-    reason: str
-
-
-def le1_growth(
-    geom: WarpGeometry,
-    quasimodes: list[Quasimode],
-    k: int,
-    A: float,
-    budget: float,
-    R: float = 1.0,
-    *,
-    x_max: float,
-    causal: str = "strict",
-    dt: float | None = None,
-) -> Le1Growth:
-    """Ratio of the accumulated space-time norm to the graph data norm,
-    per quasimode, on horizons T_j = min(confinement time, budget).
-
-    Returns the first mode index whose ratio exceeds A, or reports the
-    ratio trend when the budget is exhausted first.  ``dt`` is the sample
-    step of each run (``run_confinement``'s default when None).
-    """
-    if any(quasimodes[i].tau > quasimodes[i + 1].tau for i in range(len(quasimodes) - 1)):
-        raise ValueError("quasimodes must be ordered by increasing frequency")
-    taus, ratios, dbks, T_list, wall_ok = [], [], [], [], []
-    j_star = None
-    T_star = None
-    for j, qm in enumerate(quasimodes):
-        rep = run_confinement(geom, qm, budget, R, x_max=x_max, dt=dt, causal=causal,
-                              le1=True)
-        T_j = min(rep.t_confinement, budget)
-        dbk = dbk_norm(_data_field(geom, qm, rep.grid), k)
-        ratio = rep.le1_at(T_j) / dbk
-        taus.append(qm.tau)
-        ratios.append(ratio)
-        dbks.append(dbk)
-        T_list.append(T_j)
-        wall_ok.append(rep.wall_ok)
-        if j_star is None and ratio > A:
-            j_star, T_star = j, T_j
-    reason = "achieved" if j_star is not None else "budget-exhausted"
-    return Le1Growth(taus, T_list, ratios, dbks, wall_ok, j_star, T_star, reason)
 
 
 def space_time_norms(state: ModeState, T: float, dt: float):

@@ -72,7 +72,7 @@ def confinement_runs(geom):
         T = 1000.0 if l == 40 else 500.0
         rep = evolve.run_confinement(geom, qm, T_max=T, R=1.0, x_max=X_MAX_TRAPPED,
                                      dt=1.0, causal="audited", le1=True, dt_le=2.0)
-        dbk1 = evolve.dbk_norm(evolve._data_field(geom, qm, rep.grid), 1)
+        dbk1 = evolve.dbk_norm(evolve.data_field(geom, qm, rep.grid), 1)
         out[l] = {"qm": qm, "rep": rep, "dbk1": dbk1}
     out["elapsed"] = time.perf_counter() - t0
     return out

@@ -58,7 +58,6 @@ CONFIG_FIELDS = {
     "R": (_FLOAT, _at_or_below(-1.0, st.floats)),  # at or behind the default wall x0 = -1
     "T_max": (_FLOAT, _NONPOSITIVE),
     "k": ({"int"}, _at_or_below(-1, st.integers)),
-    "A": (_FLOAT, None),
     "dt": (_FLOAT | {"null"}, _NONPOSITIVE),
     "causal": ({"str"}, st.text(max_size=8).filter(lambda s: s not in ("strict", "audited"))),
     "seed": ({"int"}, _at_or_below(-1, st.integers)),
@@ -98,10 +97,11 @@ def strict_json_artifacts():
 
 class TestConfig:
     def test_unknown_field_rejected(self, tmp_path, capsys):
-        # besides a made-up name, the four grid and multiplier overrides the
-        # config no longer carries, each at a value it once accepted
+        # besides a made-up name, the grid, multiplier and growth-threshold
+        # overrides the config no longer carries, each at a value it once
+        # accepted
         for name, value in [("nonsense", 1), ("n_interval", 300), ("h_per_sigma", 0.05),
-                            ("h_per_sigma_evolve", 0.2), ("delta", 0.1)]:
+                            ("h_per_sigma_evolve", 0.2), ("delta", 0.1), ("A", 10.0)]:
             cfg = tmp_path / f"{name}.json"
             cfg.write_text(json.dumps({name: value, "out_dir": str(tmp_path / name)}))
             assert run_cli(["quasimode", "--config", str(cfg)]) == 1, name
@@ -156,14 +156,14 @@ _SHORT_STRICT = ["--x0", "-1.0", "--l", "20", "--T", "500", "--x-max", "24",
 _R_IN_SUPPORT = ["--x0", "-1.0", "--l", "20", "--T", "5", "--R", "-0.5"]
 # l = 2 at x0 = -1: tau^2 lies outside the frequency bracket
 _OUT_OF_BRACKET = ["--x0", "-1.0", "--l", "2"]
+# a small evolution grid whose operator norm bound, 1.618e5, admits k <= 58
+_K_GRID = ["--x0", "-1.0", "--l", "14", "--T", "2", "--x-max", "4"]
 _BIFURCATION = ["bifurcation", "--x0-plus", "1", "--R", "3.5", "--T", "1", "--x-max", "6"]
 # runs whose full eigensolve would need far more than any physical memory:
 # about 1.25e7 nodes for the degree, 2.5e7 for the bump grids
 _OVERSIZE = [
     pytest.param(["confinement", "--x0", "-1.0", "--l", "100000", "--T", "1", "--x-max", "24"],
                  "l_list", id="confinement-oversize"),
-    pytest.param(["le1-growth", "--x0", "-1.0", "--l", "100000", "--T", "1", "--x-max", "24"],
-                 "l_list", id="le1-growth-oversize"),
     pytest.param(["bifurcation", "--x0-plus", "1", "--x0-minus", "-1", "--R", "3.5", "--l", "40",
                   "--T", "1", "--x-max", "1000000"], "x_max", id="bifurcation-oversize"),
 ]
@@ -175,17 +175,14 @@ class TestExitCodes:
         (["multiplier-audit", "--x0", "-1.0"], "x0"),
         (["confinement", *_SHORT_STRICT], "x_max"),
         (["confinement", *_R_IN_SUPPORT], "R"),
-        (["le1-growth", *_SHORT_STRICT], "x_max"),
-        (["le1-growth", *_R_IN_SUPPORT], "R"),
         pytest.param(["quasimode", *_OUT_OF_BRACKET, "20", "30"], "l_list",
                      id="quasimode-bracket"),
         pytest.param(["confinement", *_OUT_OF_BRACKET], "l_list", id="confinement-bracket"),
-        pytest.param(["le1-growth", *_OUT_OF_BRACKET], "l_list", id="le1-growth-bracket"),
         # an evolution domain that ends before the neck
         pytest.param(["confinement", "--x0", "-1.0", "--l", "20", "--T", "5", "--x-max", "0"],
                      "x_max", id="confinement-x_max-before-neck"),
-        pytest.param(["le1-growth", "--x0", "-1.0", "--l", "20", "--T", "5", "--x-max", "-0.5"],
-                     "x_max", id="le1-growth-x_max-before-neck"),
+        # lambda^(k+1) overflows for the largest eigenvalues of the grid
+        pytest.param(["confinement", *_K_GRID, "--k", "59"], "k", id="confinement-k"),
         pytest.param([*_BIFURCATION, "--x0-minus", "-1", "--l", "2"], "l_list",
                      id="bifurcation-bracket"),
         # the trapped-side run's domain, up to min(x_max, x0_minus + 25), is empty
@@ -236,7 +233,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["quasimode", "--x0", "-1.0"],
         ["confinement", "--x0", "-1.0"],
-        ["le1-growth", "--x0", "-1.0"],
         # a horizon inside the bump runs' causality budget, so that only the
         # degrees are wrong
         ["bifurcation", "--x0-plus", "1.0", "--x0-minus", "-1.0", "--R", "3.5",
@@ -265,7 +261,7 @@ class TestExitCodes:
         assert str(missing) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flag, field", [
-        ("--T=nan", "T_max"), ("--dt=inf", "dt"), ("--x0=-inf", "x0"), ("--A=nan", "A"),
+        ("--T=nan", "T_max"), ("--dt=inf", "dt"), ("--x0=-inf", "x0"),
     ])
     def test_non_finite_flag_is_validation_error(self, tmp_path, capsys, flag, field):
         code = run_cli(["confinement", flag, "--out", str(tmp_path / "o")])
@@ -415,11 +411,9 @@ class TestQuasimodeCommand:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert run_cli(["quasimode", "--config", str(cfg_path)]) == 0
-        a = (quasimode_run / "quasimodes.csv").read_text().splitlines()
-        b = (tmp_path / "regen" / "quasimodes.csv").read_text().splitlines()
-        # identical numbers; only the embedded out_dir differs
-        assert [ln for ln in a if not ln.startswith("#")] == \
-               [ln for ln in b if not ln.startswith("#")]
+        # the echo leaves out the output directory, so the headers match too
+        assert (tmp_path / "regen" / "quasimodes.csv").read_bytes() == \
+               (quasimode_run / "quasimodes.csv").read_bytes()
 
     def test_too_few_degrees_fail_the_fits(self, tmp_path):
         # two degrees cannot fit a decay rate: every fit records its error and
@@ -450,6 +444,42 @@ class TestDeterminism:
             assert (out / name).read_bytes() == blob
 
 
+    def test_runs_into_different_directories_match(self, tmp_path):
+        # only the manifest names the output directory
+        args = ["quasimode", "--x0", "-1.0", "--l", "18", "22", "26", "30", "34"]
+        a, b = tmp_path / "a", tmp_path / "b" / "c"
+        assert run_cli([*args, "--out", str(a)]) == 0
+        assert run_cli([*args, "--out", str(b)]) == 0
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        configs = [json.loads((d / "manifest.json").read_text())["config"] for d in (a, b)]
+        assert [c.pop("out_dir") for c in configs] == [str(a), str(b)]
+        assert configs[0] == configs[1]
+
+
+def stand_in_reports(monkeypatch, *reports):
+    """Stand-in confinement runs, one per degree in increasing order: each
+    passes every gate unless its dict in ``reports`` overrides a field (a
+    list becomes an array), and its graph norm is a stub, so no run solves
+    a full spectrum."""
+    import numpy as np
+
+    from warptrap import evolve
+
+    base = dict(tau=1.0, t_confinement=math.inf, times=np.zeros(2), ratio_E_R=np.ones(2),
+                duhamel_gap=np.zeros(2), f_norm=0.0, data_h_norm=1.0, half_bound_ok=True,
+                wall_ok=True, wall_buffer_max=0.0, energy_drift=0.0, grid=None,
+                csv_rows=lambda: [], le1_at=lambda T: 0.0)
+    it = iter([SimpleNamespace(**{**base, **{k: np.asarray(v) if isinstance(v, list) else v
+                                             for k, v in kw.items()}}) for kw in reports])
+    monkeypatch.setattr(evolve, "run_confinement", lambda *args, **kwargs: next(it))
+    monkeypatch.setattr(evolve, "data_field", lambda *args: None)
+    monkeypatch.setattr(evolve, "dbk_norm", lambda state, k: 1.0)
+
+
 class TestConfinementCommand:
     def test_run_and_schema(self, tmp_path):
         out = tmp_path / "conf"
@@ -465,6 +495,9 @@ class TestConfinementCommand:
         assert per_l["min_ratio_E_R"] > 0.9
         assert per_l["half_bound_ok"]
         assert per_l["t_confinement"] == "inf"
+        # the LE1 growth ratio at the horizon min(t_confinement, T)
+        assert per_l["le1_T"] == 40.0
+        assert per_l["le1_ratio"] * per_l["dbk_norm"] > 0
 
     @pytest.mark.parametrize("t_conf,ok", [((math.inf, 5.0), False), ((5.0, math.inf), True)],
                              ids=["drop-at-higher-degree", "drop-at-lower-degree"])
@@ -472,16 +505,7 @@ class TestConfinementCommand:
         # stand-in runs that differ only in their confinement times, one per
         # degree in increasing order; a degree that never drops (inf) before
         # one that does is a decrease
-        import numpy as np
-
-        from warptrap import evolve
-
-        reports = iter(SimpleNamespace(
-            tau=1.0, t_confinement=t, times=np.zeros(2), ratio_E_R=np.ones(2),
-            duhamel_gap=np.zeros(2), f_norm=0.0, data_h_norm=1.0, half_bound_ok=True,
-            wall_ok=True, wall_buffer_max=0.0, energy_drift=0.0, csv_rows=lambda: [])
-            for t in t_conf)
-        monkeypatch.setattr(evolve, "run_confinement", lambda *args, **kwargs: next(reports))
+        stand_in_reports(monkeypatch, *({"t_confinement": t} for t in t_conf))
         out = tmp_path / "c"
         code = run_cli(["confinement", "--x0", "-1.0", "--l", "20", "40", "--out", str(out)])
         passes = json.loads((out / "manifest.json").read_text())["passes"]
@@ -489,42 +513,65 @@ class TestConfinementCommand:
         assert all(passes.values())
         assert code == (0 if ok else 2)
 
-
-class TestGrowthCommand:
-    # T = 8 keeps the front of the data, supported in x < 0, out of the
-    # audited wall strip [10, 12]
-    def test_budget_exhaustion_reported(self, tmp_path):
-        out = tmp_path / "g"
-        code = run_cli(["le1-growth", "--x0", "-1.0", "--l", "14", "18",
-                        "--T", "8", "--x-max", "12", "--A", "1e9", "--k", "1",
-                        "--out", str(out)])
-        assert code == 0
-        summary = json.loads((out / "le1_growth_summary.json").read_text())
-        assert summary["j_star"] is None
-        assert summary["reason"] == "budget-exhausted"
+    @pytest.mark.parametrize("report, check", [
+        # the Duhamel gap at t = 1 a hair above t |F| + 1e-9 |data|
+        ({"times": [0.0, 1.0], "f_norm": 0.5, "duhamel_gap": [0.0, 0.5 + 2e-9]}, "gap_bound"),
+        ({"half_bound_ok": False}, "half_bound"),
+    ], ids=["gap_bound", "half_bound"])
+    def test_gates_can_fail(self, report, check, tmp_path, monkeypatch):
+        stand_in_reports(monkeypatch, {}, report)
+        out = tmp_path / "c"
+        code = run_cli(["confinement", "--x0", "-1.0", "--l", "20", "40", "--out", str(out)])
+        assert code == 2
+        passes = json.loads((out / "manifest.json").read_text())["passes"]
+        assert {name for name, ok in passes.items() if not ok} == {f"{check}_l40"}
 
     def test_wall_inside_light_cone_fails_audit(self, tmp_path):
         # a wall at x_max = 3 that the front reaches well before T = 100: the
-        # default audited mode gates each degree's wall-strip energy, as
-        # confinement does
-        out = tmp_path / "g"
-        code = run_cli(["le1-growth", "--x0", "-1.0", "--l", "14", "18", "--T", "100",
+        # default audited mode gates each degree's wall-strip energy
+        out = tmp_path / "c"
+        code = run_cli(["confinement", "--x0", "-1.0", "--l", "14", "18", "--T", "100",
                         "--x-max", "3", "--out", str(out)])
         assert code == 2
         passes = json.loads((out / "manifest.json").read_text())["passes"]
-        assert passes == {"no_false_success": True, "wall_audit_l14": False,
-                          "wall_audit_l18": False}
+        assert {name for name, ok in passes.items() if not ok} == {"wall_audit_l14",
+                                                                   "wall_audit_l18"}
 
-    def test_threshold_reached_reported(self, tmp_path):
-        # every ratio exceeds A = 0, so the first degree reaches it and the
-        # check compares its ratio with the configured A
-        out = tmp_path / "g"
-        code = run_cli(["le1-growth", "--x0", "-1.0", "--l", "14", "18",
-                        "--T", "8", "--x-max", "12", "--A", "0", "--k", "1",
-                        "--out", str(out)])
-        assert code == 0
-        summary = json.loads((out / "le1_growth_summary.json").read_text())
-        assert (summary["j_star"], summary["reason"], summary["A"]) == (0, "achieved", 0.0)
+    def test_sample_step_reaches_the_runs(self, tmp_path):
+        # le1_ratio is LE1 at the horizon over the graph norm of the run's own
+        # data, computed directly here on the command's grid; --dt moves it.
+        # T = 8 keeps the front of the data, supported in x < 0, out of the
+        # audited wall strip [10, 12]
+        from warptrap import evolve, quasimode
+        from warptrap.geometry import WarpGeometry
+
+        geom = WarpGeometry.of(1, -1.0)
+        qm = quasimode.build_quasimode(geom, 14, quasimode.interval_grid(
+            geom, 14, evolve.EVOLUTION_H_PER_SIGMA))
+        ratios = []
+        for dt in (None, 0.1):
+            out = tmp_path / f"dt{dt}"
+            step = [] if dt is None else ["--dt", str(dt)]
+            assert run_cli(["confinement", "--x0", "-1.0", "--l", "14", "--T", "8",
+                            "--x-max", "12", *step, "--out", str(out)]) == 0
+            got = json.loads((out / "confinement_summary.json").read_text())["per_l"]["14"]
+            rep = evolve.run_confinement(geom, qm, 8.0, 1.0, x_max=12.0, dt=dt,
+                                         causal="audited", le1=True)
+            T = min(rep.t_confinement, 8.0)
+            dbk = evolve.dbk_norm(evolve.data_field(geom, qm, rep.grid), 1)
+            assert (got["le1_T"], got["dbk_norm"]) == (T, dbk)
+            assert got["le1_ratio"] == rep.le1_at(T) / dbk
+            ratios.append(got["le1_ratio"])
+        assert ratios[0] != ratios[1]
+
+    @pytest.mark.filterwarnings("ignore:generator power")
+    def test_largest_admissible_k_has_a_finite_graph_norm(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert run_cli(["confinement", *_K_GRID, "--k", "59", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.endswith("the largest admissible k is 58\n")
+        assert run_cli(["confinement", *_K_GRID, "--k", "58", "--out", str(out)]) == 0
+        per_l = json.loads((out / "confinement_summary.json").read_text())["per_l"]["14"]
+        assert math.isfinite(per_l["dbk_norm"]) and per_l["le1_ratio"] > 0
 
 
 class TestBifurcationCommand:
@@ -583,11 +630,9 @@ class TestPropagatorLifetime:
 
     @pytest.mark.parametrize("args, solves", [
         (["confinement", "--x0", "-1.0", "--l", "14", "15", "--T", "2", "--x-max", "4"], 2),
-        (["le1-growth", "--x0", "-1.0", "--l", "14", "15", "--T", "2", "--x-max", "4",
-          "--A", "1e9", "--k", "1"], 2),
         (["bifurcation", "--x0-plus", "1.0", "--x0-minus", "-1.0", "--R", "3.5", "--l", "14",
           "--T", "0.5", "--x-max", "6"], 3),
-    ], ids=["confinement", "le1-growth", "bifurcation"])
+    ], ids=["confinement", "bifurcation"])
     def test_one_propagator_alive_per_solve(self, args, solves, tmp_path, monkeypatch):
         import weakref
 
@@ -668,14 +713,14 @@ class TestExceptionMapping:
         from warptrap import cli as cli_mod
 
         def failing(cfg):
-            out = cli_mod.OutputCollector(cfg.out_dir, cfg, "le1-growth")
-            out.record("no_false_success", False)
+            out = cli_mod.OutputCollector(cfg.out_dir, cfg, "confinement")
+            out.record("gap_bound_l20", False)
             return out
 
-        monkeypatch.setitem(cli_mod._COMMANDS, "le1-growth", failing)
-        code = run_cli(["le1-growth", "--x0", "-1.0", "--out", str(tmp_path / "g")])
+        monkeypatch.setitem(cli_mod._COMMANDS, "confinement", failing)
+        code = run_cli(["confinement", "--x0", "-1.0", "--out", str(tmp_path / "g")])
         assert code == 2
-        assert "no_false_success" in capsys.readouterr().err
+        assert "gap_bound_l20" in capsys.readouterr().err
         assert not json.loads((tmp_path / "g" / "manifest.json").read_text())["all_pass"]
 
     def test_indefinite_mode_operator_is_exit_three(self, tmp_path, capsys, monkeypatch):

@@ -560,7 +560,7 @@ class TestConfinement:
                                      causal="audited", le1=True, dt_le=k * dt)
         assert rep.grid.n_interior <= 600
         assert np.all(rep.duhamel_gap <= rep.times * rep.f_norm + 1e-9 * rep.data_h_norm)
-        fld = evolve._data_field(geom, qm, rep.grid)
+        fld = evolve.data_field(geom, qm, rep.grid)
         times, er = evolve.er_history(fld, T, 1.0, dt=dt)
         assert np.array_equal(times, rep.times)
         assert np.allclose(rep.E_R, er, rtol=1e-12, atol=0.0)
@@ -618,47 +618,11 @@ class TestPropagatorCache:
 
 
 class TestGrowthExperiment:
-    def test_budget_exhaustion_reported_honestly(self, geom_m1_trapped):
-        qms = [build_quasimode(geom_m1_trapped, l, grid_interval=Grid(-1.0, 0.0, 120))
-               for l in (10, 14)]
-        res = evolve.le1_growth(geom_m1_trapped, qms, k=1, A=1e6, budget=20.0,
-                                R=1.0, x_max=12.0, causal="audited")
-        assert res.j_star is None
-        assert res.reason == "budget-exhausted"
-        assert len(res.ratios) == 2
-
     def test_running_ratio_tracks_sqrt_horizon(self, geom_m1_trapped):
         qm = build_quasimode(geom_m1_trapped, 14, grid_interval=Grid(-1.0, 0.0, 120))
         rep = evolve.run_confinement(geom_m1_trapped, qm, 40.0, R=1.0, x_max=12.0,
                                      causal="audited", le1=True)
         assert rep.le1_at(40.0) / rep.le1_at(10.0) == pytest.approx(2.0, rel=0.1)
-
-    def test_small_threshold_achieved(self, geom_m1_trapped):
-        qms = [build_quasimode(geom_m1_trapped, 14, grid_interval=Grid(-1.0, 0.0, 120))]
-        res = evolve.le1_growth(geom_m1_trapped, qms, k=0, A=1e-3, budget=20.0,
-                                R=1.0, x_max=12.0, causal="audited")
-        assert res.j_star == 0
-        assert res.reason == "achieved"
-
-    def test_sample_step_reaches_the_runs(self, geom_m1_trapped):
-        qm = build_quasimode(geom_m1_trapped, 14, grid_interval=Grid(-1.0, 0.0, 120))
-        kw = dict(R=1.0, x_max=12.0, causal="audited")
-        ratios = []
-        for dt in (None, 0.1):
-            res = evolve.le1_growth(geom_m1_trapped, [qm], k=1, A=1e6, budget=20.0, dt=dt,
-                                    **kw)
-            rep = evolve.run_confinement(geom_m1_trapped, qm, 20.0, dt=dt, le1=True, **kw)
-            dbk = dbk_norm(evolve._data_field(geom_m1_trapped, qm, rep.grid), 1)
-            assert res.ratios[0] == rep.le1_at(res.T_list[0]) / dbk
-            ratios.append(res.ratios[0])
-        assert ratios[0] != ratios[1]
-
-    def test_requires_frequency_ordering(self, geom_m1_trapped):
-        qms = [build_quasimode(geom_m1_trapped, l, grid_interval=Grid(-1.0, 0.0, 120))
-               for l in (14, 10)]
-        with pytest.raises(ValueError, match="ordered"):
-            evolve.le1_growth(geom_m1_trapped, qms, k=0, A=1.0, budget=5.0,
-                              x_max=12.0, causal="audited")
 
 
 def flip_half(n, seed):
@@ -828,7 +792,7 @@ class TestCrossSite:
         dt_le = k * dt
         rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=T, R=1.0, x_max=12.0,
                                      dt=dt, causal="audited", le1=True, dt_le=dt_le)
-        fld = evolve._data_field(geom_m1_trapped, qm, qm.grid.extended(12.0))
+        fld = evolve.data_field(geom_m1_trapped, qm, qm.grid.extended(12.0))
         near = fld.grid.nodes() <= 1.0
         for i in (0, 5, 12):
             _, e = self.oracle(oracles.advanced(fld, rep.times[i]), geom_m1_trapped)
@@ -869,7 +833,7 @@ class TestEnergyNorms:
         for l in (14, 20):
             qm = build_quasimode(geom_m1_trapped, l, grid_interval=Grid(-1.0, 0.0, 160))
             gext = qm.grid.extended(8.0)
-            fld = evolve._data_field(geom_m1_trapped, qm, gext)
+            fld = evolve.data_field(geom_m1_trapped, qm, gext)
             base = oracles.energy_norms(fld, R=3.0)["H_x0_norm"]
             for k in (1, 2):
                 ck = dbk_norm(fld, k) / (qm.tau**k * base)
@@ -915,7 +879,7 @@ class TestDbk:
 
     def test_matches_grid_oracle(self, oscillating_field, geom_m1_trapped):
         qm = build_quasimode(geom_m1_trapped, 14, grid_interval=Grid(-1.0, 0.0, 160))
-        qm_field = evolve._data_field(geom_m1_trapped, qm, qm.grid.extended(8.0))
+        qm_field = evolve.data_field(geom_m1_trapped, qm, qm.grid.extended(8.0))
         for fld in (oscillating_field, qm_field):
             for k in range(4):
                 assert dbk_norm(fld, k) == pytest.approx(grid_dbk_norm(fld, k), rel=1e-12)

@@ -702,6 +702,20 @@ class TestModuleBoundaries:
         # an allowed member that gains a reader leaves the list
         assert found >= UNREAD_MEMBERS.keys(), UNREAD_MEMBERS.keys() - found
 
+    def test_every_config_field_is_read(self):
+        # a config field that no function of cli reads as cfg.<field> is a
+        # knob no run uses
+        import dataclasses
+
+        from warptrap.cli import ExperimentConfig
+
+        tree = ast.parse((Path(spectral.__file__).parent / "cli.py").read_text())
+        read = {node.attr for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load) and getattr(node.value, "id", None) == "cfg"}
+        unread = sorted({f.name for f in dataclasses.fields(ExperimentConfig)} - read)
+        assert not unread, f"config fields no command reads: {unread}"
+
     def test_no_private_name_crosses_a_module(self):
         # a name with a leading underscore is used only in the module that
         # defines it; a name another module needs is public there

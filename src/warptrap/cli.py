@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ConfigError("T_max", "horizon must be positive")
         if self.dt is not None and self.dt <= 0:
             raise ConfigError("dt", "step must be positive")
+        if self.dt is not None and self.dt > self.T_max:
+            raise ConfigError("dt", f"step must not exceed the horizon T_max = {self.T_max:g}")
         if self.R <= self.x0 and self.x0 < 0:
             raise ConfigError("R", "truncation radius must exceed the boundary")
         if self.k < 0:
@@ -219,10 +221,21 @@ def _jsonable(o):
 # -- subcommands -----------------------------------------------------------------
 
 
-def _quasimode(geom: WarpGeometry, l: int, h_per_sigma: float) -> qmod.Quasimode:
-    """The degree-l quasimode on the interval grid of the spacing rule
-    ``h_per_sigma``, refused if tau^2 misses its frequency bracket."""
-    grid = qmod.interval_grid(geom, l, h_per_sigma)
+class Plan(typing.NamedTuple):
+    """A command's work, settled by its planner, which raises every
+    ConfigError, before main makes the output directory for its runner: the
+    geometry, the quasimodes by degree (planning solves them to check their
+    brackets), their evolution wall, and each full eigensolve's grid in order."""
+
+    geom: WarpGeometry
+    qms: tuple[qmod.Quasimode, ...] = ()
+    wall: float = math.inf
+    grids: tuple[Grid, ...] = ()
+
+
+def _quasimode(geom: WarpGeometry, l: int, grid: Grid) -> qmod.Quasimode:
+    """The degree-l quasimode on the interval grid ``grid``, refused if
+    tau^2 misses its frequency bracket."""
     qm = qmod.build_quasimode(geom, l, grid)
     if not qm.bracket.in_bracket:
         lo, hi, _ = dataclasses.astuple(qm.bracket)
@@ -247,50 +260,39 @@ def _refuse_oversize(grid: Grid, field_name: str, what: str) -> None:
                                       f"of the {have / 1e9:.3g} GB of physical memory")
 
 
-def _trapped_quasimodes(cfg: ExperimentConfig, command: str, evolves: bool,
-                        ) -> tuple[OutputCollector, WarpGeometry, list[qmod.Quasimode]]:
-    """The output collector of a trapped-side command, its geometry and the
-    quasimodes of the configured degrees, ascending, on the interval grids
-    of the eigenproblem's spacing rule, or of the evolution's if the
-    command ``evolves`` them.  Every guard runs before the output directory
-    is made: the side and degrees; for an evolving command the domain that
-    ``evolve.run_confinement`` would refuse, the size of each degree's full
-    solve and a k whose graph norm overflows, before any solve; and each
-    degree's frequency bracket, so the quasimodes are built first."""
-    if cfg.x0 >= 0:
-        raise ConfigError("x0", f"{command} requires the trapped side (x0 < 0)")
+def _evolution_grids(geom: WarpGeometry, ls: list[int], wall: float,
+                     domain: str) -> tuple[list[Grid], tuple[Grid, ...]]:
+    """Each degree's interval grid of the evolution spacing rule, and its
+    extension to the wall, the grid of its full solve, refused if too large."""
+    intervals = [qmod.interval_grid(geom, l, evolve.EVOLUTION_H_PER_SIGMA) for l in ls]
+    grids = tuple(grid.extended(wall) for grid in intervals)
+    for l, grid in zip(ls, grids):
+        _refuse_oversize(grid, "l_list", f"degree {l} on {domain}")
+    return intervals, grids
+
+
+def _degrees(cfg: ExperimentConfig, command: str) -> list[int]:
+    """The configured angular degrees, ascending, refused if there are none."""
     if not cfg.l_list:
         raise ConfigError("l_list", f"{command} needs at least one angular degree")
-    if evolves:
-        support_end = qmod.default_cutoff(cfg.x0).support_end
-        if cfg.R <= support_end:
-            raise ConfigError("R", f"{command} needs R beyond the quasimode data, "
-                                   f"whose support ends at {support_end:g}")
-        if cfg.causal == "strict" and cfg.x_max < cfg.R + cfg.T_max:
-            raise ConfigError("x_max", f"strict mode needs x_max >= R + T_max = "
-                                       f"{cfg.R + cfg.T_max:g}; enlarge the domain or "
-                                       "use --causal audited")
-        if cfg.x_max <= 0:
-            raise ConfigError("x_max", f"{command} needs x_max > 0, past the neck at 0")
-    h_per_sigma = evolve.EVOLUTION_H_PER_SIGMA if evolves else qmod.EIGEN_H_PER_SIGMA
-    geom = WarpGeometry.of(cfg.m, cfg.x0)
-    if evolves:
-        bound = 0.0
-        for l in cfg.l_list:
-            grid = qmod.interval_grid(geom, l, h_per_sigma).extended(cfg.x_max)
-            _refuse_oversize(grid, "l_list", f"degree {l} on (x0, x_max)")
-            bound = max(bound, qmod.mode_operator(geom, l, grid).norm_bound)
-        # the graph norm forms lambda^(k+1) for eigenvalues up to the bound
-        k_max = math.floor(math.log(sys.float_info.max) / math.log(bound)) - 1
-        if cfg.k > k_max:
-            raise ConfigError("k", f"lambda^(k+1) overflows for eigenvalues up to {bound:.4g}; "
-                                   f"the largest admissible k is {k_max}")
-    qms = [_quasimode(geom, l, h_per_sigma) for l in sorted(cfg.l_list)]
-    return OutputCollector(cfg.out_dir, cfg, command), geom, qms
+    return sorted(cfg.l_list)
 
 
-def cmd_quasimode(cfg: ExperimentConfig) -> OutputCollector:
-    out, _, qms = _trapped_quasimodes(cfg, "quasimode", evolves=False)
+def _trapped_side(cfg: ExperimentConfig, command: str) -> tuple[WarpGeometry, list[int]]:
+    """The geometry and the degrees of a command that requires x0 < 0."""
+    if cfg.x0 >= 0:
+        raise ConfigError("x0", f"{command} requires the trapped side (x0 < 0)")
+    return WarpGeometry.of(cfg.m, cfg.x0), _degrees(cfg, command)
+
+
+def plan_quasimode(cfg: ExperimentConfig) -> Plan:
+    geom, ls = _trapped_side(cfg, "quasimode")
+    grids = [qmod.interval_grid(geom, l, qmod.EIGEN_H_PER_SIGMA) for l in ls]
+    return Plan(geom, tuple(_quasimode(geom, l, grid) for l, grid in zip(ls, grids)))
+
+
+def cmd_quasimode(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> None:
+    qms = plan.qms
     out.write_csv("quasimodes.csv", qmod.QUASIMODE_CSV_COLUMNS,
                   qmod.quasimode_csv_rows(qms))
     fits = {}
@@ -317,7 +319,6 @@ def cmd_quasimode(cfg: ExperimentConfig) -> OutputCollector:
                   ["l", "sigma", "tau", "log10_r0", "log10_r1", "log10_r2", "log10_tail"],
                   rows)
     out.write_text("decay_curves.gp", _GNUPLOT_SCRIPT)
-    return out
 
 
 _GNUPLOT_SCRIPT = """\
@@ -332,18 +333,45 @@ plot 'decay_curves.dat' using 2:4 with linespoints title 'residual H0', \\
 """
 
 
-def cmd_confinement(cfg: ExperimentConfig) -> OutputCollector:
-    out, geom, qms = _trapped_quasimodes(cfg, "confinement", evolves=True)
+def plan_confinement(cfg: ExperimentConfig) -> Plan:
+    """Refuses, before any solve, the domains ``evolve.run_confinement``
+    would refuse, an R past the wall, oversize solves and overflowing k."""
+    geom, ls = _trapped_side(cfg, "confinement")
+    support_end = qmod.default_cutoff(cfg.x0).support_end
+    if cfg.R <= support_end:
+        raise ConfigError("R", "confinement needs R beyond the quasimode data, "
+                               f"whose support ends at {support_end:g}")
+    if cfg.causal == "strict" and cfg.x_max < cfg.R + cfg.T_max:
+        raise ConfigError("x_max", f"strict mode needs x_max >= R + T_max = "
+                                   f"{cfg.R + cfg.T_max:g}; enlarge the domain or "
+                                   "use --causal audited")
+    if cfg.x_max <= 0:
+        raise ConfigError("x_max", "confinement needs x_max > 0, past the neck at 0")
+    if cfg.R >= cfg.x_max:
+        raise ConfigError("R", f"confinement needs R < x_max = {cfg.x_max:g}, inside the "
+                               "evolution domain")
+    intervals, grids = _evolution_grids(geom, ls, cfg.x_max, "(x0, x_max)")
+    bound = max(qmod.mode_operator(geom, l, grid).norm_bound for l, grid in zip(ls, grids))
+    # the graph norm forms lambda^(k+1) for eigenvalues up to the bound
+    k_max = math.floor(math.log(sys.float_info.max) / math.log(bound)) - 1
+    if cfg.k > k_max:
+        raise ConfigError("k", f"lambda^(k+1) overflows for eigenvalues up to {bound:.4g}; "
+                               f"the largest admissible k is {k_max}")
+    qms = tuple(_quasimode(geom, l, grid) for l, grid in zip(ls, intervals))
+    return Plan(geom, qms, cfg.x_max, grids)
+
+
+def cmd_confinement(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> None:
     summary = {}
     reports = []
-    for qm in qms:
+    for qm in plan.qms:
         l = qm.l
-        rep = evolve.run_confinement(geom, qm, cfg.T_max, cfg.R, x_max=cfg.x_max,
+        rep = evolve.run_confinement(plan.geom, qm, cfg.T_max, cfg.R, x_max=plan.wall,
                                      dt=cfg.dt, causal=cfg.causal, le1=True)
         reports.append(rep)
         le1_T = min(rep.t_confinement, cfg.T_max)
         # the data state is a propagator-cache hit, released before the next solve
-        dbk = evolve.dbk_norm(evolve.data_field(geom, qm, rep.grid), cfg.k)
+        dbk = evolve.dbk_norm(evolve.data_field(plan.geom, qm, rep.grid), cfg.k)
         out.write_csv(f"evolution_l{l}.csv", evolve.EVOLUTION_CSV_COLUMNS, rep.csv_rows())
         summary[str(l)] = {
             "tau": rep.tau,
@@ -379,7 +407,6 @@ def cmd_confinement(cfg: ExperimentConfig) -> OutputCollector:
             "|data| / |F|, which grows exponentially along the family."
         ),
     })
-    return out
 
 
 # bifurcation's matched l = 1 bump data sits at x0 + _BUMP_OFFSET with
@@ -393,14 +420,9 @@ _BUMP_MIN_NODES = 400
 _TRAPPED_SPAN = 25.0
 
 
-def _bump_grid(x0: float, x_max: float) -> Grid:
-    return Grid(x0, x_max, max(int((x_max - x0) / _BUMP_H), _BUMP_MIN_NODES))
-
-
-def _bump_field(geom: WarpGeometry, x_max: float) -> evolve.ModeState:
+def _bump_field(m: int, grid: Grid) -> evolve.ModeState:
     """The outgoing bump data of one side, on its grid (x0, x_max)."""
-    x0 = geom.params.x0
-    grid = _bump_grid(x0, x_max)
+    x0 = grid.x_left
     x = grid.nodes()
     s = (x - (x0 + _BUMP_OFFSET)) / _BUMP_WIDTH
     w0 = np.zeros_like(x)
@@ -408,10 +430,12 @@ def _bump_field(geom: WarpGeometry, x_max: float) -> evolve.ModeState:
     w0[inside] = np.exp(-1.0 / (1.0 - s[inside] ** 2))
     w0 /= math.sqrt(grid.h * float(np.sum(w0**2)))
     w1 = -fd_derivative(grid, w0, 1)
-    return evolve.wave_field(geom, grid, [(1, 1, w0.astype(complex), w1.astype(complex))])
+    return evolve.wave_field(WarpGeometry.of(m, x0), grid, [(1, 1, w0, w1)])
 
 
-def cmd_bifurcation(cfg: ExperimentConfig) -> OutputCollector:
+def plan_bifurcation(cfg: ExperimentConfig) -> Plan:
+    """The plus and minus bump runs on (x0, x_max), then the trapped-side
+    run of the largest degree's quasimode."""
     if cfg.x0_plus is None or cfg.x0_plus <= 0:
         raise ConfigError("x0_plus", "bifurcation needs a positive-side boundary x0_plus > 0")
     if cfg.x0_minus is None or cfg.x0_minus >= 0:
@@ -426,34 +450,37 @@ def cmd_bifurcation(cfg: ExperimentConfig) -> OutputCollector:
     if cfg.R <= support_end:
         raise ConfigError("R", f"bifurcation needs R > x0_plus + {_BUMP_OFFSET + _BUMP_WIDTH:g} "
                                "so the matched bump data fits inside [x0, R)")
-    if not cfg.l_list:
-        raise ConfigError("l_list", "bifurcation needs at least one angular degree")
+    wall = min(cfg.x_max, cfg.x0_minus + _TRAPPED_SPAN)
+    if cfg.R >= wall:
+        raise ConfigError("R", f"bifurcation needs R < min(x_max, x0_minus + {_TRAPPED_SPAN:g}) "
+                               f"= {wall:g}, inside its trapped-side domain")
+    l_qm = _degrees(cfg, "bifurcation")[-1]
     # matched bump runs on both sides; decay claims need a causally exact wall
     budget = cfg.x_max - support_end
     if cfg.T_max > budget:
         raise ConfigError("T_max", "horizon exceeds the causality budget "
                                    f"x_max - support = {budget:g}")
-    for x0 in (cfg.x0_plus, cfg.x0_minus):
-        _refuse_oversize(_bump_grid(x0, cfg.x_max), "x_max", f"the bump run on (x0={x0:g}, x_max)")
-    l_qm = max(cfg.l_list)
-    geom_m = WarpGeometry.of(cfg.m, cfg.x0_minus)
-    x_max_qm = min(cfg.x_max, cfg.x0_minus + _TRAPPED_SPAN)
-    _refuse_oversize(qmod.interval_grid(geom_m, l_qm, evolve.EVOLUTION_H_PER_SIGMA)
-                     .extended(x_max_qm), "l_list", f"the degree-{l_qm} quasimode run")
-    qm = _quasimode(geom_m, l_qm, evolve.EVOLUTION_H_PER_SIGMA)
-    out = OutputCollector(cfg.out_dir, cfg, "bifurcation")
-    T = cfg.T_max
+    bumps = [Grid(x0, cfg.x_max, max(int((cfg.x_max - x0) / _BUMP_H), _BUMP_MIN_NODES))
+             for x0 in (cfg.x0_plus, cfg.x0_minus)]
+    for grid in bumps:
+        _refuse_oversize(grid, "x_max", f"the bump run on (x0={grid.x_left:g}, x_max)")
+    geom = WarpGeometry.of(cfg.m, cfg.x0_minus)
+    (interval,), grids = _evolution_grids(
+        geom, [l_qm], wall, f"(x0_minus, min(x_max, x0_minus + {_TRAPPED_SPAN:g}))")
+    return Plan(geom, (_quasimode(geom, l_qm, interval),), wall, (*bumps, *grids))
 
+
+def cmd_bifurcation(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> None:
+    (qm,) = plan.qms
     curves = {}
-    for tag, x0 in (("plus", cfg.x0_plus), ("minus", cfg.x0_minus)):
-        times, er = evolve.er_history(_bump_field(WarpGeometry.of(cfg.m, x0), cfg.x_max), T,
-                                      cfg.R, dt=cfg.dt)
+    for tag, grid in zip(("plus", "minus"), plan.grids):
+        times, er = evolve.er_history(_bump_field(cfg.m, grid), cfg.T_max, cfg.R, dt=cfg.dt)
         curves[f"bump_{tag}"] = (times, er / er[0])
         out.write_csv(f"er_bump_{tag}.csv", ["t", "ratio_E_R"],
                       [[t, r] for t, r in zip(times, er / er[0])])
 
     # trapped-side quasimode run (audited wall on its own compact domain)
-    rep = evolve.run_confinement(geom_m, qm, T, cfg.R, x_max=x_max_qm,
+    rep = evolve.run_confinement(plan.geom, qm, cfg.T_max, cfg.R, x_max=plan.wall,
                                  dt=cfg.dt, causal="audited")
     out.write_csv("er_quasimode_minus.csv", ["t", "ratio_E_R"],
                   [[t, r] for t, r in zip(rep.times, rep.ratio_E_R)])
@@ -471,19 +498,21 @@ def cmd_bifurcation(cfg: ExperimentConfig) -> OutputCollector:
             "qualitative": "decay on x0>0, confinement of the trapped-side "
                            "quasimode on x0<0",
         },
-        "l_quasimode": l_qm,
+        "l_quasimode": qm.l,
     })
-    return out
 
 
-def cmd_multiplier_audit(cfg: ExperimentConfig) -> OutputCollector:
+def plan_multiplier_audit(cfg: ExperimentConfig) -> Plan:
+    if cfg.x0 <= 0:
+        raise ConfigError("x0", "the multiplier audit applies to the x0 > 0 side")
+    return Plan(WarpGeometry.of(cfg.m, cfg.x0))
+
+
+def cmd_multiplier_audit(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> None:
     # only this command uses the multiplier module; the others skip its import
     from . import multiplier
 
-    if cfg.x0 <= 0:
-        raise ConfigError("x0", "the multiplier audit applies to the x0 > 0 side")
-    out = OutputCollector(cfg.out_dir, cfg, "multiplier-audit")
-    geom = WarpGeometry.of(cfg.m, cfg.x0)
+    geom = plan.geom
     delta = 0.5 * multiplier.find_admissible_delta(geom)
     pair = multiplier.MultiplierPair(geom, delta)
     rows = []
@@ -519,7 +548,6 @@ def cmd_multiplier_audit(cfg: ExperimentConfig) -> OutputCollector:
         "hardy_bound": HARDY_FROZEN_BOUND,
         "min_margins": scan.min_margins,
     })
-    return out
 
 
 # Frozen regression bound for the Hardy ratio sweep: measured maximum 0.1066
@@ -558,10 +586,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 _COMMANDS = {
-    "quasimode": cmd_quasimode,
-    "confinement": cmd_confinement,
-    "bifurcation": cmd_bifurcation,
-    "multiplier-audit": cmd_multiplier_audit,
+    "quasimode": (plan_quasimode, cmd_quasimode),
+    "confinement": (plan_confinement, cmd_confinement),
+    "bifurcation": (plan_bifurcation, cmd_bifurcation),
+    "multiplier-audit": (plan_multiplier_audit, cmd_multiplier_audit),
 }
 
 
@@ -583,7 +611,10 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         cfg = ExperimentConfig.load(args.config, overrides)
-        out = _COMMANDS[args.command](cfg)
+        planner, runner = _COMMANDS[args.command]
+        plan = planner(cfg)
+        out = OutputCollector(cfg.out_dir, cfg, args.command)
+        runner(cfg, plan, out)
         out.finish(started)
         failed = [name for name, ok in out.passes.items() if not ok]
         if failed:

@@ -7,9 +7,10 @@ integrals, and a nonnegative wall flux.  For the right (f, g) all four
 weights are positive, which is the engine behind lossless local energy
 decay when x0 > 0.  This module evaluates both sides of that identity on
 manufactured solutions, scans the coefficient positivity and checks the
-Hardy inequality that controls the zeroth-order multiplier term; the
-resulting local-energy bound is audited on evolved solutions by
-``evolve.le_bound_audit``.
+Hardy inequality that controls the zeroth-order multiplier term.
+``evolve.le_bound_audit`` checks the resulting local-energy bound on
+evolved solutions, but only ``tests/test_multiplier.py`` calls it: no
+command runs it yet (ROADMAP.md item 4).
 
 The identity audit has one window, [0, 2] x [x0, 12], holding the corpus
 supports; ``ibp_richardson`` evaluates it on 400 x 200 cells in x and t

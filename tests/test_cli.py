@@ -58,7 +58,9 @@ CONFIG_FIELDS = {
     "R": (_FLOAT, _at_or_below(-1.0, st.floats)),  # at or behind the default wall x0 = -1
     "T_max": (_FLOAT, _NONPOSITIVE),
     "k": ({"int"}, _at_or_below(-1, st.integers)),
-    "dt": (_FLOAT | {"null"}, _NONPOSITIVE),
+    # a step that is not positive, or longer than the default horizon T_max = 200
+    "dt": (_FLOAT | {"null"}, st.one_of(_NONPOSITIVE, st.floats(200.0, exclude_min=True,
+                                                                allow_infinity=False))),
     "causal": ({"str"}, st.text(max_size=8).filter(lambda s: s not in ("strict", "audited"))),
     "seed": ({"int"}, _at_or_below(-1, st.integers)),
     "out_dir": ({"str"}, None),
@@ -183,6 +185,19 @@ class TestExitCodes:
                      "x_max", id="confinement-x_max-before-neck"),
         # lambda^(k+1) overflows for the largest eigenvalues of the grid
         pytest.param(["confinement", *_K_GRID, "--k", "59"], "k", id="confinement-k"),
+        # a sample step longer than the horizon
+        pytest.param(["confinement", *_K_GRID, "--dt", "5"], "dt", id="confinement-dt"),
+        pytest.param(["bifurcation", "--x0-plus", "1", "--x0-minus", "-1", "--R", "3.5", "--l",
+                      "20", "--T", "2", "--x-max", "8", "--dt", "5"], "dt", id="bifurcation-dt"),
+        # an R at or past the wall, where E_R would be the energy of the whole
+        # domain: x_max for confinement, min(x_max, x0_minus + 25) for the
+        # trapped side of bifurcation
+        pytest.param(["confinement", *_K_GRID, "--R", "30"], "R", id="confinement-R-past-wall"),
+        pytest.param(["confinement", *_K_GRID, "--R", "4"], "R", id="confinement-R-at-wall"),
+        pytest.param([*_BIFURCATION, "--x0-minus", "-1", "--l", "12", "--R", "6"], "R",
+                     id="bifurcation-R-at-x_max"),
+        pytest.param([*_BIFURCATION, "--x0-minus", "-22", "--l", "12"], "R",
+                     id="bifurcation-R-past-trapped-wall"),
         pytest.param([*_BIFURCATION, "--x0-minus", "-1", "--l", "2"], "l_list",
                      id="bifurcation-bracket"),
         # the trapped-side run's domain, up to min(x_max, x0_minus + 25), is empty
@@ -345,6 +360,48 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Not a directory" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    # a drawn k past the resolved smoothness warns, as the graph norm should
+    @pytest.mark.filterwarnings("ignore:generator power")
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_property_small_runs_refuse_or_finish(self, tmp_path_factory, data):
+        # small confinement and bifurcation runs with drawn steps, radii and
+        # k: a refusal (exit 1) is one config-field error and leaves no
+        # output directory, and a finished run (exit 0 or 2) leaves a
+        # manifest listing every file it wrote
+        draw = data.draw
+        command = draw(st.sampled_from(["confinement", "bifurcation"]), label="command")
+        T = draw(st.floats(0.25, 4.0), label="T")
+        x_max = draw(st.floats(0.5, 8.0), label="x_max")
+        x0_plus = draw(st.floats(0.25, 1.0), label="x0_plus")
+        # R from a little before to a little past the range where it fits
+        # between the data and the wall
+        lo = 0.0 if command == "confinement" else x0_plus + 2.0
+        R = lo + draw(st.floats(-0.1, 1.1), label="R fraction") * (x_max - lo)
+        # flag=value, which argparse reads even for a value such as -1e-67
+        argv = [command, "--l", *map(str, draw(st.lists(st.integers(8, 15), min_size=1,
+                                                        max_size=2, unique=True), label="l")),
+                f"--T={T!r}", f"--x-max={x_max!r}", f"--R={R!r}",
+                f"--k={draw(st.integers(0, 3) | st.integers(40, 70), label='k')}"]
+        dt = draw(st.none() | st.floats(0.05, 1.5 * T), label="dt")
+        argv += [] if dt is None else [f"--dt={dt!r}"]
+        x0 = draw(st.floats(-2.0, -1.0), label="x0")
+        argv += ([f"--x0={x0!r}"] if command == "confinement" else
+                 [f"--x0-minus={x0!r}", f"--x0-plus={x0_plus!r}"])
+        out = tmp_path_factory.mktemp("run") / "o"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run_cli([*argv, "--out", str(out)])
+        err = err.getvalue()
+        assert code in (0, 1, 2), err
+        if code == 1:
+            assert err.startswith("error: config field ") and err.count("\n") == 1, err
+            assert not out.exists()
+        else:
+            files = json.loads((out / "manifest.json").read_text())["files"]
+            written = {p.name for p in out.iterdir()} - {"manifest.json"}
+            assert sorted(files) == sorted(written)
 
     def test_failed_check_is_exit_two(self, tmp_path, capsys):
         # horizon too short for the open side to empty the near region
@@ -626,20 +683,29 @@ class TestBifurcationCommand:
 class TestPropagatorLifetime:
     """A command that solves one mode after another keeps at most one
     eigenvector matrix alive: whenever the full eigensolver is entered, the
-    propagator it is building is the only one."""
+    propagator it is building is the only one.  Every solve is the plan's:
+    the lowest pairs on its quasimodes' grids, then the full solves on its
+    grids, in order."""
 
     @pytest.mark.parametrize("args, solves", [
+        (["quasimode", "--x0", "-1.0", "--l", "14", "15"], 0),
         (["confinement", "--x0", "-1.0", "--l", "14", "15", "--T", "2", "--x-max", "4"], 2),
         (["bifurcation", "--x0-plus", "1.0", "--x0-minus", "-1.0", "--R", "3.5", "--l", "14",
           "--T", "0.5", "--x-max", "6"], 3),
-    ], ids=["confinement", "bifurcation"])
+    ], ids=["quasimode", "confinement", "bifurcation"])
     def test_one_propagator_alive_per_solve(self, args, solves, tmp_path, monkeypatch):
         import weakref
 
-        from warptrap import evolve
+        from warptrap import cli as cli_mod, evolve, quasimode
 
-        live, alive_at_solve = weakref.WeakSet(), []
+        live, alive_at_solve, lowest_n, full_n, plans = weakref.WeakSet(), [], [], [], []
         init, full = evolve.ModePropagator.__init__, evolve.eigen_full
+        lowest = quasimode.lowest_pair
+        planner, runner = cli_mod._COMMANDS[args[0]]
+
+        def recording_planner(cfg):
+            plans.append(planner(cfg))
+            return plans[-1]
 
         def tracked_init(self, *a, **kw):
             live.add(self)
@@ -647,14 +713,25 @@ class TestPropagatorLifetime:
 
         def spy(op):
             alive_at_solve.append(len(live))
+            full_n.append(op.n)
             return full(op)
+
+        def lowest_spy(op):
+            lowest_n.append(op.n)
+            return lowest(op)
 
         # a propagator cached by an earlier test would be alive uncounted
         evolve._PROP_CACHE.clear()
         monkeypatch.setattr(evolve.ModePropagator, "__init__", tracked_init)
         monkeypatch.setattr(evolve, "eigen_full", spy)
+        monkeypatch.setattr(quasimode, "lowest_pair", lowest_spy)
+        monkeypatch.setitem(cli_mod._COMMANDS, args[0], (recording_planner, runner))
         assert run_cli([*args, "--out", str(tmp_path / "o")]) in (0, 2)
         assert alive_at_solve == [1] * solves
+        (plan,) = plans
+        assert lowest_n and lowest_n == [qm.grid.n_interior for qm in plan.qms]
+        assert full_n == [grid.n_interior for grid in plan.grids]
+        assert len(full_n) == solves
 
 
 class TestImports:
@@ -698,10 +775,11 @@ class TestExceptionMapping:
     def test_convergence_failure_is_exit_three(self, tmp_path, capsys, monkeypatch):
         from warptrap import cli as cli_mod
 
-        def boom(cfg):
+        def boom(cfg, plan, out):
             raise cli_mod.ConvergenceFailure("order estimate left the window")
 
-        monkeypatch.setitem(cli_mod._COMMANDS, "multiplier-audit", boom)
+        monkeypatch.setitem(cli_mod._COMMANDS, "multiplier-audit",
+                            (cli_mod.plan_multiplier_audit, boom))
         code = run_cli(["multiplier-audit", "--x0", "1.0",
                         "--out", str(tmp_path / "x")])
         assert code == 3
@@ -712,12 +790,10 @@ class TestExceptionMapping:
         # manifest is written
         from warptrap import cli as cli_mod
 
-        def failing(cfg):
-            out = cli_mod.OutputCollector(cfg.out_dir, cfg, "confinement")
+        def failing(cfg, plan, out):
             out.record("gap_bound_l20", False)
-            return out
 
-        monkeypatch.setitem(cli_mod._COMMANDS, "confinement", failing)
+        monkeypatch.setitem(cli_mod._COMMANDS, "confinement", (lambda cfg: None, failing))
         code = run_cli(["confinement", "--x0", "-1.0", "--out", str(tmp_path / "g")])
         assert code == 2
         assert "gap_bound_l20" in capsys.readouterr().err
@@ -729,12 +805,12 @@ class TestExceptionMapping:
         from warptrap.geometry import WarpGeometry
         from warptrap.spectral import Grid, build_operator
 
-        def indefinite(cfg):
+        def indefinite(cfg, plan, out):
             evolve.ModePropagator(WarpGeometry.of(1, -1.0), 0, Grid(-1.0, 1.0, 60))
 
         monkeypatch.setattr(evolve, "mode_operator", lambda geom, l, grid: build_operator(
             grid, lambda x: 0.0 * x - 30.0, potential_id=f"constant -30, l={l}"))
-        monkeypatch.setitem(cli_mod._COMMANDS, "confinement", indefinite)
+        monkeypatch.setitem(cli_mod._COMMANDS, "confinement", (lambda cfg: None, indefinite))
         code = run_cli(["confinement", "--out", str(tmp_path / "c")])
         assert code == 3
         err = capsys.readouterr().err
@@ -887,11 +963,12 @@ class TestReadmeCommands:
 
     @pytest.mark.parametrize("argv", readme_command_lines(), ids=lambda argv: argv[0])
     def test_command_line_is_accepted(self, argv, tmp_path, monkeypatch):
-        # flags and config values only: each command is stubbed to write nothing
+        # flags and config values only: each command is stubbed to plan and
+        # write nothing
         from warptrap import cli as cli_mod
 
         monkeypatch.chdir(tmp_path)
         for name in cli_mod._COMMANDS:
             monkeypatch.setitem(cli_mod._COMMANDS, name,
-                                lambda cfg, name=name: OutputCollector(cfg.out_dir, cfg, name))
+                                (lambda cfg: None, lambda cfg, plan, out: None))
         assert run_cli(argv) == 0

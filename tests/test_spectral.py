@@ -716,6 +716,25 @@ class TestModuleBoundaries:
         unread = sorted({f.name for f in dataclasses.fields(ExperimentConfig)} - read)
         assert not unread, f"config fields no command reads: {unread}"
 
+    def test_no_refusal_after_the_output_directory(self):
+        # main makes the OutputCollector, and with it the output directory,
+        # after the planner has raised every ConfigError: no function of cli
+        # that makes or receives a collector raises one
+        tree = ast.parse((Path(spectral.__file__).parent / "cli.py").read_text())
+        collectors, refusing = set(), set()
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+                calls = [node for node in ast.walk(fn) if isinstance(node, ast.Call)]
+                if any(getattr(a.annotation, "id", None) == "OutputCollector" for a in args) \
+                        or any(_calls(c, "OutputCollector") for c in calls):
+                    collectors.add(fn.name)
+                if any(isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                       and _calls(node.exc, "ConfigError") for node in ast.walk(fn)):
+                    refusing.add(fn.name)
+        assert {"main", "cmd_confinement", "cmd_bifurcation"} <= collectors
+        assert not collectors & refusing, sorted(collectors & refusing)
+
     def test_no_private_name_crosses_a_module(self):
         # a name with a leading underscore is used only in the module that
         # defines it; a name another module needs is public there

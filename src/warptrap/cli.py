@@ -249,25 +249,32 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _refuse_oversize(grid: Grid, field_name: str, what: str) -> None:
-    """Refuse a full eigensolve on ``grid`` whose eigenvector matrix alone,
-    8 n^2 bytes, exceeds physical memory."""
+def _refuse_oversize(cfg: ExperimentConfig, grid: Grid, field_name: str, what: str) -> None:
+    """Refuse a run on ``grid`` whose full eigensolve's eigenvector matrix
+    alone, 8 n^2 bytes, or whose array of sample times up to T_max alone,
+    8 bytes a sample, exceeds physical memory."""
     n = grid.n_interior
     need, have = 8 * n * n, _physical_memory()
     if need > have:
         raise ConfigError(field_name, f"{what} needs a full eigensolve on n = {n} nodes, "
                                       f"whose eigenvectors alone take {need / 1e9:.3g} GB "
                                       f"of the {have / 1e9:.3g} GB of physical memory")
+    step, samples = evolve.sample_count(cfg.T_max, cfg.dt, grid.h)
+    if 8 * samples > have:
+        raise ConfigError("dt", f"a sample step of {step:g} up to T_max = {cfg.T_max:g} takes "
+                                f"{samples} samples, whose times alone take "
+                                f"{8 * samples / 1e9:.3g} GB of the {have / 1e9:.3g} GB "
+                                "of physical memory")
 
 
-def _evolution_grids(geom: WarpGeometry, ls: list[int], wall: float,
+def _evolution_grids(cfg: ExperimentConfig, geom: WarpGeometry, ls: list[int], wall: float,
                      domain: str) -> tuple[list[Grid], tuple[Grid, ...]]:
     """Each degree's interval grid of the evolution spacing rule, and its
     extension to the wall, the grid of its full solve, refused if too large."""
     intervals = [qmod.interval_grid(geom, l, evolve.EVOLUTION_H_PER_SIGMA) for l in ls]
     grids = tuple(grid.extended(wall) for grid in intervals)
     for l, grid in zip(ls, grids):
-        _refuse_oversize(grid, "l_list", f"degree {l} on {domain}")
+        _refuse_oversize(cfg, grid, "l_list", f"degree {l} on {domain}")
     return intervals, grids
 
 
@@ -335,7 +342,8 @@ plot 'decay_curves.dat' using 2:4 with linespoints title 'residual H0', \\
 
 def plan_confinement(cfg: ExperimentConfig) -> Plan:
     """Refuses, before any solve, the domains ``evolve.run_confinement``
-    would refuse, an R past the wall, oversize solves and overflowing k."""
+    would refuse, an R past the wall, oversize solves and horizons and
+    overflowing k."""
     geom, ls = _trapped_side(cfg, "confinement")
     support_end = qmod.default_cutoff(cfg.x0).support_end
     if cfg.R <= support_end:
@@ -350,7 +358,7 @@ def plan_confinement(cfg: ExperimentConfig) -> Plan:
     if cfg.R >= cfg.x_max:
         raise ConfigError("R", f"confinement needs R < x_max = {cfg.x_max:g}, inside the "
                                "evolution domain")
-    intervals, grids = _evolution_grids(geom, ls, cfg.x_max, "(x0, x_max)")
+    intervals, grids = _evolution_grids(cfg, geom, ls, cfg.x_max, "(x0, x_max)")
     bound = max(qmod.mode_operator(geom, l, grid).norm_bound for l, grid in zip(ls, grids))
     # the graph norm forms lambda^(k+1) for eigenvalues up to the bound
     k_max = math.floor(math.log(sys.float_info.max) / math.log(bound)) - 1
@@ -369,7 +377,7 @@ def cmd_confinement(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> 
         rep = evolve.run_confinement(plan.geom, qm, cfg.T_max, cfg.R, x_max=plan.wall,
                                      dt=cfg.dt, causal=cfg.causal, le1=True)
         reports.append(rep)
-        le1_T = min(rep.t_confinement, cfg.T_max)
+        le1_T = min(rep.t_confinement, cfg.T_max, float(rep.le1_times[-1]))
         # the data state is a propagator-cache hit, released before the next solve
         dbk = evolve.dbk_norm(evolve.data_field(plan.geom, qm, rep.grid), cfg.k)
         out.write_csv(f"evolution_l{l}.csv", evolve.EVOLUTION_CSV_COLUMNS, rep.csv_rows())
@@ -418,10 +426,36 @@ _BUMP_WIDTH = 0.5
 _BUMP_H = 0.04
 _BUMP_MIN_NODES = 400
 _TRAPPED_SPAN = 25.0
+# ln(1 / eps): a bump run's wall margin leaves the wall's image at most a
+# factor eps of the data's amplitude at R
+_TAIL_EXPONENT = -math.log(sys.float_info.epsilon)
+
+
+def _bump_grid(cfg: ExperimentConfig, x0: float) -> tuple[Grid, str]:
+    """A bump run's grid, and the config field that sets its end.
+
+    E_R on [x0, R] sees a Dirichlet wall at X only through the odd image of
+    the data about X.  The data ends at s = x0 + 2, so at the last sample
+    time t the image has travelled 2X - s - R = t + 2m when the wall sits at
+    X = (t + s + R)/2 + m.  The 3-point scheme's propagator over a distance
+    d at time t is J_(2d/h)(2t/h) on the free lattice, which ahead of the
+    light cone, d = t + 2m, stays below exp(-(16/3) m^1.5 / (h sqrt(t))) to
+    leading order (Kapteyn's bound); m sets that factor to eps.  The grid
+    is the prefix reaching X of the grid on (x0, x_max) of spacing about
+    _BUMP_H, or that whole grid where x_max comes first.
+    """
+    full = Grid(x0, cfg.x_max, max(int((cfg.x_max - x0) / _BUMP_H), _BUMP_MIN_NODES))
+    step, samples = evolve.sample_count(cfg.T_max, cfg.dt, full.h)
+    t = step * (samples - 1)
+    margin = (3.0 * full.h * math.sqrt(t) * _TAIL_EXPONENT / 16.0) ** (2.0 / 3.0)
+    wall = 0.5 * (t + x0 + _BUMP_OFFSET + _BUMP_WIDTH + cfg.R) + margin
+    if wall >= cfg.x_max:
+        return full, "x_max"
+    return full.prefix(wall), "T_max"
 
 
 def _bump_field(m: int, grid: Grid) -> evolve.ModeState:
-    """The outgoing bump data of one side, on its grid (x0, x_max)."""
+    """The outgoing bump data of one side, on its grid from x0."""
     x0 = grid.x_left
     x = grid.nodes()
     s = (x - (x0 + _BUMP_OFFSET)) / _BUMP_WIDTH
@@ -434,8 +468,9 @@ def _bump_field(m: int, grid: Grid) -> evolve.ModeState:
 
 
 def plan_bifurcation(cfg: ExperimentConfig) -> Plan:
-    """The plus and minus bump runs on (x0, x_max), then the trapped-side
-    run of the largest degree's quasimode."""
+    """The plus and minus bump runs, each on the prefix of (x0, x_max) its
+    near energy can see, then the trapped-side run of the largest degree's
+    quasimode."""
     if cfg.x0_plus is None or cfg.x0_plus <= 0:
         raise ConfigError("x0_plus", "bifurcation needs a positive-side boundary x0_plus > 0")
     if cfg.x0_minus is None or cfg.x0_minus >= 0:
@@ -460,13 +495,15 @@ def plan_bifurcation(cfg: ExperimentConfig) -> Plan:
     if cfg.T_max > budget:
         raise ConfigError("T_max", "horizon exceeds the causality budget "
                                    f"x_max - support = {budget:g}")
-    bumps = [Grid(x0, cfg.x_max, max(int((cfg.x_max - x0) / _BUMP_H), _BUMP_MIN_NODES))
-             for x0 in (cfg.x0_plus, cfg.x0_minus)]
-    for grid in bumps:
-        _refuse_oversize(grid, "x_max", f"the bump run on (x0={grid.x_left:g}, x_max)")
+    bumps = []
+    for x0 in (cfg.x0_plus, cfg.x0_minus):
+        grid, field_name = _bump_grid(cfg, x0)
+        _refuse_oversize(cfg, grid, field_name,
+                         f"the bump run on (x0={x0:g}, {grid.x_right:g})")
+        bumps.append(grid)
     geom = WarpGeometry.of(cfg.m, cfg.x0_minus)
     (interval,), grids = _evolution_grids(
-        geom, [l_qm], wall, f"(x0_minus, min(x_max, x0_minus + {_TRAPPED_SPAN:g}))")
+        cfg, geom, [l_qm], wall, f"(x0_minus, min(x_max, x0_minus + {_TRAPPED_SPAN:g}))")
     return Plan(geom, (_quasimode(geom, l_qm, interval),), wall, (*bumps, *grids))
 
 

@@ -53,6 +53,7 @@ __all__ = [
     "get_propagator",
     "le_bound_audit",
     "run_confinement",
+    "sample_count",
     "space_time_norms",
     "wave_field",
 ]
@@ -283,8 +284,13 @@ class EvolutionReport:
         return np.interp(self.times, self.le1_times, self.le1_running)
 
     def le1_at(self, T: float) -> float:
+        """The running LE1 at time T, interpolated between its samples; a T
+        past the last sample raises."""
         if self.le1_running is None:
             raise ValueError("run was made without the space-time norm pass")
+        if T > self.le1_times[-1]:
+            raise ValueError(f"no LE1 sample reaches t = {T!r}: the last is at "
+                             f"t = {float(self.le1_times[-1])!r}")
         return float(np.interp(T, self.le1_times, self.le1_running))
 
 
@@ -396,13 +402,19 @@ def _band_energy(prop: ModePropagator, AB, lo: int, hi: int, ratio, pot) -> np.n
     return 0.5 * prop.h * np.sum(e[:, lo - lo0:hi - lo0], axis=1)
 
 
-def _sample_times(T: float, dt: float | None, h: float) -> tuple[float, np.ndarray]:
+def sample_count(T: float, dt: float | None, h: float) -> tuple[float, int]:
     """The sample step of every evolution pass, dt or by default
-    max(T / 1000, h) on a grid of spacing h, and its sample times
-    step * i, i = 0, ..., round(T / step)."""
+    max(T / 1000, h) on a grid of spacing h, and its number of samples
+    round(T / step) + 1."""
     if dt is None:
         dt = max(T / 1000.0, h)
-    return dt, dt * np.arange(int(round(T / dt)) + 1)
+    return dt, int(round(T / dt)) + 1
+
+
+def _sample_times(T: float, dt: float | None, h: float) -> tuple[float, np.ndarray]:
+    """The sample step of ``sample_count`` and its sample times step * i."""
+    dt, n = sample_count(T, dt, h)
+    return dt, dt * np.arange(n)
 
 
 def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),

@@ -77,8 +77,20 @@ class Grid:
         """
         if x_max <= self.x_right:
             raise ValueError("extension must go beyond the current right endpoint")
+        return self._through(x_max)
+
+    def prefix(self, x_end: float) -> "Grid":
+        """Grid on (x_left, >= x_end) sharing this grid's spacing, for an
+        x_end before x_right: its node set is a prefix of this grid's."""
+        if not self.x_left < x_end < self.x_right:
+            raise ValueError("a prefix must end inside the grid")
+        return self._through(x_end)
+
+    def _through(self, x_end: float) -> "Grid":
+        """The grid of this spacing on (x_left, x_left + n h), n the fewest
+        steps reaching x_end."""
         h = self.h
-        n_total = int(math.ceil((x_max - self.x_left) / h - 1e-12))
+        n_total = int(math.ceil((x_end - self.x_left) / h - 1e-12))
         return Grid(self.x_left, self.x_left + n_total * h, n_total - 1)
 
     @classmethod
@@ -223,8 +235,10 @@ def lowest_pair(op: TridiagonalOperator) -> tuple[float, np.ndarray]:
     Wilkinson, Numer. Math. 9, 1967) from [-``norm_bound``, ``norm_bound``]
     down to a bracket [a, b] of width 2 eps * ``norm_bound``, 52 halvings;
     its value is the midpoint.  Its eigenvector is two inverse-iteration
-    solves with T - a I, started from a fixed pseudo-random vector; a lies
-    below the whole spectrum, so T - a I is positive definite.  The
+    solves with T - a I, started from the all-ones vector; a lies below
+    the whole spectrum, so T - a I is positive definite.  Every operator
+    here has off-diagonal -1/h^2 < 0, so its lowest eigenvector has one
+    sign and a positive start always overlaps it.  The
     recurrences are plain Python loops: at the sizes solved here (n up to
     a few thousand) they cost less than loading LAPACK through scipy.
     """
@@ -242,7 +256,7 @@ def lowest_pair(op: TridiagonalOperator) -> tuple[float, np.ndarray]:
         else:
             a = mid
     pivmin = sys.float_info.min * max(e2, 1.0)
-    v = np.random.default_rng(0).standard_normal(op.n)
+    v = np.ones(op.n)
     for _ in range(2):
         v = _shifted_solve(d, e, a, v.tolist(), pivmin)
         v /= np.linalg.norm(v)

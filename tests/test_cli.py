@@ -162,12 +162,13 @@ _OUT_OF_BRACKET = ["--x0", "-1.0", "--l", "2"]
 _K_GRID = ["--x0", "-1.0", "--l", "14", "--T", "2", "--x-max", "4"]
 _BIFURCATION = ["bifurcation", "--x0-plus", "1", "--R", "3.5", "--T", "1", "--x-max", "6"]
 # runs whose full eigensolve would need far more than any physical memory:
-# about 1.25e7 nodes for the degree, 2.5e7 for the bump grids
+# about 1.25e7 nodes for the degree, and for the bump grids, which end past
+# the round trip of the horizon, (T + x0_plus + 2 + R)/2 plus a margin
 _OVERSIZE = [
     pytest.param(["confinement", "--x0", "-1.0", "--l", "100000", "--T", "1", "--x-max", "24"],
                  "l_list", id="confinement-oversize"),
     pytest.param(["bifurcation", "--x0-plus", "1", "--x0-minus", "-1", "--R", "3.5", "--l", "40",
-                  "--T", "1", "--x-max", "1000000"], "x_max", id="bifurcation-oversize"),
+                  "--T", "999990", "--x-max", "1000000"], "T_max", id="bifurcation-oversize"),
 ]
 
 
@@ -344,13 +345,19 @@ class TestExitCodes:
         assert capsys.readouterr().out
 
     def test_oversize_horizon_is_validation_error(self, tmp_path, capsys):
-        # 10^12 samples: numpy refuses the 7.28 TiB time array up front
-        code = run_cli(["confinement", "--x0", "-1", "--l", "20", "--T", "1000",
-                        "--dt", "1e-9", "--x-max", "3", "--out", str(tmp_path / "o")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: Unable to allocate 7.28 TiB")
-        assert err.count("\n") == 1 and "Traceback" not in err
+        # 10^12 samples: the planner refuses their 8 TB time array before any
+        # solve and before the output directory
+        for argv in (["confinement", "--x0", "-1", "--l", "20", "--x-max", "3"],
+                     ["bifurcation", "--x0-plus", "1", "--x0-minus", "-1", "--R", "3.5",
+                      "--l", "20", "--x-max", "1010"]):
+            out = tmp_path / argv[0]
+            code = run_cli([*argv, "--T", "1000", "--dt", "1e-9", "--out", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: config field 'dt': a sample step of 1e-09 up to "
+                                  "T_max = 1000 takes 1000000000001 samples")
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert not out.exists()
 
     def test_uncreatable_output_dir_is_validation_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -529,7 +536,7 @@ def stand_in_reports(monkeypatch, *reports):
     base = dict(tau=1.0, t_confinement=math.inf, times=np.zeros(2), ratio_E_R=np.ones(2),
                 duhamel_gap=np.zeros(2), f_norm=0.0, data_h_norm=1.0, half_bound_ok=True,
                 wall_ok=True, wall_buffer_max=0.0, energy_drift=0.0, grid=None,
-                csv_rows=lambda: [], le1_at=lambda T: 0.0)
+                csv_rows=lambda: [], le1_times=np.zeros(2), le1_at=lambda T: 0.0)
     it = iter([SimpleNamespace(**{**base, **{k: np.asarray(v) if isinstance(v, list) else v
                                              for k, v in kw.items()}}) for kw in reports])
     monkeypatch.setattr(evolve, "run_confinement", lambda *args, **kwargs: next(it))
@@ -621,6 +628,27 @@ class TestConfinementCommand:
             ratios.append(got["le1_ratio"])
         assert ratios[0] != ratios[1]
 
+    def test_le1_horizon_is_a_sample_time(self, tmp_path):
+        # a step that does not divide T: the samples end at t = 3 < T = 4, so
+        # the LE1 ratio is read at t = 3, the last LE1 sample
+        from warptrap import evolve, quasimode
+        from warptrap.geometry import WarpGeometry
+
+        out = tmp_path / "c"
+        assert run_cli(["confinement", "--x0", "-1.0", "--l", "14", "--T", "4", "--x-max", "8",
+                        "--dt", "3", "--out", str(out)]) == 0
+        got = json.loads((out / "confinement_summary.json").read_text())["per_l"]["14"]
+        geom = WarpGeometry.of(1, -1.0)
+        qm = quasimode.build_quasimode(geom, 14, quasimode.interval_grid(
+            geom, 14, evolve.EVOLUTION_H_PER_SIGMA))
+        rep = evolve.run_confinement(geom, qm, 4.0, 1.0, x_max=8.0, dt=3.0, causal="audited",
+                                     le1=True)
+        dbk = evolve.dbk_norm(evolve.data_field(geom, qm, rep.grid), 1)
+        assert got["le1_T"] == 3.0
+        assert got["le1_ratio"] == rep.le1_at(3.0) / dbk
+        with pytest.raises(ValueError, match="no LE1 sample reaches t = 4.0"):
+            rep.le1_at(4.0)
+
     @pytest.mark.filterwarnings("ignore:generator power")
     def test_largest_admissible_k_has_a_finite_graph_norm(self, tmp_path, capsys):
         out = tmp_path / "c"
@@ -659,6 +687,28 @@ class TestBifurcationCommand:
         passes = json.loads((out / "manifest.json").read_text())["passes"]
         assert passes == {"plus_side_decays": True, "minus_side_confines": True,
                           "wall_audit_minus": False}
+
+    def test_round_trip_prefix_matches_full_domain(self):
+        # each bump run solves the prefix of its grid on (x0, x_max) that ends
+        # past the round trip, (T + x0 + 2 + R)/2 plus the tail margin; its
+        # near energy agrees with the whole grid's to roundoff
+        import numpy as np
+
+        from warptrap import cli as cli_mod, evolve
+        from warptrap.spectral import Grid
+
+        cfg = ExperimentConfig(x0_plus=1.0, x0_minus=-1.0, R=3.5, l_list=[15], T_max=20.0,
+                               x_max=40.0)
+        bumps = cli_mod.plan_bifurcation(cfg).grids[:2]
+        for prefix in bumps:
+            x0 = prefix.x_left
+            # the grid of the same spacing on (x0, x_max), of which it is a prefix
+            full = Grid(x0, cfg.x_max, round((cfg.x_max - x0) / prefix.h) - 1)
+            assert abs(full.h - prefix.h) <= 1e-15
+            assert prefix.n_interior < full.n_interior / 2
+            _, er = evolve.er_history(cli_mod._bump_field(cfg.m, prefix), cfg.T_max, cfg.R)
+            _, er_full = evolve.er_history(cli_mod._bump_field(cfg.m, full), cfg.T_max, cfg.R)
+            assert np.max(np.abs(er / er[0] - er_full / er_full[0])) <= 1e-12
 
     @pytest.mark.parametrize("args, field, says", [
         (["--x0-plus", "1.0", "--R", "3.5"], "x0_minus", "trapped-side boundary"),
@@ -746,17 +796,19 @@ class TestImports:
 
         import warptrap
 
+        # the quasimode scan runs first: the audit's seeded Hardy corpus loads
+        # numpy.random, which the scan, started from a fixed vector, does not
         code = ("import sys, warptrap.cli\n"
-                "print(sorted({'scipy', 'sympy'} & set(sys.modules)))\n"
-                "import warptrap.multiplier\n"
-                "print('sympy' in sys.modules)\n"
-                "code = warptrap.cli.main(['multiplier-audit', '--x0', '1.0',\n"
-                f"                          '--out', {str(tmp_path / 'audit')!r}])\n"
-                "print('audit', code, 'sympy' in sys.modules)\n"
+                "print(sorted({'scipy', 'sympy', 'numpy.random'} & set(sys.modules)))\n"
                 "code = warptrap.cli.main(['quasimode', '--x0', '-1.0',\n"
                 "                          '--l', '20', '30', '40', '50', '60', '70',\n"
                 f"                          '--out', {str(tmp_path / 'qm')!r}])\n"
-                "print('quasimode', code, 'scipy' in sys.modules)\n")
+                "print('quasimode', code, sorted({'scipy', 'numpy.random'} & set(sys.modules)))\n"
+                "import warptrap.multiplier\n"
+                "print('multiplier', 'sympy' in sys.modules)\n"
+                "code = warptrap.cli.main(['multiplier-audit', '--x0', '1.0',\n"
+                f"                          '--out', {str(tmp_path / 'audit')!r}])\n"
+                "print('audit', code, 'sympy' in sys.modules)\n")
         # the child finds the package where this process found it
         src = str(Path(warptrap.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -766,9 +818,9 @@ class TestImports:
         assert res.returncode == 0, res.stderr
         lines = res.stdout.strip().splitlines()
         assert lines[0] == "[]"
-        assert lines[1] == "False"
-        assert "audit 0 False" in lines
-        assert lines[-1] == "quasimode 0 False"
+        assert "quasimode 0 []" in lines
+        assert "multiplier False" in lines
+        assert lines[-1] == "audit 0 False"
 
 
 class TestExceptionMapping:

@@ -249,32 +249,45 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _refuse_oversize(cfg: ExperimentConfig, grid: Grid, field_name: str, what: str) -> None:
-    """Refuse a run on ``grid`` whose full eigensolve's eigenvector matrix
-    alone, 8 n^2 bytes, or whose array of sample times up to T_max alone,
-    8 bytes a sample, exceeds physical memory."""
+def _refuse_oversize(grid: Grid, field_name: str, what: str) -> None:
+    """Refuse a full eigensolve on ``grid`` whose eigenvector matrix alone,
+    8 n^2 bytes, exceeds physical memory."""
     n = grid.n_interior
     need, have = 8 * n * n, _physical_memory()
     if need > have:
         raise ConfigError(field_name, f"{what} needs a full eigensolve on n = {n} nodes, "
                                       f"whose eigenvectors alone take {need / 1e9:.3g} GB "
                                       f"of the {have / 1e9:.3g} GB of physical memory")
-    step, samples = evolve.sample_count(cfg.T_max, cfg.dt, grid.h)
-    if 8 * samples > have:
+
+
+# float arrays of one entry a sample that an evolution run holds at once:
+# run_confinement's times, E_R, wall band, Duhamel gap and ratio_E_R
+_SAMPLE_ARRAYS = 5
+
+
+def _refuse_long_horizon(cfg: ExperimentConfig) -> None:
+    """Refuse a sample step dt whose round(T_max / dt) + 1 samples take more
+    than physical memory in the per-sample arrays alone, 8 bytes an entry.
+    The default step, at least T_max / 1000, takes at most 1001 samples."""
+    if cfg.dt is None:
+        return
+    step, samples = evolve.sample_count(cfg.T_max, cfg.dt, 0.0)
+    need, have = 8 * _SAMPLE_ARRAYS * samples, _physical_memory()
+    if need > have:
         raise ConfigError("dt", f"a sample step of {step:g} up to T_max = {cfg.T_max:g} takes "
-                                f"{samples} samples, whose times alone take "
-                                f"{8 * samples / 1e9:.3g} GB of the {have / 1e9:.3g} GB "
+                                f"{samples} samples, whose {_SAMPLE_ARRAYS} per-sample arrays "
+                                f"alone take {need / 1e9:.3g} GB of the {have / 1e9:.3g} GB "
                                 "of physical memory")
 
 
-def _evolution_grids(cfg: ExperimentConfig, geom: WarpGeometry, ls: list[int], wall: float,
+def _evolution_grids(geom: WarpGeometry, ls: list[int], wall: float,
                      domain: str) -> tuple[list[Grid], tuple[Grid, ...]]:
     """Each degree's interval grid of the evolution spacing rule, and its
     extension to the wall, the grid of its full solve, refused if too large."""
     intervals = [qmod.interval_grid(geom, l, evolve.EVOLUTION_H_PER_SIGMA) for l in ls]
     grids = tuple(grid.extended(wall) for grid in intervals)
     for l, grid in zip(ls, grids):
-        _refuse_oversize(cfg, grid, "l_list", f"degree {l} on {domain}")
+        _refuse_oversize(grid, "l_list", f"degree {l} on {domain}")
     return intervals, grids
 
 
@@ -358,7 +371,8 @@ def plan_confinement(cfg: ExperimentConfig) -> Plan:
     if cfg.R >= cfg.x_max:
         raise ConfigError("R", f"confinement needs R < x_max = {cfg.x_max:g}, inside the "
                                "evolution domain")
-    intervals, grids = _evolution_grids(cfg, geom, ls, cfg.x_max, "(x0, x_max)")
+    _refuse_long_horizon(cfg)
+    intervals, grids = _evolution_grids(geom, ls, cfg.x_max, "(x0, x_max)")
     bound = max(qmod.mode_operator(geom, l, grid).norm_bound for l, grid in zip(ls, grids))
     # the graph norm forms lambda^(k+1) for eigenvalues up to the bound
     k_max = math.floor(math.log(sys.float_info.max) / math.log(bound)) - 1
@@ -495,15 +509,16 @@ def plan_bifurcation(cfg: ExperimentConfig) -> Plan:
     if cfg.T_max > budget:
         raise ConfigError("T_max", "horizon exceeds the causality budget "
                                    f"x_max - support = {budget:g}")
+    _refuse_long_horizon(cfg)
     bumps = []
     for x0 in (cfg.x0_plus, cfg.x0_minus):
         grid, field_name = _bump_grid(cfg, x0)
-        _refuse_oversize(cfg, grid, field_name,
+        _refuse_oversize(grid, field_name,
                          f"the bump run on (x0={x0:g}, {grid.x_right:g})")
         bumps.append(grid)
     geom = WarpGeometry.of(cfg.m, cfg.x0_minus)
     (interval,), grids = _evolution_grids(
-        cfg, geom, [l_qm], wall, f"(x0_minus, min(x_max, x0_minus + {_TRAPPED_SPAN:g}))")
+        geom, [l_qm], wall, f"(x0_minus, min(x_max, x0_minus + {_TRAPPED_SPAN:g}))")
     return Plan(geom, (_quasimode(geom, l_qm, interval),), wall, (*bumps, *grids))
 
 

@@ -279,9 +279,13 @@ class EvolutionReport:
         return rows
 
     def _le1_on_times(self) -> np.ndarray:
-        if self.le1_running is None:
-            return np.full(self.times.shape, math.nan)
-        return np.interp(self.times, self.le1_times, self.le1_running)
+        """The running LE1 at each sample time, interpolated between its
+        samples; nan past the last LE1 sample, or without the LE1 pass."""
+        le1 = np.full(self.times.shape, math.nan)
+        if self.le1_running is not None:
+            reached = self.times <= self.le1_times[-1]
+            le1[reached] = np.interp(self.times[reached], self.le1_times, self.le1_running)
+        return le1
 
     def le1_at(self, T: float) -> float:
         """The running LE1 at time T, interpolated between its samples; a T
@@ -476,15 +480,18 @@ def data_field(geom: WarpGeometry, qm: Quasimode, grid_ext: Grid) -> ModeState:
 def _energy_drift(mode: ModeState, dt: float, m: int) -> float:
     """Largest relative deviation, over the m sample times dt * j, of the
     energy recomputed from full-grid values from the conserved spectral
-    energy: an independent check on conservation, one reconstruction for
-    all."""
+    energy: an independent check on conservation, reconstructed TILE
+    samples at a time."""
     prop = mode.prop
     E = mode.energy_spectral()
-    WW = prop.from_spectral(_phase_block(mode.c_plus, mode.c_minus, prop.omega, 0.0, dt, m))
     drift = 0.0
-    for w, wt in zip(WW[:, :m].T, WW[:, m:].T):
-        e = 0.5 * (prop.op.quad_form(w) + prop.h * float(np.sum(np.abs(wt) ** 2)))
-        drift = max(drift, abs(e - E) / E)
+    for j0 in range(0, m, TILE):
+        k = min(TILE, m - j0)
+        WW = prop.from_spectral(
+            _phase_block(mode.c_plus, mode.c_minus, prop.omega, j0 * dt, dt, k))
+        for w, wt in zip(WW[:, :k].T, WW[:, k:].T):
+            e = 0.5 * (prop.op.quad_form(w) + prop.h * float(np.sum(np.abs(wt) ** 2)))
+            drift = max(drift, abs(e - E) / E)
     return drift
 
 

@@ -4,9 +4,9 @@ and the dyadic shells of the space-time norms.
 The second derivative is the standard 3-point stencil, so every radial
 operator -d^2/dx^2 + V is a symmetric tridiagonal matrix.  The lowest
 pair (``lowest_pair``, one per quasimode) comes from bisection on the
-pivots of T - s I plus inverse iteration in numpy, which loads no scipy;
-the full spectrum (``eigen_full``) from LAPACK's MRRR (stemr) through
-``scipy.linalg.eigh_tridiagonal``, imported at the first full solve.
+pivots of T - s I plus inverse iteration in numpy; the full spectrum
+(``eigen_full``) from LAPACK's MRRR (stemr), called through ctypes in
+the OpenBLAS bundled with numpy, so no run loads scipy or a second BLAS.
 Every pair is then quadrature-normalized and held to the residual gate
 1e-10 * max|diag|; an eigenvector keeps the sign its solver gives it,
 which no output reads.  Quadrature is the midpoint-weight sum
@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -240,11 +241,9 @@ def lowest_pair(op: TridiagonalOperator) -> tuple[float, np.ndarray]:
     here has off-diagonal -1/h^2 < 0, so its lowest eigenvector has one
     sign and a positive start always overlaps it.  The
     recurrences are plain Python loops: at the sizes solved here (n up to
-    a few thousand) they cost less than loading LAPACK through scipy.
+    a few thousand) a solve takes under 10 ms.
     """
-    if not math.isfinite(op.norm_bound):
-        raise EigensolverError(
-            f"operator {op.potential_id!r} (n={op.n}) has a non-finite entry")
+    _refuse_non_finite(op)
     d, e = op.diag.tolist(), op.offdiag
     e2 = e * e
     width = 2.0 * sys.float_info.epsilon * op.norm_bound
@@ -265,18 +264,85 @@ def lowest_pair(op: TridiagonalOperator) -> tuple[float, np.ndarray]:
     return value, v
 
 
+def _refuse_non_finite(op: TridiagonalOperator) -> None:
+    """Raise ``EigensolverError`` for an operator with a NaN or infinite entry."""
+    if not math.isfinite(op.norm_bound):
+        raise EigensolverError(
+            f"operator {op.potential_id!r} (n={op.n}) has a non-finite entry")
+
+
+def _bundled_openblas() -> list[Path]:
+    """Paths of the ILP64 OpenBLAS bundled with numpy, which numpy has
+    already loaded: ``numpy.libs/`` holds it in Linux and Windows wheels,
+    ``numpy/.dylibs/`` in macOS ones."""
+    root = Path(np.__file__).parent
+    return sorted([*root.parent.glob("numpy.libs/libscipy_openblas64_*"),
+                   *root.glob(".dylibs/libscipy_openblas64_*")])
+
+
+_DSTEMR = None
+
+
+def _lapacke_dstemr():
+    """``LAPACKE_dstemr`` of numpy's bundled OpenBLAS, bound once."""
+    global _DSTEMR
+    if _DSTEMR is None:
+        import ctypes
+
+        found = _bundled_openblas()
+        if len(found) != 1:
+            raise EigensolverError(
+                f"expected one libscipy_openblas64_ library bundled with numpy "
+                f"{np.__version__}, found {len(found)}")
+        try:
+            fn = ctypes.CDLL(str(found[0])).scipy_LAPACKE_dstemr64_
+        except (OSError, AttributeError) as exc:
+            raise EigensolverError(f"no LAPACKE dstemr in {found[0].name}: {exc}") from exc
+        vec = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+        mat = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS")
+        ints = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+        i64, f64, char = ctypes.c_int64, ctypes.c_double, ctypes.c_char
+        # (layout, jobz, range, n, d, e, vl, vu, il, iu, m, w, z, ldz, nzc,
+        #  isuppz, tryrac); lapack_int and lapack_logical are 64-bit
+        fn.argtypes = [ctypes.c_int, char, char, i64, vec, vec, f64, f64, i64, i64,
+                       ints, vec, mat, i64, i64, ints, ints]
+        fn.restype = i64
+        _DSTEMR = fn
+    return _DSTEMR
+
+
+def _stemr(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenpairs of the symmetric tridiagonal (d, e) by LAPACK's MRRR
+    (``dstemr``, Dhillon & Parlett 2004): ascending eigenvalues and the
+    F-ordered matrix of unit eigenvector columns.  Copies of d and e go to
+    LAPACK, which overwrites them; a failed solve raises
+    ``EigensolverError``."""
+    n = d.size
+    d_work = np.array(d, dtype=np.float64)
+    e_work = np.zeros(n)  # stemr reads e[:n - 1] and uses e[n - 1] as workspace
+    e_work[:-1] = e
+    m, tryrac = np.zeros(1, np.int64), np.ones(1, np.int64)
+    isuppz = np.empty(2 * n, np.int64)
+    w = np.empty(n)
+    z = np.empty((n, n), order="F")
+    info = _lapacke_dstemr()(102, b"V", b"A", n, d_work, e_work, 0.0, 0.0, 0, 0,
+                             m, w, z, n, n, isuppz, tryrac)
+    if info != 0 or m[0] != n:
+        raise EigensolverError(f"dstemr returned info={info} with {m[0]} of {n} pairs")
+    return w, z
+
+
 def eigen_full(op: TridiagonalOperator) -> tuple[np.ndarray, np.ndarray]:
     """Complete spectrum and h-orthonormal eigenvector matrix (columns),
-    from LAPACK's MRRR (stemr).
+    from LAPACK's MRRR (stemr) in the OpenBLAS that numpy loads.
 
-    scipy is imported here rather than with the module: commands that
-    never solve a full spectrum do not pay for loading LAPACK.
+    An operator with a non-finite entry, a failed solve or a missing
+    library raises ``EigensolverError`` naming the operator.
     """
-    from scipy.linalg import LinAlgError, eigh_tridiagonal
-
+    _refuse_non_finite(op)
     try:
-        vals, vecs = eigh_tridiagonal(op.diag, op.offdiag_vector(), lapack_driver="stemr")
-    except LinAlgError as exc:
+        vals, vecs = _stemr(op.diag, op.offdiag_vector())
+    except EigensolverError as exc:
         raise EigensolverError(
             f"LAPACK eigensolver failed for operator {op.potential_id!r} (n={op.n}): {exc}"
         ) from exc

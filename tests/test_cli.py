@@ -663,6 +663,21 @@ class TestConfinementCommand:
         with pytest.raises(ValueError, match="no LE1 sample reaches t = 4.0"):
             rep.le1_at(4.0)
 
+    def test_le1_column_ends_at_the_last_le1_sample(self, tmp_path):
+        # 1,002 samples at LE1 stride 2: the last LE1 sample is t = 10, and
+        # the row at t = 10.01 past it has no LE1
+        out = tmp_path / "c"
+        assert run_cli(["confinement", "--x0", "-1.0", "--l", "14", "--T", "10.01",
+                        "--dt", "0.01", "--x-max", "12", "--out", str(out)]) == 0
+        lines = (out / "evolution_l14.csv").read_text().splitlines()
+        cols = lines[3].split(",")
+        le1 = [(float(r.split(",")[0]), r.split(",")[cols.index("LE1_running")])
+               for r in lines[4:]]
+        assert len(le1) == 1002
+        assert le1[-1] == (10.01, "nan")
+        assert le1[-2][0] == 10.0 and all(math.isfinite(float(v)) for _, v in le1[:-1])
+        assert float(le1[-2][1]) > float(le1[-3][1])
+
     @pytest.mark.filterwarnings("ignore:generator power")
     def test_largest_admissible_k_has_a_finite_graph_norm(self, tmp_path, capsys):
         out = tmp_path / "c"
@@ -802,8 +817,8 @@ class TestImports:
     def test_cli_loads_neither_scipy_nor_sympy(self, tmp_path):
         # every CLI run pays for what importing the entry point loads; the
         # multiplier audit is closed-form numpy and loads no sympy either,
-        # and the quasimode scan solves its lowest pairs in numpy, so only a
-        # full spectrum loads LAPACK through scipy
+        # the quasimode scan solves its lowest pairs in numpy, and a full
+        # spectrum calls LAPACK in numpy's own OpenBLAS
         import os
         import subprocess
         import sys
@@ -822,7 +837,11 @@ class TestImports:
                 "print('multiplier', 'sympy' in sys.modules)\n"
                 "code = warptrap.cli.main(['multiplier-audit', '--x0', '1.0',\n"
                 f"                          '--out', {str(tmp_path / 'audit')!r}])\n"
-                "print('audit', code, sorted({'scipy', 'sympy'} & set(sys.modules)))\n")
+                "print('audit', code, sorted({'scipy', 'sympy'} & set(sys.modules)))\n"
+                "code = warptrap.cli.main(['confinement', '--x0', '-1.0', '--l', '20',\n"
+                "                          '--T', '1', '--x-max', '3',\n"
+                f"                          '--out', {str(tmp_path / 'conf')!r}])\n"
+                "print('confinement', code, 'scipy' in sys.modules)\n")
         # the child finds the package where this process found it
         src = str(Path(warptrap.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -834,7 +853,8 @@ class TestImports:
         assert lines[0] == "[]"
         assert "quasimode 0 []" in lines
         assert "multiplier False" in lines
-        assert lines[-1] == "audit 0 []"
+        assert "audit 0 []" in lines
+        assert lines[-1] == "confinement 0 False"
 
 
 class TestExceptionMapping:
@@ -885,18 +905,52 @@ class TestExceptionMapping:
 
     def test_eigensolver_error_is_exit_three(self, tmp_path, capsys, monkeypatch):
         # LAPACK solves the full spectrum of the evolved mode
-        import scipy.linalg as sla
+        from warptrap import spectral
+        from warptrap.spectral import EigensolverError
 
-        def fail(*args, **kwargs):
-            raise sla.LinAlgError("2 eigenvectors failed to converge")
+        def fail(d, e):
+            raise EigensolverError(f"dstemr returned info=2 with 0 of {d.size} pairs")
 
-        monkeypatch.setattr(sla, "eigh_tridiagonal", fail)
+        monkeypatch.setattr(spectral, "_stemr", fail)
         code = run_cli(["confinement", "--x0", "-1.0", "--l", "20", "--T", "1",
                         "--x-max", "3", "--out", str(tmp_path / "e")])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("convergence failure: LAPACK eigensolver failed")
         assert err.count("\n") == 1
+
+    def test_missing_lapack_library_is_exit_three(self, tmp_path, capsys, monkeypatch):
+        from warptrap import spectral
+
+        monkeypatch.setattr(spectral, "_DSTEMR", None)
+        monkeypatch.setattr(spectral, "_bundled_openblas", lambda: [])
+        code = run_cli(["confinement", "--x0", "-1.0", "--l", "20", "--T", "1",
+                        "--x-max", "3", "--out", str(tmp_path / "e")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("convergence failure: LAPACK eigensolver failed")
+        assert "expected one libscipy_openblas64_" in err and err.count("\n") == 1
+
+    def test_non_finite_mode_operator_is_exit_three(self, tmp_path, capsys, monkeypatch):
+        # the evolution grid's operator, which only the full solve reads
+        from warptrap import evolve
+        from warptrap.spectral import TridiagonalOperator
+
+        build = evolve.mode_operator
+
+        def with_nan(geom, l, grid):
+            op = build(geom, l, grid)
+            diag = op.diag.copy()
+            diag[len(diag) // 2] = float("nan")
+            return TridiagonalOperator(op.grid, diag, op.offdiag, op.potential_id)
+
+        monkeypatch.setattr(evolve, "mode_operator", with_nan)
+        code = run_cli(["confinement", "--x0", "-1.0", "--l", "20", "--T", "1",
+                        "--x-max", "3", "--out", str(tmp_path / "e")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("convergence failure: operator 'V_l(m=1, x0=-1.0, l=20)'")
+        assert "non-finite entry" in err and err.count("\n") == 1
 
     def test_non_finite_operator_is_exit_three(self, tmp_path, capsys, monkeypatch):
         from warptrap import quasimode as qmod

@@ -498,6 +498,29 @@ class TestConfinement:
         assert rep.energy_drift == pytest.approx(max(checked), rel=1e-9)
         assert rep.energy_drift < 0.9 * drift(rep.times[-1])
 
+    def test_energy_drift_tiles_match_one_block(self, geom_m1_trapped, monkeypatch):
+        # every sample checked, so the drift reconstructs more than TILE
+        # samples, a tile at a time; damping makes the drift grow with time,
+        # so a tile at the wrong times would move it
+        monkeypatch.setattr(evolve, "_DRIFT_STRIDE", 1)
+        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120))
+        grid_ext = qm.grid.extended(5.0)
+        prop = evolve.get_propagator(geom_m1_trapped, 12, grid_ext)
+        monkeypatch.setattr(prop, "omega", prop.omega * (1.0 - 1e-7j))
+        rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=15.0, R=1.0, x_max=5.0,
+                                     dt=0.1, causal="audited")
+        m = rep.times.size
+        assert m > 2 * TILE
+        mode = evolve.data_field(geom_m1_trapped, qm, grid_ext)
+        E = mode.energy_spectral()
+        WW = prop.from_spectral(
+            evolve._phase_block(mode.c_plus, mode.c_minus, prop.omega, 0.0, 0.1, m))
+        one_block = max(
+            abs(0.5 * (prop.op.quad_form(w) + prop.h * float(np.sum(np.abs(wt) ** 2))) - E) / E
+            for w, wt in zip(WW[:, :m].T, WW[:, m:].T))
+        assert one_block > 1e-6
+        assert abs(rep.energy_drift - one_block) <= 1e-14
+
     def test_tiled_passes_peak_memory(self, geom_m1_trapped):
         # with the propagator cached, a run holds tile-sized temporaries:
         # 0.80 x 8n^2 with 256-sample blocks, about 0.3 x 8n^2 with 64

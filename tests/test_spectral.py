@@ -158,15 +158,49 @@ class TestEigenOracles:
             assert count == int(np.sum(vals < lam))
 
     def test_lapack_failure_is_eigensolver_error(self, monkeypatch):
-        import scipy.linalg as sla
+        def fail(d, e):
+            raise EigensolverError("dstemr returned info=2 with 0 of 9 pairs")
 
-        def fail(*args, **kwargs):
-            raise sla.LinAlgError("2 eigenvectors failed to converge")
-
-        monkeypatch.setattr(sla, "eigh_tridiagonal", fail)
+        monkeypatch.setattr(spectral, "_stemr", fail)
         op = build_operator(Grid(0.0, 1.0, 9), lambda x: 0.0 * x, potential_id="flat")
         with pytest.raises(EigensolverError, match=r"'flat' \(n=9\)"):
             eigen_full(op)
+
+    @pytest.mark.parametrize("info, found", [(2, 0), (0, 8)], ids=["info", "short"])
+    def test_lapack_report_is_checked(self, monkeypatch, info, found):
+        # a nonzero info, or fewer pairs than rows, is a failed solve
+        def fake(*args):
+            args[10][0] = found
+            return info
+
+        monkeypatch.setattr(spectral, "_DSTEMR", fake)
+        op = build_operator(Grid(0.0, 1.0, 9), lambda x: 0.0 * x, potential_id="flat")
+        with pytest.raises(EigensolverError,
+                           match=rf"'flat' \(n=9\): dstemr returned info={info} with {found} of 9"):
+            eigen_full(op)
+
+    def test_missing_library_is_eigensolver_error(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_DSTEMR", None)
+        monkeypatch.setattr(spectral, "_bundled_openblas", lambda: [])
+        op = build_operator(Grid(0.0, 1.0, 9), lambda x: 0.0 * x, potential_id="flat")
+        with pytest.raises(EigensolverError,
+                           match=r"'flat' \(n=9\): expected one libscipy_openblas64_"):
+            eigen_full(op)
+
+    def test_non_finite_operator_is_eigensolver_error(self):
+        diag = np.full(9, 2.0)
+        diag[4] = np.nan
+        op = TridiagonalOperator(Grid(0.0, 1.0, 9), diag, -1.0, "holed")
+        with pytest.raises(EigensolverError, match=r"'holed' \(n=9\) has a non-finite entry"):
+            eigen_full(op)
+
+    def test_operator_left_unchanged(self):
+        # LAPACK overwrites its d and e, so it is handed copies
+        geom = WarpGeometry.of(1, -1.0)
+        op = build_operator(Grid(-1.0, 6.0, 300), lambda x: geom.potential(9, x))
+        diag = op.diag.copy()
+        eigen_full(op)
+        assert np.array_equal(op.diag, diag)
 
     @pytest.mark.parametrize("c", [0.0, 12.0], ids=["zero", "flat_warp_l3"])
     def test_constant_potential_shifts_laplacian(self, c):
@@ -241,8 +275,8 @@ class TestEigenFull:
 
 
 def whole_matrix_pairs(op):
-    """Reference post-processing on the whole eigenvector matrix at once:
-    quadrature normalisation of LAPACK's columns."""
+    """Independent reference: scipy's own stemr call, then quadrature
+    normalisation of its columns on the whole matrix at once."""
     import scipy.linalg as sla
 
     vals, vecs = sla.eigh_tridiagonal(op.diag, op.offdiag_vector(), lapack_driver="stemr")
@@ -268,9 +302,7 @@ class TestBlockedSolve:
             assert np.array_equal(vecs, ref_vecs)
 
     def test_corrupted_column_in_later_block_is_named(self, monkeypatch):
-        import scipy.linalg as sla
-
-        solve = sla.eigh_tridiagonal
+        solve = spectral._stemr
         # one column in the second block and the last one, in the short block
         bad = [spectral.TILE + 7, self.N - 1]
         seen = []
@@ -281,7 +313,7 @@ class TestBlockedSolve:
             seen.append((vals[bad], vecs[:, bad].copy()))
             return vals, vecs
 
-        monkeypatch.setattr(sla, "eigh_tridiagonal", corrupt)
+        monkeypatch.setattr(spectral, "_stemr", corrupt)
         op = self.op()
         with pytest.raises(EigensolverError,
                            match=rf"for indices \[{bad[0]}, {bad[1]}\] of 'blk'") as err:
@@ -296,16 +328,14 @@ class TestBlockedSolve:
     def test_nan_column_is_named(self, monkeypatch):
         # a NaN residual compares false with the limit, so the gate must
         # refuse every residual not known to lie at or below it
-        import scipy.linalg as sla
-
-        solve = sla.eigh_tridiagonal
+        solve = spectral._stemr
 
         def corrupt(*args, **kwargs):
             vals, vecs = solve(*args, **kwargs)
             vecs[100, 70] = np.nan
             return vals, vecs
 
-        monkeypatch.setattr(sla, "eigh_tridiagonal", corrupt)
+        monkeypatch.setattr(spectral, "_stemr", corrupt)
         geom = WarpGeometry.of(1, -1.0)
         op = build_operator(Grid(-1.0, 8.0, 200), lambda x: geom.potential(7, x), "nan")
         with pytest.raises(EigensolverError, match=r"for indices \[70\] of 'nan'"):

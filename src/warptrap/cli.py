@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import time
 import types
@@ -149,15 +150,22 @@ class OutputCollector:
         self.files: list[str] = []
         self.passes: dict[str, bool] = {}
 
-    def write_csv(self, name: str, columns: list[str], rows: list[list]) -> Path:
+    def write_csv(self, name: str, header: list[str], columns: list) -> Path:
+        """Write a CSV artifact from its columns, sequences of one length
+        (arrays or lists), ``_CSV_BLOCK`` rows at a time, so that only one
+        block of cell strings is alive.  A cell is ``str(_jsonable(v))``: a
+        numpy scalar is written as the plain number, and a non-finite
+        float as inf, -inf or nan."""
         path = self.dir / name
+        rows = len(columns[0]) if columns else 0
         with open(path, "w") as fh:
             fh.write(f"# schema_version={SCHEMA_VERSION}\n")
             fh.write(f"# command={self.command}\n")
             fh.write(f"# config={self.config.echo()}\n")
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(str(_jsonable(v)) for v in row) + "\n")
+            fh.write(",".join(header) + "\n")
+            for i in range(0, rows, _CSV_BLOCK):
+                cells = [map(str, _jsonable(col[i:i + _CSV_BLOCK])) for col in columns]
+                fh.writelines(",".join(row) + "\n" for row in zip(*cells))
         self.files.append(name)
         return path
 
@@ -200,6 +208,10 @@ class OutputCollector:
             json.dump(_jsonable(manifest), fh, sort_keys=True, indent=1, allow_nan=False)
             fh.write("\n")
         return path
+
+
+# rows per block of a CSV artifact's cell strings
+_CSV_BLOCK = 4096
 
 
 def _jsonable(o):
@@ -314,7 +326,7 @@ def plan_quasimode(cfg: ExperimentConfig) -> Plan:
 def cmd_quasimode(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> None:
     qms = plan.qms
     out.write_csv("quasimodes.csv", qmod.QUASIMODE_CSV_COLUMNS,
-                  qmod.quasimode_csv_rows(qms))
+                  list(zip(*qmod.quasimode_csv_rows(qms))))
     fits = {}
     fit_ok = True
     for quantity in ("residual_h0", "residual_h1", "residual_h2", "agmon"):
@@ -337,7 +349,7 @@ def cmd_quasimode(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> No
              math.log10(max(q.agmon_ratio, 1e-300))] for q in qms]
     out.write_csv("decay_curves.dat",
                   ["l", "sigma", "tau", "log10_r0", "log10_r1", "log10_r2", "log10_tail"],
-                  rows)
+                  list(zip(*rows)))
     out.write_text("decay_curves.gp", _GNUPLOT_SCRIPT)
 
 
@@ -394,7 +406,7 @@ def cmd_confinement(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> 
         le1_T = min(rep.t_confinement, cfg.T_max, float(rep.le1_times[-1]))
         # the data state is a propagator-cache hit, released before the next solve
         dbk = evolve.dbk_norm(evolve.data_field(plan.geom, qm, rep.grid), cfg.k)
-        out.write_csv(f"evolution_l{l}.csv", evolve.EVOLUTION_CSV_COLUMNS, rep.csv_rows())
+        out.write_csv(f"evolution_l{l}.csv", evolve.EVOLUTION_CSV_COLUMNS, rep.csv_columns())
         summary[str(l)] = {
             "tau": rep.tau,
             "t_confinement": rep.t_confinement,
@@ -528,14 +540,12 @@ def cmd_bifurcation(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> 
     for tag, grid in zip(("plus", "minus"), plan.grids):
         times, er = evolve.er_history(_bump_field(cfg.m, grid), cfg.T_max, cfg.R, dt=cfg.dt)
         curves[f"bump_{tag}"] = (times, er / er[0])
-        out.write_csv(f"er_bump_{tag}.csv", ["t", "ratio_E_R"],
-                      [[t, r] for t, r in zip(times, er / er[0])])
+        out.write_csv(f"er_bump_{tag}.csv", ["t", "ratio_E_R"], curves[f"bump_{tag}"])
 
     # trapped-side quasimode run (audited wall on its own compact domain)
     rep = evolve.run_confinement(plan.geom, qm, cfg.T_max, cfg.R, x_max=plan.wall,
                                  dt=cfg.dt, causal="audited")
-    out.write_csv("er_quasimode_minus.csv", ["t", "ratio_E_R"],
-                  [[t, r] for t, r in zip(rep.times, rep.ratio_E_R)])
+    out.write_csv("er_quasimode_minus.csv", ["t", "ratio_E_R"], [rep.times, rep.ratio_E_R])
 
     plus_final = float(curves["bump_plus"][1][-1])
     qm_final = float(rep.ratio_E_R.min())
@@ -593,7 +603,7 @@ def cmd_multiplier_audit(cfg: ExperimentConfig, plan: Plan, out: OutputCollector
                  HARDY_FROZEN_BOUND - worst, "", ok_h])
 
     out.write_csv("multiplier_checks.csv",
-                  ["check", "params", "lhs", "rhs", "gap", "order", "passed"], rows)
+                  ["check", "params", "lhs", "rhs", "gap", "order", "passed"], list(zip(*rows)))
     out.write_json("multiplier_summary.json", {
         "delta": delta,
         "hardy_worst": worst,
@@ -614,7 +624,14 @@ HARDY_FROZEN_BOUND = 0.134
 
 class _Parser(argparse.ArgumentParser):
     """argparse raising its usage errors instead of exiting 2, the exit code
-    of a failed check; ``main`` reports them as validation errors."""
+    of a failed check; ``main`` reports them as validation errors.  A
+    negative number is a value, not an option, also in exponent form: the
+    pattern argparse uses before Python 3.13 takes -1 and -.5 but not
+    -1e-0."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise argparse.ArgumentError(None, message)

@@ -10,8 +10,11 @@ The geometry is rotationally symmetric, so a state, ``ModeState``, is
 one mode, and every reduction over time samples consumes one pass over
 them, ``_sweep``: the confinement run, the near-energy history, the
 space-time norms and the local-energy audit of the nontrapping side.
-This module alone knows the layout of a sweep block, the packed [a | b]
-phase rows and the raw product the energy-density kernel reads.
+This module alone knows the two layouts of a sweep block and the raw
+product the energy-density kernel reads: the packed complex [a | b]
+phase rows of any state, four real GEMM rows a sample, and for a
+standing wave (v, -i tau v) with v real, the quasimode data, the real
+[cos | sin / omega] rows, two a sample.
 
 Domain truncation policy.  Every run names its wall X_max.  A run is
 causally exact when the wall sits beyond the range any energy can
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,24 +73,28 @@ _WALL_TOL = 1e-4
 
 
 def _raw_product(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M @ X for real M and complex (n, k) X, as the real (2k, rows) array
-    whose rows 2j and 2j + 1 are the real and imaginary parts of column j.
+    """M @ X for real M (rows, n) and an (n, k) X, as the real product
+    X_r^T M^T, one row per real column of X_r.
 
-    A C-ordered complex (n, k) block viewed as float64 is the real (n, 2k)
-    matrix X_r of interleaved real and imaginary columns, so one real GEMM
-    gives the complex product, with no complex copy of M and no split or
-    recombined parts.  The GEMM is X_r^T M^T, with M as the right-hand
+    A real float64 X is X_r itself, so the result is (k, rows).  A
+    C-ordered complex X viewed as float64 is the real (n, 2k) matrix X_r of
+    interleaved real and imaginary columns, so one real GEMM gives the
+    complex product as (2k, rows), whose rows 2j and 2j + 1 are the real
+    and imaginary parts of column j, with no complex copy of M and no split
+    or recombined parts.  The GEMM is X_r^T M^T, with M as the right-hand
     operand: for a large M and a narrow block it runs at full BLAS speed,
     where M @ X_r does not.
     """
-    Xr = np.ascontiguousarray(X.reshape(X.shape[0], -1), dtype=complex).view(np.float64)
-    return Xr.T @ M.T
+    X = X.reshape(X.shape[0], -1)
+    if X.dtype != np.float64:
+        X = np.ascontiguousarray(X, dtype=complex).view(np.float64)
+    return X.T @ M.T
 
 
 def _real_matmul(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     """M @ X for real M and complex X: the raw product copied back into
     complex order."""
-    out = np.ascontiguousarray(_raw_product(M, X).T).view(complex)
+    out = np.ascontiguousarray(_raw_product(M, X.astype(complex, copy=False)).T).view(complex)
     return out.reshape(M.shape[0], *X.shape[1:])
 
 
@@ -154,12 +161,15 @@ class ModeState:
 
     c_plus rotates with phase exp(-i omega t), c_minus with the opposite
     phase; their sum is the coefficient vector of w and their weighted
-    difference that of dt w.
+    difference that of dt w.  ``standing_tau`` is tau for a standing wave,
+    data (v, -i tau v) with v real as ``data_field`` builds it, and None
+    for any other data; it picks the layout of the sweep's blocks.
     """
 
     prop: ModePropagator
     c_plus: np.ndarray
     c_minus: np.ndarray
+    standing_tau: float | None = None
 
     @classmethod
     def from_grid_data(cls, prop: ModePropagator, w0: np.ndarray, w1: np.ndarray) -> "ModeState":
@@ -270,13 +280,11 @@ class EvolutionReport:
     grid: Grid
     tau: float
 
-    def csv_rows(self) -> list[list]:
-        le1 = self._le1_on_times()
-        rows = []
-        for i, t in enumerate(self.times):
-            rows.append([t, self.E, self.E_R[i], self.ratio_E_R[i],
-                         le1[i], self.duhamel_gap[i]])
-        return rows
+    def csv_columns(self) -> list[np.ndarray]:
+        """The columns of ``EVOLUTION_CSV_COLUMNS``, one entry a sample; the
+        constant E is a broadcast view, holding no per-sample memory."""
+        return [self.times, np.broadcast_to(self.E, self.times.shape), self.E_R,
+                self.ratio_E_R, self._le1_on_times(), self.duhamel_gap]
 
     def _le1_on_times(self) -> np.ndarray:
         """The running LE1 at each sample time, interpolated between its
@@ -301,23 +309,31 @@ class EvolutionReport:
 EVOLUTION_CSV_COLUMNS = ["t", "E", "E_R", "ratio_E_R", "LE1_running", "duhamel_gap"]
 
 
+def _phase_tables(omega, t0, dt, m):
+    """The phases exp(-i omega t) at the m times t = t0 + dt * (8 q + r),
+    as two tables whose products give every one: (n, ceil(m/8)) over q and
+    (n, min(m, 8)) over r, so a tile takes n * (ceil(m/8) + 8) exponentials
+    instead of n * m."""
+    iw = -1j * omega
+    coarse = np.exp(np.multiply.outer(iw, t0 + 8.0 * dt * np.arange((m + 7) // 8)))
+    fine = np.exp(np.multiply.outer(iw, dt * np.arange(min(m, 8))))
+    return coarse, fine
+
+
 def _phase_block(cp, cm, omega, t0, dt, m):
     """Coefficient matrices of w and dt w at the m times t0 + dt * j, packed
-    side by side as [a(t) | b(t)] in one (n, 2m) array, so that a single
-    ``from_spectral`` call reconstructs both.
+    side by side as [a(t) | b(t)] in one complex (n, 2m) array, so that a
+    single GEMM reconstructs both: the four-row layout, four real rows per
+    sample in the raw product.
 
-    The phase exp(-i omega (t0 + dt (8 q + r))) is the product of an
-    n x ceil(m/8) table over q and an n x 8 table over r, so a tile takes
-    n * (ceil(m/8) + 8) exponentials instead of n * m.  The cp- and
-    cm-weighted half waves P and M of each 8-column group are formed in two
-    n x 8 buffers, and a = P + M, b = -i omega (P - M) are written straight
-    into the packed array.
+    The cp- and cm-weighted half waves P and M of each 8-column group of
+    ``_phase_tables`` are formed in two n x 8 buffers, and a = P + M,
+    b = -i omega (P - M) are written straight into the packed array.
     """
     n = omega.size
     AB = np.empty((n, 2 * m), complex)
     iw = -1j * omega
-    coarse = np.exp(np.multiply.outer(iw, t0 + 8.0 * dt * np.arange((m + 7) // 8)))
-    fine = np.exp(np.multiply.outer(iw, dt * np.arange(min(m, 8))))
+    coarse, fine = _phase_tables(omega, t0, dt, m)
     cp_q = cp[:, None] * coarse
     cm_q = cm[:, None] * coarse.conj()
     fine_m = fine.conj()
@@ -333,6 +349,31 @@ def _phase_block(cp, cm, omega, t0, dt, m):
     return AB
 
 
+def _standing_block(alpha, omega, t0, dt, m):
+    """The real (n, 2m) array [cos(omega t) alpha | sin(omega t) alpha / omega]
+    at the m times t0 + dt * j, for the standing wave of coefficients alpha:
+    the two-row layout, whose GEMM gives X = Re w and Y = -Im w / tau.
+
+    Its phases are the products of the ``_phase_tables`` of the four-row
+    layout, weighted by alpha and alpha / omega, 8 columns at a time, so
+    both layouts round every phase angle alike.
+    """
+    n = omega.size
+    G = np.empty((n, 2 * m))
+    coarse, fine = _phase_tables(omega, t0, dt, m)
+    A = alpha[:, None] * coarse
+    B = (alpha / omega)[:, None] * coarse
+    P = np.empty_like(fine)
+    for q, j in enumerate(range(0, m, 8)):
+        k = min(8, m - j)
+        p = P[:, :k]
+        np.multiply(A[:, q, None], fine[:, :k], out=p)
+        G[:, j:j + k] = p.real
+        np.multiply(B[:, q, None], fine[:, :k], out=p)
+        np.negative(p.imag, out=G[:, m + j:m + j + k])
+    return G
+
+
 # -- energy density ------------------------------------------------------------
 #
 # The energy density is evaluated by the one kernel below, which every tiled
@@ -345,18 +386,59 @@ def _warp_factors(geom, grid) -> tuple[np.ndarray, np.ndarray]:
     return geom.da(x) / geom.a(x), geom.inv_a_sq(x)
 
 
-def _densities(R: np.ndarray, h: float, ratio: np.ndarray,
-               pot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _densities(R: np.ndarray, h: float, ratio: np.ndarray, pot: np.ndarray,
+               standing) -> tuple[np.ndarray, np.ndarray]:
     """|w|^2 and the energy density |dt w|^2 + |dx w - (a'/a) w|^2 + pot |w|^2
-    of m samples, each (m, rows), from the raw product R (4m, rows) of a
-    packed [a | b] block: rows 2j, 2j + 1 hold Re, Im of w at sample j and
-    rows 2m + 2j, 2m + 2j + 1 those of dt w.
+    of m samples, each (m, rows), from the raw product R of a sweep block.
 
-    Every term is a sum of squares of real rows, |z|^2 = Re^2 + Im^2, so
-    the centred stencil (Dirichlet ghost zeros beyond both ends of the
-    rows) and the squares act on R as it is, overwriting it, and adjacent
-    row pairs are summed at the end.
+    Every term is a sum of squares of real rows, |z|^2 = Re^2 + Im^2, and
+    the centred stencil takes Dirichlet ghost zeros beyond both ends of the
+    rows; R is overwritten.
+
+    With ``standing`` None, R is the (4m, rows) product of a four-row
+    [a | b] block: rows 2j, 2j + 1 hold Re, Im of w at sample j and rows
+    2m + 2j, 2m + 2j + 1 those of dt w.  The stencil and the squares act on
+    R as it is, and adjacent row pairs are summed at the end.
+
+    Otherwise ``standing`` is (tau, d, o), the standing wave's frequency and
+    the diagonal (for the rows) and off-diagonal of its mode operator P, and
+    R is the (2m, rows) product of a two-row block: row j holds X = Re w
+    and row m + j Y = -Im w / tau.  Exact eigenpairs give dt w = -P Y -
+    i tau X, so |w|^2 = X^2 + (tau Y)^2 and |dt w|^2 = (P Y)^2 + (tau X)^2:
+    one tridiagonal stencil replaces the GEMM rows of dt w.  Two (m, rows)
+    buffers hold the density and each term in turn, and |w|^2 is returned
+    as a view of R.
     """
+    if standing is not None:
+        tau, d, o = standing
+        m = R.shape[0] // 2
+        X, Y = R[:m], R[m:]
+        e, t = np.empty_like(X), np.empty_like(X)
+        # P Y = o (Y[i-1] + Y[i+1] + (d / o) Y[i]), summed in place
+        np.multiply(Y, d / o, out=e)
+        e[:, :-1] += Y[:, 1:]
+        e[:, 1:] += Y[:, :-1]
+        e *= o
+        e *= e
+        np.multiply(X, tau, out=t)
+        t *= t
+        e += t
+        Y *= tau
+        # dx Z - (a'/a) Z = (Z[i+1] - Z[i-1] - 2h (a'/a) Z[i]) / 2h
+        c = -2.0 * h * ratio
+        for Z in (X, Y):
+            np.multiply(Z, c, out=t)
+            t[:, :-1] += Z[:, 1:]
+            t[:, 1:] -= Z[:, :-1]
+            t /= 2.0 * h
+            t *= t
+            e += t
+        X *= X
+        Y *= Y
+        X += Y
+        np.multiply(X, pot, out=t)
+        e += t
+        return X, e
     k = R.shape[0] // 2
     W, e = R[:k], R[k:]
     dW = np.zeros_like(W)
@@ -392,17 +474,47 @@ def _rotation_gap(AB, a0, b0, evals, ph):
     return np.sqrt(sq[0::2] + sq[1::2])
 
 
-def _band_energy(prop: ModePropagator, AB, lo: int, hi: int, ratio, pot) -> np.ndarray:
+def _standing_gap(G, alpha, evals, tau, theta):
+    """Energy-norm distance of each sample of a two-row block G = [C | S]
+    from the standing wave's data rotated by exp(-i theta).
+
+    With C = cos(omega t) alpha and S = sin(omega t) alpha / omega, the
+    state is (a, b) = (C - i tau S, -lambda S - i tau C) and the rotated
+    data (alpha, -i tau alpha) exp(-i theta), so the squared distance is
+    Sum (lambda + tau^2) (alpha cos theta - C)^2
+        + lambda tau^2 (alpha sin theta / tau - S)^2
+        + lambda^2 (tau alpha sin theta / lambda - S)^2,
+    reduced from one real n x m buffer that holds each difference in turn.
+    """
+    m = theta.size
+    C, S = G[:, :m], G[:, m:]
+    sin = np.sin(theta)
+    D = np.multiply.outer(alpha, np.cos(theta))
+    D -= C
+    sq = np.einsum("ij,ij,i->j", D, D, evals + tau * tau)
+    np.multiply.outer(alpha / tau, sin, out=D)
+    D -= S
+    sq += np.einsum("ij,ij,i->j", D, D, tau * tau * evals)
+    np.multiply.outer(tau * alpha / evals, sin, out=D)
+    D -= S
+    sq += np.einsum("ij,ij,i->j", D, D, evals * evals)
+    return np.sqrt(sq)
+
+
+def _band_energy(prop: ModePropagator, block, lo: int, hi: int, ratio, pot,
+                 tau: float | None) -> np.ndarray:
     """Energy |dt w|^2 + |dx w - (a'/a) w|^2 + pot |w|^2 integrated over the
-    node band [lo, hi), one value per packed [a | b] sample.
+    node band [lo, hi), one value per sample of a sweep block: four-row with
+    ``tau`` None, else two-row for a standing wave of frequency tau.
 
     Only the band's rows are reconstructed, plus one neighbor row on each
-    side for the derivative stencil; where the band touches an end of the
-    grid that neighbor is the Dirichlet ghost zero.
+    side for the derivative and operator stencils; where the band touches
+    an end of the grid that neighbor is the Dirichlet ghost zero.
     """
     lo0, hi0 = max(lo - 1, 0), min(hi + 1, prop.grid.n_interior)
-    _, e = _densities(_raw_product(prop.evecs[lo0:hi0], AB), prop.h,
-                      ratio[lo0:hi0], pot[lo0:hi0])
+    standing = None if tau is None else (tau, prop.op.diag[lo0:hi0], prop.op.offdiag)
+    _, e = _densities(_raw_product(prop.evecs[lo0:hi0], block), prop.h,
+                      ratio[lo0:hi0], pot[lo0:hi0], standing)
     return 0.5 * prop.h * np.sum(e[:, lo - lo0:hi - lo0], axis=1)
 
 
@@ -425,6 +537,13 @@ def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
            whole: bool = False, tau: float | None = None):
     """The one evolution pass over the samples ``times`` = dt * i of a mode.
 
+    The state picks the block layout.  A standing wave (``standing_tau``
+    set) takes the two-row layout of ``_standing_block``: two real GEMM
+    rows per sample, half the flops and temporaries of the four-row layout
+    of ``_phase_block`` that any other state takes.  The two-row layout
+    needs real frequencies, so a propagator whose omega has been made
+    complex takes the four-row one.
+
     The blocks are uniform, at most TILE samples of step k * dt: block r of
     each span of k * TILE samples holds the samples r, r + k, ...  With
     ``whole``, block 0 of each span is reconstructed on the whole grid,
@@ -441,25 +560,34 @@ def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
     prop, h = mode.prop, mode.grid.h
     ratio, inv_a2 = _warp_factors(mode.geom, mode.grid)
     pot = mode.sigma_sq * inv_a2
-    if tau is not None:
+    stau = mode.standing_tau if np.isrealobj(prop.omega) else None
+    standing = None if stau is None else (stau, prop.op.diag, prop.op.offdiag)
+    if stau is not None:
+        alpha = mode.a_coeff().real
+    elif tau is not None:
         a0, b0 = mode.a_coeff(), mode.b_coeff()
     for c0 in range(0, times.size, k * TILE):
         for r in range(min(k, times.size - c0)):
             idx = slice(c0 + r, c0 + k * TILE, k)
             tc = times[idx]
-            AB = _phase_block(mode.c_plus, mode.c_minus, prop.omega, tc[0], k * dt, tc.size)
-            gap = None if tau is None else _rotation_gap(AB, a0, b0, prop.evals,
-                                                          np.exp(-1j * tau * tc))
+            if stau is not None:
+                B = _standing_block(alpha, prop.omega, tc[0], k * dt, tc.size)
+                gap = None if tau is None else _standing_gap(B, alpha, prop.evals, stau,
+                                                             tau * tc)
+            else:
+                B = _phase_block(mode.c_plus, mode.c_minus, prop.omega, tc[0], k * dt, tc.size)
+                gap = None if tau is None else _rotation_gap(B, a0, b0, prop.evals,
+                                                             np.exp(-1j * tau * tc))
             if whole and r == 0:
-                W = _raw_product(prop.evecs, AB)
-                del AB  # free the block before the densities' temporaries
-                u, e = _densities(W, h, ratio, pot)
+                W = _raw_product(prop.evecs, B)
+                del B  # free the block before the densities' temporaries
+                u, e = _densities(W, h, ratio, pot, standing)
                 del W
                 yield idx, [0.5 * h * np.sum(e[:, lo:hi], axis=1) for lo, hi in bands], u, e, gap
                 del u, e  # free this block's densities before the next is built
             else:
-                energies = [_band_energy(prop, AB, lo, hi, ratio, pot) for lo, hi in bands]
-                del AB  # free this block before the next one is built
+                energies = [_band_energy(prop, B, lo, hi, ratio, pot, stau) for lo, hi in bands]
+                del B  # free this block before the next one is built
                 yield idx, energies, None, None, gap
 
 
@@ -471,10 +599,14 @@ def _feed_le1(acc: ShellAccumulator, times: np.ndarray, u: np.ndarray, e: np.nda
 
 
 def data_field(geom: WarpGeometry, qm: Quasimode, grid_ext: Grid) -> ModeState:
-    """The quasimode data (v, -i tau v), zero-extended onto the evolution grid."""
+    """The quasimode data (v, -i tau v), zero-extended onto the evolution
+    grid: a standing wave, as v is real, so its sweeps take the two-row
+    layout of ``_sweep``.  Its coefficients are those of
+    ``ModeState.from_grid_data`` on the same data."""
     u_ext = qm.extend_to(grid_ext)
     prop = get_propagator(geom, qm.l, grid_ext)
-    return ModeState.from_grid_data(prop, u_ext.astype(complex), -1j * qm.tau * u_ext)
+    state = ModeState.from_grid_data(prop, u_ext.astype(complex), -1j * qm.tau * u_ext)
+    return replace(state, standing_tau=qm.tau)
 
 
 def _energy_drift(mode: ModeState, dt: float, m: int) -> float:

@@ -99,7 +99,7 @@ def propagate(state: ModeState, dt: float, steps: int,
 def _state_densities(w, wt, h, ratio, pot) -> tuple[np.ndarray, np.ndarray]:
     """|w|^2 and the energy density with potential ``pot`` of one mode's
     nodal w and dt w."""
-    u, e = _densities(np.stack([w.real, w.imag, wt.real, wt.imag]), h, ratio, pot)
+    u, e = _densities(np.stack([w.real, w.imag, wt.real, wt.imag]), h, ratio, pot, None)
     return u[0], e[0]
 
 

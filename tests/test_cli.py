@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from warptrap import cli
 from warptrap.cli import ExperimentConfig, ConfigError, OutputCollector, main
 
 
@@ -351,6 +352,25 @@ class TestExitCodes:
         assert run_cli(argv) == 1
         assert capsys.readouterr().err == f"error: {reason}\n"
 
+    def test_negative_exponent_value_is_a_number(self, monkeypatch):
+        # every float flag reads -1e-0 given as a separate argument; the load
+        # that follows the parse is stopped once it has seen the value
+        parser = cli._Parser()
+        cli._add_common(parser)
+        flags = [(a.option_strings[0], a.dest) for a in parser._actions if a.type is float]
+        assert len(flags) == 7
+        seen = {}
+
+        def load(path, overrides):
+            seen.update(overrides)
+            raise ConfigError("x0", "parsed")
+
+        monkeypatch.setattr(ExperimentConfig, "load", load)
+        for flag, dest in flags:
+            seen.clear()
+            assert run_cli(["confinement", flag, "-1e-0"]) == 1, flag
+            assert seen[dest] == -1.0, flag
+
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_zero(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -400,16 +420,17 @@ class TestExitCodes:
         # between the data and the wall
         lo = 0.0 if command == "confinement" else x0_plus + 2.0
         R = lo + draw(st.floats(-0.1, 1.1), label="R fraction") * (x_max - lo)
-        # flag=value, which argparse reads even for a value such as -1e-67
+        # each flag and its value as separate arguments, as a shell passes
+        # them; a negative value such as -1e-67 is read as a number
         argv = [command, "--l", *map(str, draw(st.lists(st.integers(8, 15), min_size=1,
                                                         max_size=2, unique=True), label="l")),
-                f"--T={T!r}", f"--x-max={x_max!r}", f"--R={R!r}",
-                f"--k={draw(st.integers(0, 3) | st.integers(40, 70), label='k')}"]
+                "--T", repr(T), "--x-max", repr(x_max), "--R", repr(R),
+                "--k", str(draw(st.integers(0, 3) | st.integers(40, 70), label="k"))]
         dt = draw(st.none() | st.floats(0.05, 1.5 * T), label="dt")
-        argv += [] if dt is None else [f"--dt={dt!r}"]
+        argv += [] if dt is None else ["--dt", repr(dt)]
         x0 = draw(st.floats(-2.0, -1.0), label="x0")
-        argv += ([f"--x0={x0!r}"] if command == "confinement" else
-                 [f"--x0-minus={x0!r}", f"--x0-plus={x0_plus!r}"])
+        argv += (["--x0", repr(x0)] if command == "confinement" else
+                 ["--x0-minus", repr(x0), "--x0-plus", repr(x0_plus)])
         out = tmp_path_factory.mktemp("run") / "o"
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -550,7 +571,7 @@ def stand_in_reports(monkeypatch, *reports):
     base = dict(tau=1.0, t_confinement=math.inf, times=np.zeros(2), ratio_E_R=np.ones(2),
                 duhamel_gap=np.zeros(2), f_norm=0.0, data_h_norm=1.0, half_bound_ok=True,
                 wall_ok=True, wall_buffer_max=0.0, energy_drift=0.0, grid=None,
-                csv_rows=lambda: [], le1_times=np.zeros(2), le1_at=lambda T: 0.0)
+                csv_columns=lambda: [], le1_times=np.zeros(2), le1_at=lambda T: 0.0)
     it = iter([SimpleNamespace(**{**base, **{k: np.asarray(v) if isinstance(v, list) else v
                                              for k, v in kw.items()}}) for kw in reports])
     monkeypatch.setattr(evolve, "run_confinement", lambda *args, **kwargs: next(it))
@@ -984,13 +1005,37 @@ class TestCsvNumbers:
         rows = [[t, E[i], np.float32(0.5), np.int64(i), math.nan, 1e-300]
                 for i, t in enumerate(times)]
         out = OutputCollector(str(tmp_path), ExperimentConfig(), "confinement")
-        path = out.write_csv("evolution_l40.csv", EVOLUTION_CSV_COLUMNS, rows)
+        path = out.write_csv("evolution_l40.csv", EVOLUTION_CSV_COLUMNS, list(zip(*rows)))
         text = path.read_text()
         assert "np.float64(" not in text and "np.float32(" not in text
         body = [ln.split(",") for ln in text.splitlines()[4:]]
         assert [[float(c) for c in ln[:4]] for ln in body] == \
                [[float(v) for v in row[:4]] for row in rows]
         assert body[0][3] == "0" and body[0][4] == "nan"
+
+    def test_column_writer_matches_row_writer(self, tmp_path, monkeypatch):
+        # the bytes of the former row-by-row writer, over several blocks and
+        # a short last one: arrays of floats with nan and inf, of ints and
+        # of bools, and lists of numpy scalars, Python numbers, strings and
+        # a broadcast constant
+        import numpy as np
+
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
+        rng = np.random.default_rng(5)
+        n = 23
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        floats[[2, 9, 15]] = [math.nan, math.inf, -math.inf]
+        columns = [floats, np.arange(n), rng.standard_normal(n) > 0,
+                   [np.float32(v) for v in rng.standard_normal(n)],
+                   [np.int64(i) if i % 2 else float(i) for i in range(n)],
+                   [f"c{i}" for i in range(n)], np.broadcast_to(1037.5794056021832, (n,))]
+        header = [f"h{j}" for j in range(len(columns))]
+        out = OutputCollector(str(tmp_path), ExperimentConfig(), "confinement")
+        got = out.write_csv("c.csv", header, columns).read_bytes()
+        lines = [f"# schema_version={cli.SCHEMA_VERSION}", "# command=confinement",
+                 f"# config={ExperimentConfig().echo()}", ",".join(header)]
+        lines += [",".join(str(cli._jsonable(v)) for v in row) for row in zip(*columns)]
+        assert got == ("\n".join(lines) + "\n").encode()
 
 
 class TestJsonNumbers:

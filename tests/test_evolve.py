@@ -617,6 +617,96 @@ class TestConfinement:
         assert ratio[-1] < 0.1
 
 
+def general_field(geom, qm, grid_ext):
+    """``data_field``'s data, built through ``from_grid_data``: the same
+    coefficients, but not marked as a standing wave, so its sweeps take the
+    four-row layout."""
+    u = qm.extend_to(grid_ext)
+    prop = evolve.get_propagator(geom, qm.l, grid_ext)
+    return evolve.ModeState.from_grid_data(prop, u.astype(complex), -1j * qm.tau * u)
+
+
+EPS = np.finfo(float).eps
+
+
+class TestStandingLayout:
+    """A standing wave (v, -i tau v), v real, sweeps two real GEMM rows per
+    sample and forms dt w from the mode operator P: Re dt w = -P Y.  P
+    scales the GEMM's roundoff in Y by up to its norm_bound, where the exact
+    P Y is about tau^2 Y, so energies move by about eps * norm_bound /
+    tau^2 of E from the four-row layout's (at most twice that, measured);
+    the Duhamel gap reads no P, and moves by a few eps * sqrt(2E)."""
+
+    @staticmethod
+    def bound(state):
+        return 16 * EPS * state.prop.op.norm_bound / state.standing_tau**2
+
+    @settings(max_examples=60)
+    @given(m=st.sampled_from([1, 2, 3]), x0=st.floats(-1.5, -0.5), l=st.integers(1, 14),
+           n=st.integers(40, 120), reach=st.floats(0.0, 1.0), dt=st.floats(0.02, 0.3),
+           k=st.sampled_from([1, 2, 3]), spans=st.integers(1, 70), r=st.floats(0.0, 1.0))
+    def test_property_layouts_agree(self, m, x0, l, n, reach, dt, k, spans, r):
+        # R for er_history runs from the data's support to past the wall, so
+        # its band touches the grid's first node and, past the wall, also
+        # its last; run_confinement's wall strip ends at the last node
+        geom = WarpGeometry.of(m, x0)
+        qm = build_quasimode(geom, l, grid_interval=Grid(x0, 0.0, n))
+        x_max = 1.0 + reach * (x0 + 600 * qm.grid.h - 1.0)
+        T = spans * k * dt
+        grid = qm.grid.extended(x_max)
+        fld, gen = evolve.data_field(geom, qm, grid), general_field(geom, qm, grid)
+        assert fld.standing_tau == qm.tau and gen.standing_tau is None
+        assert np.array_equal(fld.c_plus, gen.c_plus)
+        assert np.array_equal(fld.c_minus, gen.c_minus)
+        tol, E = self.bound(fld), fld.energy_spectral()
+
+        run = dict(T_max=T, R=1.0, x_max=x_max, dt=dt, causal="audited", le1=True,
+                   dt_le=k * dt)
+        rep = evolve.run_confinement(geom, qm, **run)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evolve, "data_field", general_field)
+            ref = evolve.run_confinement(geom, qm, **run)
+        assert rep.E == ref.E
+        assert np.max(np.abs(rep.E_R - ref.E_R)) <= tol * E
+        assert abs(rep.wall_buffer_max - ref.wall_buffer_max) <= tol * E
+        assert np.max(np.abs(rep.duhamel_gap - ref.duhamel_gap)) <= 64 * EPS * math.sqrt(2 * E)
+        assert rep.duhamel_gap[0] == 0.0
+        assert np.allclose(rep.le1_running, ref.le1_running, rtol=tol, atol=0.0)
+
+        R = qm.cutoff.support_end + r * (grid.x_right + 1.0 - qm.cutoff.support_end)
+        er_s = evolve.er_history(fld, T, R, dt=dt)[1]
+        er_g = evolve.er_history(gen, T, R, dt=dt)[1]
+        assert np.max(np.abs(er_s - er_g)) <= tol * E
+
+        (ns, rs), (ng, rg) = (evolve.space_time_norms(s, T, k * dt) for s in (fld, gen))
+        for name in ("le", "le1", "le_star"):
+            assert getattr(ns, name) == pytest.approx(getattr(ng, name), rel=tol, abs=0.0)
+        assert np.allclose(rs, rg, rtol=tol, atol=0.0)
+
+    def test_gemm_operand_rows_per_sample(self, geom_m1_trapped, oscillating_field,
+                                          monkeypatch):
+        # every sample of space_time_norms is reconstructed once on the whole
+        # grid: two real operand columns per sample for quasimode data, four
+        # for complex bump data
+        columns = []
+        raw = evolve._raw_product
+
+        def spy(M, X):
+            columns.append(X.shape[1] * (2 if np.iscomplexobj(X) else 1))
+            return raw(M, X)
+
+        monkeypatch.setattr(evolve, "_raw_product", spy)
+        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120))
+        fld = evolve.data_field(geom_m1_trapped, qm, qm.grid.extended(12.0))
+        T, dt = 30.0, 0.25
+        for state, rows in ((fld, 2), (oscillating_field, 4)):
+            columns.clear()
+            evolve.space_time_norms(state, T, dt)
+            _, times = evolve._sample_times(T, dt, state.grid.h)
+            assert times.size > TILE
+            assert sum(columns) == rows * times.size
+
+
 class TestPropagatorCache:
     def test_one_slot(self, geom_m1_trapped, monkeypatch):
         monkeypatch.setattr(evolve, "_PROP_CACHE", {})

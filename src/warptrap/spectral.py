@@ -2,15 +2,15 @@
 and the dyadic shells of the space-time norms.
 
 The second derivative is the standard 3-point stencil, so every radial
-operator -d^2/dx^2 + V is a symmetric tridiagonal matrix.  The lowest
-pair (``lowest_pair``, one per quasimode) comes from bisection on the
-pivots of T - s I plus inverse iteration in numpy; the full spectrum
-(``eigen_full``) from LAPACK's MRRR (stemr), called through ctypes in
-the OpenBLAS bundled with numpy, so no run loads scipy or a second BLAS.
-Every pair is then quadrature-normalized and held to the residual gate
-1e-10 * max|diag|; an eigenvector keeps the sign its solver gives it,
-which no output reads.  Quadrature is the midpoint-weight sum
-h * sum(v_i), exact enough at second order for everything done here.
+operator -d^2/dx^2 + V is a symmetric tridiagonal matrix.  Every
+eigenpair comes from one LAPACK call, MRRR (dstemr) through ctypes in
+the OpenBLAS bundled with numpy, so no run loads scipy or a second BLAS:
+the lowest pair (``lowest_pair``, one per quasimode) as the index range
+(1, 1), the full spectrum (``eigen_full``) as (1, n).  Every pair is then
+quadrature-normalized and held to the residual gate 1e-10 * max|diag|;
+an eigenvector keeps the sign its solver gives it, which no output
+reads.  Quadrature is the midpoint-weight sum h * sum(v_i), exact enough
+at second order for everything done here.
 
 Norm conventions.  States are held per angular mode in the conjugated
 radial variable w = a * u, where the volume element collapses:
@@ -23,7 +23,6 @@ u variable agrees with it to O(h^2).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -135,11 +134,6 @@ class TridiagonalOperator:
         out[1:] += self.offdiag * v[:-1]
         return out
 
-    def quad_form(self, v: np.ndarray) -> float:
-        """h-weighted quadratic form h * Re <v, P v>; the discrete Dirichlet
-        energy of the mode."""
-        return float(np.real(np.vdot(v, self.apply(v))) * self.grid.h)
-
 
 def build_operator(grid: Grid, V, potential_id: str = "") -> TridiagonalOperator:
     """Assemble -d^2/dx^2 + V on the grid; V maps the node array to the
@@ -196,81 +190,6 @@ def _gate_pairs(op: TridiagonalOperator, vals: np.ndarray, vecs: np.ndarray) -> 
         )
 
 
-def _nonpositive_pivot(d: list[float], e2: float, s: float) -> bool:
-    """Whether T - s I = L D L^T has a nonpositive pivot, i.e. whether T has
-    an eigenvalue at or below s (Sylvester's law of inertia); the loop
-    returns at the first one."""
-    q = math.inf
-    for di in d:
-        q = di - s - e2 / q
-        if q <= 0.0:
-            return True
-    return False
-
-
-def _shifted_solve(d: list[float], e: float, s: float, b: list[float],
-                   pivmin: float) -> np.ndarray:
-    """x with (T - s I) x = b, by L D L^T elimination without pivoting; a
-    zero pivot continues as pivmin."""
-    piv = [0.0] * len(d)
-    z = [0.0] * len(d)
-    p, zi = math.inf, 0.0
-    for i, di in enumerate(d):
-        m = e / p
-        p = di - s - m * e
-        if p == 0.0:
-            p = pivmin
-        zi = b[i] - m * zi
-        piv[i], z[i] = p, zi
-    xi = 0.0
-    for i in range(len(d) - 1, -1, -1):
-        xi = (z[i] - e * xi) / piv[i]
-        z[i] = xi
-    return np.array(z)
-
-
-def lowest_pair(op: TridiagonalOperator) -> tuple[float, np.ndarray]:
-    """The lowest eigenvalue and its quadrature-normalized eigenvector.
-
-    The eigenvalue is bisected on the pivots of T - s I (Barth, Martin &
-    Wilkinson, Numer. Math. 9, 1967) from [-``norm_bound``, ``norm_bound``]
-    down to a bracket [a, b] of width 2 eps * ``norm_bound``, 52 halvings;
-    its value is the midpoint.  Its eigenvector is two inverse-iteration
-    solves with T - a I, started from the all-ones vector; a lies below
-    the whole spectrum, so T - a I is positive definite.  Every operator
-    here has off-diagonal -1/h^2 < 0, so its lowest eigenvector has one
-    sign and a positive start always overlaps it.  The
-    recurrences are plain Python loops: at the sizes solved here (n up to
-    a few thousand) a solve takes under 10 ms.
-    """
-    _refuse_non_finite(op)
-    d, e = op.diag.tolist(), op.offdiag
-    e2 = e * e
-    width = 2.0 * sys.float_info.epsilon * op.norm_bound
-    a, b = -op.norm_bound, op.norm_bound
-    while b - a > width:
-        mid = 0.5 * (a + b)
-        if _nonpositive_pivot(d, e2, mid):
-            b = mid
-        else:
-            a = mid
-    pivmin = sys.float_info.min * max(e2, 1.0)
-    v = np.ones(op.n)
-    for _ in range(2):
-        v = _shifted_solve(d, e, a, v.tolist(), pivmin)
-        v /= np.linalg.norm(v)
-    value = 0.5 * (a + b)
-    _gate_pairs(op, np.array([value]), v[:, None])  # normalizes v through the view
-    return value, v
-
-
-def _refuse_non_finite(op: TridiagonalOperator) -> None:
-    """Raise ``EigensolverError`` for an operator with a NaN or infinite entry."""
-    if not math.isfinite(op.norm_bound):
-        raise EigensolverError(
-            f"operator {op.potential_id!r} (n={op.n}) has a non-finite entry")
-
-
 def _bundled_openblas() -> list[Path]:
     """Paths of the ILP64 OpenBLAS bundled with numpy, which numpy has
     already loaded: ``numpy.libs/`` holds it in Linux and Windows wheels,
@@ -311,43 +230,60 @@ def _lapacke_dstemr():
     return _DSTEMR
 
 
-def _stemr(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenpairs of the symmetric tridiagonal (d, e) by LAPACK's MRRR
-    (``dstemr``, Dhillon & Parlett 2004): ascending eigenvalues and the
-    F-ordered matrix of unit eigenvector columns.  Copies of d and e go to
-    LAPACK, which overwrites them; a failed solve raises
+def _stemr(d: np.ndarray, e: np.ndarray, il: int, iu: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs il..iu, counted from 1 in ascending order, of the symmetric
+    tridiagonal (d, e) by LAPACK's MRRR (``dstemr``, Dhillon & Parlett
+    2004): the k = iu - il + 1 eigenvalues and the F-ordered (n, k) matrix
+    of unit eigenvector columns.  All n pairs are asked for as range 'A',
+    any other window as range 'I', in (n, k) memory.  Copies of d and e go
+    to LAPACK, which overwrites them; a failed solve raises
     ``EigensolverError``."""
-    n = d.size
+    n, k = d.size, iu - il + 1
     d_work = np.array(d, dtype=np.float64)
     e_work = np.zeros(n)  # stemr reads e[:n - 1] and uses e[n - 1] as workspace
     e_work[:-1] = e
     m, tryrac = np.zeros(1, np.int64), np.ones(1, np.int64)
-    isuppz = np.empty(2 * n, np.int64)
+    isuppz = np.empty(2 * k, np.int64)
     w = np.empty(n)
-    z = np.empty((n, n), order="F")
-    info = _lapacke_dstemr()(102, b"V", b"A", n, d_work, e_work, 0.0, 0.0, 0, 0,
-                             m, w, z, n, n, isuppz, tryrac)
-    if info != 0 or m[0] != n:
-        raise EigensolverError(f"dstemr returned info={info} with {m[0]} of {n} pairs")
-    return w, z
+    z = np.empty((n, k), order="F")
+    info = _lapacke_dstemr()(102, b"V", b"A" if k == n else b"I", n, d_work, e_work,
+                             0.0, 0.0, il, iu, m, w, z, n, k, isuppz, tryrac)
+    if info != 0 or m[0] != k:
+        raise EigensolverError(f"dstemr returned info={info} with {m[0]} of {k} pairs")
+    return w[:k], z
 
 
-def eigen_full(op: TridiagonalOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Complete spectrum and h-orthonormal eigenvector matrix (columns),
-    from LAPACK's MRRR (stemr) in the OpenBLAS that numpy loads.
+def _solve(op: TridiagonalOperator, il: int, iu: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs il..iu of ``_stemr``, quadrature-normalized and gated.
 
     An operator with a non-finite entry, a failed solve or a missing
-    library raises ``EigensolverError`` naming the operator.
+    library raises ``EigensolverError`` naming the operator and its n.
     """
-    _refuse_non_finite(op)
+    if not math.isfinite(op.norm_bound):
+        raise EigensolverError(
+            f"operator {op.potential_id!r} (n={op.n}) has a non-finite entry")
     try:
-        vals, vecs = _stemr(op.diag, op.offdiag_vector())
+        vals, vecs = _stemr(op.diag, op.offdiag_vector(), il, iu)
     except EigensolverError as exc:
         raise EigensolverError(
             f"LAPACK eigensolver failed for operator {op.potential_id!r} (n={op.n}): {exc}"
         ) from exc
     _gate_pairs(op, vals, vecs)
     return vals, vecs
+
+
+def lowest_pair(op: TridiagonalOperator) -> tuple[float, np.ndarray]:
+    """The lowest eigenvalue and its quadrature-normalized eigenvector: the
+    index range (1, 1) of ``_stemr``.  The vector keeps LAPACK's sign, as
+    ``eigen_full``'s columns do."""
+    vals, vecs = _solve(op, 1, 1)
+    return float(vals[0]), vecs[:, 0]
+
+
+def eigen_full(op: TridiagonalOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Complete spectrum and h-orthonormal eigenvector matrix (columns): the
+    index range (1, n) of ``_stemr``."""
+    return _solve(op, 1, op.n)
 
 
 # -- quadrature ---------------------------------------------------------------

@@ -15,7 +15,7 @@ settings.load_profile("warptrap")
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
     """Bind the LAPACK eigensolver (``dstemr`` in numpy's OpenBLAS) once,
-    outside any timed region; only the full solve uses it."""
+    outside any timed region; every eigenpair solve uses it."""
     grid = Grid(0.0, 1.0, 8)
     eigen_full(build_operator(grid, lambda x: 0.0 * x))
 

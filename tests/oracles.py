@@ -103,6 +103,12 @@ def _state_densities(w, wt, h, ratio, pot) -> tuple[np.ndarray, np.ndarray]:
     return u[0], e[0]
 
 
+def quad_form(op, v: np.ndarray) -> float:
+    """h-weighted quadratic form h * Re <v, P v> of the operator P; the
+    discrete Dirichlet energy of the mode."""
+    return float(np.real(np.vdot(v, op.apply(v))) * op.grid.h)
+
+
 def energy_norms(state: ModeState, R: float) -> dict:
     """Total energy E, near-region energy E_R, and the data norm on the
     energy space.
@@ -118,7 +124,7 @@ def energy_norms(state: ModeState, R: float) -> dict:
     ratio, inv_a2 = _warp_factors(state.geom, state.grid)
     w = state.w_grid()
     wt = state.wt_grid()
-    E = 0.5 * (h * float(np.sum(np.abs(wt) ** 2)) + state.prop.op.quad_form(w))
+    E = 0.5 * (h * float(np.sum(np.abs(wt) ** 2)) + quad_form(state.prop.op, w))
     _, dens = _state_densities(w, wt, h, ratio, state.sigma_sq * inv_a2)
     E_R = 0.5 * h * float(np.sum(dens[state.grid.nodes() <= R]))
     return {"E": E, "E_R": E_R, "H_x0_norm": math.sqrt(2.0 * E)}

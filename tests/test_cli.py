@@ -838,8 +838,8 @@ class TestImports:
     def test_cli_loads_neither_scipy_nor_sympy(self, tmp_path):
         # every CLI run pays for what importing the entry point loads; the
         # multiplier audit is closed-form numpy and loads no sympy either,
-        # the quasimode scan solves its lowest pairs in numpy, and a full
-        # spectrum calls LAPACK in numpy's own OpenBLAS
+        # and every eigenpair, the quasimode scan's lowest ones and a full
+        # spectrum, comes from LAPACK in numpy's own OpenBLAS
         import os
         import subprocess
         import sys
@@ -847,7 +847,7 @@ class TestImports:
         import warptrap
 
         # the quasimode scan runs first: the audit's seeded Hardy corpus loads
-        # numpy.random, which the scan, started from a fixed vector, does not
+        # numpy.random, which the scan does not
         code = ("import sys, warptrap.cli\n"
                 "print(sorted({'scipy', 'sympy', 'numpy.random'} & set(sys.modules)))\n"
                 "code = warptrap.cli.main(['quasimode', '--x0', '-1.0',\n"
@@ -925,11 +925,16 @@ class TestExceptionMapping:
         assert "lowest eigenvalue -27.53" in err and err.count("\n") == 1
 
     def test_eigensolver_error_is_exit_three(self, tmp_path, capsys, monkeypatch):
-        # LAPACK solves the full spectrum of the evolved mode
+        # LAPACK fails on the full spectrum of the evolved mode only, so the
+        # planner's lowest pairs solve and the run reaches the full solve
         from warptrap import spectral
         from warptrap.spectral import EigensolverError
 
-        def fail(d, e):
+        solve = spectral._stemr
+
+        def fail(d, e, il, iu):
+            if iu == il:
+                return solve(d, e, il, iu)
             raise EigensolverError(f"dstemr returned info=2 with 0 of {d.size} pairs")
 
         monkeypatch.setattr(spectral, "_stemr", fail)
@@ -939,6 +944,25 @@ class TestExceptionMapping:
         err = capsys.readouterr().err
         assert err.startswith("convergence failure: LAPACK eigensolver failed")
         assert err.count("\n") == 1
+
+    def test_lowest_pair_failure_is_exit_three(self, tmp_path, capsys, monkeypatch):
+        # the planner solves each quasimode's lowest pair, so a failed solve
+        # ends the run before the output directory is made
+        from warptrap import spectral
+        from warptrap.spectral import EigensolverError
+
+        def fail(d, e, il, iu):
+            raise EigensolverError(f"dstemr returned info=2 with 0 of {iu - il + 1} pairs")
+
+        monkeypatch.setattr(spectral, "_stemr", fail)
+        code = run_cli(["confinement", "--x0", "-1.0", "--l", "20", "--T", "1",
+                        "--x-max", "3", "--out", str(tmp_path / "e")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("convergence failure: LAPACK eigensolver failed for operator "
+                              "'V_l(m=1, x0=-1.0, l=20)'")
+        assert "0 of 1 pairs" in err and err.count("\n") == 1
+        assert not (tmp_path / "e").exists()
 
     def test_missing_lapack_library_is_exit_three(self, tmp_path, capsys, monkeypatch):
         from warptrap import spectral

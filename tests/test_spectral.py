@@ -158,41 +158,49 @@ class TestEigenOracles:
             assert count == int(np.sum(vals < lam))
 
     def test_lapack_failure_is_eigensolver_error(self, monkeypatch):
-        def fail(d, e):
-            raise EigensolverError("dstemr returned info=2 with 0 of 9 pairs")
+        def fail(d, e, il, iu):
+            raise EigensolverError(f"dstemr returned info=2 with 0 of {iu - il + 1} pairs")
 
         monkeypatch.setattr(spectral, "_stemr", fail)
         op = build_operator(Grid(0.0, 1.0, 9), lambda x: 0.0 * x, potential_id="flat")
-        with pytest.raises(EigensolverError, match=r"'flat' \(n=9\)"):
-            eigen_full(op)
+        for solve, k in ((eigen_full, 9), (lowest_pair, 1)):
+            with pytest.raises(EigensolverError, match=rf"'flat' \(n=9\): .* 0 of {k} pairs"):
+                solve(op)
 
-    @pytest.mark.parametrize("info, found", [(2, 0), (0, 8)], ids=["info", "short"])
-    def test_lapack_report_is_checked(self, monkeypatch, info, found):
-        # a nonzero info, or fewer pairs than rows, is a failed solve
-        def fake(*args):
-            args[10][0] = found
-            return info
-
-        monkeypatch.setattr(spectral, "_DSTEMR", fake)
+    @pytest.mark.parametrize("info", [2, 0], ids=["info", "short"])
+    def test_lapack_report_is_checked(self, monkeypatch, info):
+        # a nonzero info, or fewer pairs than asked for, is a failed solve of
+        # either entry point
         op = build_operator(Grid(0.0, 1.0, 9), lambda x: 0.0 * x, potential_id="flat")
-        with pytest.raises(EigensolverError,
-                           match=rf"'flat' \(n=9\): dstemr returned info={info} with {found} of 9"):
-            eigen_full(op)
+        for solve, k in ((eigen_full, 9), (lowest_pair, 1)):
+            found = 0 if info else k - 1
+
+            def fake(*args):
+                args[10][0] = found
+                return info
+
+            monkeypatch.setattr(spectral, "_DSTEMR", fake)
+            with pytest.raises(EigensolverError, match=rf"'flat' \(n=9\): dstemr returned "
+                                                       rf"info={info} with {found} of {k} pairs"):
+                solve(op)
 
     def test_missing_library_is_eigensolver_error(self, monkeypatch):
         monkeypatch.setattr(spectral, "_DSTEMR", None)
         monkeypatch.setattr(spectral, "_bundled_openblas", lambda: [])
         op = build_operator(Grid(0.0, 1.0, 9), lambda x: 0.0 * x, potential_id="flat")
-        with pytest.raises(EigensolverError,
-                           match=r"'flat' \(n=9\): expected one libscipy_openblas64_"):
-            eigen_full(op)
+        for solve in (eigen_full, lowest_pair):
+            with pytest.raises(EigensolverError,
+                               match=r"'flat' \(n=9\): expected one libscipy_openblas64_"):
+                solve(op)
 
     def test_non_finite_operator_is_eigensolver_error(self):
         diag = np.full(9, 2.0)
         diag[4] = np.nan
         op = TridiagonalOperator(Grid(0.0, 1.0, 9), diag, -1.0, "holed")
-        with pytest.raises(EigensolverError, match=r"'holed' \(n=9\) has a non-finite entry"):
-            eigen_full(op)
+        for solve in (eigen_full, lowest_pair):
+            with pytest.raises(EigensolverError,
+                               match=r"'holed' \(n=9\) has a non-finite entry"):
+                solve(op)
 
     def test_operator_left_unchanged(self):
         # LAPACK overwrites its d and e, so it is handed copies
@@ -250,15 +258,6 @@ class TestEigenOracles:
         assert sturm_count(op.diag, off, lam - tol) == 0 < sturm_count(op.diag, off, lam + tol)
         assert abs(op.grid.h * v @ v - 1.0) <= 1e-12
 
-    @settings(max_examples=200)
-    @given(diag=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=60),
-           e=st.floats(-5.0, 5.0), s=st.floats(-25.0, 25.0))
-    def test_property_first_pivot_matches_sturm_count(self, diag, e, s):
-        # the bisection's question, a nonpositive pivot of T - s I, is the
-        # oracle's "some eigenvalue at or below s"
-        off = np.full(len(diag) - 1, e)
-        assert spectral._nonpositive_pivot(diag, e * e, s) == (sturm_count(diag, off, s) > 0)
-
 
 class TestEigenFull:
     def test_orthonormal_and_roundtrip(self):
@@ -272,6 +271,49 @@ class TestEigenFull:
         c = g.h * (vecs.T @ w.real) + 1j * (g.h * (vecs.T @ w.imag))
         back = vecs @ c.real + 1j * (vecs @ c.imag)
         assert np.linalg.norm(back - w) / np.linalg.norm(w) < 1e-10
+
+
+def assert_pairs_match(op, vals, vecs, ref_vals, ref_vecs, gaps):
+    """Two solves of the same pairs agree: the values within 8 eps * norm_bound,
+    each unit vector up to sign within twice its Davis-Kahan angle bound
+    (r + r_ref) / gap, r the residual |T u - lambda u| (derivations in
+    CHANGES.md)."""
+    assert np.max(np.abs(vals - ref_vals)) <= 8 * np.finfo(float).eps * op.norm_bound
+    u, ref = (v / np.linalg.norm(v, axis=0) for v in (vecs, ref_vecs))
+    r = (np.linalg.norm(op.apply(u) - vals * u, axis=0)
+         + np.linalg.norm(op.apply(ref) - ref_vals * ref, axis=0))
+    sign = np.sign(np.sum(u * ref, axis=0))
+    assert np.all(np.linalg.norm(u - sign * ref, axis=0) <= 2 * r / gaps)
+
+
+class TestIndexWindow:
+    # LAPACK's index range: pairs il..iu of one call, in (n, k) memory
+    def op(self):
+        geom = WarpGeometry.of(1, -1.0)
+        return build_operator(Grid(-1.0, 24.0, 2000), lambda x: geom.potential(40, x), "win")
+
+    @pytest.mark.parametrize("il, iu", [(1, 231), (700, 760)], ids=["prefix", "interior"])
+    def test_window_matches_full_solve(self, il, iu):
+        op = self.op()
+        vals, vecs = eigen_full(op)
+        w, z = spectral._stemr(op.diag, op.offdiag_vector(), il, iu)
+        assert z.shape == (op.n, iu - il + 1) and z.flags.f_contiguous
+        j = np.arange(il - 1, iu)
+        # each eigenvalue's distance to its nearest neighbour in the full spectrum
+        gaps = np.minimum(np.diff(vals, prepend=-np.inf)[j], np.diff(vals, append=np.inf)[j])
+        assert_pairs_match(op, w, z, vals[j], vecs[:, j], gaps)
+
+    @settings(max_examples=40)
+    @given(m=st.sampled_from([1, 2, 3]), x0=st.floats(0.5, 2.0), side=st.sampled_from([-1, 1]),
+           span=st.floats(1.0, 10.0), l=st.integers(0, 30), n=st.integers(20, 400))
+    def test_property_lowest_pair_matches_eigen_full(self, m, x0, side, span, l, n):
+        geom = WarpGeometry.of(m, side * x0)
+        op = build_operator(Grid(side * x0, side * x0 + span, n),
+                            lambda x: geom.potential(l, x))
+        lam, v = lowest_pair(op)
+        vals, vecs = eigen_full(op)
+        assert_pairs_match(op, np.array([lam]), v[:, None], vals[:1], vecs[:, :1],
+                           vals[1] - vals[0])
 
 
 def whole_matrix_pairs(op):

@@ -171,11 +171,8 @@ class OutputCollector:
 
     def write_json(self, name: str, payload: dict) -> Path:
         path = self.dir / name
-        payload = {"schema_version": SCHEMA_VERSION, "config": self.config.as_dict(),
-                   **payload}
-        with open(path, "w") as fh:
-            json.dump(_jsonable(payload), fh, sort_keys=True, indent=1, allow_nan=False)
-            fh.write("\n")
+        _dump_json(path, {"schema_version": SCHEMA_VERSION, "config": self.config.as_dict(),
+                          **payload})
         self.files.append(name)
         return path
 
@@ -204,14 +201,20 @@ class OutputCollector:
             "all_pass": all(self.passes.values()) if self.passes else True,
         }
         path = self.dir / "manifest.json"
-        with open(path, "w") as fh:
-            json.dump(_jsonable(manifest), fh, sort_keys=True, indent=1, allow_nan=False)
-            fh.write("\n")
+        _dump_json(path, manifest)
         return path
 
 
 # rows per block of a CSV artifact's cell strings
 _CSV_BLOCK = 4096
+
+
+def _dump_json(path: Path, payload: dict) -> None:
+    """Write ``payload`` to ``path`` as strict JSON with sorted keys, one
+    space of indent and a final newline: every JSON artifact's format."""
+    with open(path, "w") as fh:
+        json.dump(_jsonable(payload), fh, sort_keys=True, indent=1, allow_nan=False)
+        fh.write("\n")
 
 
 def _jsonable(o):
@@ -397,12 +400,12 @@ def plan_confinement(cfg: ExperimentConfig) -> Plan:
 
 def cmd_confinement(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> None:
     summary = {}
-    reports = []
+    t_confinement = []
     for qm in plan.qms:
         l = qm.l
         rep = evolve.run_confinement(plan.geom, qm, cfg.T_max, cfg.R, x_max=plan.wall,
                                      dt=cfg.dt, causal=cfg.causal, le1=True)
-        reports.append(rep)
+        t_confinement.append(rep.t_confinement)
         le1_T = min(rep.t_confinement, cfg.T_max, float(rep.le1_times[-1]))
         # the data state is a propagator-cache hit, released before the next solve
         dbk = evolve.dbk_norm(evolve.data_field(plan.geom, qm, rep.grid), cfg.k)
@@ -426,10 +429,10 @@ def cmd_confinement(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> 
         out.record(f"half_bound_l{l}", rep.half_bound_ok)
         if cfg.causal == "audited":
             out.record(f"wall_audit_l{l}", rep.wall_ok)
-    if len(reports) >= 2:
+        del rep  # free this degree's per-sample arrays before the next solve
+    if len(t_confinement) >= 2:
         out.record("t_confinement_nondecreasing", all(
-            reports[i].t_confinement <= reports[i + 1].t_confinement
-            for i in range(len(reports) - 1)))
+            a <= b for a, b in zip(t_confinement, t_confinement[1:])))
     out.write_json("confinement_summary.json", {
         "per_l": summary,
         "horizon_note": (
@@ -536,26 +539,27 @@ def plan_bifurcation(cfg: ExperimentConfig) -> Plan:
 
 def cmd_bifurcation(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> None:
     (qm,) = plan.qms
-    curves = {}
+    final = {}
     for tag, grid in zip(("plus", "minus"), plan.grids):
         times, er = evolve.er_history(_bump_field(cfg.m, grid), cfg.T_max, cfg.R, dt=cfg.dt)
-        curves[f"bump_{tag}"] = (times, er / er[0])
-        out.write_csv(f"er_bump_{tag}.csv", ["t", "ratio_E_R"], curves[f"bump_{tag}"])
+        ratio = er / er[0]
+        out.write_csv(f"er_bump_{tag}.csv", ["t", "ratio_E_R"], [times, ratio])
+        final[tag] = float(ratio[-1])
+        del times, er, ratio  # free this curve before the next solve
 
     # trapped-side quasimode run (audited wall on its own compact domain)
     rep = evolve.run_confinement(plan.geom, qm, cfg.T_max, cfg.R, x_max=plan.wall,
                                  dt=cfg.dt, causal="audited")
     out.write_csv("er_quasimode_minus.csv", ["t", "ratio_E_R"], [rep.times, rep.ratio_E_R])
 
-    plus_final = float(curves["bump_plus"][1][-1])
     qm_final = float(rep.ratio_E_R.min())
-    out.record("plus_side_decays", plus_final < 0.5)
+    out.record("plus_side_decays", final["plus"] < 0.5)
     out.record("minus_side_confines", qm_final > 0.9)
     out.record("wall_audit_minus", rep.wall_ok)
     out.write_json("bifurcation_summary.json", {
         "split": {
-            "plus_bump_final_ratio": plus_final,
-            "minus_bump_final_ratio": float(curves["bump_minus"][1][-1]),
+            "plus_bump_final_ratio": final["plus"],
+            "minus_bump_final_ratio": final["minus"],
             "minus_quasimode_min_ratio": qm_final,
             "qualitative": "decay on x0>0, confinement of the trapped-side "
                            "quasimode on x0<0",

@@ -10,11 +10,12 @@ The geometry is rotationally symmetric, so a state, ``ModeState``, is
 one mode, and every reduction over time samples consumes one pass over
 them, ``_sweep``: the confinement run, the near-energy history, the
 space-time norms and the local-energy audit of the nontrapping side.
-This module alone knows the two layouts of a sweep block and the raw
-product the energy-density kernel reads: the packed complex [a | b]
-phase rows of any state, four real GEMM rows a sample, and for a
-standing wave (v, -i tau v) with v real, the quasimode data, the real
-[cos | sin / omega] rows, two a sample.
+This module alone knows the one format of a sweep block, a real array of
+parts, and the raw product the energy-density kernel reads.  Any state
+is two parts, whose GEMM rows are Re and Im of w and of dt w, four a
+sample; a standing wave (v, -i tau v) with v real, the quasimode data,
+is one part, whose rows Re w and -Im w / tau are two a sample, and the
+kernel forms dt w from the mode operator.
 
 Domain truncation policy.  Every run names its wall X_max.  A run is
 causally exact when the wall sits beyond the range any energy can
@@ -76,8 +77,9 @@ def _raw_product(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     """M @ X for real M (rows, n) and an (n, k) X, as the real product
     X_r^T M^T, one row per real column of X_r.
 
-    A real float64 X is X_r itself, so the result is (k, rows).  A
-    C-ordered complex X viewed as float64 is the real (n, 2k) matrix X_r of
+    A real float64 X, every sweep block, is X_r itself, so the result is
+    (k, rows).  A C-ordered complex X, the data of a grid <-> spectral
+    product, viewed as float64 is the real (n, 2k) matrix X_r of
     interleaved real and imaginary columns, so one real GEMM gives the
     complex product as (2k, rows), whose rows 2j and 2j + 1 are the real
     and imaginary parts of column j, with no complex copy of M and no split
@@ -163,7 +165,8 @@ class ModeState:
     phase; their sum is the coefficient vector of w and their weighted
     difference that of dt w.  ``standing_tau`` is tau for a standing wave,
     data (v, -i tau v) with v real as ``data_field`` builds it, and None
-    for any other data; it picks the layout of the sweep's blocks.
+    for any other data; it picks the parts of the sweep's blocks, and a
+    standing wave's sweep also gives its Duhamel gap.
     """
 
     prop: ModePropagator
@@ -320,57 +323,36 @@ def _phase_tables(omega, t0, dt, m):
     return coarse, fine
 
 
-def _phase_block(cp, cm, omega, t0, dt, m):
-    """Coefficient matrices of w and dt w at the m times t0 + dt * j, packed
-    side by side as [a(t) | b(t)] in one complex (n, 2m) array, so that a
-    single GEMM reconstructs both: the four-row layout, four real rows per
-    sample in the raw product.
+def _half_wave_parts(cp, cm, omega):
+    """The two parts (zx, zy) of any state from its half waves c+ and c-:
+    zx = [c+ + conj(c-), -i (c+ - conj(c-))] and zy the same split of
+    (omega c+, omega c-).  Since c- turns with conj(E), E = exp(-i omega t),
+    the rows Re(E zx) are Re w and Im w and the rows Im(E zy) Re dt w and
+    Im dt w, for any complex E."""
+    def split(p, q):
+        q = q.conj()
+        return [p + q, -1j * (p - q)]
+    return split(cp, cm), split(omega * cp, omega * cm)
 
-    The cp- and cm-weighted half waves P and M of each 8-column group of
-    ``_phase_tables`` are formed in two n x 8 buffers, and a = P + M,
-    b = -i omega (P - M) are written straight into the packed array.
+
+def _sweep_block(zx, zy, omega, t0, dt, m):
+    """The sweep block of p parts (zx_s, zy_s) at the m times t0 + dt * j:
+    the real (n, 2 p m) array [Re(E zx_0) | ... | Im(E zy_0) | ...] of
+    E = exp(-i omega t), m columns a part, so that one real GEMM gives the
+    X rows of every part, then their Y rows.
+
+    Each entry is one complex product of the ``_phase_tables``, formed 8
+    columns at a time in one n x 8 buffer.
     """
-    n = omega.size
-    AB = np.empty((n, 2 * m), complex)
-    iw = -1j * omega
     coarse, fine = _phase_tables(omega, t0, dt, m)
-    cp_q = cp[:, None] * coarse
-    cm_q = cm[:, None] * coarse.conj()
-    fine_m = fine.conj()
-    P, M = np.empty_like(fine), np.empty_like(fine)
-    for q, j in enumerate(range(0, m, 8)):
-        k = min(8, m - j)
-        p, mm = P[:, :k], M[:, :k]
-        np.multiply(cp_q[:, q, None], fine[:, :k], out=p)
-        np.multiply(cm_q[:, q, None], fine_m[:, :k], out=mm)
-        np.add(p, mm, out=AB[:, j:j + k])
-        p -= mm
-        np.multiply(p, iw[:, None], out=AB[:, m + j:m + j + k])
-    return AB
-
-
-def _standing_block(alpha, omega, t0, dt, m):
-    """The real (n, 2m) array [cos(omega t) alpha | sin(omega t) alpha / omega]
-    at the m times t0 + dt * j, for the standing wave of coefficients alpha:
-    the two-row layout, whose GEMM gives X = Re w and Y = -Im w / tau.
-
-    Its phases are the products of the ``_phase_tables`` of the four-row
-    layout, weighted by alpha and alpha / omega, 8 columns at a time, so
-    both layouts round every phase angle alike.
-    """
-    n = omega.size
-    G = np.empty((n, 2 * m))
-    coarse, fine = _phase_tables(omega, t0, dt, m)
-    A = alpha[:, None] * coarse
-    B = (alpha / omega)[:, None] * coarse
+    G = np.empty((omega.size, 2 * len(zx) * m))
     P = np.empty_like(fine)
-    for q, j in enumerate(range(0, m, 8)):
-        k = min(8, m - j)
-        p = P[:, :k]
-        np.multiply(A[:, q, None], fine[:, :k], out=p)
-        G[:, j:j + k] = p.real
-        np.multiply(B[:, q, None], fine[:, :k], out=p)
-        np.negative(p.imag, out=G[:, m + j:m + j + k])
+    for s, (z, part) in enumerate([(z, np.real) for z in zx] + [(z, np.imag) for z in zy]):
+        Z = z[:, None] * coarse
+        for q, j in enumerate(range(0, m, 8)):
+            k = min(8, m - j)
+            np.multiply(Z[:, q, None], fine[:, :k], out=P[:, :k])
+            G[:, s * m + j:s * m + j + k] = part(P[:, :k])
     return G
 
 
@@ -395,14 +377,14 @@ def _densities(R: np.ndarray, h: float, ratio: np.ndarray, pot: np.ndarray,
     the centred stencil takes Dirichlet ghost zeros beyond both ends of the
     rows; R is overwritten.
 
-    With ``standing`` None, R is the (4m, rows) product of a four-row
-    [a | b] block: rows 2j, 2j + 1 hold Re, Im of w at sample j and rows
-    2m + 2j, 2m + 2j + 1 those of dt w.  The stencil and the squares act on
-    R as it is, and adjacent row pairs are summed at the end.
+    With ``standing`` None, R is the (4m, rows) product of a block of two
+    parts: rows j and m + j hold Re w and Im w at sample j, and rows
+    2m + j and 3m + j those of dt w.  The stencil and the squares act on R
+    as it is, and the two parts' rows are summed at the end.
 
     Otherwise ``standing`` is (tau, d, o), the standing wave's frequency and
     the diagonal (for the rows) and off-diagonal of its mode operator P, and
-    R is the (2m, rows) product of a two-row block: row j holds X = Re w
+    R is the (2m, rows) product of a one-part block: row j holds X = Re w
     and row m + j Y = -Im w / tau.  Exact eigenpairs give dt w = -P Y -
     i tau X, so |w|^2 = X^2 + (tau Y)^2 and |dt w|^2 = (P Y)^2 + (tau X)^2:
     one tridiagonal stencil replaces the GEMM rows of dt w.  Two (m, rows)
@@ -439,8 +421,8 @@ def _densities(R: np.ndarray, h: float, ratio: np.ndarray, pot: np.ndarray,
         np.multiply(X, pot, out=t)
         e += t
         return X, e
-    k = R.shape[0] // 2
-    W, e = R[:k], R[k:]
+    m = R.shape[0] // 4
+    W, e = R[:2 * m], R[2 * m:]
     dW = np.zeros_like(W)
     dW[:, :-1] = W[:, 1:]
     dW[:, 1:] -= W[:, :-1]
@@ -452,31 +434,13 @@ def _densities(R: np.ndarray, h: float, ratio: np.ndarray, pot: np.ndarray,
     W *= W
     np.multiply(W, pot, out=dW)
     e += dW
-    del dW  # free this temporary before the pair sums are allocated
-    return W[0::2] + W[1::2], e[0::2] + e[1::2]
-
-
-def _rotation_gap(AB, a0, b0, evals, ph):
-    """Energy-norm distance of each packed [a | b] sample from the pure
-    phase rotation (a0, b0) * ph.
-
-    One complex n x m buffer holds each half's difference in turn, and one
-    ``einsum`` over its float64 view (real and imaginary parts in adjacent
-    columns) reduces it, with no |.|^2 temporaries."""
-    m = ph.size
-    D = np.multiply.outer(a0, ph)
-    D -= AB[:, :m]
-    Dr = D.view(np.float64)
-    sq = np.einsum("ij,ij,i->j", Dr, Dr, evals)
-    np.multiply.outer(b0, ph, out=D)
-    D -= AB[:, m:]
-    sq += np.einsum("ij,ij->j", Dr, Dr)
-    return np.sqrt(sq[0::2] + sq[1::2])
+    del dW  # free this temporary before the part sums are allocated
+    return W[:m] + W[m:], e[:m] + e[m:]
 
 
 def _standing_gap(G, alpha, evals, tau, theta):
-    """Energy-norm distance of each sample of a two-row block G = [C | S]
-    from the standing wave's data rotated by exp(-i theta).
+    """Energy-norm distance of each sample of a standing wave's one-part
+    sweep block G = [C | S] from its data rotated by exp(-i theta).
 
     With C = cos(omega t) alpha and S = sin(omega t) alpha / omega, the
     state is (a, b) = (C - i tau S, -lambda S - i tau C) and the rotated
@@ -504,8 +468,9 @@ def _standing_gap(G, alpha, evals, tau, theta):
 def _band_energy(prop: ModePropagator, block, lo: int, hi: int, ratio, pot,
                  tau: float | None) -> np.ndarray:
     """Energy |dt w|^2 + |dx w - (a'/a) w|^2 + pot |w|^2 integrated over the
-    node band [lo, hi), one value per sample of a sweep block: four-row with
-    ``tau`` None, else two-row for a standing wave of frequency tau.
+    node band [lo, hi), one value per sample of a sweep block: of two parts
+    with ``tau`` None, else of the one part of a standing wave of frequency
+    tau.
 
     Only the band's rows are reconstructed, plus one neighbor row on each
     side for the derivative and operator stencils; where the band touches
@@ -534,23 +499,22 @@ def _sample_times(T: float, dt: float | None, h: float) -> tuple[float, np.ndarr
 
 
 def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
-           whole: bool = False, tau: float | None = None):
+           whole: bool = False):
     """The one evolution pass over the samples ``times`` = dt * i of a mode.
 
-    The state picks the block layout.  A standing wave (``standing_tau``
-    set) takes the two-row layout of ``_standing_block``: two real GEMM
-    rows per sample, half the flops and temporaries of the four-row layout
-    of ``_phase_block`` that any other state takes.  The two-row layout
-    needs real frequencies, so a propagator whose omega has been made
-    complex takes the four-row one.
+    The state picks the parts of its ``_sweep_block``s.  A standing wave
+    (``standing_tau`` set) is one part, zx = alpha and zy = -alpha / omega
+    for alpha = Re(c+ + c-): two real GEMM rows per sample, X = Re w and
+    Y = -Im w / tau, half the flops and temporaries of the two parts of
+    ``_half_wave_parts`` that any other state takes.
 
     The blocks are uniform, at most TILE samples of step k * dt: block r of
     each span of k * TILE samples holds the samples r, r + k, ...  With
     ``whole``, block 0 of each span is reconstructed on the whole grid,
     which also gives its densities |w|^2 and the energy density, each
     (samples, n); the other blocks only on the node bands [lo, hi) of
-    ``bands``.  With ``tau``, each block's phases also give its Duhamel gap,
-    the energy-norm distance from the data rotated by exp(-i tau t).
+    ``bands``.  A standing wave's blocks also give its Duhamel gap, the
+    energy-norm distance from the data rotated by exp(-i tau t).
 
     Yields per block (idx, energies, u, e, gap): its slice of ``times``, the
     energy in each band, the whole-grid densities or None, and the gap or
@@ -560,24 +524,20 @@ def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
     prop, h = mode.prop, mode.grid.h
     ratio, inv_a2 = _warp_factors(mode.geom, mode.grid)
     pot = mode.sigma_sq * inv_a2
-    stau = mode.standing_tau if np.isrealobj(prop.omega) else None
-    standing = None if stau is None else (stau, prop.op.diag, prop.op.offdiag)
-    if stau is not None:
+    tau = mode.standing_tau
+    if tau is None:
+        standing = None
+        zx, zy = _half_wave_parts(mode.c_plus, mode.c_minus, prop.omega)
+    else:
+        standing = (tau, prop.op.diag, prop.op.offdiag)
         alpha = mode.a_coeff().real
-    elif tau is not None:
-        a0, b0 = mode.a_coeff(), mode.b_coeff()
+        zx, zy = [alpha], [-alpha / prop.omega]
     for c0 in range(0, times.size, k * TILE):
         for r in range(min(k, times.size - c0)):
             idx = slice(c0 + r, c0 + k * TILE, k)
             tc = times[idx]
-            if stau is not None:
-                B = _standing_block(alpha, prop.omega, tc[0], k * dt, tc.size)
-                gap = None if tau is None else _standing_gap(B, alpha, prop.evals, stau,
-                                                             tau * tc)
-            else:
-                B = _phase_block(mode.c_plus, mode.c_minus, prop.omega, tc[0], k * dt, tc.size)
-                gap = None if tau is None else _rotation_gap(B, a0, b0, prop.evals,
-                                                             np.exp(-1j * tau * tc))
+            B = _sweep_block(zx, zy, prop.omega, tc[0], k * dt, tc.size)
+            gap = None if tau is None else _standing_gap(B, alpha, prop.evals, tau, tau * tc)
             if whole and r == 0:
                 W = _raw_product(prop.evecs, B)
                 del B  # free the block before the densities' temporaries
@@ -586,7 +546,7 @@ def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
                 yield idx, [0.5 * h * np.sum(e[:, lo:hi], axis=1) for lo, hi in bands], u, e, gap
                 del u, e  # free this block's densities before the next is built
             else:
-                energies = [_band_energy(prop, B, lo, hi, ratio, pot, stau) for lo, hi in bands]
+                energies = [_band_energy(prop, B, lo, hi, ratio, pot, tau) for lo, hi in bands]
                 del B  # free this block before the next one is built
                 yield idx, energies, None, None, gap
 
@@ -600,8 +560,8 @@ def _feed_le1(acc: ShellAccumulator, times: np.ndarray, u: np.ndarray, e: np.nda
 
 def data_field(geom: WarpGeometry, qm: Quasimode, grid_ext: Grid) -> ModeState:
     """The quasimode data (v, -i tau v), zero-extended onto the evolution
-    grid: a standing wave, as v is real, so its sweeps take the two-row
-    layout of ``_sweep``.  Its coefficients are those of
+    grid: a standing wave, as v is real, so its sweeps take the one-part
+    blocks of ``_sweep``.  Its coefficients are those of
     ``ModeState.from_grid_data`` on the same data."""
     u_ext = qm.extend_to(grid_ext)
     prop = get_propagator(geom, qm.l, grid_ext)
@@ -615,18 +575,20 @@ def _energy_drift(mode: ModeState, dt: float, m: int) -> float:
     energy: an independent check on conservation, reconstructed TILE
     samples at a time.
 
-    Each tile's energies are reduced from the raw product of its four-row
-    block, with no complex copy: h * x.x over the rows of dt w, then the
-    operator quadratic form h * x.Px over the rows of w, with P x written
-    over the rows of dt w; each sample adds its real and imaginary rows."""
+    Every state, a standing wave too, takes the two parts of
+    ``_half_wave_parts``, so the check reads no P stencil of the sweep.
+    Each tile's energies are reduced from the raw product of its block:
+    h * x.x over the rows of dt w, then the operator quadratic form
+    h * x.Px over the rows of w, with P x written over the rows of dt w;
+    each sample adds its real and imaginary rows, one from each part."""
     prop = mode.prop
     d, o = prop.op.diag, prop.op.offdiag
+    zx, zy = _half_wave_parts(mode.c_plus, mode.c_minus, prop.omega)
     E = mode.energy_spectral()
     drift = 0.0
     for j0 in range(0, m, TILE):
         k = min(TILE, m - j0)
-        R = _raw_product(prop.evecs, _phase_block(mode.c_plus, mode.c_minus, prop.omega,
-                                                  j0 * dt, dt, k))
+        R = _raw_product(prop.evecs, _sweep_block(zx, zy, prop.omega, j0 * dt, dt, k))
         W, Wt = R[:2 * k], R[2 * k:]
         q = np.einsum("ij,ij->i", Wt, Wt)
         # P x in the order of ``op.apply``, over the rows of dt w, already summed
@@ -634,7 +596,7 @@ def _energy_drift(mode: ModeState, dt: float, m: int) -> float:
         PW[:, :-1] += o * W[:, 1:]
         PW[:, 1:] += o * W[:, :-1]
         q += np.einsum("ij,ij->i", W, PW)
-        e = 0.5 * prop.h * (q[0::2] + q[1::2])
+        e = 0.5 * prop.h * (q[:k] + q[k:])
         drift = max(drift, float(np.max(np.abs(e - E))) / E)
     return drift
 
@@ -707,7 +669,7 @@ def run_confinement(
     # samples, whose densities also feed the accumulator
     E_R, wall, gap = (np.empty(times.size) for _ in range(3))
     bands = ((0, nR), (n_buf, grid_ext.n_interior))
-    for idx, (er, wl), u, e, g in _sweep(mode, times, dt, k, bands, whole=le1, tau=qm.tau):
+    for idx, (er, wl), u, e, g in _sweep(mode, times, dt, k, bands, whole=le1):
         E_R[idx], wall[idx], gap[idx] = er, wl, g
         if u is not None:
             _feed_le1(acc, times[idx], u, e)

@@ -834,6 +834,44 @@ class TestPropagatorLifetime:
         assert len(full_n) == solves
 
 
+    @pytest.mark.parametrize("args, runs", [
+        (["confinement", "--x0", "-1.0", "--l", "14", "15", "--T", "2", "--x-max", "4"], 2),
+        (["bifurcation", "--x0-plus", "1.0", "--x0-minus", "-1.0", "--R", "3.5", "--l", "14",
+          "--T", "0.5", "--x-max", "6"], 3),
+    ], ids=["confinement", "bifurcation"])
+    def test_no_earlier_run_alive_at_a_later_run(self, args, runs, tmp_path, monkeypatch):
+        # a finished run's per-sample data, each degree's report and each
+        # bump curve with the CSV columns made from them, is freed before
+        # the next run starts: only its scalars outlive it
+        import weakref
+
+        import numpy as np
+
+        from warptrap import evolve
+
+        done, alive_at_start = [], []
+        run, history, write_csv = evolve.run_confinement, evolve.er_history, \
+            OutputCollector.write_csv
+
+        def starting(fn):
+            def spy(*a, **kw):
+                alive_at_start.append(sum(ref() is not None for ref in done))
+                result = fn(*a, **kw)
+                done.extend(map(weakref.ref, result if isinstance(result, tuple) else [result]))
+                return result
+            return spy
+
+        def csv_spy(self, name, header, columns):
+            done.extend(weakref.ref(c) for c in columns if isinstance(c, np.ndarray))
+            return write_csv(self, name, header, columns)
+
+        monkeypatch.setattr(evolve, "run_confinement", starting(run))
+        monkeypatch.setattr(evolve, "er_history", starting(history))
+        monkeypatch.setattr(OutputCollector, "write_csv", csv_spy)
+        assert run_cli([*args, "--out", str(tmp_path / "o")]) in (0, 2)
+        assert alive_at_start == [0] * runs
+
+
 class TestImports:
     def test_cli_loads_neither_scipy_nor_sympy(self, tmp_path):
         # every CLI run pays for what importing the entry point loads; the

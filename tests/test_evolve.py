@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 import weakref
@@ -146,6 +147,18 @@ def abs_rotation_gap(AB, a0, b0, evals, ph):
     return np.sqrt(np.sum(evals[:, None] * np.abs(da) ** 2 + np.abs(db) ** 2, axis=0))
 
 
+def general_block(cp, cm, omega, t0, dt, m):
+    """The sweep block of the half waves (cp, cm): two parts, whose rows are
+    Re a, Im a, Re b and Im b, m columns each."""
+    return evolve._sweep_block(*evolve._half_wave_parts(cp, cm, omega), omega, t0, dt, m)
+
+
+def packed(G):
+    """A two-part sweep block as the packed complex [a | b] block."""
+    m = G.shape[1] // 4
+    return np.hstack([G[:, :m] + 1j * G[:, m:2 * m], G[:, 2 * m:3 * m] + 1j * G[:, 3 * m:]])
+
+
 def random_coefficients(rng, n):
     return [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2)]
 
@@ -160,7 +173,7 @@ class TestPhaseBlock:
         omega = np.sort(rng.uniform(1.0, 50.0, self.n))
         cp, cm = random_coefficients(rng, self.n)
         times = t0 + dt * np.arange(m)
-        got = evolve._phase_block(cp, cm, omega, t0, dt, m)
+        got = general_block(cp, cm, omega, t0, dt, m)
         ref = direct_phase_block(cp, cm, omega, times)
         # Both builds round the phase angle omega * t, each to within a few
         # eps * omega * t (the products and sums forming t and omega * t),
@@ -171,31 +184,22 @@ class TestPhaseBlock:
         eps = np.finfo(float).eps
         tol_a = 8 * eps * omega.max() * np.abs(times).max() * max(np.abs(cp).max(),
                                                                   np.abs(cm).max())
-        assert got.shape == (self.n, 2 * m)
+        assert got.shape == (self.n, 4 * m) and got.dtype == np.float64
+        got = packed(got)
         assert np.max(np.abs(got[:, :m] - ref[:, :m])) <= tol_a
         assert np.max(np.abs(got[:, m:] - ref[:, m:])) <= omega.max() * tol_a
 
     def test_zero_time_sample_is_exact(self):
+        # at t = 0 every phase is 1: each part's first column is Re zx or
+        # Im zy itself, and the rows of w are those of c+ + c-
         rng = np.random.default_rng(5)
         omega = rng.uniform(1.0, 50.0, self.n)
         cp, cm = random_coefficients(rng, self.n)
-        AB = evolve._phase_block(cp, cm, omega, 0.0, 0.5, 9)
-        assert np.array_equal(AB[:, 0], cp + cm)
-        assert np.array_equal(AB[:, 9], -1j * omega * (cp - cm))
-
-    @pytest.mark.parametrize("m", [1, 8, TILE])
-    def test_rotation_gap_matches_abs_form(self, m):
-        rng = np.random.default_rng(11 + m)
-        evals = np.sort(rng.uniform(1.0, 2500.0, self.n))
-        omega = np.sqrt(evals)
-        cp, cm = random_coefficients(rng, self.n)
-        a0, b0 = cp + cm, -1j * omega * (cp - cm)
-        times = 0.7 + 0.2 * np.arange(m)
-        AB = evolve._phase_block(cp, cm, omega, 0.7, 0.2, m)
-        ph = np.exp(-1j * 31.0 * times)
-        got = evolve._rotation_gap(AB, a0, b0, evals, ph)
-        ref = abs_rotation_gap(AB, a0, b0, evals, ph)
-        assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+        (zx0, zx1), (zy0, zy1) = evolve._half_wave_parts(cp, cm, omega)
+        G = evolve._sweep_block([zx0, zx1], [zy0, zy1], omega, 0.0, 0.5, 9)
+        for j, col in enumerate((zx0.real, zx1.real, zy0.imag, zy1.imag)):
+            assert np.array_equal(G[:, 9 * j], col)
+        assert np.array_equal(G[:, 0] + 1j * G[:, 9], cp + cm)
 
 
 def random_mode(x0, span, n, l, seed):
@@ -213,8 +217,8 @@ mode_draws = dict(n=st.integers(5, 60), x0=st.sampled_from([-2.0, -1.0, 0.5, 1.0
 
 
 class TestPhaseProperties:
-    """Conservation, time reversal and the round trip, through the tiled
-    phase path on random grids, degrees and data."""
+    """Conservation, time reversal and the round trip, through the sweep
+    block of two parts on random grids, degrees and data."""
 
     @settings(max_examples=30)
     @given(dt=st.floats(0.01, 20.0), m=st.integers(1, 2 * TILE), **mode_draws)
@@ -228,14 +232,14 @@ class TestPhaseProperties:
     def test_time_reversal_returns_coefficients(self, t0, dt, m, n, x0, span, l, seed):
         mode, _, _ = random_mode(x0, span, n, l, seed)
         cp, cm, omega = mode.c_plus, mode.c_minus, mode.prop.omega
-        AB = evolve._phase_block(cp, cm, omega, t0, dt, m)
+        AB = packed(general_block(cp, cm, omega, t0, dt, m))
         tol = 8 * np.finfo(float).eps * (np.abs(cp) + np.abs(cm))
         for j in range(m):
             # split sample j back into half waves and run them backwards by
             # t0 + dt * j: column j of the reversed tile
             ib = 1j * AB[:, m + j] / omega
-            back = evolve._phase_block(0.5 * (AB[:, j] + ib), 0.5 * (AB[:, j] - ib), omega,
-                                       -t0, -dt, m)
+            back = packed(general_block(0.5 * (AB[:, j] + ib), 0.5 * (AB[:, j] - ib), omega,
+                                        -t0, -dt, m))
             ib = 1j * back[:, m + j] / omega
             assert np.all(np.abs(0.5 * (back[:, j] + ib) - cp) <= tol)
             assert np.all(np.abs(0.5 * (back[:, j] - ib) - cm) <= tol)
@@ -245,8 +249,8 @@ class TestPhaseProperties:
     def test_grid_spectral_grid_round_trip(self, dt, m, n, x0, span, l, seed):
         mode, w0, w1 = random_mode(x0, span, n, l, seed)
         prop = mode.prop
-        W = prop.from_spectral(evolve._phase_block(mode.c_plus, mode.c_minus, prop.omega,
-                                                   0.0, dt, m))
+        W = prop.from_spectral(packed(general_block(mode.c_plus, mode.c_minus, prop.omega,
+                                                    0.0, dt, m)))
         err = np.linalg.norm(W[:, 0] - w0) + np.linalg.norm(W[:, m] - w1)
         assert err <= 1e-10 * (np.linalg.norm(w0) + np.linalg.norm(w1))
 
@@ -515,7 +519,7 @@ class TestConfinement:
         mode = evolve.data_field(geom_m1_trapped, qm, grid_ext)
         E = mode.energy_spectral()
         WW = prop.from_spectral(
-            evolve._phase_block(mode.c_plus, mode.c_minus, prop.omega, 0.0, 0.1, m))
+            direct_phase_block(mode.c_plus, mode.c_minus, prop.omega, 0.1 * np.arange(m)))
         one_block = max(
             abs(0.5 * (oracles.quad_form(prop.op, w) + prop.h * float(np.sum(np.abs(wt) ** 2)))
                 - E) / E
@@ -532,8 +536,8 @@ class TestConfinement:
             prop, E, drift = mode.prop, mode.energy_spectral(), 0.0
             for j0 in range(0, m, TILE):
                 k = min(TILE, m - j0)
-                WW = prop.from_spectral(evolve._phase_block(mode.c_plus, mode.c_minus,
-                                                            prop.omega, j0 * dt, dt, k))
+                WW = prop.from_spectral(direct_phase_block(
+                    mode.c_plus, mode.c_minus, prop.omega, j0 * dt + dt * np.arange(k)))
                 for w, wt in zip(WW[:, :k].T, WW[:, k:].T):
                     e = 0.5 * (oracles.quad_form(prop.op, w)
                                + prop.h * float(np.sum(np.abs(wt) ** 2)))
@@ -646,7 +650,7 @@ class TestConfinement:
 def general_field(geom, qm, grid_ext):
     """``data_field``'s data, built through ``from_grid_data``: the same
     coefficients, but not marked as a standing wave, so its sweeps take the
-    four-row layout."""
+    two parts of any state."""
     u = qm.extend_to(grid_ext)
     prop = evolve.get_propagator(geom, qm.l, grid_ext)
     return evolve.ModeState.from_grid_data(prop, u.astype(complex), -1j * qm.tau * u)
@@ -656,16 +660,28 @@ EPS = np.finfo(float).eps
 
 
 class TestStandingLayout:
-    """A standing wave (v, -i tau v), v real, sweeps two real GEMM rows per
-    sample and forms dt w from the mode operator P: Re dt w = -P Y.  P
-    scales the GEMM's roundoff in Y by up to its norm_bound, where the exact
-    P Y is about tau^2 Y, so energies move by about eps * norm_bound /
-    tau^2 of E from the four-row layout's (at most twice that, measured);
-    the Duhamel gap reads no P, and moves by a few eps * sqrt(2E)."""
+    """A standing wave (v, -i tau v), v real, sweeps one part, two real GEMM
+    rows per sample, and forms dt w from the mode operator P: Re dt w =
+    -P Y.  P scales the GEMM's roundoff in Y by up to its norm_bound, where
+    the exact P Y is about tau^2 Y, so energies move by about eps *
+    norm_bound / tau^2 of E from the two parts' values (at most twice that,
+    measured); the Duhamel gap reads no P, and moves by a few eps *
+    sqrt(2E)."""
 
     @staticmethod
     def bound(state):
         return 16 * EPS * state.prop.op.norm_bound / state.standing_tau**2
+
+    @staticmethod
+    def gap_bound(state, t):
+        """How far a gap up to time t may move between builds: a few eps *
+        sqrt(2E) from its sums, plus the rounding of the phases where the
+        builds round them apart.  Each mode's angle omega t is rounded to a
+        few eps * omega t, which moves the half waves by that fraction, so
+        the state by at most 8 eps * t * |B data| in the energy norm, with
+        |B data|^2 = graph_sq(1) = 2 Sum lambda^2 (|c+|^2 + |c-|^2)."""
+        return EPS * (64 * math.sqrt(2.0 * state.energy_spectral())
+                      + 8 * t * math.sqrt(state.graph_sq(1)))
 
     @settings(max_examples=60)
     @given(m=st.sampled_from([1, 2, 3]), x0=st.floats(-1.5, -0.5), l=st.integers(1, 14),
@@ -686,18 +702,25 @@ class TestStandingLayout:
         assert np.array_equal(fld.c_minus, gen.c_minus)
         tol, E = self.bound(fld), fld.energy_spectral()
 
-        run = dict(T_max=T, R=1.0, x_max=x_max, dt=dt, causal="audited", le1=True,
-                   dt_le=k * dt)
-        rep = evolve.run_confinement(geom, qm, **run)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evolve, "data_field", general_field)
-            ref = evolve.run_confinement(geom, qm, **run)
-        assert rep.E == ref.E
-        assert np.max(np.abs(rep.E_R - ref.E_R)) <= tol * E
-        assert abs(rep.wall_buffer_max - ref.wall_buffer_max) <= tol * E
-        assert np.max(np.abs(rep.duhamel_gap - ref.duhamel_gap)) <= 64 * EPS * math.sqrt(2 * E)
+        rep = evolve.run_confinement(geom, qm, T_max=T, R=1.0, x_max=x_max, dt=dt,
+                                     causal="audited", le1=True, dt_le=k * dt)
+        assert rep.grid == grid and rep.E == gen.energy_spectral()
+        # the general state's E_R, wall band (the whole grid minus the rows
+        # before the strip) and LE1 from its own sweeps, and its gap from
+        # the direct phases
+        assert np.max(np.abs(rep.E_R - evolve.er_history(gen, T, 1.0, dt=dt)[1])) <= tol * E
+        x = grid.nodes()
+        n_buf = int(np.searchsorted(x, grid.x_right - evolve._WALL_MARGIN))
+        whole = evolve.er_history(gen, T, grid.x_right, dt=dt)[1]
+        before = evolve.er_history(gen, T, x[n_buf - 1], dt=dt)[1] if n_buf else 0.0
+        assert abs(rep.wall_buffer_max - np.max(whole - before)) <= tol * E
+        AB = direct_phase_block(gen.c_plus, gen.c_minus, gen.prop.omega, rep.times)
+        gap = abs_rotation_gap(AB, gen.a_coeff(), gen.b_coeff(), gen.prop.evals,
+                               np.exp(-1j * qm.tau * rep.times))
+        assert np.max(np.abs(rep.duhamel_gap - gap)) <= self.gap_bound(gen, T)
         assert rep.duhamel_gap[0] == 0.0
-        assert np.allclose(rep.le1_running, ref.le1_running, rtol=tol, atol=0.0)
+        le1 = evolve.space_time_norms(gen, T, k * dt)[1]
+        assert np.allclose(rep.le1_running, le1, rtol=tol, atol=0.0)
 
         R = qm.cutoff.support_end + r * (grid.x_right + 1.0 - qm.cutoff.support_end)
         er_s = evolve.er_history(fld, T, R, dt=dt)[1]
@@ -713,12 +736,13 @@ class TestStandingLayout:
                                           monkeypatch):
         # every sample of space_time_norms is reconstructed once on the whole
         # grid: two real operand columns per sample for quasimode data, four
-        # for complex bump data
-        columns = []
+        # for complex bump data, and every sweep operand is float64
+        columns, dtypes = [], set()
         raw = evolve._raw_product
 
         def spy(M, X):
             columns.append(X.shape[1] * (2 if np.iscomplexobj(X) else 1))
+            dtypes.add(X.dtype)
             return raw(M, X)
 
         monkeypatch.setattr(evolve, "_raw_product", spy)
@@ -727,10 +751,31 @@ class TestStandingLayout:
         T, dt = 30.0, 0.25
         for state, rows in ((fld, 2), (oscillating_field, 4)):
             columns.clear()
+            dtypes.clear()
             evolve.space_time_norms(state, T, dt)
             _, times = evolve._sample_times(T, dt, state.grid.h)
             assert times.size > TILE
             assert sum(columns) == rows * times.size
+            assert dtypes == {np.dtype(np.float64)}
+
+    @settings(max_examples=40)
+    @given(m=st.integers(1, 2 * TILE), dt=st.floats(0.01, 2.0), tau=st.floats(0.5, 30.0),
+           **mode_draws)
+    def test_property_standing_gap_matches_abs_form(self, m, dt, tau, n, x0, span, l, seed):
+        # random standing data (v, -i tau v), v real, of any tau: the gap of
+        # its one-part sweep blocks against the complex differences of the
+        # direct phases
+        prop = evolve.ModePropagator(WarpGeometry.of(1, x0), l, Grid(x0, x0 + span, n))
+        v = np.random.default_rng(seed).standard_normal(n)
+        state = evolve.ModeState.from_grid_data(prop, v.astype(complex), -1j * tau * v)
+        times = dt * np.arange(m)
+        got = np.concatenate([gap for *_, gap in evolve._sweep(
+            dataclasses.replace(state, standing_tau=tau), times, dt)])
+        AB = direct_phase_block(state.c_plus, state.c_minus, prop.omega, times)
+        ref = abs_rotation_gap(AB, state.a_coeff(), state.b_coeff(), prop.evals,
+                               np.exp(-1j * tau * times))
+        assert got[0] == 0.0
+        assert np.max(np.abs(got - ref)) <= self.gap_bound(state, times[-1])
 
 
 class TestPropagatorCache:

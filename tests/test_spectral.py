@@ -819,11 +819,12 @@ class TestModuleBoundaries:
         assert not found, f"exported but not defined in the exporting module: {found}"
 
     def test_one_evolution_sweep(self):
-        # every reduction over time samples goes through evolve._sweep; only
-        # the drift check builds its own phase block, and only the band
-        # reconstruction its own densities
+        # every reduction over time samples goes through evolve._sweep; one
+        # builder makes every sweep block, which only the drift check also
+        # calls, and only the band reconstruction forms its own densities
         pkg = Path(spectral.__file__).parent
-        assert _callers(pkg, "_phase_block") == {"evolve._sweep", "evolve._energy_drift"}
+        assert _callers(pkg, "_sweep_block") == {"evolve._sweep", "evolve._energy_drift"}
+        assert _callers(pkg, "_phase_tables") == {"evolve._sweep_block"}
         assert _callers(pkg, "_densities") == {"evolve._sweep", "evolve._band_energy"}
 
     def test_no_call_time_imports_between_spectral_and_evolve(self):

@@ -312,17 +312,6 @@ class EvolutionReport:
 EVOLUTION_CSV_COLUMNS = ["t", "E", "E_R", "ratio_E_R", "LE1_running", "duhamel_gap"]
 
 
-def _phase_tables(omega, t0, dt, m):
-    """The phases exp(-i omega t) at the m times t = t0 + dt * (8 q + r),
-    as two tables whose products give every one: (n, ceil(m/8)) over q and
-    (n, min(m, 8)) over r, so a tile takes n * (ceil(m/8) + 8) exponentials
-    instead of n * m."""
-    iw = -1j * omega
-    coarse = np.exp(np.multiply.outer(iw, t0 + 8.0 * dt * np.arange((m + 7) // 8)))
-    fine = np.exp(np.multiply.outer(iw, dt * np.arange(min(m, 8))))
-    return coarse, fine
-
-
 def _half_wave_parts(cp, cm, omega):
     """The two parts (zx, zy) of any state from its half waves c+ and c-:
     zx = [c+ + conj(c-), -i (c+ - conj(c-))] and zy the same split of
@@ -341,10 +330,15 @@ def _sweep_block(zx, zy, omega, t0, dt, m):
     E = exp(-i omega t), m columns a part, so that one real GEMM gives the
     X rows of every part, then their Y rows.
 
-    Each entry is one complex product of the ``_phase_tables``, formed 8
-    columns at a time in one n x 8 buffer.
+    The phases at t = t0 + dt * (8 q + r) are products of two tables,
+    (n, ceil(m/8)) over q and (n, min(m, 8)) over r, so a block takes
+    n * (ceil(m/8) + 8) exponentials instead of n * m.  Each entry is one
+    complex product of the tables, formed 8 columns at a time in one n x 8
+    buffer.
     """
-    coarse, fine = _phase_tables(omega, t0, dt, m)
+    iw = -1j * omega
+    coarse = np.exp(np.multiply.outer(iw, t0 + 8.0 * dt * np.arange((m + 7) // 8)))
+    fine = np.exp(np.multiply.outer(iw, dt * np.arange(min(m, 8))))
     G = np.empty((omega.size, 2 * len(zx) * m))
     P = np.empty_like(fine)
     for s, (z, part) in enumerate([(z, np.real) for z in zx] + [(z, np.imag) for z in zy]):

@@ -159,6 +159,24 @@ def packed(G):
     return np.hstack([G[:, :m] + 1j * G[:, m:2 * m], G[:, 2 * m:3 * m] + 1j * G[:, 3 * m:]])
 
 
+def builder_gap(state, tau, times, dt, k=1):
+    """The Duhamel gap of a sweep from the complex differences of the
+    two-part blocks of the state's half waves, built over the tiles of
+    ``_sweep`` (block r of each span of k * TILE samples holds the samples
+    r, r + k, ...), so its phases are rounded as the sweep's own blocks
+    round them."""
+    gap = np.empty(times.size)
+    for c0 in range(0, times.size, k * TILE):
+        for r in range(min(k, times.size - c0)):
+            idx = slice(c0 + r, c0 + k * TILE, k)
+            tc = times[idx]
+            AB = packed(general_block(state.c_plus, state.c_minus, state.prop.omega, tc[0],
+                                      k * dt, tc.size))
+            gap[idx] = abs_rotation_gap(AB, state.a_coeff(), state.b_coeff(), state.prop.evals,
+                                        np.exp(-1j * tau * tc))
+    return gap
+
+
 def random_coefficients(rng, n):
     return [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2)]
 
@@ -706,8 +724,9 @@ class TestStandingLayout:
                                      causal="audited", le1=True, dt_le=k * dt)
         assert rep.grid == grid and rep.E == gen.energy_spectral()
         # the general state's E_R, wall band (the whole grid minus the rows
-        # before the strip) and LE1 from its own sweeps, and its gap from
-        # the direct phases
+        # before the strip) and LE1 from its own sweeps; its gap from the
+        # direct phases, and within a few eps * sqrt(2E) from the two-part
+        # blocks of the sweep's own tiles and phase tables
         assert np.max(np.abs(rep.E_R - evolve.er_history(gen, T, 1.0, dt=dt)[1])) <= tol * E
         x = grid.nodes()
         n_buf = int(np.searchsorted(x, grid.x_right - evolve._WALL_MARGIN))
@@ -718,6 +737,10 @@ class TestStandingLayout:
         gap = abs_rotation_gap(AB, gen.a_coeff(), gen.b_coeff(), gen.prop.evals,
                                np.exp(-1j * qm.tau * rep.times))
         assert np.max(np.abs(rep.duhamel_gap - gap)) <= self.gap_bound(gen, T)
+        dt_s, times = evolve._sample_times(T, dt, grid.h)
+        assert np.array_equal(times, rep.times)
+        gap = builder_gap(gen, qm.tau, times, dt_s, evolve._le_stride(T, dt_s, k * dt))
+        assert np.max(np.abs(rep.duhamel_gap - gap)) <= 64 * EPS * math.sqrt(2 * E)
         assert rep.duhamel_gap[0] == 0.0
         le1 = evolve.space_time_norms(gen, T, k * dt)[1]
         assert np.allclose(rep.le1_running, le1, rtol=tol, atol=0.0)
@@ -776,6 +799,8 @@ class TestStandingLayout:
                                np.exp(-1j * tau * times))
         assert got[0] == 0.0
         assert np.max(np.abs(got - ref)) <= self.gap_bound(state, times[-1])
+        ref = builder_gap(state, tau, times, dt)
+        assert np.max(np.abs(got - ref)) <= 64 * EPS * math.sqrt(2 * state.energy_spectral())
 
 
 class TestPropagatorCache:

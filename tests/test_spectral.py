@@ -824,7 +824,6 @@ class TestModuleBoundaries:
         # calls, and only the band reconstruction forms its own densities
         pkg = Path(spectral.__file__).parent
         assert _callers(pkg, "_sweep_block") == {"evolve._sweep", "evolve._energy_drift"}
-        assert _callers(pkg, "_phase_tables") == {"evolve._sweep_block"}
         assert _callers(pkg, "_densities") == {"evolve._sweep", "evolve._band_energy"}
 
     def test_no_call_time_imports_between_spectral_and_evolve(self):

@@ -11,11 +11,12 @@ one mode, and every reduction over time samples consumes one pass over
 them, ``_sweep``: the confinement run, the near-energy history, the
 space-time norms and the local-energy audit of the nontrapping side.
 This module alone knows the one format of a sweep block, a real array of
-parts, and the raw product the energy-density kernel reads.  Any state
-is two parts, whose GEMM rows are Re and Im of w and of dt w, four a
-sample; a standing wave (v, -i tau v) with v real, the quasimode data,
-is one part, whose rows Re w and -Im w / tau are two a sample, and the
-kernel forms dt w from the mode operator.
+parts, and the one energy-density body, which sums the squares of any
+number of real parts (w, dt w).  Any state is two parts, whose GEMM rows
+are Re and Im of w and of dt w, four a sample; real data is one, as its
+second part is zero; a standing wave (v, -i tau v) with v real, the
+quasimode data, is one GEMM part, whose rows Re w and -Im w / tau are two
+a sample, and the mode operator turns them into two density parts.
 
 Domain truncation policy.  Every run names its wall X_max.  A run is
 causally exact when the wall sits beyond the range any energy can
@@ -352,8 +353,8 @@ def _sweep_block(zx, zy, omega, t0, dt, m):
 
 # -- energy density ------------------------------------------------------------
 #
-# The energy density is evaluated by the one kernel below, which every tiled
-# pass over the samples shares.
+# The energy density is evaluated by the one body below, over the real parts
+# of every state, which every tiled pass over the samples shares.
 
 
 def _warp_factors(geom, grid) -> tuple[np.ndarray, np.ndarray]:
@@ -362,74 +363,41 @@ def _warp_factors(geom, grid) -> tuple[np.ndarray, np.ndarray]:
     return geom.da(x) / geom.a(x), geom.inv_a_sq(x)
 
 
-def _densities(R: np.ndarray, h: float, ratio: np.ndarray, pot: np.ndarray,
-               standing) -> tuple[np.ndarray, np.ndarray]:
+def _densities(parts, h: float, ratio: np.ndarray,
+               pot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|w|^2 and the energy density |dt w|^2 + |dx w - (a'/a) w|^2 + pot |w|^2
-    of m samples, each (m, rows), from the raw product R of a sweep block.
+    of m samples, each (m, rows), from p real parts (w_s, dt w_s), each
+    (m, rows), whose squares sum to those of w and dt w.
 
-    Every term is a sum of squares of real rows, |z|^2 = Re^2 + Im^2, and
-    the centred stencil takes Dirichlet ghost zeros beyond both ends of the
-    rows; R is overwritten.
-
-    With ``standing`` None, R is the (4m, rows) product of a block of two
-    parts: rows j and m + j hold Re w and Im w at sample j, and rows
-    2m + j and 3m + j those of dt w.  The stencil and the squares act on R
-    as it is, and the two parts' rows are summed at the end.
-
-    Otherwise ``standing`` is (tau, d, o), the standing wave's frequency and
-    the diagonal (for the rows) and off-diagonal of its mode operator P, and
-    R is the (2m, rows) product of a one-part block: row j holds X = Re w
-    and row m + j Y = -Im w / tau.  Exact eigenpairs give dt w = -P Y -
-    i tau X, so |w|^2 = X^2 + (tau Y)^2 and |dt w|^2 = (P Y)^2 + (tau X)^2:
-    one tridiagonal stencil replaces the GEMM rows of dt w.  Two (m, rows)
-    buffers hold the density and each term in turn, and |w|^2 is returned
-    as a view of R.
+    For every p the sums run in one order: the (dt w_s)^2, the
+    (dx w_s - (a'/a) w_s)^2, then pot |w|^2.  The centred stencil takes
+    Dirichlet ghost zeros beyond both ends of the rows.  The parts' rows are
+    overwritten: |w|^2 goes into the first w_s, the density into the first
+    dt w_s, and each stencil into the last dt w_s once its square is summed,
+    so two or more parts take no buffer and one part takes one.
     """
-    if standing is not None:
-        tau, d, o = standing
-        m = R.shape[0] // 2
-        X, Y = R[:m], R[m:]
-        e, t = np.empty_like(X), np.empty_like(X)
-        # P Y = o (Y[i-1] + Y[i+1] + (d / o) Y[i]), summed in place
-        np.multiply(Y, d / o, out=e)
-        e[:, :-1] += Y[:, 1:]
-        e[:, 1:] += Y[:, :-1]
-        e *= o
-        e *= e
-        np.multiply(X, tau, out=t)
+    (u, e), rest = parts[0], parts[1:]
+    e *= e
+    for _, wt in rest:
+        wt *= wt
+        e += wt
+    t = rest[-1][1] if rest else np.empty_like(e)
+    # dx w - (a'/a) w = (w[i+1] - w[i-1] - 2h (a'/a) w[i]) / 2h
+    c = -2.0 * h * ratio
+    for w, _ in parts:
+        np.multiply(w, c, out=t)
+        t[:, :-1] += w[:, 1:]
+        t[:, 1:] -= w[:, :-1]
+        t /= 2.0 * h
         t *= t
         e += t
-        Y *= tau
-        # dx Z - (a'/a) Z = (Z[i+1] - Z[i-1] - 2h (a'/a) Z[i]) / 2h
-        c = -2.0 * h * ratio
-        for Z in (X, Y):
-            np.multiply(Z, c, out=t)
-            t[:, :-1] += Z[:, 1:]
-            t[:, 1:] -= Z[:, :-1]
-            t /= 2.0 * h
-            t *= t
-            e += t
-        X *= X
-        Y *= Y
-        X += Y
-        np.multiply(X, pot, out=t)
-        e += t
-        return X, e
-    m = R.shape[0] // 4
-    W, e = R[:2 * m], R[2 * m:]
-    dW = np.zeros_like(W)
-    dW[:, :-1] = W[:, 1:]
-    dW[:, 1:] -= W[:, :-1]
-    dW /= 2.0 * h
-    dW -= ratio * W
-    dW *= dW
-    e *= e
-    e += dW
-    W *= W
-    np.multiply(W, pot, out=dW)
-    e += dW
-    del dW  # free this temporary before the part sums are allocated
-    return W[:m] + W[m:], e[:m] + e[m:]
+    u *= u
+    for w, _ in rest:
+        w *= w
+        u += w
+    np.multiply(u, pot, out=t)
+    e += t
+    return u, e
 
 
 def _standing_gap(G, alpha, evals, tau, theta):
@@ -459,22 +427,23 @@ def _standing_gap(G, alpha, evals, tau, theta):
     return np.sqrt(sq)
 
 
-def _band_energy(prop: ModePropagator, block, lo: int, hi: int, ratio, pot,
-                 tau: float | None) -> np.ndarray:
-    """Energy |dt w|^2 + |dx w - (a'/a) w|^2 + pot |w|^2 integrated over the
-    node band [lo, hi), one value per sample of a sweep block: of two parts
-    with ``tau`` None, else of the one part of a standing wave of frequency
-    tau.
+def _band_densities(prop: ModePropagator, held: list, lo: int, hi: int, ratio, pot,
+                    parts) -> tuple[np.ndarray, np.ndarray]:
+    """The densities of ``_densities`` on the node band [lo, hi), each
+    (samples, hi - lo), of the sweep block that ``held`` holds as its one
+    item; ``parts`` splits the block's raw product on the rows it is given.
 
     Only the band's rows are reconstructed, plus one neighbor row on each
     side for the derivative and operator stencils; where the band touches
-    an end of the grid that neighbor is the Dirichlet ghost zero.
+    an end of the grid that neighbor is the Dirichlet ghost zero.  The
+    block is taken out of ``held``: when that was its last reference, it is
+    freed before the densities are formed.
     """
-    lo0, hi0 = max(lo - 1, 0), min(hi + 1, prop.grid.n_interior)
-    standing = None if tau is None else (tau, prop.op.diag[lo0:hi0], prop.op.offdiag)
-    _, e = _densities(_raw_product(prop.evecs[lo0:hi0], block), prop.h,
-                      ratio[lo0:hi0], pot[lo0:hi0], standing)
-    return 0.5 * prop.h * np.sum(e[:, lo - lo0:hi - lo0], axis=1)
+    rows = slice(max(lo - 1, 0), min(hi + 1, prop.grid.n_interior))
+    R = _raw_product(prop.evecs[rows], held.pop())
+    u, e = _densities(parts(R, rows), prop.h, ratio[rows], pot[rows])
+    band = slice(lo - rows.start, hi - rows.start)
+    return u[:, band], e[:, band]
 
 
 def sample_count(T: float, dt: float | None, h: float) -> tuple[float, int]:
@@ -496,11 +465,17 @@ def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
            whole: bool = False):
     """The one evolution pass over the samples ``times`` = dt * i of a mode.
 
-    The state picks the parts of its ``_sweep_block``s.  A standing wave
-    (``standing_tau`` set) is one part, zx = alpha and zy = -alpha / omega
-    for alpha = Re(c+ + c-): two real GEMM rows per sample, X = Re w and
-    Y = -Im w / tau, half the flops and temporaries of the two parts of
-    ``_half_wave_parts`` that any other state takes.
+    The state picks its parts once: those of its ``_sweep_block``s, and
+    ``parts``, which splits a block's raw product into the real parts
+    (w, dt w) that ``_densities`` sums.  Any state takes the two parts of
+    ``_half_wave_parts``: rows Re and Im of w and of dt w, four a sample.
+    Real data has c- = conj(c+), so its second part is exactly zero and is
+    dropped: two rows, Re w and Re dt w.  A standing wave (``standing_tau``
+    set) is one GEMM part, zx = alpha and zy = -alpha / omega for
+    alpha = Re(c+ + c-), whose rows are X = Re w and Y = -Im w / tau.  Exact
+    eigenpairs give dt w = -P Y - i tau X for the mode operator P, so the
+    density parts (X, P Y) and (tau Y, tau X) take one tridiagonal stencil
+    and two (m, rows) buffers in place of the GEMM rows of dt w.
 
     The blocks are uniform, at most TILE samples of step k * dt: block r of
     each span of k * TILE samples holds the samples r, r + k, ...  With
@@ -515,17 +490,31 @@ def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
     None.  A consumer drops u and e before it asks for the next block, so
     that one block's densities are live at a time.
     """
-    prop, h = mode.prop, mode.grid.h
+    prop, h, n = mode.prop, mode.grid.h, mode.grid.n_interior
     ratio, inv_a2 = _warp_factors(mode.geom, mode.grid)
     pot = mode.sigma_sq * inv_a2
     tau = mode.standing_tau
     if tau is None:
-        standing = None
         zx, zy = _half_wave_parts(mode.c_plus, mode.c_minus, prop.omega)
+        if not (zx[1].any() or zy[1].any()):
+            zx, zy = zx[:1], zy[:1]
+
+        def parts(R, rows):
+            S = np.split(R, 2 * len(zx))
+            return list(zip(S[:len(zx)], S[len(zx):]))
     else:
-        standing = (tau, prop.op.diag, prop.op.offdiag)
-        alpha = mode.a_coeff().real
+        alpha, o = mode.a_coeff().real, prop.op.offdiag
         zx, zy = [alpha], [-alpha / prop.omega]
+
+        def parts(R, rows):
+            # P Y = o (Y[i-1] + Y[i+1] + (d / o) Y[i]), summed in place
+            X, Y = np.split(R, 2)
+            PY = np.multiply(Y, prop.op.diag[rows] / o)
+            PY[:, :-1] += Y[:, 1:]
+            PY[:, 1:] += Y[:, :-1]
+            PY *= o
+            Y *= tau
+            return [(X, PY), (Y, X * tau)]
     for c0 in range(0, times.size, k * TILE):
         for r in range(min(k, times.size - c0)):
             idx = slice(c0 + r, c0 + k * TILE, k)
@@ -533,14 +522,14 @@ def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
             B = _sweep_block(zx, zy, prop.omega, tc[0], k * dt, tc.size)
             gap = None if tau is None else _standing_gap(B, alpha, prop.evals, tau, tau * tc)
             if whole and r == 0:
-                W = _raw_product(prop.evecs, B)
-                del B  # free the block before the densities' temporaries
-                u, e = _densities(W, h, ratio, pot, standing)
-                del W
+                held, B = [B], None  # the reconstruction frees the block
+                u, e = _band_densities(prop, held, 0, n, ratio, pot, parts)
                 yield idx, [0.5 * h * np.sum(e[:, lo:hi], axis=1) for lo, hi in bands], u, e, gap
                 del u, e  # free this block's densities before the next is built
             else:
-                energies = [_band_energy(prop, B, lo, hi, ratio, pot, tau) for lo, hi in bands]
+                energies = [0.5 * h * np.sum(_band_densities(prop, [B], lo, hi, ratio, pot,
+                                                             parts)[1], axis=1)
+                            for lo, hi in bands]
                 del B  # free this block before the next one is built
                 yield idx, energies, None, None, gap
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from warptrap.evolve import ModeState, _densities, _warp_factors
+from warptrap.evolve import ModeState, _warp_factors
 from warptrap.geometry import WarpGeometry
 from warptrap.quasimode import EIGEN_H_PER_SIGMA, interval_grid, mode_operator
 from warptrap.spectral import Grid, ShellAccumulator, lowest_pair
@@ -92,15 +92,20 @@ def propagate(state: ModeState, dt: float, steps: int,
 # -- per-state norms -------------------------------------------------------------
 #
 # These evaluators take ``ModeState``s, a history with its sample times
-# given explicitly.  The energy density comes from the package's one
-# kernel, ``_densities``, fed one state at a time.
+# given explicitly.  The energy density is formed here, one state at a time,
+# on complex nodal values with its own centred stencil, and shares no code
+# with the package's kernel, ``evolve._densities``, which the tests hold
+# against it.
 
 
 def _state_densities(w, wt, h, ratio, pot) -> tuple[np.ndarray, np.ndarray]:
-    """|w|^2 and the energy density with potential ``pot`` of one mode's
-    nodal w and dt w."""
-    u, e = _densities(np.stack([w.real, w.imag, wt.real, wt.imag]), h, ratio, pot, None)
-    return u[0], e[0]
+    """|w|^2 and the energy density |dt w|^2 + |dx w - (a'/a) w|^2 +
+    pot |w|^2 of one mode's complex nodal w and dt w; the centred difference
+    takes the Dirichlet ghost zeros beyond both ends of the grid."""
+    padded = np.concatenate([[0.0], w, [0.0]])
+    dx = (padded[2:] - padded[:-2]) / (2.0 * h)
+    u = np.abs(w) ** 2
+    return u, np.abs(wt) ** 2 + np.abs(dx - ratio * w) ** 2 + pot * u
 
 
 def quad_form(op, v: np.ndarray) -> float:

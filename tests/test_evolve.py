@@ -759,7 +759,8 @@ class TestStandingLayout:
                                           monkeypatch):
         # every sample of space_time_norms is reconstructed once on the whole
         # grid: two real operand columns per sample for quasimode data, four
-        # for complex bump data, and every sweep operand is float64
+        # for complex bump data, two for real bump data, whose second part is
+        # zero, and every sweep operand is float64
         columns, dtypes = [], set()
         raw = evolve._raw_product
 
@@ -771,8 +772,12 @@ class TestStandingLayout:
         monkeypatch.setattr(evolve, "_raw_product", spy)
         qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120))
         fld = evolve.data_field(geom_m1_trapped, qm, qm.grid.extended(12.0))
+        grid = oscillating_field.grid
+        w0 = bump(grid.nodes(), 1.5, 0.9)
+        real = evolve.wave_field(geom_m1_trapped, grid,
+                                 [(4, 1, w0, -fd_derivative(grid, w0, 1))])
         T, dt = 30.0, 0.25
-        for state, rows in ((fld, 2), (oscillating_field, 4)):
+        for state, rows in ((fld, 2), (oscillating_field, 4), (real, 2)):
             columns.clear()
             dtypes.clear()
             evolve.space_time_norms(state, T, dt)
@@ -1008,6 +1013,82 @@ class TestCrossSite:
             assert rep.E_R[i] == pytest.approx(0.5 * fld.grid.h * np.sum(e[near]), rel=1e-12)
         running = self.oracle_le(fld, geom_m1_trapped, T, dt_le)[3]
         assert np.allclose(rep.le1_running, running, rtol=1e-12, atol=0.0)
+
+
+class TestOneDensityBody:
+    """The one density body of every sweep, over one real part (real data),
+    two (complex data) and the two derived parts of a standing wave, against
+    ``oracles._state_densities``, which forms the densities from complex
+    nodal values with its own stencil, one state at a time."""
+
+    @staticmethod
+    def state(kind, prop, v, w, tau):
+        if kind == "real":
+            return evolve.ModeState.from_grid_data(prop, v, w)
+        if kind == "complex":
+            return evolve.ModeState.from_grid_data(prop, v + 1j * w, w - 0.5j * v)
+        state = evolve.ModeState.from_grid_data(prop, v.astype(complex), -1j * tau * v)
+        return dataclasses.replace(state, standing_tau=tau)
+
+    @staticmethod
+    def scale(state, t):
+        """The energy scale of the disagreement at time t.  The GEMM and the
+        density sums round to a few eps * E (under 1 eps * E measured at
+        t = 0).  The sweep and the oracle round each phase apart, which moves
+        the state by at most 8 eps * t * |B data| in the energy norm (see
+        ``TestStandingLayout.gap_bound``), so a band energy by about
+        sqrt(2E) times that.  A standing wave's P stencil scales the GEMM's
+        roundoff in Y by up to norm_bound, and random data reaches down to
+        the lowest frequency, where |Y| <= |alpha| / omega_min with
+        lambda_min |alpha|^2 <= 2E: so its energies move by about eps *
+        norm_bound / lambda_min * E more (``TestStandingLayout.bound`` with
+        omega_min in place of tau).  The tests allow 16 eps times the
+        scale, which is at least 16 times what 400 draws measured."""
+        E = state.energy_spectral()
+        s = E + t * math.sqrt(state.graph_sq(1)) * math.sqrt(2.0 * E)
+        if state.standing_tau is not None:
+            s += state.prop.op.norm_bound / state.prop.evals[0] * E
+        return s
+
+    @settings(max_examples=60)
+    @given(kind=st.sampled_from(["real", "complex", "standing"]), warp=st.sampled_from([1, 2, 3]),
+           tau=st.floats(0.5, 30.0), dt=st.floats(0.01, 2.0), k=st.sampled_from([1, 2, 3]),
+           m=st.integers(2, 2 * TILE + 10), near=st.floats(0.0, 1.0), wall=st.floats(0.0, 1.0),
+           **mode_draws)
+    def test_property_sweep_matches_oracle(self, kind, warp, tau, dt, k, m, near, wall, n, x0,
+                                           span, l, seed):
+        # the E_R band starts at the grid's first node and the wall band ends
+        # at its last; every k-th sample is reconstructed on the whole grid,
+        # the others on the two bands only
+        geom = WarpGeometry.of(warp, x0)
+        prop = evolve.ModePropagator(geom, l, Grid(x0, x0 + span, n))
+        v, w = np.random.default_rng(seed).standard_normal((2, n))
+        state = self.state(kind, prop, v, w, tau)
+        # real data is one part: the second part of its half waves is zero
+        zx, zy = evolve._half_wave_parts(state.c_plus, state.c_minus, prop.omega)
+        assert (kind == "real") == (not (zx[1].any() or zy[1].any()))
+        nR, n_buf = 1 + int(near * (n - 1)), int(wall * (n - 1))
+        times = dt * np.arange(m)
+        E_R, wall_e = np.empty(m), np.empty(m)
+        for idx, (er, wl), *_ in evolve._sweep(state, times, dt, k, ((0, nR), (n_buf, n)),
+                                               whole=True):
+            E_R[idx], wall_e[idx] = er, wl
+        ratio, inv_a2 = evolve._warp_factors(geom, prop.grid)
+        pot = state.sigma_sq * inv_a2
+        hist = [oracles.advanced(state, t) for t in times]
+        for i, s in enumerate(hist):
+            _, e = oracles._state_densities(s.w_grid(), s.wt_grid(), prop.h, ratio, pot)
+            tol = 16 * EPS * self.scale(state, times[i])
+            assert abs(E_R[i] - 0.5 * prop.h * np.sum(e[:nR])) <= tol
+            assert abs(wall_e[i] - 0.5 * prop.h * np.sum(e[n_buf:])) <= tol
+
+        # LE, LE1 and LE*: square roots of time integrals of the densities'
+        # shell sums, so relative to E they move by at most the scale at T
+        got = evolve.space_time_norms(state, times[-1], dt)[0]
+        want = oracles.le_norms(hist, times)
+        rel = 16 * EPS * self.scale(state, times[-1]) / state.energy_spectral()
+        for name in ("le", "le1", "le_star"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=rel, abs=0.0)
 
 
 class TestEnergyNorms:

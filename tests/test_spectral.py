@@ -821,10 +821,18 @@ class TestModuleBoundaries:
     def test_one_evolution_sweep(self):
         # every reduction over time samples goes through evolve._sweep; one
         # builder makes every sweep block, which only the drift check also
-        # calls, and only the band reconstruction forms its own densities
+        # calls; one density body over real parts, with no layout switch,
+        # which only the band reconstruction calls, for the whole grid too
         pkg = Path(spectral.__file__).parent
         assert _callers(pkg, "_sweep_block") == {"evolve._sweep", "evolve._energy_drift"}
-        assert _callers(pkg, "_densities") == {"evolve._sweep", "evolve._band_energy"}
+        assert _callers(pkg, "_densities") == {"evolve._band_densities"}
+        tree = ast.parse((pkg / "evolve.py").read_text())
+        body = [fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_densities"]
+        assert len(body) == 1
+        args = body[0].args
+        assert [a.arg for a in args.posonlyargs + args.args] == ["parts", "h", "ratio", "pot"]
+        assert not (args.vararg or args.kwonlyargs or args.kwarg or args.defaults)
 
     def test_no_call_time_imports_between_spectral_and_evolve(self):
         pkg = Path(spectral.__file__).parent

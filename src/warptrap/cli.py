@@ -408,7 +408,7 @@ def cmd_confinement(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> 
         t_confinement.append(rep.t_confinement)
         le1_T = min(rep.t_confinement, cfg.T_max, float(rep.le1_times[-1]))
         # the data state is a propagator-cache hit, released before the next solve
-        dbk = evolve.dbk_norm(evolve.data_field(plan.geom, qm, rep.grid), cfg.k)
+        dbk, dbk_ok = evolve.dbk_norm(evolve.data_field(plan.geom, qm, rep.grid), cfg.k)
         out.write_csv(f"evolution_l{l}.csv", evolve.EVOLUTION_CSV_COLUMNS, rep.csv_columns())
         summary[str(l)] = {
             "tau": rep.tau,
@@ -420,6 +420,7 @@ def cmd_confinement(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> 
             "wall_buffer_max": rep.wall_buffer_max,
             "energy_drift": rep.energy_drift,
             "dbk_norm": dbk,
+            "dbk_resolved": dbk_ok,
             "le1_T": le1_T,
             "le1_ratio": rep.le1_at(le1_T) / dbk,
         }
@@ -427,6 +428,7 @@ def cmd_confinement(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> 
                    bool(np.all(rep.duhamel_gap
                                <= rep.times * rep.f_norm + 1e-9 * rep.data_h_norm)))
         out.record(f"half_bound_l{l}", rep.half_bound_ok)
+        out.record(f"dbk_resolved_l{l}", dbk_ok)
         if cfg.causal == "audited":
             out.record(f"wall_audit_l{l}", rep.wall_ok)
         del rep  # free this degree's per-sample arrays before the next solve

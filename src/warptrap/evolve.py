@@ -30,7 +30,6 @@ bounding the wall's influence on every reported quantity.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,7 +37,6 @@ import numpy as np
 from .geometry import WarpGeometry
 from .quasimode import Quasimode, mode_operator
 from .spectral import (
-    TILE,
     EigensolverError,
     Grid,
     ShellAccumulator,
@@ -64,9 +62,15 @@ __all__ = [
 ]
 
 EVOLUTION_H_PER_SIGMA = 0.2
+# time samples in one sweep block: its GEMM operand and densities stay at a
+# few n * TILE entries instead of n * samples
+TILE = 64
 # run_confinement recomputes the energy from grid values at every
 # _DRIFT_STRIDE-th sample, as an independent check on conservation
 _DRIFT_STRIDE = 256
+# drift samples reconstructed at a time: a fine-step run's peak memory holds
+# one such block, its raw product and the operator's temporaries
+_DRIFT_TILE = 16
 # audited confinement runs measure the energy in the strip of this width in
 # front of the wall, and pass when its maximum stays at or below _WALL_TOL
 # times the total energy
@@ -227,27 +231,21 @@ class ModeState:
         return num / den if den > 0 else 0.0
 
 
-def dbk_norm(state: ModeState, k: int) -> float:
-    """Graph norm of the k-th generator power: |data| + |B^k data|.
+def dbk_norm(state: ModeState, k: int) -> tuple[float, bool]:
+    """Graph norm of the k-th generator power, |data| + |B^k data|, and
+    whether the grid resolves it.
 
-    Warns when a generator power grows the norm by more than half the
-    mode operator's sqrt(norm_bound), which signals grid-scale content:
-    k exceeds the resolved discrete smoothness.
+    The verdict is False when a generator power grows the norm by more
+    than half the mode operator's sqrt(norm_bound), which signals
+    grid-scale content: k exceeds the resolved discrete smoothness.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     norms = [math.sqrt(state.graph_sq(j)) for j in range(k + 1)]
     scale = math.sqrt(state.prop.op.norm_bound)
-    for step in range(1, k + 1):
-        prev, cur = norms[step - 1], norms[step]
-        if prev > 0 and cur / prev > 0.5 * scale:
-            warnings.warn(
-                f"generator power {step} amplifies grid-scale content "
-                f"(growth {cur / prev:.3e} vs spectral radius {scale**2:.3e}); "
-                "k exceeds the resolved smoothness",
-                stacklevel=2,
-            )
-    return norms[0] + norms[k]
+    resolved = not any(prev > 0 and cur / prev > 0.5 * scale
+                       for prev, cur in zip(norms, norms[1:]))
+    return norms[0] + norms[k], resolved
 
 
 def wave_field(geom: WarpGeometry, grid: Grid, entries) -> ModeState:
@@ -475,7 +473,11 @@ def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
     alpha = Re(c+ + c-), whose rows are X = Re w and Y = -Im w / tau.  Exact
     eigenpairs give dt w = -P Y - i tau X for the mode operator P, so the
     density parts (X, P Y) and (tau Y, tau X) take one tridiagonal stencil
-    and two (m, rows) buffers in place of the GEMM rows of dt w.
+    and two (m, rows) buffers in place of the GEMM rows of dt w.  That
+    stencil is the package's one product with P outside
+    ``TridiagonalOperator.apply``: it acts along the rows of a band and
+    sums o ((d / o) Y + Y[i+1] + Y[i-1]), the factored form every
+    standing-wave output is computed with.
 
     The blocks are uniform, at most TILE samples of step k * dt: block r of
     each span of k * TILE samples holds the samples r, r + k, ...  With
@@ -487,8 +489,9 @@ def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
 
     Yields per block (idx, energies, u, e, gap): its slice of ``times``, the
     energy in each band, the whole-grid densities or None, and the gap or
-    None.  A consumer drops u and e before it asks for the next block, so
-    that one block's densities are live at a time.
+    None.  A consumer hands u and e to ``ShellAccumulator.add``, which
+    forms the LE1 density in e, and drops them before it asks for the next
+    block, so that one block's densities are live at a time.
     """
     prop, h, n = mode.prop, mode.grid.h, mode.grid.n_interior
     ratio, inv_a2 = _warp_factors(mode.geom, mode.grid)
@@ -534,13 +537,6 @@ def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
                 yield idx, energies, None, None, gap
 
 
-def _feed_le1(acc: ShellAccumulator, times: np.ndarray, u: np.ndarray, e: np.ndarray) -> None:
-    """Add a block's densities to the LE1 accumulator; the order-one density
-    e + <x>^-2 |w|^2 is formed in place in e."""
-    e += acc.inv_bracket_sq * u
-    acc.add(times, u, e)
-
-
 def data_field(geom: WarpGeometry, qm: Quasimode, grid_ext: Grid) -> ModeState:
     """The quasimode data (v, -i tau v), zero-extended onto the evolution
     grid: a standing wave, as v is real, so its sweeps take the one-part
@@ -555,30 +551,28 @@ def data_field(geom: WarpGeometry, qm: Quasimode, grid_ext: Grid) -> ModeState:
 def _energy_drift(mode: ModeState, dt: float, m: int) -> float:
     """Largest relative deviation, over the m sample times dt * j, of the
     energy recomputed from full-grid values from the conserved spectral
-    energy: an independent check on conservation, reconstructed TILE
-    samples at a time.
+    energy: an independent check on conservation, reconstructed
+    _DRIFT_TILE samples at a time.
 
     Every state, a standing wave too, takes the two parts of
     ``_half_wave_parts``, so the check reads no P stencil of the sweep.
     Each tile's energies are reduced from the raw product of its block:
     h * x.x over the rows of dt w, then the operator quadratic form
-    h * x.Px over the rows of w, with P x written over the rows of dt w;
-    each sample adds its real and imaginary rows, one from each part."""
+    h * x.Px over the rows of w, with P x from ``op.apply``; each sample
+    adds its real and imaginary rows, one from each part.  A tile holds its
+    block, the raw product and the two temporaries of ``op.apply``, each
+    n x 2 * _DRIFT_TILE at most."""
     prop = mode.prop
-    d, o = prop.op.diag, prop.op.offdiag
     zx, zy = _half_wave_parts(mode.c_plus, mode.c_minus, prop.omega)
     E = mode.energy_spectral()
     drift = 0.0
-    for j0 in range(0, m, TILE):
-        k = min(TILE, m - j0)
+    for j0 in range(0, m, _DRIFT_TILE):
+        k = min(_DRIFT_TILE, m - j0)
         R = _raw_product(prop.evecs, _sweep_block(zx, zy, prop.omega, j0 * dt, dt, k))
         W, Wt = R[:2 * k], R[2 * k:]
         q = np.einsum("ij,ij->i", Wt, Wt)
-        # P x in the order of ``op.apply``, over the rows of dt w, already summed
-        PW = np.multiply(W, d, out=Wt)
-        PW[:, :-1] += o * W[:, 1:]
-        PW[:, 1:] += o * W[:, :-1]
-        q += np.einsum("ij,ij->i", W, PW)
+        q += np.einsum("ij,ji->i", W, prop.op.apply(W.T))
+        del R, W, Wt  # free this tile's product before the next block is built
         e = 0.5 * prop.h * (q[:k] + q[k:])
         drift = max(drift, float(np.max(np.abs(e - E))) / E)
     return drift
@@ -655,7 +649,7 @@ def run_confinement(
     for idx, (er, wl), u, e, g in _sweep(mode, times, dt, k, bands, whole=le1):
         E_R[idx], wall[idx], gap[idx] = er, wl, g
         if u is not None:
-            _feed_le1(acc, times[idx], u, e)
+            acc.add(times[idx], u, e)
         del u, e  # free this block's densities before the next is built
     E_spec = mode.energy_spectral()
     data_h_norm = math.sqrt(2.0 * E_spec)
@@ -701,7 +695,7 @@ def space_time_norms(state: ModeState, T: float, dt: float):
     acc = ShellAccumulator(state.grid)
     _, times = _sample_times(T, dt, state.grid.h)
     for idx, _, u, e, _ in _sweep(state, times, dt, whole=True):
-        _feed_le1(acc, times[idx], u, e)
+        acc.add(times[idx], u, e)
         del u, e  # free this block's densities before the next is built
     return acc.finish()
 
@@ -747,7 +741,7 @@ def le_bound_audit(state: ModeState, T: float, dt: float) -> AuditResult:
     rows = []
     for idx, _, u, e, _ in _sweep(state, times, dt, whole=True):
         rows.extend(state.grid.h * (e @ w_grad + u @ w_u))
-        _feed_le1(acc, times[idx], u, e)  # overwrites e, so after the local rows
+        acc.add(times[idx], u, e)  # overwrites e, so after the local rows
         del u, e  # free this block's densities before the next is built
     lhs_local = float(np.trapezoid(rows, times))
     le1 = acc.finish()[0].le1

@@ -7,8 +7,9 @@ eigenpair comes from one LAPACK call, MRRR (dstemr) through ctypes in
 the OpenBLAS bundled with numpy, so no run loads scipy or a second BLAS:
 the lowest pair (``lowest_pair``, one per quasimode) as the index range
 (1, 1), the full spectrum (``eigen_full``) as (1, n).  Every pair is then
-quadrature-normalized and held to the residual gate 1e-10 * max|diag|;
-an eigenvector keeps the sign its solver gives it, which no output
+quadrature-normalized and held to the residual gate 1e-10 * max|diag|,
+a few columns at a time through the operator's own ``apply``; an
+eigenvector keeps the sign its solver gives it, which no output
 reads.  Quadrature is the midpoint-weight sum h * sum(v_i), exact enough
 at second order for everything done here.
 
@@ -147,39 +148,33 @@ def build_operator(grid: Grid, V, potential_id: str = "") -> TridiagonalOperator
     return TridiagonalOperator(grid, 2.0 / h**2 + vals, -1.0 / h**2, potential_id)
 
 
-# Columns handled at a time, here by the eigenpair post-processing and in
-# ``evolve`` by every evolution pass (time samples per tile): temporaries
-# stay at a few n * TILE entries instead of n * n.
-TILE = 64
+# Eigenvector columns the gate normalizes and checks at a time: a block and
+# its residual, n x 8 each, stay in L2 cache.
+_GATE_TILE = 8
 
 
 def _gate_pairs(op: TridiagonalOperator, vals: np.ndarray, vecs: np.ndarray) -> None:
     """Quadrature-normalize the eigenvector columns in place and hold every
     pair to the residual gate.
 
-    The matrix is processed one column block at a time, so the check holds
-    two reused (n, TILE) buffers besides it; the residual norm divides by
-    |v| = h^(-1/2), which the normalization fixes.  An eigenvector's sign
-    is the solver's: no output reads it, as flipping column j negates the
-    spectral coefficient c_j and every phase-block entry exactly, leaving
-    each reconstructed product bit-identical.  A residual above the gate,
-    or one that is not a number, raises ``EigensolverError``.
+    The matrix is processed _GATE_TILE columns at a time: each block is
+    normalized, then its residual P v - lambda v is formed by ``op.apply``,
+    so the temporaries are a few n x _GATE_TILE arrays.  The residual norm
+    divides by |v| = h^(-1/2), which the normalization fixes.  An
+    eigenvector's sign is the solver's: no output reads it, as flipping
+    column j negates the spectral coefficient c_j and every phase-block
+    entry exactly, leaving each reconstructed product bit-identical.  A
+    residual above the gate, or one that is not a number, raises
+    ``EigensolverError``.
     """
-    d, h = op.diag, op.grid.h
+    h = op.grid.h
     resid = np.empty(vals.size)
-    # the residual P v - lambda v and each product it sums, in the order of
-    # ``op.apply``; F-ordered like the eigenvector matrix
-    r_buf = np.empty((op.n, min(TILE, vals.size)), order="F")
-    t_buf = np.empty_like(r_buf)
-    for j0 in range(0, vals.size, TILE):
-        cols = slice(j0, j0 + TILE)
+    for j0 in range(0, vals.size, _GATE_TILE):
+        cols = slice(j0, j0 + _GATE_TILE)
         blk = vecs[:, cols]
-        r, t = r_buf[:, :blk.shape[1]], t_buf[:, :blk.shape[1]]
-        blk /= np.sqrt(h * np.sum(np.multiply(blk, blk, out=t), axis=0))
-        np.multiply(d[:, None], blk, out=r)
-        r[:-1] += np.multiply(op.offdiag, blk[1:], out=t[:-1])
-        r[1:] += np.multiply(op.offdiag, blk[:-1], out=t[1:])
-        r -= np.multiply(vals[None, cols], blk, out=t)
+        blk /= np.sqrt(h * np.sum(blk * blk, axis=0))
+        r = op.apply(blk)
+        r -= vals[None, cols] * blk
         resid[cols] = np.sqrt(h * np.einsum("ij,ij->j", r, r))
     limit = 1e-10 * op.diag_inf
     bad = np.flatnonzero(~(resid <= limit))
@@ -350,9 +345,8 @@ class ShellAccumulator:
     The grid splits into dyadic shells <x> ~ 2^j, <x> = sqrt(1 + x^2):
     shell j holds the nodes with <x> in [2^j, 2^(j+1)), so every node lands
     in exactly one shell.  Feed sample times with time-major (k, n)
-    node-density blocks of |u|^2 and the order-one density, one row per
-    time, in time order; integrals use the trapezoid rule over the fed
-    times.
+    node-density blocks of |u|^2 and the energy density, one row per time,
+    in time order; integrals use the trapezoid rule over the fed times.
     """
 
     def __init__(self, grid: Grid):
@@ -360,17 +354,21 @@ class ShellAccumulator:
         bracket = np.sqrt(1.0 + x * x)
         shell = np.floor(np.log2(bracket)).astype(int)
         self.n_shells = int(shell.max()) + 1
-        self.inv_bracket_sq = 1.0 / (bracket * bracket)
+        self._inv_bracket_sq = 1.0 / (bracket * bracket)
         # h-weighted shell indicator: one product sums a density block per shell
         self.indicator = grid.h * (np.arange(self.n_shells)[:, None] == shell).astype(float)
         self.times: list[float] = []
         self.u_rows: list[np.ndarray] = []
         self.e1_rows: list[np.ndarray] = []
 
-    def add(self, times: np.ndarray, u_density: np.ndarray, le1_density: np.ndarray) -> None:
+    def add(self, times: np.ndarray, u: np.ndarray, e: np.ndarray) -> None:
+        """Add the shell sums of |w|^2 densities u and energy densities e,
+        each (k, n), at k sample times.  The order-one density
+        e + <x>^-2 |w|^2 of LE1 is formed in place in e."""
+        e += self._inv_bracket_sq * u
         self.times.extend(np.asarray(times, dtype=float).tolist())
-        self.u_rows.append(u_density @ self.indicator.T)
-        self.e1_rows.append(le1_density @ self.indicator.T)
+        self.u_rows.append(u @ self.indicator.T)
+        self.e1_rows.append(e @ self.indicator.T)
 
     @staticmethod
     def _cum_trapz(rows: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from warptrap.evolve import ModeState, _warp_factors
 from warptrap.geometry import WarpGeometry
 from warptrap.quasimode import EIGEN_H_PER_SIGMA, interval_grid, mode_operator
-from warptrap.spectral import Grid, ShellAccumulator, lowest_pair
+from warptrap.spectral import Grid, LeNorms, lowest_pair
 
 # -- propagation -----------------------------------------------------------------
 
@@ -137,18 +137,28 @@ def energy_norms(state: ModeState, R: float) -> dict:
 
 def le_norms(history, times):
     """LE, LE^1 and the dual LE* norm of a sampled evolution: the states
-    ``history``, one per sample time of ``times``, in time order."""
+    ``history``, one per sample time of ``times``, in time order.  The
+    order-one density takes its own weight <x>^-2 = 1 / (1 + x^2), and the
+    shells and time integrals are summed here, by ``shell_sums`` and the
+    trapezoid rule, apart from the package's accumulator."""
     history = list(history)
     if not history:
         raise ValueError("empty history")
     grid = history[0].grid
-    acc = ShellAccumulator(grid)
+    x = grid.nodes()
     ratio, inv_a2 = _warp_factors(history[0].geom, grid)
-    for state, t in zip(history, times, strict=True):
+    U, E1 = [], []
+    for state, _ in zip(history, times, strict=True):
         u, e1 = _state_densities(state.w_grid(), state.wt_grid(), grid.h, ratio,
-                                 state.sigma_sq * inv_a2 + acc.inv_bracket_sq)
-        acc.add([t], u[None, :], e1[None, :])
-    return acc.finish()[0]
+                                 state.sigma_sq * inv_a2 + 1.0 / (1.0 + x * x))
+        U.append(shell_sums(grid, u))
+        E1.append(shell_sums(grid, e1))
+    t = np.asarray(times, dtype=float)
+    U, E1 = (np.trapezoid(np.asarray(A), t, axis=0) for A in (U, E1))
+    j = np.arange(U.size)
+    return LeNorms(le=float(np.max(2.0 ** (-0.5 * j) * np.sqrt(U))),
+                   le1=float(np.max(2.0 ** (-0.5 * j) * np.sqrt(E1))),
+                   le_star=float(np.sum(2.0 ** (0.5 * j) * np.sqrt(U))), times=t)
 
 
 def shell_sums(grid, density: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shlex
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -402,8 +403,6 @@ class TestExitCodes:
         assert err.startswith("error: ") and "Not a directory" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    # a drawn k past the resolved smoothness warns, as the graph norm should
-    @pytest.mark.filterwarnings("ignore:generator power")
     @settings(max_examples=60)
     @given(data=st.data())
     def test_property_small_runs_refuse_or_finish(self, tmp_path_factory, data):
@@ -576,7 +575,7 @@ def stand_in_reports(monkeypatch, *reports):
                                              for k, v in kw.items()}}) for kw in reports])
     monkeypatch.setattr(evolve, "run_confinement", lambda *args, **kwargs: next(it))
     monkeypatch.setattr(evolve, "data_field", lambda *args: None)
-    monkeypatch.setattr(evolve, "dbk_norm", lambda state, k: 1.0)
+    monkeypatch.setattr(evolve, "dbk_norm", lambda state, k: (1.0, True))
 
 
 class TestConfinementCommand:
@@ -657,8 +656,8 @@ class TestConfinementCommand:
             rep = evolve.run_confinement(geom, qm, 8.0, 1.0, x_max=12.0, dt=dt,
                                          causal="audited", le1=True)
             T = min(rep.t_confinement, 8.0)
-            dbk = evolve.dbk_norm(evolve.data_field(geom, qm, rep.grid), 1)
-            assert (got["le1_T"], got["dbk_norm"]) == (T, dbk)
+            dbk, resolved = evolve.dbk_norm(evolve.data_field(geom, qm, rep.grid), 1)
+            assert (got["le1_T"], got["dbk_norm"], got["dbk_resolved"]) == (T, dbk, resolved)
             assert got["le1_ratio"] == rep.le1_at(T) / dbk
             ratios.append(got["le1_ratio"])
         assert ratios[0] != ratios[1]
@@ -678,7 +677,7 @@ class TestConfinementCommand:
             geom, 14, evolve.EVOLUTION_H_PER_SIGMA))
         rep = evolve.run_confinement(geom, qm, 4.0, 1.0, x_max=8.0, dt=3.0, causal="audited",
                                      le1=True)
-        dbk = evolve.dbk_norm(evolve.data_field(geom, qm, rep.grid), 1)
+        dbk, _ = evolve.dbk_norm(evolve.data_field(geom, qm, rep.grid), 1)
         assert got["le1_T"] == 3.0
         assert got["le1_ratio"] == rep.le1_at(3.0) / dbk
         with pytest.raises(ValueError, match="no LE1 sample reaches t = 4.0"):
@@ -699,14 +698,23 @@ class TestConfinementCommand:
         assert le1[-2][0] == 10.0 and all(math.isfinite(float(v)) for _, v in le1[:-1])
         assert float(le1[-2][1]) > float(le1[-3][1])
 
-    @pytest.mark.filterwarnings("ignore:generator power")
     def test_largest_admissible_k_has_a_finite_graph_norm(self, tmp_path, capsys):
+        # k = 58 passes the overflow refusal, and its graph norm is finite but
+        # unresolved: the grid-scale verdict reaches the summary and the
+        # manifest, and the run exits 2 on that one check, silently
         out = tmp_path / "c"
         assert run_cli(["confinement", *_K_GRID, "--k", "59", "--out", str(out)]) == 1
         assert capsys.readouterr().err.endswith("the largest admissible k is 58\n")
-        assert run_cli(["confinement", *_K_GRID, "--k", "58", "--out", str(out)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["confinement", *_K_GRID, "--k", "58", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("check failure: confinement checks failed: "
+                                           "['dbk_resolved_l14']\n")
         per_l = json.loads((out / "confinement_summary.json").read_text())["per_l"]["14"]
         assert math.isfinite(per_l["dbk_norm"]) and per_l["le1_ratio"] > 0
+        assert per_l["dbk_resolved"] is False
+        passes = json.loads((out / "manifest.json").read_text())["passes"]
+        assert {name for name, ok in passes.items() if not ok} == {"dbk_resolved_l14"}
 
 
 class TestBifurcationCommand:

@@ -5,7 +5,7 @@ import oracles
 import pytest
 import sympy_oracle
 
-from warptrap import evolve, spectral
+from warptrap import evolve
 from warptrap import multiplier as mul
 from warptrap.geometry import WarpGeometry
 from warptrap.spectral import Grid, fd_derivative
@@ -371,7 +371,7 @@ class TestAudit:
         monkeypatch.setattr(evolve, "_raw_product", counted)
         evolve.le_bound_audit(fld, 40.0, 0.25)
         _, times = evolve._sample_times(40.0, 0.25, fld.grid.h)
-        assert len(calls) == math.ceil(times.size / spectral.TILE)
+        assert len(calls) == math.ceil(times.size / evolve.TILE)
 
     def test_le1_matches_space_time_norms(self, geom_m1_front):
         fld = self.front_field(geom_m1_front)

@@ -326,8 +326,9 @@ def whole_matrix_pairs(op):
 
 
 class TestBlockedSolve:
-    # an n that is not a multiple of the tile width, so the last tile is short
-    N = 8 * spectral.TILE + 45
+    # an n that is not a multiple of the gate's column tile, so the last tile
+    # is short
+    N = 64 * spectral._GATE_TILE + 5
 
     def op(self, l=7):
         geom = WarpGeometry.of(1, -1.0)
@@ -343,10 +344,21 @@ class TestBlockedSolve:
             assert np.array_equal(vals, ref_vals)
             assert np.array_equal(vecs, ref_vecs)
 
+    @pytest.mark.parametrize("tile", [1, 8, 64])
+    def test_gate_tile_does_not_move_the_pairs(self, tile, monkeypatch):
+        # each column is normalized by its own sum, whatever the tile width:
+        # one column, the production tile, and the former 64-column tile
+        monkeypatch.setattr(spectral, "_GATE_TILE", tile)
+        op = self.op(30)
+        vals, vecs = eigen_full(op)
+        ref_vals, ref_vecs = whole_matrix_pairs(op)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(vecs, ref_vecs)
+
     def test_corrupted_column_in_later_block_is_named(self, monkeypatch):
         solve = spectral._stemr
-        # one column in the second block and the last one, in the short block
-        bad = [spectral.TILE + 7, self.N - 1]
+        # one column in a later tile and the last one, in the short tile
+        bad = [7 * spectral._GATE_TILE + 3, self.N - 1]
         seen = []
 
         def corrupt(*args, **kwargs):
@@ -469,14 +481,17 @@ class TestShells:
         assert np.all(sums[1:] == 0)
 
     def test_batched_add_matches_shell_sums(self):
+        # add forms the order-one density e + <x>^-2 |w|^2 in place in e
         g = Grid(-1.0, 40.0, 800)
         rng = np.random.default_rng(9)
         u = rng.uniform(0.0, 1.0, (g.n_interior, 7))
-        e1 = rng.uniform(0.0, 1.0, (g.n_interior, 7))
+        e = rng.uniform(0.0, 1.0, (g.n_interior, 7))
+        e1 = e + u / (1.0 + g.nodes()[:, None] ** 2)
         acc = ShellAccumulator(g)
-        acc.add(np.arange(4.0), u[:, :4].T, e1[:, :4].T)
-        acc.add(np.arange(4.0, 7.0), u[:, 4:].T, e1[:, 4:].T)
+        acc.add(np.arange(4.0), u[:, :4].T, e[:, :4].T)
+        acc.add(np.arange(4.0, 7.0), u[:, 4:].T, e[:, 4:].T)
         assert acc.times == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert np.allclose(e, e1, rtol=1e-15, atol=0.0)
         got_u, got_e1 = np.vstack(acc.u_rows), np.vstack(acc.e1_rows)
         for i in range(7):
             want_u = oracles.shell_sums(g, u[:, i])
@@ -658,6 +673,24 @@ def _calls(call: ast.Call, name: str) -> bool:
     return name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
 
 
+def _attribute_readers(pkg: Path, attr: str) -> set[str]:
+    """module.[Class.]function of every top-level function or method of the
+    package that loads ``attr`` as an attribute; a nested function counts as
+    the one enclosing it, and module-level code as ``<module>``."""
+    found = set()
+    for path in sorted(pkg.glob("*.py")):
+        units = []
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                units += [(f"{node.name}.{getattr(m, 'name', '<class>')}", m) for m in node.body]
+            else:
+                units.append((getattr(node, "name", "<module>"), node))
+        found |= {f"{path.stem}.{name}" for name, unit in units
+                  if any(isinstance(n, ast.Attribute) and n.attr == attr
+                         and isinstance(n.ctx, ast.Load) for n in ast.walk(unit))}
+    return found
+
+
 def _options(pkg: Path):
     """(module.[Class.]function.parameter, called name, position, default, the
     calls of the package outside the function's own definition that name it)
@@ -833,6 +866,16 @@ class TestModuleBoundaries:
         args = body[0].args
         assert [a.arg for a in args.posonlyargs + args.args] == ["parts", "h", "ratio", "pot"]
         assert not (args.vararg or args.kwonlyargs or args.kwarg or args.defaults)
+
+    def test_one_hand_written_operator_stencil(self):
+        # every product with the mode operator goes through
+        # TridiagonalOperator.apply, except the standing wave's band stencil,
+        # which works in place on a sweep block's rows: outside the
+        # operator's own methods only evolve._sweep reads its off-diagonal
+        readers = _attribute_readers(Path(spectral.__file__).parent, "offdiag")
+        assert {"spectral.TridiagonalOperator.apply"} <= readers
+        assert {r for r in readers
+                if not r.startswith("spectral.TridiagonalOperator.")} == {"evolve._sweep"}
 
     def test_no_call_time_imports_between_spectral_and_evolve(self):
         pkg = Path(spectral.__file__).parent

@@ -7,9 +7,11 @@ wall at X_max.  After one full eigendecomposition of the mode operator
 coefficients just rotate, so there is no CFL restriction, no
 time-stepping error, and the discrete energy is conserved to roundoff.
 The geometry is rotationally symmetric, so a state, ``ModeState``, is
-one mode, and every reduction over time samples consumes one pass over
-them, ``_sweep``: the confinement run, the near-energy history, the
-space-time norms and the local-energy audit of the nontrapping side.
+one mode, and every reduction over time samples is one call of one pass
+over them, ``_sweep``, which returns the band energies and hands each
+block's whole-grid densities to a reducer, so it alone holds them: the
+confinement run, the near-energy history, the space-time norms and the
+local-energy audit of the nontrapping side.
 This module alone knows the one format of a sweep block, a real array of
 parts, and the one energy-density body, which sums the squares of any
 number of real parts (w, dt w).  Any state is two parts, whose GEMM rows
@@ -425,25 +427,6 @@ def _standing_gap(G, alpha, evals, tau, theta):
     return np.sqrt(sq)
 
 
-def _band_densities(prop: ModePropagator, held: list, lo: int, hi: int, ratio, pot,
-                    parts) -> tuple[np.ndarray, np.ndarray]:
-    """The densities of ``_densities`` on the node band [lo, hi), each
-    (samples, hi - lo), of the sweep block that ``held`` holds as its one
-    item; ``parts`` splits the block's raw product on the rows it is given.
-
-    Only the band's rows are reconstructed, plus one neighbor row on each
-    side for the derivative and operator stencils; where the band touches
-    an end of the grid that neighbor is the Dirichlet ghost zero.  The
-    block is taken out of ``held``: when that was its last reference, it is
-    freed before the densities are formed.
-    """
-    rows = slice(max(lo - 1, 0), min(hi + 1, prop.grid.n_interior))
-    R = _raw_product(prop.evecs[rows], held.pop())
-    u, e = _densities(parts(R, rows), prop.h, ratio[rows], pot[rows])
-    band = slice(lo - rows.start, hi - rows.start)
-    return u[:, band], e[:, band]
-
-
 def sample_count(T: float, dt: float | None, h: float) -> tuple[float, int]:
     """The sample step of every evolution pass, dt or by default
     max(T / 1000, h) on a grid of spacing h, and its number of samples
@@ -460,8 +443,11 @@ def _sample_times(T: float, dt: float | None, h: float) -> tuple[float, np.ndarr
 
 
 def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
-           whole: bool = False):
-    """The one evolution pass over the samples ``times`` = dt * i of a mode.
+           reduce=None):
+    """The one evolution pass over the samples ``times`` = dt * i of a mode:
+    (energies, gap), the energy in each node band [lo, hi) of ``bands`` at
+    every sample, one array a band, and a standing wave's Duhamel gap, the
+    energy-norm distance from its data rotated by exp(-i tau t), or None.
 
     The state picks its parts once: those of its ``_sweep_block``s, and
     ``parts``, which splits a block's raw product into the real parts
@@ -480,18 +466,15 @@ def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
     standing-wave output is computed with.
 
     The blocks are uniform, at most TILE samples of step k * dt: block r of
-    each span of k * TILE samples holds the samples r, r + k, ...  With
-    ``whole``, block 0 of each span is reconstructed on the whole grid,
-    which also gives its densities |w|^2 and the energy density, each
-    (samples, n); the other blocks only on the node bands [lo, hi) of
-    ``bands``.  A standing wave's blocks also give its Duhamel gap, the
-    energy-norm distance from the data rotated by exp(-i tau t).
-
-    Yields per block (idx, energies, u, e, gap): its slice of ``times``, the
-    energy in each band, the whole-grid densities or None, and the gap or
-    None.  A consumer hands u and e to ``ShellAccumulator.add``, which
-    forms the LE1 density in e, and drops them before it asks for the next
-    block, so that one block's densities are live at a time.
+    each span of k * TILE samples holds the samples r, r + k, ...  A block
+    is reconstructed on each band only, plus one neighbor row on each side
+    for the stencils, a Dirichlet ghost zero at an end of the grid.  Given
+    a reducer, block 0 of each span is reconstructed on the whole grid
+    instead, its band energies are summed from there, and then
+    ``reduce(block_times, u, e)`` takes its densities |w|^2 and the energy
+    density, each (samples, n), which it may overwrite.  The block is freed
+    before its densities are formed, and the raw product and the densities
+    before the next block is built, so one block's are alive at a time.
     """
     prop, h, n = mode.prop, mode.grid.h, mode.grid.n_interior
     ratio, inv_a2 = _warp_factors(mode.geom, mode.grid)
@@ -518,23 +501,32 @@ def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
             PY *= o
             Y *= tau
             return [(X, PY), (Y, X * tau)]
+    energies = [np.empty(times.size) for _ in bands]
+    gap = None if tau is None else np.empty(times.size)
     for c0 in range(0, times.size, k * TILE):
         for r in range(min(k, times.size - c0)):
             idx = slice(c0 + r, c0 + k * TILE, k)
             tc = times[idx]
             B = _sweep_block(zx, zy, prop.omega, tc[0], k * dt, tc.size)
-            gap = None if tau is None else _standing_gap(B, alpha, prop.evals, tau, tau * tc)
-            if whole and r == 0:
-                held, B = [B], None  # the reconstruction frees the block
-                u, e = _band_densities(prop, held, 0, n, ratio, pot, parts)
-                yield idx, [0.5 * h * np.sum(e[:, lo:hi], axis=1) for lo, hi in bands], u, e, gap
-                del u, e  # free this block's densities before the next is built
-            else:
-                energies = [0.5 * h * np.sum(_band_densities(prop, [B], lo, hi, ratio, pot,
-                                                             parts)[1], axis=1)
-                            for lo, hi in bands]
-                del B  # free this block before the next one is built
-                yield idx, energies, None, None, gap
+            if tau is not None:
+                gap[idx] = _standing_gap(B, alpha, prop.evals, tau, tau * tc)
+            whole = reduce is not None and r == 0
+            for j, (lo, hi) in enumerate([(0, n)] if whole else bands):
+                rows = slice(max(lo - 1, 0), min(hi + 1, n))
+                R = _raw_product(prop.evecs[rows], B)
+                if whole:
+                    B = None  # freed before its densities are formed
+                u, e = _densities(parts(R, rows), h, ratio[rows], pot[rows])
+                if whole:
+                    for E, (a, b) in zip(energies, bands):
+                        E[idx] = 0.5 * h * np.sum(e[:, a:b], axis=1)
+                    reduce(tc, u, e)
+                else:
+                    band = slice(lo - rows.start, hi - rows.start)
+                    energies[j][idx] = 0.5 * h * np.sum(e[:, band], axis=1)
+                del R, u, e  # freed before the next band or block is built
+            del B
+    return energies, gap
 
 
 def data_field(geom: WarpGeometry, qm: Quasimode, grid_ext: Grid) -> ModeState:
@@ -615,9 +607,9 @@ def run_confinement(
     largest whole number with k * dt <= T_max / 500, at least 1 (so
     dt_le = max(dt, T_max / 500) whenever T_max / (500 dt) is whole or
     below 1).  The LE1 samples end at the last multiple of k * dt at or
-    below T_max.  Each sample is reconstructed once: the LE1 samples on the
-    whole grid, which gives their E_R and wall energies too, the others on
-    the E_R and wall bands only.
+    below T_max.  One ``_sweep`` call reconstructs each sample once: the LE1
+    samples on the whole grid, for their E_R, wall energies and LE1 density
+    (``ShellAccumulator.add``), the others on the E_R and wall bands only.
     """
     if causal not in ("strict", "audited"):
         raise ValueError("causal must be 'strict' or 'audited'")
@@ -643,14 +635,9 @@ def run_confinement(
     acc = ShellAccumulator(grid_ext) if le1 else None
 
     # one sweep of step k * dt; with le1 its whole-grid blocks are the LE1
-    # samples, whose densities also feed the accumulator
-    E_R, wall, gap = (np.empty(times.size) for _ in range(3))
+    # samples, whose densities feed the accumulator
     bands = ((0, nR), (n_buf, grid_ext.n_interior))
-    for idx, (er, wl), u, e, g in _sweep(mode, times, dt, k, bands, whole=le1):
-        E_R[idx], wall[idx], gap[idx] = er, wl, g
-        if u is not None:
-            acc.add(times[idx], u, e)
-        del u, e  # free this block's densities before the next is built
+    (E_R, wall), gap = _sweep(mode, times, dt, k, bands, reduce=acc.add if le1 else None)
     E_spec = mode.energy_spectral()
     data_h_norm = math.sqrt(2.0 * E_spec)
 
@@ -688,15 +675,13 @@ def space_time_norms(state: ModeState, T: float, dt: float):
     """Dyadic space-time norms of the homogeneous evolution sampled at dt * i
     in [0, T], and the running LE1: (LeNorms, running LE1).
 
-    One sweep with every sample reconstructed on the whole grid, TILE
-    samples at a time, which is what makes wide frequency families
-    affordable.
+    One ``_sweep`` call with every sample reconstructed on the whole grid,
+    TILE samples at a time, and ``ShellAccumulator.add`` as its reducer,
+    which is what makes wide frequency families affordable.
     """
     acc = ShellAccumulator(state.grid)
     _, times = _sample_times(T, dt, state.grid.h)
-    for idx, _, u, e, _ in _sweep(state, times, dt, whole=True):
-        acc.add(times[idx], u, e)
-        del u, e  # free this block's densities before the next is built
+    _sweep(state, times, dt, reduce=acc.add)
     return acc.finish()
 
 
@@ -719,10 +704,10 @@ def le_bound_audit(state: ModeState, T: float, dt: float) -> AuditResult:
 
     lhs_lelocal carries the interior weights x^{-2m-1} (gradient and time
     derivative), x^{-1} a^{-2} (angular term) and x^{-2m-3} (|u|^2);
-    lhs_lepositive is LE1^2 + E0.  Both are reduced from one sweep, whose
-    energy density carries the angular term sigma^2 a^{-2} |w|^2; the local
-    side moves the difference of the two angular weights onto |w|^2, and
-    each block's densities then feed LE1 as in ``space_time_norms``.
+    lhs_lepositive is LE1^2 + E0.  Both come from one ``_sweep`` call, whose
+    energy density carries the angular term sigma^2 a^{-2} |w|^2: its reducer
+    takes the local rows, moving the difference of the two angular weights
+    onto |w|^2, and then feeds LE1 as in ``space_time_norms``.
     """
     geom = state.geom
     if geom.params.x0 <= 0:
@@ -739,10 +724,12 @@ def le_bound_audit(state: ModeState, T: float, dt: float) -> AuditResult:
     _, times = _sample_times(T, dt, state.grid.h)
     acc = ShellAccumulator(state.grid)
     rows = []
-    for idx, _, u, e, _ in _sweep(state, times, dt, whole=True):
+
+    def reduce(block_times, u, e):
         rows.extend(state.grid.h * (e @ w_grad + u @ w_u))
-        acc.add(times[idx], u, e)  # overwrites e, so after the local rows
-        del u, e  # free this block's densities before the next is built
+        acc.add(block_times, u, e)  # overwrites e, so after the local rows
+
+    _sweep(state, times, dt, reduce=reduce)
     lhs_local = float(np.trapezoid(rows, times))
     le1 = acc.finish()[0].le1
     E0 = state.energy_spectral()
@@ -768,14 +755,12 @@ def er_history(state: ModeState, T_max: float, R: float,
     """Sampled near-region energy of a mode: (times, E_R).
 
     E_R integrates the energy density over x <= R with the finite-difference
-    gradient, reconstructed on the rows up to R only.
+    gradient: the one band of one ``_sweep`` call, the rows up to R.
     """
     grid = state.grid
     if R <= grid.x_left:
         raise ValueError("R must exceed the boundary location")
     nR = int(np.searchsorted(grid.nodes(), R, side="right"))
     dt, times = _sample_times(T_max, dt, grid.h)
-    E_R = np.empty(times.size)
-    for idx, (er,), _, _, _ in _sweep(state, times, dt, bands=((0, nR),)):
-        E_R[idx] = er
+    (E_R,), _ = _sweep(state, times, dt, bands=((0, nR),))
     return times, E_R

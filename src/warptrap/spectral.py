@@ -364,7 +364,8 @@ class ShellAccumulator:
     def add(self, times: np.ndarray, u: np.ndarray, e: np.ndarray) -> None:
         """Add the shell sums of |w|^2 densities u and energy densities e,
         each (k, n), at k sample times.  The order-one density
-        e + <x>^-2 |w|^2 of LE1 is formed in place in e."""
+        e + <x>^-2 |w|^2 of LE1 is formed in place in e, so ``evolve._sweep``,
+        whose reducer this is, frees both after the call."""
         e += self._inv_bracket_sq * u
         self.times.extend(np.asarray(times, dtype=float).tolist())
         self.u_rows.append(u @ self.indicator.T)

@@ -815,8 +815,7 @@ class TestStandingLayout:
         v = np.random.default_rng(seed).standard_normal(n)
         state = evolve.ModeState.from_grid_data(prop, v.astype(complex), -1j * tau * v)
         times = dt * np.arange(m)
-        got = np.concatenate([gap for *_, gap in evolve._sweep(
-            dataclasses.replace(state, standing_tau=tau), times, dt)])
+        got = evolve._sweep(dataclasses.replace(state, standing_tau=tau), times, dt)[1]
         AB = direct_phase_block(state.c_plus, state.c_minus, prop.omega, times)
         ref = abs_rotation_gap(AB, state.a_coeff(), state.b_coeff(), prop.evals,
                                np.exp(-1j * tau * times))
@@ -917,6 +916,25 @@ class TestNorms:
         assert n1.le == pytest.approx(n2.le, rel=1e-12)
         assert n1.le_star == pytest.approx(n2.le_star, rel=1e-12)
         assert running[-1] == pytest.approx(n2.le1, rel=1e-12)
+
+    def test_one_block_alive_at_a_time(self, oscillating_field):
+        # complex data, two parts: a block of TILE samples holds its phase
+        # block and raw product, 4 rows of n a sample each, and its densities
+        # are formed in place in the product; 64 rows more cover the state's
+        # parts, the warp factors and the accumulator.  A block's densities
+        # kept alive while the next block is built add about 4 rows a sample
+        import tracemalloc
+
+        n = oscillating_field.grid.n_interior
+        T, dt = 60.0, 0.25
+        assert evolve._sample_times(T, dt, oscillating_field.grid.h)[1].size > 3 * TILE
+        tracemalloc.start()
+        try:
+            evolve.space_time_norms(oscillating_field, T, dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * (8 * TILE + 64)
 
     def test_le_norms_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -1076,8 +1094,9 @@ class TestOneDensityBody:
     def test_property_sweep_matches_oracle(self, kind, warp, tau, dt, k, m, near, wall, n, x0,
                                            span, l, seed):
         # the E_R band starts at the grid's first node and the wall band ends
-        # at its last; every k-th sample is reconstructed on the whole grid,
-        # the others on the two bands only
+        # at its last; given a reducer, here one that keeps nothing, every
+        # k-th sample is reconstructed on the whole grid, the others on the
+        # two bands only
         geom = WarpGeometry.of(warp, x0)
         prop = evolve.ModePropagator(geom, l, Grid(x0, x0 + span, n))
         v, w = np.random.default_rng(seed).standard_normal((2, n))
@@ -1087,10 +1106,8 @@ class TestOneDensityBody:
         assert (kind == "real") == (not (zx[1].any() or zy[1].any()))
         nR, n_buf = 1 + int(near * (n - 1)), int(wall * (n - 1))
         times = dt * np.arange(m)
-        E_R, wall_e = np.empty(m), np.empty(m)
-        for idx, (er, wl), *_ in evolve._sweep(state, times, dt, k, ((0, nR), (n_buf, n)),
-                                               whole=True):
-            E_R[idx], wall_e[idx] = er, wl
+        (E_R, wall_e), _ = evolve._sweep(state, times, dt, k, ((0, nR), (n_buf, n)),
+                                         reduce=lambda *block: None)
         ratio, inv_a2 = evolve._warp_factors(geom, prop.grid)
         pot = state.sigma_sq * inv_a2
         hist = [oracles.advanced(state, t) for t in times]

@@ -852,14 +852,18 @@ class TestModuleBoundaries:
         assert not found, f"exported but not defined in the exporting module: {found}"
 
     def test_one_evolution_sweep(self):
-        # every reduction over time samples goes through evolve._sweep; one
-        # builder makes every sweep block, which only the drift check also
-        # calls; one density body over real parts, with no layout switch,
-        # which only the band reconstruction calls, for the whole grid too
+        # every reduction over time samples goes through evolve._sweep, one
+        # call a pass that returns its reductions; one builder makes every
+        # sweep block, which only the drift check also calls; one density
+        # body over real parts, with no layout switch, which only the sweep
+        # calls, on the bands and on the whole grid, so that it alone owns
+        # the densities' lifetime
         pkg = Path(spectral.__file__).parent
         assert _callers(pkg, "_sweep_block") == {"evolve._sweep", "evolve._energy_drift"}
-        assert _callers(pkg, "_densities") == {"evolve._band_densities"}
+        assert _callers(pkg, "_densities") == {"evolve._sweep"}
         tree = ast.parse((pkg / "evolve.py").read_text())
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, (ast.Yield, ast.YieldFrom))]
         body = [fn for fn in tree.body
                 if isinstance(fn, ast.FunctionDef) and fn.name == "_densities"]
         assert len(body) == 1

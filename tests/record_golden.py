@@ -31,6 +31,7 @@ RUNS = {
     "bifurcation": ["bifurcation", "--x0-plus", "1.0", "--x0-minus", "-1.0", "--R", "3.5",
                     "--l", "14", "--T", "10", "--x-max", "20"],
     "multiplier-audit-m1": ["multiplier-audit", "--x0", "1.0"],
+    "multiplier-audit-m2": ["multiplier-audit", "--x0", "1.0", "--m", "2"],
 }
 # a time series keeps every THIN-th row and its last
 THIN = 50
@@ -77,6 +78,8 @@ def run(argv: list[str], out: Path) -> dict:
 
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main([*argv, "--out", str(out)])
+    if not (out / "manifest.json").exists():  # stopped before its outputs
+        return {"argv": argv, "exit_code": code, "passes": None, "values": {}}
     manifest = json.loads((out / "manifest.json").read_text())
     values = {name: (_csv_values(out / name) if name.endswith(".csv")
                      else _json_values(json.loads((out / name).read_text())))

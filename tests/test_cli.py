@@ -1151,8 +1151,21 @@ class TestMultiplierAuditCommand:
             assert row[-1] == str(passes[name]), check
         assert len(rows) == len(passes)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_orders_at_higher_warp_exponents(self, m, tmp_path):
+        # the x-cells grow with m; with 400 of them at every m, the x
+        # quadrature's error masked the O(dt^2) one, the orders of
+        # interior-l0-sin read 2.26 (m = 2) and 5.20 (m = 3), and the audit
+        # exited 3
+        assert run_cli(["multiplier-audit", "--x0", "1.0", "--m", str(m),
+                        "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "multiplier_checks.csv").read_text().splitlines()
+        orders = [float(row.split(",")[5]) for row in lines if row.startswith("ibp_")]
+        assert len(orders) == 5
+        assert all(1.8 <= order <= 2.2 for order in orders), orders
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+
+README =Path(__file__).resolve().parent.parent / "README.md"
 
 
 def readme_command_lines():

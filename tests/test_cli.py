@@ -1165,7 +1165,7 @@ class TestMultiplierAuditCommand:
         assert all(1.8 <= order <= 2.2 for order in orders), orders
 
 
-README =Path(__file__).resolve().parent.parent / "README.md"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def readme_command_lines():

@@ -369,7 +369,8 @@ plot 'decay_curves.dat' using 2:4 with linespoints title 'residual H0', \\
 
 
 def plan_confinement(cfg: ExperimentConfig) -> Plan:
-    """Refuses, before any solve, the domains ``evolve.run_confinement``
+    """Refuses, before any solve, a strict-mode wall inside the light cone
+    (the one place that policy lives), the R ``evolve.run_confinement``
     would refuse, an R past the wall, oversize solves and horizons and
     overflowing k."""
     geom, ls = _trapped_side(cfg, "confinement")
@@ -404,7 +405,7 @@ def cmd_confinement(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> 
     for qm in plan.qms:
         l = qm.l
         rep = evolve.run_confinement(plan.geom, qm, cfg.T_max, cfg.R, x_max=plan.wall,
-                                     dt=cfg.dt, causal=cfg.causal, le1=True)
+                                     dt=cfg.dt, le1=True)
         t_confinement.append(rep.t_confinement)
         le1_T = min(rep.t_confinement, cfg.T_max, float(rep.le1_times[-1]))
         # the data state is a propagator-cache hit, released before the next solve
@@ -550,8 +551,7 @@ def cmd_bifurcation(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> 
         del times, er, ratio  # free this curve before the next solve
 
     # trapped-side quasimode run (audited wall on its own compact domain)
-    rep = evolve.run_confinement(plan.geom, qm, cfg.T_max, cfg.R, x_max=plan.wall,
-                                 dt=cfg.dt, causal="audited")
+    rep = evolve.run_confinement(plan.geom, qm, cfg.T_max, cfg.R, x_max=plan.wall, dt=cfg.dt)
     out.write_csv("er_quasimode_minus.csv", ["t", "ratio_E_R"], [rep.times, rep.ratio_E_R])
 
     qm_final = float(rep.ratio_E_R.min())

@@ -20,13 +20,10 @@ second part is zero; a standing wave (v, -i tau v) with v real, the
 quasimode data, is one GEMM part, whose rows Re w and -Im w / tau are two
 a sample, and the mode operator turns them into two density parts.
 
-Domain truncation policy.  Every run names its wall X_max.  A run is
-causally exact when the wall sits beyond the range any energy can
-reach, X_max >= R + T; the default, strict mode refuses a shorter
-domain.  Confinement experiments over long horizons use the audited
-mode instead: the wall may sit inside the light cone, and the energy
-reaching a buffer strip in front of the wall is measured and reported,
-bounding the wall's influence on every reported quantity.
+Every run names its wall X_max, and ``run_confinement`` measures the
+energy reaching a strip in front of it, which bounds the wall's influence
+on every reported quantity; whether a run must be causally exact,
+X_max >= R + T, is the CLI's ``--causal``.
 """
 
 from __future__ import annotations
@@ -73,9 +70,9 @@ _DRIFT_STRIDE = 256
 # drift samples reconstructed at a time: a fine-step run's peak memory holds
 # one such block, its raw product and the operator's temporaries
 _DRIFT_TILE = 16
-# audited confinement runs measure the energy in the strip of this width in
-# front of the wall, and pass when its maximum stays at or below _WALL_TOL
-# times the total energy
+# confinement runs measure the energy in the strip of this width in front of
+# the wall, and pass when its maximum stays at or below _WALL_TOL times the
+# total energy
 _WALL_MARGIN = 2.0
 _WALL_TOL = 1e-4
 
@@ -588,19 +585,16 @@ def run_confinement(
     R: float,
     x_max: float,
     dt: float | None = None,
-    causal: str = "strict",
     le1: bool = False,
     dt_le: float | None = None,
 ) -> EvolutionReport:
     """Evolve the quasimode data (v, -i tau v) and track the near energy.
 
-    In strict mode the domain must satisfy X_max >= R + T_max; runs with a
-    shorter domain are rejected.  In audited mode the wall may be closer
-    and the maximal energy found in the buffer strip of width
-    ``_WALL_MARGIN`` in front of the wall is reported; ``wall_ok`` records
-    whether it stayed below ``_WALL_TOL`` times the total energy, which
-    caps the wall's possible effect on the near-region energy at the
-    sub-percent level.
+    The wall may sit inside the light cone.  The maximal energy found in
+    the buffer strip of width ``_WALL_MARGIN`` in front of the wall is
+    reported; ``wall_ok`` records whether it stayed below ``_WALL_TOL``
+    times the total energy, which caps the wall's possible effect on the
+    near-region energy at the sub-percent level.
 
     With ``le1`` the running LE1 norm is sampled at every k-th sample time,
     k * dt for k = dt_le / dt, which must be whole; by default k is the
@@ -611,15 +605,8 @@ def run_confinement(
     samples on the whole grid, for their E_R, wall energies and LE1 density
     (``ShellAccumulator.add``), the others on the E_R and wall bands only.
     """
-    if causal not in ("strict", "audited"):
-        raise ValueError("causal must be 'strict' or 'audited'")
     if qm.cutoff.support_end >= R:
         raise ValueError("quasimode data must be supported inside [x0, R)")
-    if causal == "strict" and x_max < R + T_max:
-        raise ValueError(
-            f"domain too short for a causally exact run: x_max={x_max} < "
-            f"R + T_max = {R + T_max}; enlarge the domain or use causal='audited'"
-        )
     grid_ext = qm.grid.extended(x_max)
     dt, times = _sample_times(T_max, dt, grid_ext.h)
     k = _le_stride(T_max, dt, dt_le) if le1 else 1

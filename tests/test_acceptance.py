@@ -71,7 +71,7 @@ def confinement_runs(geom):
         assert qm.bracket.in_bracket, l
         T = 1000.0 if l == 40 else 500.0
         rep = evolve.run_confinement(geom, qm, T_max=T, R=1.0, x_max=X_MAX_TRAPPED,
-                                     dt=1.0, causal="audited", le1=True, dt_le=2.0)
+                                     dt=1.0, le1=True, dt_le=2.0)
         dbk1, resolved = evolve.dbk_norm(evolve.data_field(geom, qm, rep.grid), 1)
         assert resolved, l
         out[l] = {"qm": qm, "rep": rep, "dbk1": dbk1}

@@ -153,8 +153,9 @@ class TestConfig:
             ExperimentConfig.load(str(cfg), {})
 
 
-# the two domains evolve.run_confinement refuses: a strict-mode wall inside
-# the light cone, and R inside the quasimode data's support
+# a strict-mode wall inside the light cone, which only the planner refuses,
+# and R inside the quasimode data's support, which evolve.run_confinement
+# also refuses
 _SHORT_STRICT = ["--x0", "-1.0", "--l", "20", "--T", "500", "--x-max", "24",
                  "--causal", "strict"]
 _R_IN_SUPPORT = ["--x0", "-1.0", "--l", "20", "--T", "5", "--R", "-0.5"]
@@ -635,6 +636,20 @@ class TestConfinementCommand:
         assert {name for name, ok in passes.items() if not ok} == {"wall_audit_l14",
                                                                    "wall_audit_l18"}
 
+    def test_strict_domain_that_fits_runs_unaudited(self, tmp_path):
+        # x_max = 4 >= R + T = 3, so strict mode accepts the domain; the run
+        # measures its wall strip either way, and only audited mode gates it
+        summaries = {}
+        for causal in ("strict", "audited"):
+            out = tmp_path / causal
+            assert run_cli(["confinement", *_K_GRID, "--causal", causal,
+                            "--out", str(out)]) == 0
+            passes = json.loads((out / "manifest.json").read_text())["passes"]
+            assert passes.get("wall_audit_l14") is (None if causal == "strict" else True)
+            summaries[causal] = json.loads(
+                (out / "confinement_summary.json").read_text())["per_l"]
+        assert summaries["strict"] == summaries["audited"]
+
     def test_sample_step_reaches_the_runs(self, tmp_path):
         # le1_ratio is LE1 at the horizon over the graph norm of the run's own
         # data, computed directly here on the command's grid; --dt moves it.
@@ -653,8 +668,7 @@ class TestConfinementCommand:
             assert run_cli(["confinement", "--x0", "-1.0", "--l", "14", "--T", "8",
                             "--x-max", "12", *step, "--out", str(out)]) == 0
             got = json.loads((out / "confinement_summary.json").read_text())["per_l"]["14"]
-            rep = evolve.run_confinement(geom, qm, 8.0, 1.0, x_max=12.0, dt=dt,
-                                         causal="audited", le1=True)
+            rep = evolve.run_confinement(geom, qm, 8.0, 1.0, x_max=12.0, dt=dt, le1=True)
             T = min(rep.t_confinement, 8.0)
             dbk, resolved = evolve.dbk_norm(evolve.data_field(geom, qm, rep.grid), 1)
             assert (got["le1_T"], got["dbk_norm"], got["dbk_resolved"]) == (T, dbk, resolved)
@@ -675,8 +689,7 @@ class TestConfinementCommand:
         geom = WarpGeometry.of(1, -1.0)
         qm = quasimode.build_quasimode(geom, 14, quasimode.interval_grid(
             geom, 14, evolve.EVOLUTION_H_PER_SIGMA))
-        rep = evolve.run_confinement(geom, qm, 4.0, 1.0, x_max=8.0, dt=3.0, causal="audited",
-                                     le1=True)
+        rep = evolve.run_confinement(geom, qm, 4.0, 1.0, x_max=8.0, dt=3.0, le1=True)
         dbk, _ = evolve.dbk_norm(evolve.data_field(geom, qm, rep.grid), 1)
         assert got["le1_T"] == 3.0
         assert got["le1_ratio"] == rep.le1_at(3.0) / dbk

@@ -462,30 +462,21 @@ class TestForcing:
     def test_gap_bound_holds_pointwise(self, geom_m1_trapped):
         grid_i = Grid(-1.0, 0.0, 140)
         qm = build_quasimode(geom_m1_trapped, 12, grid_interval=grid_i)
-        rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=30.0, R=1.0,
-                                     x_max=12.0, causal="audited")
+        rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=30.0, R=1.0, x_max=12.0)
         bound = rep.times * rep.f_norm + 1e-9 * rep.data_h_norm
         assert rep.duhamel_gap[0] == 0.0
         assert np.all(rep.duhamel_gap <= bound)
 
 
 class TestConfinement:
-    def test_strict_mode_rejects_short_domain(self, geom_m1_trapped):
-        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 100))
-        with pytest.raises(ValueError, match="domain too short"):
-            evolve.run_confinement(geom_m1_trapped, qm, T_max=50.0, R=1.0,
-                                   x_max=10.0, causal="strict")
-
     def test_support_must_sit_inside_near_region(self, geom_m1_trapped):
         qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 100))
         with pytest.raises(ValueError, match="supported"):
-            evolve.run_confinement(geom_m1_trapped, qm, T_max=10.0, R=-0.5,
-                                   x_max=12.0, causal="audited")
+            evolve.run_confinement(geom_m1_trapped, qm, T_max=10.0, R=-0.5, x_max=12.0)
 
     def test_confined_energy_floor(self, geom_m1_trapped):
         qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120))
-        rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=40.0, R=1.0,
-                                     x_max=14.0, causal="audited", le1=True)
+        rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=40.0, R=1.0, x_max=14.0, le1=True)
         assert rep.ratio_E_R.min() >= 0.9
         assert rep.t_confinement == math.inf
         assert rep.half_bound_ok
@@ -501,8 +492,7 @@ class TestConfinement:
         grid_ext = qm.grid.extended(13.0)
         prop = evolve.get_propagator(geom_m1_trapped, 12, grid_ext)
         monkeypatch.setattr(prop, "omega", prop.omega * (1.0 - 1e-7j))
-        rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=60.0, R=1.0, x_max=13.0,
-                                     dt=0.1, causal="audited")
+        rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=60.0, R=1.0, x_max=13.0, dt=0.1)
         u = qm.extend_to(grid_ext)
         mode = evolve.ModeState.from_grid_data(prop, u.astype(complex), -1j * qm.tau * u)
         E = mode.energy_spectral()
@@ -528,8 +518,7 @@ class TestConfinement:
         grid_ext = qm.grid.extended(5.0)
         prop = evolve.get_propagator(geom_m1_trapped, 12, grid_ext)
         monkeypatch.setattr(prop, "omega", prop.omega * (1.0 - 1e-7j))
-        rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=15.0, R=1.0, x_max=5.0,
-                                     dt=0.1, causal="audited")
+        rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=15.0, R=1.0, x_max=5.0, dt=0.1)
         m = rep.times.size
         assert m > 2 * evolve._DRIFT_TILE
         mode = evolve.data_field(geom_m1_trapped, qm, grid_ext)
@@ -601,7 +590,7 @@ class TestConfinement:
         tracemalloc.start()
         try:
             evolve.run_confinement(geom_m1_trapped, qm, T_max=400.0, R=1.0, x_max=12.0,
-                                   dt=1.0, causal="audited", le1=True)
+                                   dt=1.0, le1=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -625,9 +614,9 @@ class TestConfinement:
         qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120))
         with pytest.raises(ValueError, match="whole multiple"):
             evolve.run_confinement(geom_m1_trapped, qm, T_max=3.5, R=1.0, x_max=12.0,
-                                   dt=0.25, causal="audited", le1=True, dt_le=0.6)
+                                   dt=0.25, le1=True, dt_le=0.6)
         rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=3.5, R=1.0, x_max=12.0,
-                                     dt=0.25, causal="audited", le1=True, dt_le=0.75)
+                                     dt=0.25, le1=True, dt_le=0.75)
         assert rep.times[-1] == 3.5
         assert np.array_equal(rep.le1_times, rep.times[::3])
         assert rep.le1_times[-1] == 3.0
@@ -646,7 +635,7 @@ class TestConfinement:
         x_max = 1.0 + reach * (x0 + 600 * h - 1.0)
         T = spans * k * dt
         rep = evolve.run_confinement(geom, qm, T_max=T, R=1.0, x_max=x_max, dt=dt,
-                                     causal="audited", le1=True, dt_le=k * dt)
+                                     le1=True, dt_le=k * dt)
         assert rep.grid.n_interior <= 600
         assert np.all(rep.duhamel_gap <= rep.times * rep.f_norm + 1e-9 * rep.data_h_norm)
         fld = evolve.data_field(geom, qm, rep.grid)
@@ -739,7 +728,7 @@ class TestStandingLayout:
         tol, E = self.bound(fld), fld.energy_spectral()
 
         rep = evolve.run_confinement(geom, qm, T_max=T, R=1.0, x_max=x_max, dt=dt,
-                                     causal="audited", le1=True, dt_le=k * dt)
+                                     le1=True, dt_le=k * dt)
         assert rep.grid == grid and rep.E == gen.energy_spectral()
         # the general state's E_R, wall band (the whole grid minus the rows
         # before the strip) and LE1 from its own sweeps; its gap from the
@@ -851,8 +840,7 @@ class TestPropagatorCache:
 class TestGrowthExperiment:
     def test_running_ratio_tracks_sqrt_horizon(self, geom_m1_trapped):
         qm = build_quasimode(geom_m1_trapped, 14, grid_interval=Grid(-1.0, 0.0, 120))
-        rep = evolve.run_confinement(geom_m1_trapped, qm, 40.0, R=1.0, x_max=12.0,
-                                     causal="audited", le1=True)
+        rep = evolve.run_confinement(geom_m1_trapped, qm, 40.0, R=1.0, x_max=12.0, le1=True)
         assert rep.le1_at(40.0) / rep.le1_at(10.0) == pytest.approx(2.0, rel=0.1)
 
 
@@ -868,8 +856,7 @@ class TestEigenvectorSigns:
 
     def outputs(self, geom):
         qm = build_quasimode(geom, 12, grid_interval=Grid(-1.0, 0.0, 120))
-        rep = evolve.run_confinement(geom, qm, 30.0, R=1.0, x_max=12.0, causal="audited",
-                                     le1=True)
+        rep = evolve.run_confinement(geom, qm, 30.0, R=1.0, x_max=12.0, le1=True)
         grid = Grid(-1.0, 9.0, 500)
         v0 = (bump(grid.nodes(), 1.5, 0.9) * np.exp(2.0j * grid.nodes())).astype(complex)
         fld = evolve.wave_field(geom, grid, [(4, 1, v0, 0.5 * v0)])
@@ -1041,7 +1028,7 @@ class TestCrossSite:
         T, dt = 3.0, 0.25
         dt_le = k * dt
         rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=T, R=1.0, x_max=12.0,
-                                     dt=dt, causal="audited", le1=True, dt_le=dt_le)
+                                     dt=dt, le1=True, dt_le=dt_le)
         fld = evolve.data_field(geom_m1_trapped, qm, qm.grid.extended(12.0))
         near = fld.grid.nodes() <= 1.0
         for i in (0, 5, 12):

@@ -4,15 +4,20 @@
 numbers each run of ``record_golden.RUNS`` writes: the quasimode table
 and fits, the confinement and bifurcation summaries, their time series
 thinned to every ``record_golden.THIN``-th row, and the audit's identity
-gaps, orders, delta and Hardy worst ratio.  ``python tests/record_golden.py``
+gaps, orders, delta and Hardy worst ratio.  The evolving runs are held
+to it a second time at one BLAS thread.  ``python tests/record_golden.py``
 re-records it.
 """
 
+import contextlib
+import ctypes
 import json
 import math
 
 import pytest
 import record_golden
+
+from warptrap import spectral
 
 GOLDEN = json.loads(record_golden.GOLDEN.read_text())
 
@@ -59,6 +64,41 @@ def _close(got, want, values, name, field, label) -> bool:
 
 @pytest.mark.parametrize("run", sorted(GOLDEN))
 def test_golden_numbers(run, tmp_path):
+    _check(run, tmp_path)
+
+
+@pytest.mark.parametrize("run", ["bifurcation", "confinement"])
+def test_golden_numbers_on_one_blas_thread(run, tmp_path):
+    # another thread count splits the GEMMs' sums differently, so the
+    # evolving runs move in their last bits, inside the same tolerances
+    with _blas_threads(1):
+        _check(run, tmp_path)
+
+
+@contextlib.contextmanager
+def _blas_threads(count: int):
+    """numpy's bundled OpenBLAS at ``count`` threads, restored on exit.
+
+    Set through the global setter: in the OpenBLAS 0.3.31 that numpy 2.4
+    bundles, ``openblas_set_num_threads_local`` called in one thread sets
+    the count of every thread anyway."""
+    (path,) = spectral._bundled_openblas()
+    lib = ctypes.CDLL(str(path))
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    before = get()
+    try:
+        set_(count)
+        assert get() == count
+        yield
+    finally:
+        set_(before)
+
+
+def _check(run: str, tmp_path) -> None:
+    """Run one recorded command and hold its exit code, verdicts and every
+    number to ``tests/golden.json``."""
     want = GOLDEN[run]
     got = record_golden.run(want["argv"], tmp_path)
     assert (got["exit_code"], got["passes"]) == (want["exit_code"], want["passes"])

@@ -840,6 +840,18 @@ class TestModuleBoundaries:
         assert {"main", "cmd_confinement", "cmd_bifurcation"} <= collectors
         assert not collectors & refusing, sorted(collectors & refusing)
 
+    def test_causality_policy_lives_in_cli(self):
+        # whether a run must be causally exact is cli's --causal, whose
+        # planner refuses a short strict domain; evolve always measures its
+        # wall strip and knows neither the option nor its values
+        tree = ast.parse((Path(spectral.__file__).parent / "evolve.py").read_text())
+        params = [a.arg for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                  for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+        assert "causal" not in params
+        assert not [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                    and node.value in ("strict", "audited")]
+
     def test_no_private_name_crosses_a_module(self):
         # a name with a leading underscore is used only in the module that
         # defines it; a name another module needs is public there

@@ -408,11 +408,10 @@ def cmd_confinement(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> 
                                      dt=cfg.dt, le1=True)
         t_confinement.append(rep.t_confinement)
         le1_T = min(rep.t_confinement, cfg.T_max, float(rep.le1_times[-1]))
-        # the data state is a propagator-cache hit, released before the next solve
-        dbk, dbk_ok = evolve.dbk_norm(evolve.data_field(plan.geom, qm, rep.grid), cfg.k)
+        dbk, dbk_ok = evolve.dbk_norm(rep.state, cfg.k)
         out.write_csv(f"evolution_l{l}.csv", evolve.EVOLUTION_CSV_COLUMNS, rep.csv_columns())
         summary[str(l)] = {
-            "tau": rep.tau,
+            "tau": qm.tau,
             "t_confinement": rep.t_confinement,
             "min_ratio_E_R": float(rep.ratio_E_R.min()),
             "f_norm": rep.f_norm,
@@ -432,7 +431,7 @@ def cmd_confinement(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> 
         out.record(f"dbk_resolved_l{l}", dbk_ok)
         if cfg.causal == "audited":
             out.record(f"wall_audit_l{l}", rep.wall_ok)
-        del rep  # free this degree's per-sample arrays before the next solve
+        del rep  # free this degree's per-sample arrays and state before the next solve
     if len(t_confinement) >= 2:
         out.record("t_confinement_nondecreasing", all(
             a <= b for a, b in zip(t_confinement, t_confinement[1:])))

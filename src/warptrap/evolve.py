@@ -12,13 +12,17 @@ over them, ``_sweep``, which returns the band energies and hands each
 block's whole-grid densities to a reducer, so it alone holds them: the
 confinement run, the near-energy history, the space-time norms and the
 local-energy audit of the nontrapping side.
-This module alone knows the one format of a sweep block, a real array of
-parts, and the one energy-density body, which sums the squares of any
-number of real parts (w, dt w).  Any state is two parts, whose GEMM rows
-are Re and Im of w and of dt w, four a sample; real data is one, as its
-second part is zero; a standing wave (v, -i tau v) with v real, the
-quasimode data, is one GEMM part, whose rows Re w and -Im w / tau are two
-a sample, and the mode operator turns them into two density parts.
+A state is the spectral coefficients (a, b) of its data (w, dt w), which
+evolve as w(t) = cos(omega t) a + sin(omega t) b / omega.  This module
+alone knows the one format of a sweep block, a real array of parts, each
+part z giving the GEMM rows Re(E z) and kappa Im(E z), E = exp(-i omega t),
+and the one energy-density body, which sums the squares of any number of
+real parts (w, dt w).  Any state is two parts with kappa = omega, whose
+rows are Re and Im of w and of dt w, four a sample; real data is one, as
+its second part is zero; a standing wave (v, -i tau v) with v real, the
+quasimode data, is the one part Re a with kappa = -1 / omega, whose rows
+Re w and -Im w / tau are two a sample, and the mode operator turns them
+into two density parts.
 
 Every run names its wall X_max, and ``run_confinement`` measures the
 energy reaching a strip in front of it, which bounds the wall's influence
@@ -163,27 +167,26 @@ def get_propagator(geom: WarpGeometry, l: int, grid: Grid) -> ModePropagator:
 
 @dataclass
 class ModeState:
-    """Spectral coefficients of one mode, split into the two half waves.
+    """Spectral coefficients (a, b) of one mode's data (w, dt w).
 
-    c_plus rotates with phase exp(-i omega t), c_minus with the opposite
-    phase; their sum is the coefficient vector of w and their weighted
-    difference that of dt w.  ``standing_tau`` is tau for a standing wave,
-    data (v, -i tau v) with v real as ``data_field`` builds it, and None
-    for any other data; it picks the parts of the sweep's blocks, and a
-    standing wave's sweep also gives its Duhamel gap.
+    Each eigencomponent evolves exactly as
+    w(t) = cos(omega t) a + sin(omega t) b / omega, so that
+    dt w(t) = -omega sin(omega t) a + cos(omega t) b.  ``standing_tau`` is
+    tau for a standing wave, data (v, -i tau v) with v real as
+    ``data_field`` builds it, and None for any other data; it picks the
+    parts of the sweep's blocks, and a standing wave's sweep also gives its
+    Duhamel gap.
     """
 
     prop: ModePropagator
-    c_plus: np.ndarray
-    c_minus: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     standing_tau: float | None = None
 
     @classmethod
     def from_grid_data(cls, prop: ModePropagator, w0: np.ndarray, w1: np.ndarray) -> "ModeState":
         ab = prop.to_spectral(np.column_stack([w0, w1]).astype(complex, copy=False))
-        ib_over = 1j * ab[:, 1] / prop.omega
-        a = ab[:, 0]
-        return cls(prop, 0.5 * (a + ib_over), 0.5 * (a - ib_over))
+        return cls(prop, ab[:, 0], ab[:, 1])
 
     # -- views ---------------------------------------------------------------
 
@@ -199,25 +202,18 @@ class ModeState:
     def geom(self) -> WarpGeometry:
         return self.prop.geom
 
-    def a_coeff(self) -> np.ndarray:
-        return self.c_plus + self.c_minus
-
-    def b_coeff(self) -> np.ndarray:
-        return -1j * self.prop.omega * (self.c_plus - self.c_minus)
-
     def w_grid(self) -> np.ndarray:
-        return self.prop.from_spectral(self.a_coeff())
+        return self.prop.from_spectral(self.a)
 
     def wt_grid(self) -> np.ndarray:
-        return self.prop.from_spectral(self.b_coeff())
+        return self.prop.from_spectral(self.b)
 
     def graph_sq(self, k: int) -> float:
         """|B^k data|_H^2 for the generator B(w, dt w) = (i dt w, -i P w):
-        Sum 2 lambda^(k+1) (|c+|^2 + |c-|^2), as lambda |a|^2 + |b|^2 =
-        2 lambda (|c+|^2 + |c-|^2) for a = c+ + c-, b = -i omega (c+ - c-)."""
+        Sum lambda^k (lambda |a|^2 + |b|^2), as B^2 acts as P on both
+        components and |data|_H^2 = Sum lambda |a|^2 + |b|^2."""
         lam = self.prop.evals
-        return 2.0 * float(
-            np.sum(lam ** (k + 1) * (np.abs(self.c_plus) ** 2 + np.abs(self.c_minus) ** 2)))
+        return float(np.sum(lam ** k * (lam * np.abs(self.a) ** 2 + np.abs(self.b) ** 2)))
 
     def energy_spectral(self) -> float:
         """Mode energy, half the squared energy norm; conserved exactly."""
@@ -262,7 +258,8 @@ def wave_field(geom: WarpGeometry, grid: Grid, entries) -> ModeState:
 
 @dataclass
 class EvolutionReport:
-    """Sampled observables of one evolution run."""
+    """Sampled observables of one evolution run, and its data state, which
+    keeps the run's propagator alive as long as the report lives."""
 
     times: np.ndarray
     E: float
@@ -278,8 +275,7 @@ class EvolutionReport:
     wall_buffer_max: float
     wall_ok: bool
     energy_drift: float
-    grid: Grid
-    tau: float
+    state: ModeState
 
     def csv_columns(self) -> list[np.ndarray]:
         """The columns of ``EVOLUTION_CSV_COLUMNS``, one entry a sample; the
@@ -310,41 +306,41 @@ class EvolutionReport:
 EVOLUTION_CSV_COLUMNS = ["t", "E", "E_R", "ratio_E_R", "LE1_running", "duhamel_gap"]
 
 
-def _half_wave_parts(cp, cm, omega):
-    """The two parts (zx, zy) of any state from its half waves c+ and c-:
-    zx = [c+ + conj(c-), -i (c+ - conj(c-))] and zy the same split of
-    (omega c+, omega c-).  Since c- turns with conj(E), E = exp(-i omega t),
-    the rows Re(E zx) are Re w and Im w and the rows Im(E zy) Re dt w and
-    Im dt w, for any complex E."""
-    def split(p, q):
-        q = q.conj()
-        return [p + q, -1j * (p - q)]
-    return split(cp, cm), split(omega * cp, omega * cm)
+def _wave_parts(a, b, omega):
+    """The two parts of any state (a, b), z = Re a + i Re b / omega and
+    Im a + i Im b / omega, for kappa = omega: with E = exp(-i omega t),
+    Re(E z) = cos(omega t) Re a + sin(omega t) Re b / omega is Re w and
+    omega Im(E z) = cos(omega t) Re b - omega sin(omega t) Re a is Re dt w,
+    and the second part gives Im w and Im dt w alike."""
+    return [a.real + 1j * (b.real / omega), a.imag + 1j * (b.imag / omega)]
 
 
-def _sweep_block(zx, zy, omega, t0, dt, m):
-    """The sweep block of p parts (zx_s, zy_s) at the m times t0 + dt * j:
-    the real (n, 2 p m) array [Re(E zx_0) | ... | Im(E zy_0) | ...] of
+def _sweep_block(zs, kappa, omega, t0, dt, m):
+    """The sweep block of the p parts zs at the m times t0 + dt * j: the
+    real (n, 2 p m) array [Re P_0 | ... | kappa Im P_0 | ...] of P_s = E z_s,
     E = exp(-i omega t), m columns a part, so that one real GEMM gives the
     X rows of every part, then their Y rows.
 
     The phases at t = t0 + dt * (8 q + r) are products of two tables,
     (n, ceil(m/8)) over q and (n, min(m, 8)) over r, so a block takes
-    n * (ceil(m/8) + 8) exponentials instead of n * m.  Each entry is one
-    complex product of the tables, formed 8 columns at a time in one n x 8
-    buffer.
+    n * (ceil(m/8) + 8) exponentials instead of n * m.  Each entry of P_s is
+    one complex product of the tables, formed 8 columns at a time in one
+    n x 8 buffer, which gives both its X and its Y columns.
     """
     iw = -1j * omega
     coarse = np.exp(np.multiply.outer(iw, t0 + 8.0 * dt * np.arange((m + 7) // 8)))
     fine = np.exp(np.multiply.outer(iw, dt * np.arange(min(m, 8))))
-    G = np.empty((omega.size, 2 * len(zx) * m))
+    p = len(zs)
+    G = np.empty((omega.size, 2 * p * m))
     P = np.empty_like(fine)
-    for s, (z, part) in enumerate([(z, np.real) for z in zx] + [(z, np.imag) for z in zy]):
+    for s, z in enumerate(zs):
         Z = z[:, None] * coarse
         for q, j in enumerate(range(0, m, 8)):
             k = min(8, m - j)
             np.multiply(Z[:, q, None], fine[:, :k], out=P[:, :k])
-            G[:, s * m + j:s * m + j + k] = part(P[:, :k])
+            x, y = s * m + j, (p + s) * m + j
+            G[:, x:x + k] = P[:, :k].real
+            np.multiply(P[:, :k].imag, kappa[:, None], out=G[:, y:y + k])
     return G
 
 
@@ -446,18 +442,19 @@ def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
     every sample, one array a band, and a standing wave's Duhamel gap, the
     energy-norm distance from its data rotated by exp(-i tau t), or None.
 
-    The state picks its parts once: those of its ``_sweep_block``s, and
-    ``parts``, which splits a block's raw product into the real parts
-    (w, dt w) that ``_densities`` sums.  Any state takes the two parts of
-    ``_half_wave_parts``: rows Re and Im of w and of dt w, four a sample.
-    Real data has c- = conj(c+), so its second part is exactly zero and is
-    dropped: two rows, Re w and Re dt w.  A standing wave (``standing_tau``
-    set) is one GEMM part, zx = alpha and zy = -alpha / omega for
-    alpha = Re(c+ + c-), whose rows are X = Re w and Y = -Im w / tau.  Exact
-    eigenpairs give dt w = -P Y - i tau X for the mode operator P, so the
-    density parts (X, P Y) and (tau Y, tau X) take one tridiagonal stencil
-    and two (m, rows) buffers in place of the GEMM rows of dt w.  That
-    stencil is the package's one product with P outside
+    The state picks its parts once: those of its ``_sweep_block``s with
+    their kappa, and ``parts``, which splits a block's raw product into the
+    real parts (w, dt w) that ``_densities`` sums.  Any state takes the two
+    parts of ``_wave_parts`` and kappa = omega: rows Re and Im of w and of
+    dt w, four a sample.  Real data has real a and b, so its second part is
+    exactly zero and is dropped: two rows, Re w and Re dt w.  A standing
+    wave (``standing_tau`` set) has a = alpha real and b = -i tau alpha, so
+    it is the one part alpha with kappa = -1 / omega, whose rows are
+    X = cos(omega t) alpha = Re w and Y = sin(omega t) alpha / omega =
+    -Im w / tau.  Exact eigenpairs give dt w = -P Y - i tau X for the mode
+    operator P, so the density parts (X, P Y) and (tau Y, tau X) take one
+    tridiagonal stencil and two (m, rows) buffers in place of the GEMM rows
+    of dt w.  That stencil is the package's one product with P outside
     ``TridiagonalOperator.apply``: it acts along the rows of a band and
     sums o ((d / o) Y + Y[i+1] + Y[i-1]), the factored form every
     standing-wave output is computed with.
@@ -478,16 +475,16 @@ def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
     pot = mode.sigma_sq * inv_a2
     tau = mode.standing_tau
     if tau is None:
-        zx, zy = _half_wave_parts(mode.c_plus, mode.c_minus, prop.omega)
-        if not (zx[1].any() or zy[1].any()):
-            zx, zy = zx[:1], zy[:1]
+        zs, kappa = _wave_parts(mode.a, mode.b, prop.omega), prop.omega
+        if not zs[1].any():
+            zs = zs[:1]
 
         def parts(R, rows):
-            S = np.split(R, 2 * len(zx))
-            return list(zip(S[:len(zx)], S[len(zx):]))
+            S = np.split(R, 2 * len(zs))
+            return list(zip(S[:len(zs)], S[len(zs):]))
     else:
-        alpha, o = mode.a_coeff().real, prop.op.offdiag
-        zx, zy = [alpha], [-alpha / prop.omega]
+        alpha, o = mode.a.real, prop.op.offdiag
+        zs, kappa = [alpha], -1.0 / prop.omega
 
         def parts(R, rows):
             # P Y = o (Y[i-1] + Y[i+1] + (d / o) Y[i]), summed in place
@@ -504,7 +501,7 @@ def _sweep(mode: ModeState, times: np.ndarray, dt: float, k: int = 1, bands=(),
         for r in range(min(k, times.size - c0)):
             idx = slice(c0 + r, c0 + k * TILE, k)
             tc = times[idx]
-            B = _sweep_block(zx, zy, prop.omega, tc[0], k * dt, tc.size)
+            B = _sweep_block(zs, kappa, prop.omega, tc[0], k * dt, tc.size)
             if tau is not None:
                 gap[idx] = _standing_gap(B, alpha, prop.evals, tau, tau * tc)
             whole = reduce is not None and r == 0
@@ -544,20 +541,21 @@ def _energy_drift(mode: ModeState, dt: float, m: int) -> float:
     _DRIFT_TILE samples at a time.
 
     Every state, a standing wave too, takes the two parts of
-    ``_half_wave_parts``, so the check reads no P stencil of the sweep.
-    Each tile's energies are reduced from the raw product of its block:
-    h * x.x over the rows of dt w, then the operator quadratic form
-    h * x.Px over the rows of w, with P x from ``op.apply``; each sample
-    adds its real and imaginary rows, one from each part.  A tile holds its
-    block, the raw product and the two temporaries of ``op.apply``, each
-    n x 2 * _DRIFT_TILE at most."""
+    ``_wave_parts`` with kappa = omega, so the check reads no P stencil of
+    the sweep.  Each tile's energies are reduced from the raw product of
+    its block: h * x.x over the kappa Im rows, those of dt w, then the
+    operator quadratic form h * x.Px over the Re rows, those of w, with P x
+    from ``op.apply``; each sample adds its real and imaginary rows, one
+    from each part.  A tile holds its block and the raw product, each of
+    4 * _DRIFT_TILE columns at most, and the two temporaries of
+    ``op.apply``, each of 2 * _DRIFT_TILE."""
     prop = mode.prop
-    zx, zy = _half_wave_parts(mode.c_plus, mode.c_minus, prop.omega)
+    zs = _wave_parts(mode.a, mode.b, prop.omega)
     E = mode.energy_spectral()
     drift = 0.0
     for j0 in range(0, m, _DRIFT_TILE):
         k = min(_DRIFT_TILE, m - j0)
-        R = _raw_product(prop.evecs, _sweep_block(zx, zy, prop.omega, j0 * dt, dt, k))
+        R = _raw_product(prop.evecs, _sweep_block(zs, prop.omega, prop.omega, j0 * dt, dt, k))
         W, Wt = R[:2 * k], R[2 * k:]
         q = np.einsum("ij,ij->i", Wt, Wt)
         q += np.einsum("ij,ji->i", W, prop.op.apply(W.T))
@@ -653,8 +651,7 @@ def run_confinement(
         wall_buffer_max=wall_max,
         wall_ok=bool(wall_max <= _WALL_TOL * E_spec),
         energy_drift=_energy_drift(mode, _DRIFT_STRIDE * dt, times[::_DRIFT_STRIDE].size),
-        grid=grid_ext,
-        tau=qm.tau,
+        state=mode,
     )
 
 

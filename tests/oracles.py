@@ -2,7 +2,7 @@
 
 Each works one state or one sample at a time, in the plainest form of its
 definition, where the package computes the same quantity in tiled passes
-or closed forms: the phase rotation of one state and forced propagation by
+or closed forms: the rotation of one state's (a, b) and forced propagation by
 variation of constants, per-state energies and space-time norms, per-shell
 sums, the fields of a manufactured solution, and the flux densities of the
 multiplier identity.  The frequency bracket check, with its square-well
@@ -27,9 +27,13 @@ from warptrap.spectral import Grid, LeNorms, lowest_pair
 
 
 def advanced(state: ModeState, dt: float) -> ModeState:
-    """The state after time dt: each half wave rotated by exp(-/+ i omega dt)."""
-    ph = np.exp(-1j * state.prop.omega * dt)
-    return ModeState(state.prop, state.c_plus * ph, state.c_minus * ph.conj())
+    """The state after time dt: each eigencomponent's (a, b) rotated to
+    (cos(omega dt) a + sin(omega dt) b / omega,
+    cos(omega dt) b - omega sin(omega dt) a)."""
+    omega = state.prop.omega
+    c, s = np.cos(omega * dt), np.sin(omega * dt)
+    return ModeState(state.prop, c * state.a + s / omega * state.b,
+                     c * state.b - omega * s * state.a)
 
 
 @dataclass
@@ -51,11 +55,15 @@ def propagate(state: ModeState, dt: float, steps: int,
 
     Homogeneous evolution is exact per eigencomponent; forcing enters
     through the variation-of-constants integral with trapezoid quadrature
-    in the source time (``forcing.substeps`` subsamples per output step).
+    in the source time (``forcing.substeps`` subsamples per output step):
+    with C and S the integrals of cos(omega s) g(s) and sin(omega s) g(s)
+    up to t, a forced profile f adds sin(omega (t - s)) f / omega, that is
+    (sin(omega t) C - cos(omega t) S) f / omega, to a and
+    (cos(omega t) C + sin(omega t) S) f to b.
     """
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
-    out = [ModeState(state.prop, state.c_plus.copy(), state.c_minus.copy())]
+    out = [ModeState(state.prop, state.a.copy(), state.b.copy())]
     for i in range(1, steps + 1):
         out.append(advanced(state, i * dt))
     if forcing is None:
@@ -67,25 +75,24 @@ def propagate(state: ModeState, dt: float, steps: int,
         if l != state.prop.l:
             continue
         fhat = state.prop.to_spectral(np.asarray(profile, dtype=complex))
-        coef = 1j * fhat / (2.0 * omega)
-        # running trapezoid of e^{+/- i omega s} g(s), per eigencomponent,
-        # carried across output steps one block of substeps at a time
-        g0 = complex(fn(0.0))
-        up_prev = np.full(omega.size, g0)
-        dn_prev = np.full(omega.size, g0)
-        cup = np.zeros(omega.size, complex)
-        cdn = np.zeros(omega.size, complex)
+        # running trapezoids of cos(omega s) g(s) and sin(omega s) g(s), per
+        # eigencomponent, carried across output steps one block of substeps
+        # at a time
+        cos_prev = np.full(omega.size, complex(fn(0.0)))
+        sin_prev = np.zeros(omega.size, complex)
+        C = np.zeros(omega.size, complex)
+        S = np.zeros(omega.size, complex)
         for i in range(1, steps + 1):
             s = ds * np.arange((i - 1) * nsub + 1, i * nsub + 1)
             g = np.asarray([fn(si) for si in s], dtype=complex)
-            up = np.exp(1j * np.outer(omega, s)) * g[None, :]
-            dn = np.exp(-1j * np.outer(omega, s)) * g[None, :]
-            cup += np.trapezoid(np.column_stack([up_prev, up]), dx=ds, axis=1)
-            cdn += np.trapezoid(np.column_stack([dn_prev, dn]), dx=ds, axis=1)
-            up_prev, dn_prev = up[:, -1], dn[:, -1]
-            phm = np.exp(-1j * omega * (i * dt))
-            out[i].c_plus = out[i].c_plus + phm * coef * cup
-            out[i].c_minus = out[i].c_minus - coef * cdn * phm.conj()
+            phase = np.outer(omega, s)
+            cs, sn = np.cos(phase) * g[None, :], np.sin(phase) * g[None, :]
+            C += np.trapezoid(np.column_stack([cos_prev, cs]), dx=ds, axis=1)
+            S += np.trapezoid(np.column_stack([sin_prev, sn]), dx=ds, axis=1)
+            cos_prev, sin_prev = cs[:, -1], sn[:, -1]
+            c, sin_t = np.cos(omega * (i * dt)), np.sin(omega * (i * dt))
+            out[i].a = out[i].a + (sin_t * C - c * S) * fhat / omega
+            out[i].b = out[i].b + (c * C + sin_t * S) * fhat
     return out
 
 

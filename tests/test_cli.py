@@ -568,14 +568,13 @@ def stand_in_reports(monkeypatch, *reports):
 
     from warptrap import evolve
 
-    base = dict(tau=1.0, t_confinement=math.inf, times=np.zeros(2), ratio_E_R=np.ones(2),
+    base = dict(t_confinement=math.inf, times=np.zeros(2), ratio_E_R=np.ones(2),
                 duhamel_gap=np.zeros(2), f_norm=0.0, data_h_norm=1.0, half_bound_ok=True,
-                wall_ok=True, wall_buffer_max=0.0, energy_drift=0.0, grid=None,
+                wall_ok=True, wall_buffer_max=0.0, energy_drift=0.0, state=None,
                 csv_columns=lambda: [], le1_times=np.zeros(2), le1_at=lambda T: 0.0)
     it = iter([SimpleNamespace(**{**base, **{k: np.asarray(v) if isinstance(v, list) else v
                                              for k, v in kw.items()}}) for kw in reports])
     monkeypatch.setattr(evolve, "run_confinement", lambda *args, **kwargs: next(it))
-    monkeypatch.setattr(evolve, "data_field", lambda *args: None)
     monkeypatch.setattr(evolve, "dbk_norm", lambda state, k: (1.0, True))
 
 
@@ -670,7 +669,7 @@ class TestConfinementCommand:
             got = json.loads((out / "confinement_summary.json").read_text())["per_l"]["14"]
             rep = evolve.run_confinement(geom, qm, 8.0, 1.0, x_max=12.0, dt=dt, le1=True)
             T = min(rep.t_confinement, 8.0)
-            dbk, resolved = evolve.dbk_norm(evolve.data_field(geom, qm, rep.grid), 1)
+            dbk, resolved = evolve.dbk_norm(rep.state, 1)
             assert (got["le1_T"], got["dbk_norm"], got["dbk_resolved"]) == (T, dbk, resolved)
             assert got["le1_ratio"] == rep.le1_at(T) / dbk
             ratios.append(got["le1_ratio"])
@@ -690,7 +689,7 @@ class TestConfinementCommand:
         qm = quasimode.build_quasimode(geom, 14, quasimode.interval_grid(
             geom, 14, evolve.EVOLUTION_H_PER_SIGMA))
         rep = evolve.run_confinement(geom, qm, 4.0, 1.0, x_max=8.0, dt=3.0, le1=True)
-        dbk, _ = evolve.dbk_norm(evolve.data_field(geom, qm, rep.grid), 1)
+        dbk, _ = evolve.dbk_norm(rep.state, 1)
         assert got["le1_T"] == 3.0
         assert got["le1_ratio"] == rep.le1_at(3.0) / dbk
         with pytest.raises(ValueError, match="no LE1 sample reaches t = 4.0"):

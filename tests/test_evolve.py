@@ -129,12 +129,14 @@ class TestProjection:
         assert not np.any(got[:, 1])
 
 
-def direct_phase_block(cp, cm, omega, times):
-    """Reference phase block: one exponential per mode and time, packed as
-    [a | b] with a = P + M and b = -i omega (P - M)."""
-    ph = np.exp(-1j * np.outer(omega, times))
-    P, M = cp[:, None] * ph, cm[:, None] * ph.conj()
-    return np.hstack([P + M, -1j * omega[:, None] * (P - M)])
+def direct_phase_block(a, b, omega, times):
+    """Reference phase block: one cosine and one sine per mode and time,
+    packed as [a(t) | b(t)] with a(t) = cos(omega t) a + sin(omega t) b /
+    omega and b(t) = cos(omega t) b - omega sin(omega t) a."""
+    wt = np.outer(omega, times)
+    c, s, om = np.cos(wt), np.sin(wt), omega[:, None]
+    return np.hstack([c * a[:, None] + s * (b / omega)[:, None],
+                      c * b[:, None] - om * s * a[:, None]])
 
 
 def abs_rotation_gap(AB, a0, b0, evals, ph):
@@ -145,10 +147,11 @@ def abs_rotation_gap(AB, a0, b0, evals, ph):
     return np.sqrt(np.sum(evals[:, None] * np.abs(da) ** 2 + np.abs(db) ** 2, axis=0))
 
 
-def general_block(cp, cm, omega, t0, dt, m):
-    """The sweep block of the half waves (cp, cm): two parts, whose rows are
-    Re a, Im a, Re b and Im b, m columns each."""
-    return evolve._sweep_block(*evolve._half_wave_parts(cp, cm, omega), omega, t0, dt, m)
+def general_block(a, b, omega, t0, dt, m):
+    """The sweep block of the coefficients (a, b): two parts with
+    kappa = omega, whose rows are Re a, Im a, Re b and Im b, m columns
+    each."""
+    return evolve._sweep_block(evolve._wave_parts(a, b, omega), omega, omega, t0, dt, m)
 
 
 def packed(G):
@@ -157,9 +160,25 @@ def packed(G):
     return np.hstack([G[:, :m] + 1j * G[:, m:2 * m], G[:, 2 * m:3 * m] + 1j * G[:, 3 * m:]])
 
 
+def damp_sweep_blocks(monkeypatch, rate):
+    """Damp every sweep block: ``_sweep_block`` takes the phases of
+    omega (1 - i rate), so each eigencomponent's rows decay as
+    exp(-rate omega t), and the grid energy falls with time."""
+    block = evolve._sweep_block
+    monkeypatch.setattr(evolve, "_sweep_block", lambda zs, kappa, omega, t0, dt, m: block(
+        zs, kappa, omega * (1.0 - 1j * rate), t0, dt, m))
+
+
+def damped_phase_block(a, b, omega, times, rate):
+    """``direct_phase_block`` with each eigencomponent's columns scaled by
+    exp(-rate omega t): the reference of ``damp_sweep_blocks``."""
+    decay = np.exp(-rate * np.outer(omega, times))
+    return direct_phase_block(a, b, omega, times) * np.hstack([decay, decay])
+
+
 def builder_gap(state, tau, times, dt, k=1):
     """The Duhamel gap of a sweep from the complex differences of the
-    two-part blocks of the state's half waves, built over the tiles of
+    two-part blocks of the state's (a, b), built over the tiles of
     ``_sweep`` (block r of each span of k * TILE samples holds the samples
     r, r + k, ...), so its phases are rounded as the sweep's own blocks
     round them."""
@@ -168,9 +187,9 @@ def builder_gap(state, tau, times, dt, k=1):
         for r in range(min(k, times.size - c0)):
             idx = slice(c0 + r, c0 + k * TILE, k)
             tc = times[idx]
-            AB = packed(general_block(state.c_plus, state.c_minus, state.prop.omega, tc[0],
-                                      k * dt, tc.size))
-            gap[idx] = abs_rotation_gap(AB, state.a_coeff(), state.b_coeff(), state.prop.evals,
+            AB = packed(general_block(state.a, state.b, state.prop.omega, tc[0], k * dt,
+                                      tc.size))
+            gap[idx] = abs_rotation_gap(AB, state.a, state.b, state.prop.evals,
                                         np.exp(-1j * tau * tc))
     return gap
 
@@ -185,37 +204,61 @@ class TestPhaseBlock:
     @pytest.mark.parametrize("m", [1, 7, 8, 41, TILE])
     @pytest.mark.parametrize("t0, dt", [(3.7, 0.13), (250.0, 1.0), (-4.1, -0.35)])
     def test_matches_direct_exponentials(self, m, t0, dt):
+        # the three blocks a sweep builds: two parts for any data, one part
+        # for real data and the standing wave's one part alpha, kappa =
+        # -1 / omega, whose columns are cos(omega t) alpha and
+        # sin(omega t) alpha / omega
         rng = np.random.default_rng(m)
         omega = np.sort(rng.uniform(1.0, 50.0, self.n))
-        cp, cm = random_coefficients(rng, self.n)
+        a, b = random_coefficients(rng, self.n)
         times = t0 + dt * np.arange(m)
-        got = general_block(cp, cm, omega, t0, dt, m)
-        ref = direct_phase_block(cp, cm, omega, times)
+        ref = direct_phase_block(a, b, omega, times)
         # Both builds round the phase angle omega * t, each to within a few
         # eps * omega * t (the products and sums forming t and omega * t),
-        # so each half wave moves by about 2 eps * omega * t * |c|; the
-        # exponentials and the complex products add a few eps * |c|, which
-        # omega * t >= 3.7 here absorbs.  So c = 8 bounds a, and b = -i omega
-        # (P - M) scales that by max(omega).
+        # so each part z moves by about 2 eps * omega * t * |z|; the
+        # exponentials and the complex products add a few eps * |z|, which
+        # omega * t >= 3.7 here absorbs.  The parts of a component have
+        # |z_0|^2 + |z_1|^2 = |a|^2 + |b / omega|^2, so c = 8 bounds a(t), and
+        # the rows of b(t), kappa = omega times those of Im P, scale that by
+        # max(omega).
         eps = np.finfo(float).eps
-        tol_a = 8 * eps * omega.max() * np.abs(times).max() * max(np.abs(cp).max(),
-                                                                  np.abs(cm).max())
+        size = np.sqrt(np.abs(a) ** 2 + np.abs(b / omega) ** 2).max()
+        tol_a = 8 * eps * omega.max() * np.abs(times).max() * size
+        got = general_block(a, b, omega, t0, dt, m)
         assert got.shape == (self.n, 4 * m) and got.dtype == np.float64
         got = packed(got)
         assert np.max(np.abs(got[:, :m] - ref[:, :m])) <= tol_a
         assert np.max(np.abs(got[:, m:] - ref[:, m:])) <= omega.max() * tol_a
 
+        # real data (Re a, Re b), one part: the rows Re a(t) and Re b(t)
+        z = evolve._wave_parts(a.real, b.real, omega)[0]
+        got = evolve._sweep_block([z], omega, omega, t0, dt, m)
+        assert got.shape == (self.n, 2 * m) and got.dtype == np.float64
+        ref = direct_phase_block(a.real, b.real, omega, times).real
+        assert np.max(np.abs(got[:, :m] - ref[:, :m])) <= tol_a
+        assert np.max(np.abs(got[:, m:] - ref[:, m:])) <= omega.max() * tol_a
+
+        # the standing wave's part alpha = Re a, whose angles move it by
+        # 2 eps * omega * t * |alpha|, and by that over omega in the sine
+        # columns
+        alpha = a.real
+        got = evolve._sweep_block([alpha], -1.0 / omega, omega, t0, dt, m)
+        assert got.shape == (self.n, 2 * m) and got.dtype == np.float64
+        phase = np.outer(omega, times)
+        assert np.max(np.abs(got[:, :m] - np.cos(phase) * alpha[:, None])) <= tol_a
+        assert np.max(np.abs(got[:, m:] - np.sin(phase) * (alpha / omega)[:, None])) <= tol_a
+
     def test_zero_time_sample_is_exact(self):
-        # at t = 0 every phase is 1: each part's first column is Re zx or
-        # Im zy itself, and the rows of w are those of c+ + c-
+        # at t = 0 every phase is 1: each part's first columns are Re z and
+        # kappa Im z themselves, and the rows of w are those of a
         rng = np.random.default_rng(5)
         omega = rng.uniform(1.0, 50.0, self.n)
-        cp, cm = random_coefficients(rng, self.n)
-        (zx0, zx1), (zy0, zy1) = evolve._half_wave_parts(cp, cm, omega)
-        G = evolve._sweep_block([zx0, zx1], [zy0, zy1], omega, 0.0, 0.5, 9)
-        for j, col in enumerate((zx0.real, zx1.real, zy0.imag, zy1.imag)):
+        a, b = random_coefficients(rng, self.n)
+        z0, z1 = evolve._wave_parts(a, b, omega)
+        G = evolve._sweep_block([z0, z1], omega, omega, 0.0, 0.5, 9)
+        for j, col in enumerate((z0.real, z1.real, omega * z0.imag, omega * z1.imag)):
             assert np.array_equal(G[:, 9 * j], col)
-        assert np.array_equal(G[:, 0] + 1j * G[:, 9], cp + cm)
+        assert np.array_equal(G[:, 0] + 1j * G[:, 9], a)
 
 
 def random_mode(x0, span, n, l, seed):
@@ -247,26 +290,22 @@ class TestPhaseProperties:
            **mode_draws)
     def test_time_reversal_returns_coefficients(self, t0, dt, m, n, x0, span, l, seed):
         mode, _, _ = random_mode(x0, span, n, l, seed)
-        cp, cm, omega = mode.c_plus, mode.c_minus, mode.prop.omega
-        AB = packed(general_block(cp, cm, omega, t0, dt, m))
-        tol = 8 * np.finfo(float).eps * (np.abs(cp) + np.abs(cm))
+        a, b, omega = mode.a, mode.b, mode.prop.omega
+        AB = packed(general_block(a, b, omega, t0, dt, m))
+        tol = 8 * np.finfo(float).eps * (np.abs(a) + np.abs(b) / omega)
         for j in range(m):
-            # split sample j back into half waves and run them backwards by
-            # t0 + dt * j: column j of the reversed tile
-            ib = 1j * AB[:, m + j] / omega
-            back = packed(general_block(0.5 * (AB[:, j] + ib), 0.5 * (AB[:, j] - ib), omega,
-                                        -t0, -dt, m))
-            ib = 1j * back[:, m + j] / omega
-            assert np.all(np.abs(0.5 * (back[:, j] + ib) - cp) <= tol)
-            assert np.all(np.abs(0.5 * (back[:, j] - ib) - cm) <= tol)
+            # run sample j backwards by t0 + dt * j: column j of the
+            # reversed tile
+            back = packed(general_block(AB[:, j], AB[:, m + j], omega, -t0, -dt, m))
+            assert np.all(np.abs(back[:, j] - a) <= tol)
+            assert np.all(np.abs(back[:, m + j] - b) <= omega * tol)
 
     @settings(max_examples=30)
     @given(dt=st.floats(0.01, 20.0), m=st.integers(1, TILE), **mode_draws)
     def test_grid_spectral_grid_round_trip(self, dt, m, n, x0, span, l, seed):
         mode, w0, w1 = random_mode(x0, span, n, l, seed)
         prop = mode.prop
-        W = prop.from_spectral(packed(general_block(mode.c_plus, mode.c_minus, prop.omega,
-                                                    0.0, dt, m)))
+        W = prop.from_spectral(packed(general_block(mode.a, mode.b, prop.omega, 0.0, dt, m)))
         err = np.linalg.norm(W[:, 0] - w0) + np.linalg.norm(W[:, m] - w1)
         assert err <= 1e-10 * (np.linalg.norm(w0) + np.linalg.norm(w1))
 
@@ -432,16 +471,19 @@ class TestForcing:
         nsub, ds = forcing.substeps, dt / forcing.substeps
         s = ds * np.arange(steps * nsub + 1)
         g = np.array([fn(si) for si in s])
-        coef = 1j * fld.prop.to_spectral(profile.astype(complex)) / (2.0 * omega)
-        for sign, key in ((1, "c_plus"), (-1, "c_minus")):
-            e = np.exp(sign * 1j * np.outer(omega, s)) * g
-            cum = np.concatenate([np.zeros((omega.size, 1)),
-                                  np.cumsum(0.5 * (e[:, 1:] + e[:, :-1]) * ds, axis=1)], axis=1)
-            for i in range(1, steps + 1):
-                free = getattr(oracles.advanced(fld, i * dt), key)
-                want = free + sign * np.exp(-sign * 1j * omega * i * dt) * coef * cum[:, i * nsub]
+        fhat = fld.prop.to_spectral(profile.astype(complex))
+        C, S = (np.concatenate([np.zeros((omega.size, 1)),
+                                np.cumsum(0.5 * (e[:, 1:] + e[:, :-1]) * ds, axis=1)], axis=1)
+                for e in (f(np.outer(omega, s)) * g for f in (np.cos, np.sin)))
+        for i in range(1, steps + 1):
+            free = oracles.advanced(fld, i * dt)
+            c, sin_t = np.cos(omega * i * dt), np.sin(omega * i * dt)
+            Ci, Si = C[:, i * nsub], S[:, i * nsub]
+            want = {"a": free.a + (sin_t * Ci - c * Si) * fhat / omega,
+                    "b": free.b + (c * Ci + sin_t * Si) * fhat}
+            for key, w in want.items():
                 got = getattr(hist[i], key)
-                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+                assert np.max(np.abs(got - w)) <= 1e-12 * np.max(np.abs(w))
 
     def test_streamed_sum_memory(self, geom_m1_trapped):
         # summed over the whole history at once, this run peaked at 346 MB;
@@ -486,20 +528,20 @@ class TestConfinement:
         assert growth == pytest.approx(2.0, rel=0.1)
 
     def test_energy_drift_checks_every_256th_sample(self, geom_m1_trapped, monkeypatch):
-        # damping the rotation makes the grid energy fall with time, so the
-        # reported drift is the one at the last checked sample
+        # damping the sweep blocks makes the grid energy fall with time, so
+        # the reported drift is the one at the last checked sample
         qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120))
         grid_ext = qm.grid.extended(13.0)
-        prop = evolve.get_propagator(geom_m1_trapped, 12, grid_ext)
-        monkeypatch.setattr(prop, "omega", prop.omega * (1.0 - 1e-7j))
+        damp_sweep_blocks(monkeypatch, 1e-7)
         rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=60.0, R=1.0, x_max=13.0, dt=0.1)
+        prop = evolve.get_propagator(geom_m1_trapped, 12, grid_ext)
         u = qm.extend_to(grid_ext)
         mode = evolve.ModeState.from_grid_data(prop, u.astype(complex), -1j * qm.tau * u)
         E = mode.energy_spectral()
 
         def drift(t):
-            state = oracles.advanced(mode, t)
-            w, wt = state.w_grid(), state.wt_grid()
+            w, wt = prop.from_spectral(
+                damped_phase_block(mode.a, mode.b, prop.omega, np.array([t]), 1e-7)).T
             e = 0.5 * (oracles.quad_form(prop.op, w)
                        + grid_ext.h * float(np.sum(np.abs(wt) ** 2)))
             return abs(e - E) / E
@@ -516,15 +558,14 @@ class TestConfinement:
         monkeypatch.setattr(evolve, "_DRIFT_STRIDE", 1)
         qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120))
         grid_ext = qm.grid.extended(5.0)
-        prop = evolve.get_propagator(geom_m1_trapped, 12, grid_ext)
-        monkeypatch.setattr(prop, "omega", prop.omega * (1.0 - 1e-7j))
+        damp_sweep_blocks(monkeypatch, 1e-7)
         rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=15.0, R=1.0, x_max=5.0, dt=0.1)
         m = rep.times.size
         assert m > 2 * evolve._DRIFT_TILE
         mode = evolve.data_field(geom_m1_trapped, qm, grid_ext)
-        E = mode.energy_spectral()
+        prop, E = mode.prop, mode.energy_spectral()
         WW = prop.from_spectral(
-            direct_phase_block(mode.c_plus, mode.c_minus, prop.omega, 0.1 * np.arange(m)))
+            damped_phase_block(mode.a, mode.b, prop.omega, 0.1 * np.arange(m), 1e-7))
         one_block = max(
             abs(0.5 * (oracles.quad_form(prop.op, w) + prop.h * float(np.sum(np.abs(wt) ** 2)))
                 - E) / E
@@ -541,8 +582,8 @@ class TestConfinement:
             prop, E, drift = mode.prop, mode.energy_spectral(), 0.0
             for j0 in range(0, m, tile):
                 k = min(tile, m - j0)
-                WW = prop.from_spectral(direct_phase_block(
-                    mode.c_plus, mode.c_minus, prop.omega, j0 * dt + dt * np.arange(k)))
+                WW = prop.from_spectral(damped_phase_block(
+                    mode.a, mode.b, prop.omega, j0 * dt + dt * np.arange(k), 1e-6))
                 for w, wt in zip(WW[:, :k].T, WW[:, k:].T):
                     e = 0.5 * (oracles.quad_form(prop.op, w)
                                + prop.h * float(np.sum(np.abs(wt) ** 2)))
@@ -551,7 +592,7 @@ class TestConfinement:
 
         tile = evolve._DRIFT_TILE
         mode, _, _ = random_mode(-1.0, 6.0, 300, 5, 11)
-        monkeypatch.setattr(mode.prop, "omega", mode.prop.omega * (1.0 - 1e-6j))
+        damp_sweep_blocks(monkeypatch, 1e-6)
         m = 2 * tile + 7
         ref = per_sample_drift(mode, 0.3, m)
         assert ref > 1e-5
@@ -560,8 +601,8 @@ class TestConfinement:
     def test_energy_drift_peak_memory(self, geom_m1_trapped):
         # more drift samples than one tile: the check holds one tile's block
         # and raw product, 4 rows a sample each, and the two temporaries of
-        # op.apply, 2 rows a sample each, plus the parts' four complex
-        # coefficient vectors; one 64-sample tile peaks at 2.6 times this
+        # op.apply, 2 rows a sample each, plus the two complex parts; one
+        # 64-sample tile peaks at 2.6 times this
         import tracemalloc
 
         qm = build_quasimode(geom_m1_trapped, 20, grid_interval=interval_grid(
@@ -636,15 +677,15 @@ class TestConfinement:
         T = spans * k * dt
         rep = evolve.run_confinement(geom, qm, T_max=T, R=1.0, x_max=x_max, dt=dt,
                                      le1=True, dt_le=k * dt)
-        assert rep.grid.n_interior <= 600
+        fld = rep.state
+        assert fld.grid.n_interior <= 600
         assert np.all(rep.duhamel_gap <= rep.times * rep.f_norm + 1e-9 * rep.data_h_norm)
-        fld = evolve.data_field(geom, qm, rep.grid)
         times, er = evolve.er_history(fld, T, 1.0, dt=dt)
         assert np.array_equal(times, rep.times)
         assert np.allclose(rep.E_R, er, rtol=1e-12, atol=0.0)
-        x = rep.grid.nodes()
-        n_buf = int(np.searchsorted(x, rep.grid.x_right - evolve._WALL_MARGIN))
-        whole = evolve.er_history(fld, T, rep.grid.x_right, dt=dt)[1]
+        x = fld.grid.nodes()
+        n_buf = int(np.searchsorted(x, fld.grid.x_right - evolve._WALL_MARGIN))
+        whole = evolve.er_history(fld, T, fld.grid.x_right, dt=dt)[1]
         before = evolve.er_history(fld, T, x[n_buf - 1], dt=dt)[1] if n_buf else 0.0
         assert abs(rep.wall_buffer_max - np.max(whole - before)) <= 1e-12 * rep.E
         norms, running = evolve.space_time_norms(fld, T, k * dt)
@@ -702,9 +743,9 @@ class TestStandingLayout:
         """How far a gap up to time t may move between builds: a few eps *
         sqrt(2E) from its sums, plus the rounding of the phases where the
         builds round them apart.  Each mode's angle omega t is rounded to a
-        few eps * omega t, which moves the half waves by that fraction, so
-        the state by at most 8 eps * t * |B data| in the energy norm, with
-        |B data|^2 = graph_sq(1) = 2 Sum lambda^2 (|c+|^2 + |c-|^2)."""
+        few eps * omega t, which rotates its (a, b) by that angle, so the
+        state moves by at most 8 eps * t * |B data| in the energy norm, with
+        |B data|^2 = graph_sq(1) = Sum lambda (lambda |a|^2 + |b|^2)."""
         return EPS * (64 * math.sqrt(2.0 * state.energy_spectral())
                       + 8 * t * math.sqrt(state.graph_sq(1)))
 
@@ -723,13 +764,12 @@ class TestStandingLayout:
         grid = qm.grid.extended(x_max)
         fld, gen = evolve.data_field(geom, qm, grid), general_field(geom, qm, grid)
         assert fld.standing_tau == qm.tau and gen.standing_tau is None
-        assert np.array_equal(fld.c_plus, gen.c_plus)
-        assert np.array_equal(fld.c_minus, gen.c_minus)
+        assert np.array_equal(fld.a, gen.a) and np.array_equal(fld.b, gen.b)
         tol, E = self.bound(fld), fld.energy_spectral()
 
         rep = evolve.run_confinement(geom, qm, T_max=T, R=1.0, x_max=x_max, dt=dt,
                                      le1=True, dt_le=k * dt)
-        assert rep.grid == grid and rep.E == gen.energy_spectral()
+        assert rep.state.grid == grid and rep.E == gen.energy_spectral()
         # the general state's E_R, wall band (the whole grid minus the rows
         # before the strip) and LE1 from its own sweeps; its gap from the
         # direct phases, and within a few eps * sqrt(2E) from the two-part
@@ -740,8 +780,8 @@ class TestStandingLayout:
         whole = evolve.er_history(gen, T, grid.x_right, dt=dt)[1]
         before = evolve.er_history(gen, T, x[n_buf - 1], dt=dt)[1] if n_buf else 0.0
         assert abs(rep.wall_buffer_max - np.max(whole - before)) <= tol * E
-        AB = direct_phase_block(gen.c_plus, gen.c_minus, gen.prop.omega, rep.times)
-        gap = abs_rotation_gap(AB, gen.a_coeff(), gen.b_coeff(), gen.prop.evals,
+        AB = direct_phase_block(gen.a, gen.b, gen.prop.omega, rep.times)
+        gap = abs_rotation_gap(AB, gen.a, gen.b, gen.prop.evals,
                                np.exp(-1j * qm.tau * rep.times))
         assert np.max(np.abs(rep.duhamel_gap - gap)) <= self.gap_bound(gen, T)
         dt_s, times = evolve._sample_times(T, dt, grid.h)
@@ -805,8 +845,8 @@ class TestStandingLayout:
         state = evolve.ModeState.from_grid_data(prop, v.astype(complex), -1j * tau * v)
         times = dt * np.arange(m)
         got = evolve._sweep(dataclasses.replace(state, standing_tau=tau), times, dt)[1]
-        AB = direct_phase_block(state.c_plus, state.c_minus, prop.omega, times)
-        ref = abs_rotation_gap(AB, state.a_coeff(), state.b_coeff(), prop.evals,
+        AB = direct_phase_block(state.a, state.b, prop.omega, times)
+        ref = abs_rotation_gap(AB, state.a, state.b, prop.evals,
                                np.exp(-1j * tau * times))
         assert got[0] == 0.0
         assert np.max(np.abs(got - ref)) <= self.gap_bound(state, times[-1])
@@ -1088,9 +1128,9 @@ class TestOneDensityBody:
         prop = evolve.ModePropagator(geom, l, Grid(x0, x0 + span, n))
         v, w = np.random.default_rng(seed).standard_normal((2, n))
         state = self.state(kind, prop, v, w, tau)
-        # real data is one part: the second part of its half waves is zero
-        zx, zy = evolve._half_wave_parts(state.c_plus, state.c_minus, prop.omega)
-        assert (kind == "real") == (not (zx[1].any() or zy[1].any()))
+        # real data is one part: the second of its two parts is zero
+        zs = evolve._wave_parts(state.a, state.b, prop.omega)
+        assert (kind == "real") == (not zs[1].any())
         nR, n_buf = 1 + int(near * (n - 1)), int(wall * (n - 1))
         times = dt * np.arange(m)
         (E_R, wall_e), _ = evolve._sweep(state, times, dt, k, ((0, nR), (n_buf, n)),

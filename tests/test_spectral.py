@@ -866,22 +866,29 @@ class TestModuleBoundaries:
     def test_one_evolution_sweep(self):
         # every reduction over time samples goes through evolve._sweep, one
         # call a pass that returns its reductions; one builder makes every
-        # sweep block, which only the drift check also calls; one density
-        # body over real parts, with no layout switch, which only the sweep
-        # calls, on the bands and on the whole grid, so that it alone owns
-        # the densities' lifetime
+        # sweep block from the parts z and their kappa, which only the drift
+        # check also calls; one density body over real parts, with no layout
+        # switch, which only the sweep calls, on the bands and on the whole
+        # grid, so that it alone owns the densities' lifetime; and a state is
+        # the spectral coefficients (a, b) of its data
+        import dataclasses
+
+        from warptrap.evolve import ModeState
+
         pkg = Path(spectral.__file__).parent
         assert _callers(pkg, "_sweep_block") == {"evolve._sweep", "evolve._energy_drift"}
         assert _callers(pkg, "_densities") == {"evolve._sweep"}
         tree = ast.parse((pkg / "evolve.py").read_text())
         assert not [node for node in ast.walk(tree)
                     if isinstance(node, (ast.Yield, ast.YieldFrom))]
-        body = [fn for fn in tree.body
-                if isinstance(fn, ast.FunctionDef) and fn.name == "_densities"]
-        assert len(body) == 1
-        args = body[0].args
-        assert [a.arg for a in args.posonlyargs + args.args] == ["parts", "h", "ratio", "pot"]
-        assert not (args.vararg or args.kwonlyargs or args.kwarg or args.defaults)
+        functions = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        for name, params in (("_densities", ["parts", "h", "ratio", "pot"]),
+                             ("_sweep_block", ["zs", "kappa", "omega", "t0", "dt", "m"])):
+            (args,) = [fn.args for fn in functions if fn.name == name]
+            assert [a.arg for a in args.posonlyargs + args.args] == params, name
+            assert not (args.vararg or args.kwonlyargs or args.kwarg or args.defaults), name
+        assert [f.name for f in dataclasses.fields(ModeState)] == [
+            "prop", "a", "b", "standing_tau"]
 
     def test_one_hand_written_operator_stencil(self):
         # every product with the mode operator goes through

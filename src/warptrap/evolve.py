@@ -24,10 +24,10 @@ quasimode data, is the one part Re a with kappa = -1 / omega, whose rows
 Re w and -Im w / tau are two a sample, and the mode operator turns them
 into two density parts.
 
-Every run names its wall X_max, and ``run_confinement`` measures the
-energy reaching a strip in front of it, which bounds the wall's influence
-on every reported quantity; whether a run must be causally exact,
-X_max >= R + T, is the CLI's ``--causal``.
+Every run evolves on the grid it is handed, whose right end is its wall
+X_max, and ``run_confinement`` measures the energy reaching a strip in
+front of it, which bounds the wall's influence on every reported quantity;
+whether a run must be causally exact, X_max >= R + T, is the CLI's ``--causal``.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ class EvolutionReport:
     t_confinement: float
     half_bound_ok: bool
     f_norm: float
-    data_h_norm: float
+    gap_bound_ok: bool
     wall_buffer_max: float
     wall_ok: bool
     energy_drift: float
@@ -422,10 +422,10 @@ def _standing_gap(G, alpha, evals, tau, theta):
 
 def sample_count(T: float, dt: float | None, h: float) -> tuple[float, int]:
     """The sample step of every evolution pass, dt or by default
-    max(T / 1000, h) on a grid of spacing h, and its number of samples
-    round(T / step) + 1."""
+    min(max(T / 1000, h), T) on a grid of spacing h, and its number of
+    samples round(T / step) + 1, by default at least two."""
     if dt is None:
-        dt = max(T / 1000.0, h)
+        dt = min(max(T / 1000.0, h), T)
     return dt, int(round(T / dt)) + 1
 
 
@@ -579,20 +579,23 @@ def _le_stride(T_max: float, dt: float, dt_le: float | None) -> int:
 def run_confinement(
     geom: WarpGeometry,
     qm: Quasimode,
+    grid: Grid,
     T_max: float,
     R: float,
-    x_max: float,
     dt: float | None = None,
     le1: bool = False,
     dt_le: float | None = None,
 ) -> EvolutionReport:
-    """Evolve the quasimode data (v, -i tau v) and track the near energy.
+    """Evolve the quasimode data (v, -i tau v) on ``grid`` and track the
+    near energy.
 
-    The wall may sit inside the light cone.  The maximal energy found in
-    the buffer strip of width ``_WALL_MARGIN`` in front of the wall is
-    reported; ``wall_ok`` records whether it stayed below ``_WALL_TOL``
-    times the total energy, which caps the wall's possible effect on the
-    near-region energy at the sub-percent level.
+    The wall, the right end of ``grid``, may sit inside the light cone.  The
+    maximal energy found in the buffer strip of width ``_WALL_MARGIN`` in
+    front of the wall is reported; ``wall_ok`` records whether it stayed
+    below ``_WALL_TOL`` times the total energy, which caps the wall's
+    possible effect on the near-region energy at the sub-percent level, and
+    ``gap_bound_ok`` whether the Duhamel gap stayed within t |F| plus
+    roundoff at every sample.
 
     With ``le1`` the running LE1 norm is sampled at every k-th sample time,
     k * dt for k = dt_le / dt, which must be whole; by default k is the
@@ -605,23 +608,22 @@ def run_confinement(
     """
     if qm.cutoff.support_end >= R:
         raise ValueError("quasimode data must be supported inside [x0, R)")
-    grid_ext = qm.grid.extended(x_max)
-    dt, times = _sample_times(T_max, dt, grid_ext.h)
+    dt, times = _sample_times(T_max, dt, grid.h)
     k = _le_stride(T_max, dt, dt_le) if le1 else 1
-    mode = data_field(geom, qm, grid_ext)
+    mode = data_field(geom, qm, grid)
     prop = mode.prop
-    u_ext = qm.extend_to(grid_ext)
+    u_ext = qm.extend_to(grid)
     f_vec = prop.op.apply(u_ext) - qm.tau_sq * u_ext
-    f_norm = math.sqrt(grid_ext.h * float(np.sum(f_vec**2)))
+    f_norm = math.sqrt(grid.h * float(np.sum(f_vec**2)))
 
-    x = grid_ext.nodes()
+    x = grid.nodes()
     nR = int(np.searchsorted(x, R, side="right"))
-    n_buf = int(np.searchsorted(x, grid_ext.x_right - _WALL_MARGIN, side="left"))
-    acc = ShellAccumulator(grid_ext) if le1 else None
+    n_buf = int(np.searchsorted(x, grid.x_right - _WALL_MARGIN, side="left"))
+    acc = ShellAccumulator(grid) if le1 else None
 
     # one sweep of step k * dt; with le1 its whole-grid blocks are the LE1
     # samples, whose densities feed the accumulator
-    bands = ((0, nR), (n_buf, grid_ext.n_interior))
+    bands = ((0, nR), (n_buf, grid.n_interior))
     (E_R, wall), gap = _sweep(mode, times, dt, k, bands, reduce=acc.add if le1 else None)
     E_spec = mode.energy_spectral()
     data_h_norm = math.sqrt(2.0 * E_spec)
@@ -647,7 +649,7 @@ def run_confinement(
         t_confinement=t_conf,
         half_bound_ok=half_ok,
         f_norm=f_norm,
-        data_h_norm=data_h_norm,
+        gap_bound_ok=bool(np.all(gap <= times * f_norm + 1e-9 * data_h_norm)),
         wall_buffer_max=wall_max,
         wall_ok=bool(wall_max <= _WALL_TOL * E_spec),
         energy_drift=_energy_drift(mode, _DRIFT_STRIDE * dt, times[::_DRIFT_STRIDE].size),

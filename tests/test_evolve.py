@@ -504,21 +504,42 @@ class TestForcing:
     def test_gap_bound_holds_pointwise(self, geom_m1_trapped):
         grid_i = Grid(-1.0, 0.0, 140)
         qm = build_quasimode(geom_m1_trapped, 12, grid_interval=grid_i)
-        rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=30.0, R=1.0, x_max=12.0)
-        bound = rep.times * rep.f_norm + 1e-9 * rep.data_h_norm
+        rep = evolve.run_confinement(geom_m1_trapped, qm, qm.grid.extended(12.0), T_max=30.0,
+                                     R=1.0)
+        bound = rep.times * rep.f_norm + 1e-9 * math.sqrt(2.0 * rep.E)
         assert rep.duhamel_gap[0] == 0.0
         assert np.all(rep.duhamel_gap <= bound)
+        assert rep.gap_bound_ok is bool(np.all(rep.duhamel_gap <= bound))
+
+    @pytest.mark.parametrize("above, ok", [(False, True), (True, False)],
+                             ids=["at-bound", "above-bound"])
+    def test_gap_verdict_at_the_bound(self, geom_m1_trapped, monkeypatch, above, ok):
+        # the run's gaps replaced by t |F| + 1e-9 |data|_H itself, which
+        # passes, or with one sample the next float above it, which fails
+        qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 140))
+        grid = qm.grid.extended(12.0)
+        ref = evolve.run_confinement(geom_m1_trapped, qm, grid, T_max=30.0, R=1.0, dt=0.5)
+        assert ref.times.size <= TILE  # one sweep block, so one gap call
+        bound = ref.times * ref.f_norm + 1e-9 * math.sqrt(2.0 * ref.E)
+        if above:
+            bound[40] = np.nextafter(bound[40], math.inf)
+        monkeypatch.setattr(evolve, "_standing_gap", lambda G, alpha, evals, tau, theta: bound)
+        rep = evolve.run_confinement(geom_m1_trapped, qm, grid, T_max=30.0, R=1.0, dt=0.5)
+        assert np.array_equal(rep.duhamel_gap, bound)
+        assert rep.gap_bound_ok is ok
 
 
 class TestConfinement:
     def test_support_must_sit_inside_near_region(self, geom_m1_trapped):
         qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 100))
         with pytest.raises(ValueError, match="supported"):
-            evolve.run_confinement(geom_m1_trapped, qm, T_max=10.0, R=-0.5, x_max=12.0)
+            evolve.run_confinement(geom_m1_trapped, qm, qm.grid.extended(12.0), T_max=10.0,
+                                   R=-0.5)
 
     def test_confined_energy_floor(self, geom_m1_trapped):
         qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120))
-        rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=40.0, R=1.0, x_max=14.0, le1=True)
+        rep = evolve.run_confinement(geom_m1_trapped, qm, qm.grid.extended(14.0), T_max=40.0,
+                                     R=1.0, le1=True)
         assert rep.ratio_E_R.min() >= 0.9
         assert rep.t_confinement == math.inf
         assert rep.half_bound_ok
@@ -533,7 +554,7 @@ class TestConfinement:
         qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120))
         grid_ext = qm.grid.extended(13.0)
         damp_sweep_blocks(monkeypatch, 1e-7)
-        rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=60.0, R=1.0, x_max=13.0, dt=0.1)
+        rep = evolve.run_confinement(geom_m1_trapped, qm, grid_ext, T_max=60.0, R=1.0, dt=0.1)
         prop = evolve.get_propagator(geom_m1_trapped, 12, grid_ext)
         u = qm.extend_to(grid_ext)
         mode = evolve.ModeState.from_grid_data(prop, u.astype(complex), -1j * qm.tau * u)
@@ -559,7 +580,7 @@ class TestConfinement:
         qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120))
         grid_ext = qm.grid.extended(5.0)
         damp_sweep_blocks(monkeypatch, 1e-7)
-        rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=15.0, R=1.0, x_max=5.0, dt=0.1)
+        rep = evolve.run_confinement(geom_m1_trapped, qm, grid_ext, T_max=15.0, R=1.0, dt=0.1)
         m = rep.times.size
         assert m > 2 * evolve._DRIFT_TILE
         mode = evolve.data_field(geom_m1_trapped, qm, grid_ext)
@@ -630,8 +651,8 @@ class TestConfinement:
         evolve.get_propagator(geom_m1_trapped, 20, grid_ext)
         tracemalloc.start()
         try:
-            evolve.run_confinement(geom_m1_trapped, qm, T_max=400.0, R=1.0, x_max=12.0,
-                                   dt=1.0, le1=True)
+            evolve.run_confinement(geom_m1_trapped, qm, grid_ext, T_max=400.0, R=1.0, dt=1.0,
+                                   le1=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -651,13 +672,22 @@ class TestConfinement:
             with pytest.raises(ValueError, match="whole multiple"):
                 evolve._le_stride(1000.0, 1.0, dt_le)
 
+    def test_default_sample_step(self):
+        # max(T / 1000, h), but never past the horizon: a grid step h longer
+        # than T gives the two samples 0 and T, on either side of h / 2
+        assert evolve.sample_count(1000.0, None, 0.5) == (1.0, 1001)
+        assert evolve.sample_count(10.0, None, 0.5) == (0.5, 21)
+        assert evolve.sample_count(0.001, None, 0.004975) == (0.001, 2)
+        assert evolve.sample_count(0.004, None, 0.004975) == (0.004, 2)
+        assert evolve.sample_count(4.0, 3.0, 0.5) == (3.0, 2)
+
     def test_le1_samples_end_at_or_below_horizon(self, geom_m1_trapped):
         qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120))
         with pytest.raises(ValueError, match="whole multiple"):
-            evolve.run_confinement(geom_m1_trapped, qm, T_max=3.5, R=1.0, x_max=12.0,
-                                   dt=0.25, le1=True, dt_le=0.6)
-        rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=3.5, R=1.0, x_max=12.0,
-                                     dt=0.25, le1=True, dt_le=0.75)
+            evolve.run_confinement(geom_m1_trapped, qm, qm.grid.extended(12.0), T_max=3.5,
+                                   R=1.0, dt=0.25, le1=True, dt_le=0.6)
+        rep = evolve.run_confinement(geom_m1_trapped, qm, qm.grid.extended(12.0), T_max=3.5,
+                                     R=1.0, dt=0.25, le1=True, dt_le=0.75)
         assert rep.times[-1] == 3.5
         assert np.array_equal(rep.le1_times, rep.times[::3])
         assert rep.le1_times[-1] == 3.0
@@ -675,11 +705,11 @@ class TestConfinement:
         h = qm.grid.h
         x_max = 1.0 + reach * (x0 + 600 * h - 1.0)
         T = spans * k * dt
-        rep = evolve.run_confinement(geom, qm, T_max=T, R=1.0, x_max=x_max, dt=dt,
+        rep = evolve.run_confinement(geom, qm, qm.grid.extended(x_max), T_max=T, R=1.0, dt=dt,
                                      le1=True, dt_le=k * dt)
         fld = rep.state
         assert fld.grid.n_interior <= 600
-        assert np.all(rep.duhamel_gap <= rep.times * rep.f_norm + 1e-9 * rep.data_h_norm)
+        assert rep.gap_bound_ok
         times, er = evolve.er_history(fld, T, 1.0, dt=dt)
         assert np.array_equal(times, rep.times)
         assert np.allclose(rep.E_R, er, rtol=1e-12, atol=0.0)
@@ -767,8 +797,8 @@ class TestStandingLayout:
         assert np.array_equal(fld.a, gen.a) and np.array_equal(fld.b, gen.b)
         tol, E = self.bound(fld), fld.energy_spectral()
 
-        rep = evolve.run_confinement(geom, qm, T_max=T, R=1.0, x_max=x_max, dt=dt,
-                                     le1=True, dt_le=k * dt)
+        rep = evolve.run_confinement(geom, qm, grid, T_max=T, R=1.0, dt=dt, le1=True,
+                                     dt_le=k * dt)
         assert rep.state.grid == grid and rep.E == gen.energy_spectral()
         # the general state's E_R, wall band (the whole grid minus the rows
         # before the strip) and LE1 from its own sweeps; its gap from the
@@ -880,7 +910,8 @@ class TestPropagatorCache:
 class TestGrowthExperiment:
     def test_running_ratio_tracks_sqrt_horizon(self, geom_m1_trapped):
         qm = build_quasimode(geom_m1_trapped, 14, grid_interval=Grid(-1.0, 0.0, 120))
-        rep = evolve.run_confinement(geom_m1_trapped, qm, 40.0, R=1.0, x_max=12.0, le1=True)
+        rep = evolve.run_confinement(geom_m1_trapped, qm, qm.grid.extended(12.0), 40.0, R=1.0,
+                                     le1=True)
         assert rep.le1_at(40.0) / rep.le1_at(10.0) == pytest.approx(2.0, rel=0.1)
 
 
@@ -896,7 +927,7 @@ class TestEigenvectorSigns:
 
     def outputs(self, geom):
         qm = build_quasimode(geom, 12, grid_interval=Grid(-1.0, 0.0, 120))
-        rep = evolve.run_confinement(geom, qm, 30.0, R=1.0, x_max=12.0, le1=True)
+        rep = evolve.run_confinement(geom, qm, qm.grid.extended(12.0), 30.0, R=1.0, le1=True)
         grid = Grid(-1.0, 9.0, 500)
         v0 = (bump(grid.nodes(), 1.5, 0.9) * np.exp(2.0j * grid.nodes())).astype(complex)
         fld = evolve.wave_field(geom, grid, [(4, 1, v0, 0.5 * v0)])
@@ -1067,8 +1098,8 @@ class TestCrossSite:
         qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120))
         T, dt = 3.0, 0.25
         dt_le = k * dt
-        rep = evolve.run_confinement(geom_m1_trapped, qm, T_max=T, R=1.0, x_max=12.0,
-                                     dt=dt, le1=True, dt_le=dt_le)
+        rep = evolve.run_confinement(geom_m1_trapped, qm, qm.grid.extended(12.0), T_max=T,
+                                     R=1.0, dt=dt, le1=True, dt_le=dt_le)
         fld = evolve.data_field(geom_m1_trapped, qm, qm.grid.extended(12.0))
         near = fld.grid.nodes() <= 1.0
         for i in (0, 5, 12):

@@ -890,6 +890,22 @@ class TestModuleBoundaries:
         assert [f.name for f in dataclasses.fields(ModeState)] == [
             "prop", "a", "b", "standing_tau"]
 
+    def test_runs_solve_on_the_plans_grids(self):
+        # the planner builds every evolution grid and a run takes it as given:
+        # only cli._evolution_grids extends a grid, the plan holds no wall
+        # beside its grids, and run_confinement takes no wall position; the
+        # run owns its gap verdict, so its report carries no norm for a
+        # caller to rebuild that verdict from
+        import dataclasses
+        import inspect
+
+        from warptrap import cli, evolve
+
+        assert _callers(Path(spectral.__file__).parent, "extended") == {"cli._evolution_grids"}
+        assert cli.Plan._fields == ("geom", "qms", "grids")
+        assert "x_max" not in inspect.signature(evolve.run_confinement).parameters
+        assert "data_h_norm" not in {f.name for f in dataclasses.fields(evolve.EvolutionReport)}
+
     def test_one_hand_written_operator_stencil(self):
         # every product with the mode operator goes through
         # TridiagonalOperator.apply, except the standing wave's band stencil,

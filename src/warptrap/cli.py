@@ -412,8 +412,8 @@ def cmd_confinement(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> 
             "t_confinement": rep.t_confinement,
             "min_ratio_E_R": float(rep.ratio_E_R.min()),
             "f_norm": rep.f_norm,
-            "half_bound_ok": rep.half_bound_ok,
-            "wall_ok": rep.wall_ok,
+            "half_bound_ok": rep.checks["half_bound"],
+            "wall_ok": rep.checks["wall_audit"],
             "wall_buffer_max": rep.wall_buffer_max,
             "energy_drift": rep.energy_drift,
             "dbk_norm": dbk,
@@ -421,11 +421,10 @@ def cmd_confinement(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> 
             "le1_T": le1_T,
             "le1_ratio": rep.le1_at(le1_T) / dbk,
         }
-        out.record(f"gap_bound_l{l}", rep.gap_bound_ok)
-        out.record(f"half_bound_l{l}", rep.half_bound_ok)
+        for name, ok in rep.checks.items():
+            if name != "wall_audit" or cfg.causal == "audited":  # strict: no wall in reach
+                out.record(f"{name}_l{l}", ok)
         out.record(f"dbk_resolved_l{l}", dbk_ok)
-        if cfg.causal == "audited":
-            out.record(f"wall_audit_l{l}", rep.wall_ok)
         del rep  # free this degree's per-sample arrays and state before the next solve
     if len(t_confinement) >= 2:
         out.record("t_confinement_nondecreasing", all(
@@ -490,7 +489,8 @@ def _bump_field(m: int, grid: Grid) -> evolve.ModeState:
     w0[inside] = np.exp(-1.0 / (1.0 - s[inside] ** 2))
     w0 /= math.sqrt(grid.h * float(np.sum(w0**2)))
     w1 = -fd_derivative(grid, w0, 1)
-    return evolve.wave_field(WarpGeometry.of(m, x0), grid, [(1, 1, w0, w1)])
+    prop = evolve.get_propagator(WarpGeometry.of(m, x0), 1, grid)
+    return evolve.ModeState.from_grid_data(prop, w0, w1)
 
 
 def plan_bifurcation(cfg: ExperimentConfig) -> Plan:
@@ -552,7 +552,8 @@ def cmd_bifurcation(cfg: ExperimentConfig, plan: Plan, out: OutputCollector) -> 
     qm_final = float(rep.ratio_E_R.min())
     out.record("plus_side_decays", final["plus"] < 0.5)
     out.record("minus_side_confines", qm_final > 0.9)
-    out.record("wall_audit_minus", rep.wall_ok)
+    for name, ok in rep.checks.items():
+        out.record(f"{name}_minus", ok)
     out.write_json("bifurcation_summary.json", {
         "split": {
             "plus_bump_final_ratio": final["plus"],

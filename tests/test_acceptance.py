@@ -183,7 +183,7 @@ def test_criterion_05_conservation_and_reversal(geom):
 def test_criterion_06_confinement_chain(confinement_runs):
     rep40 = confinement_runs[40]["rep"]
     floor = float(rep40.ratio_E_R.min())
-    gap_ok = all(confinement_runs[l]["rep"].gap_bound_ok for l in REPORT_DEGREES)
+    gap_ok = all(confinement_runs[l]["rep"].checks["gap_bound"] for l in REPORT_DEGREES)
     f20 = confinement_runs[20]["rep"].f_norm
     f60 = confinement_runs[60]["rep"].f_norm
     decay_factor = f20 / f60

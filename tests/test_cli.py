@@ -10,6 +10,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+import record_golden
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -568,22 +569,32 @@ class TestDeterminism:
         assert configs[0] == configs[1]
 
 
+# the verdicts of a quasimode run that passes every check
+PASSING_CHECKS = dict.fromkeys(["gap_bound", "half_bound", "wall_audit"], True)
+
+
 def stand_in_reports(monkeypatch, *reports):
-    """Stand-in confinement runs, one per degree in increasing order: each
-    passes every gate unless its dict in ``reports`` overrides a field (a
-    list becomes an array), and its graph norm is a stub, so no run solves
-    a full spectrum."""
+    """Stand-in quasimode runs of ``evolve.run_confinement``, in call order
+    (confinement's are one per degree, increasing): each passes every gate
+    unless its dict in ``reports`` overrides a field (a list becomes an
+    array), and its graph norm is a stub, so no run solves a full
+    spectrum."""
     import numpy as np
 
     from warptrap import evolve
 
-    base = dict(t_confinement=math.inf, ratio_E_R=np.ones(2), f_norm=0.0, gap_bound_ok=True,
-                half_bound_ok=True, wall_ok=True, wall_buffer_max=0.0, energy_drift=0.0,
-                state=None, csv_columns=lambda: [], le1_times=np.zeros(2), le1_at=lambda T: 0.0)
+    base = dict(t_confinement=math.inf, ratio_E_R=np.ones(2), f_norm=0.0,
+                checks=PASSING_CHECKS, wall_buffer_max=0.0, energy_drift=0.0, state=None,
+                csv_columns=lambda: [], le1_times=np.zeros(2), le1_at=lambda T: 0.0)
     it = iter([SimpleNamespace(**{**base, **{k: np.asarray(v) if isinstance(v, list) else v
                                              for k, v in kw.items()}}) for kw in reports])
     monkeypatch.setattr(evolve, "run_confinement", lambda *args, **kwargs: next(it))
     monkeypatch.setattr(evolve, "dbk_norm", lambda state, k: (1.0, True))
+
+
+def failing_check(check):
+    """The override of a stand-in report whose verdict ``check`` fails."""
+    return {"checks": {**PASSING_CHECKS, check: False}}
 
 
 class TestConfinementCommand:
@@ -619,12 +630,9 @@ class TestConfinementCommand:
         assert all(passes.values())
         assert code == (0 if ok else 2)
 
-    @pytest.mark.parametrize("report, check", [
-        ({"gap_bound_ok": False}, "gap_bound"),
-        ({"half_bound_ok": False}, "half_bound"),
-    ], ids=["gap_bound", "half_bound"])
-    def test_gates_can_fail(self, report, check, tmp_path, monkeypatch):
-        stand_in_reports(monkeypatch, {}, report)
+    @pytest.mark.parametrize("check", ["gap_bound", "half_bound"])
+    def test_gates_can_fail(self, check, tmp_path, monkeypatch):
+        stand_in_reports(monkeypatch, {}, failing_check(check))
         out = tmp_path / "c"
         code = run_cli(["confinement", "--x0", "-1.0", "--l", "20", "40", "--out", str(out)])
         assert code == 2
@@ -774,7 +782,19 @@ class TestBifurcationCommand:
         assert code == 2
         passes = json.loads((out / "manifest.json").read_text())["passes"]
         assert passes == {"plus_side_decays": True, "minus_side_confines": True,
+                          "gap_bound_minus": True, "half_bound_minus": True,
                           "wall_audit_minus": False}
+
+    @pytest.mark.parametrize("check", ["gap_bound", "half_bound"])
+    def test_trapped_side_gates_can_fail(self, check, tmp_path, monkeypatch):
+        # the trapped-side run is a stand-in with one failed verdict; the
+        # bump runs are real, so only that verdict fails
+        stand_in_reports(monkeypatch, {**failing_check(check), "times": [0.0, 1.0]})
+        out = tmp_path / "bif"
+        code = run_cli([*record_golden.RUNS["bifurcation"], "--out", str(out)])
+        assert code == 2
+        passes = json.loads((out / "manifest.json").read_text())["passes"]
+        assert {name for name, ok in passes.items() if not ok} == {f"{check}_minus"}
 
     def test_round_trip_prefix_matches_full_domain(self):
         # each bump run solves the prefix of its grid on (x0, x_max) that ends

@@ -668,6 +668,16 @@ def _callers(pkg: Path, name: str) -> set[str]:
     return found
 
 
+def _callees(pkg: Path, qualname: str) -> set[str]:
+    """Every name, bare or as an attribute, that the module-level function
+    ``module.function`` calls."""
+    module, name = qualname.split(".")
+    (fn,) = [node for node in ast.parse((pkg / f"{module}.py").read_text()).body
+             if isinstance(node, ast.FunctionDef) and node.name == name]
+    return {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for node in ast.walk(fn) if isinstance(node, ast.Call)}
+
+
 def _calls(call: ast.Call, name: str) -> bool:
     """Whether a call names ``name``, as a bare name or as an attribute."""
     return name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
@@ -765,6 +775,7 @@ UNCALLED_EXPORTS = {
     "evolve.space_time_norms": "the benchmark's open-family workload and acceptance "
                                "criterion 08 call it; le_bound_audit, its former caller, "
                                "feeds the same LE1 accumulator from its own sweep",
+    "evolve.wave_field": "the benchmark's open-family workload calls it (ROADMAP.md item 2)",
 }
 
 
@@ -905,6 +916,29 @@ class TestModuleBoundaries:
         assert cli.Plan._fields == ("geom", "qms", "grids")
         assert "x_max" not in inspect.signature(evolve.run_confinement).parameters
         assert "data_h_norm" not in {f.name for f in dataclasses.fields(evolve.EvolutionReport)}
+
+    def test_run_verdicts_have_one_owner(self):
+        # run_confinement owns a quasimode run's verdicts, as one map the
+        # commands record whole, and reads |F| off the quasimode rather than
+        # applying the operator again on the extended grid
+        import dataclasses
+
+        from warptrap import evolve
+
+        pkg = Path(spectral.__file__).parent
+        fields = {f.name for f in dataclasses.fields(evolve.EvolutionReport)}
+        assert "checks" in fields
+        assert not fields & {"gap_bound_ok", "half_bound_ok", "wall_ok"}
+        assert not {"extend_to", "apply"} & _callees(pkg, "evolve.run_confinement")
+        prefixes = ("gap_bound", "half_bound", "wall_audit")
+        named = []
+        for node in ast.walk(ast.parse((pkg / "cli.py").read_text())):
+            if isinstance(node, ast.Call) and _calls(node, "record") and node.args:
+                name = node.args[0]
+                head = name.values[0] if isinstance(name, ast.JoinedStr) else name
+                if isinstance(head, ast.Constant) and str(head.value).startswith(prefixes):
+                    named.append(head.value)
+        assert not named, named
 
     def test_one_hand_written_operator_stencil(self):
         # every product with the mode operator goes through

@@ -273,11 +273,6 @@ def _refuse_oversize(grid: Grid, field_name: str, what: str) -> None:
                                       f"of the {have / 1e9:.3g} GB of physical memory")
 
 
-# float arrays of one entry a sample that an evolution run holds at once:
-# run_confinement's times, E_R, wall band, Duhamel gap and ratio_E_R
-_SAMPLE_ARRAYS = 5
-
-
 def _refuse_long_horizon(cfg: ExperimentConfig) -> None:
     """Refuse a sample step dt whose round(T_max / dt) + 1 samples take more
     than physical memory in the per-sample arrays alone, 8 bytes an entry.
@@ -285,12 +280,12 @@ def _refuse_long_horizon(cfg: ExperimentConfig) -> None:
     if cfg.dt is None:
         return
     step, samples = evolve.sample_count(cfg.T_max, cfg.dt, 0.0)
-    need, have = 8 * _SAMPLE_ARRAYS * samples, _physical_memory()
+    need, have = 8 * evolve.SAMPLE_ARRAYS * samples, _physical_memory()
     if need > have:
         raise ConfigError("dt", f"a sample step of {step:g} up to T_max = {cfg.T_max:g} takes "
-                                f"{samples} samples, whose {_SAMPLE_ARRAYS} per-sample arrays "
-                                f"alone take {need / 1e9:.3g} GB of the {have / 1e9:.3g} GB "
-                                "of physical memory")
+                                f"{samples} samples, whose {evolve.SAMPLE_ARRAYS} per-sample "
+                                f"arrays alone take {need / 1e9:.3g} GB of the "
+                                f"{have / 1e9:.3g} GB of physical memory")
 
 
 def _evolution_grids(geom: WarpGeometry, ls: list[int], wall: float,

@@ -418,11 +418,12 @@ def _standing_gap(G, alpha, evals, tau, theta):
 
 
 def sample_count(T: float, dt: float | None, h: float) -> tuple[float, int]:
-    """The sample step of every evolution pass, dt or by default
-    min(max(T / 1000, h), T) on a grid of spacing h, and its number of
-    samples round(T / step) + 1, by default at least two."""
+    """The sample step of every evolution pass and its number of samples
+    round(T / step) + 1.  The default step on a grid of spacing h is T / N,
+    N = min(1000, ceil(T / h)), whose N + 1 samples end at T; an explicit dt
+    that does not divide T ends them within dt / 2 of T, on either side."""
     if dt is None:
-        dt = min(max(T / 1000.0, h), T)
+        dt = T / min(1000, math.ceil(T / h))
     return dt, int(round(T / dt)) + 1
 
 
@@ -562,15 +563,15 @@ def _energy_drift(mode: ModeState, dt: float, m: int) -> float:
     return drift
 
 
-def _le_stride(T_max: float, dt: float, dt_le: float | None) -> int:
-    """Samples per LE1 sample: dt_le / dt, which must be whole, or by
-    default the largest whole k with k * dt <= T_max / 500, at least 1."""
-    if dt_le is None:
-        return max(1, math.floor(T_max / (500.0 * dt) + 1e-9))
-    k = round(dt_le / dt)
-    if k < 1 or abs(k * dt - dt_le) > 1e-9 * dt_le:
-        raise ValueError(f"dt_le={dt_le!r} is not a whole multiple of dt={dt!r}")
-    return k
+def _le_stride(T_max: float, dt: float) -> int:
+    """Samples per LE1 sample: the largest whole k with k * dt <= T_max / 500,
+    at least 1, so LE1 takes about 500 samples or every one."""
+    return max(1, math.floor(T_max / (500.0 * dt) + 1e-9))
+
+
+# float arrays of one entry a sample that run_confinement holds at once:
+# its times, E_R, wall band, Duhamel gap and ratio_E_R
+SAMPLE_ARRAYS = 5
 
 
 def run_confinement(
@@ -581,7 +582,6 @@ def run_confinement(
     R: float,
     dt: float | None = None,
     le1: bool = False,
-    dt_le: float | None = None,
 ) -> EvolutionReport:
     """Evolve the quasimode data (v, -i tau v) on ``grid`` and track the
     near energy.
@@ -597,19 +597,20 @@ def run_confinement(
     is the quasimode's ``residual_hk[0]``: the data vanish past 0.1 x0 < 0,
     so the rows that extending the operator to ``grid`` adds act on zeros.
 
+    The samples are those of ``sample_count``: by default they end at T_max.
     With ``le1`` the running LE1 norm is sampled at every k-th sample time,
-    k * dt for k = dt_le / dt, which must be whole; by default k is the
-    largest whole number with k * dt <= T_max / 500, at least 1 (so
-    dt_le = max(dt, T_max / 500) whenever T_max / (500 dt) is whole or
-    below 1).  The LE1 samples end at the last multiple of k * dt at or
-    below T_max.  One ``_sweep`` call reconstructs each sample once: the LE1
-    samples on the whole grid, for their E_R, wall energies and LE1 density
-    (``ShellAccumulator.add``), the others on the E_R and wall bands only.
+    k the largest whole number with k * dt <= T_max / 500, at least 1 (so
+    the LE1 step is max(dt, T_max / 500) whenever T_max / (500 dt) is whole
+    or below 1).  The LE1 samples end at the last multiple of k * dt at or
+    below the last sample.  One ``_sweep`` call reconstructs each sample
+    once: the LE1 samples on the whole grid, for their E_R, wall energies
+    and LE1 density (``ShellAccumulator.add``), the others on the E_R and
+    wall bands only.
     """
     if qm.cutoff.support_end >= R:
         raise ValueError("quasimode data must be supported inside [x0, R)")
     dt, times = _sample_times(T_max, dt, grid.h)
-    k = _le_stride(T_max, dt, dt_le) if le1 else 1
+    k = _le_stride(T_max, dt) if le1 else 1
     mode = data_field(geom, qm, grid)
     f_norm = qm.residual_hk[0]
 

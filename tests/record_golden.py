@@ -2,11 +2,12 @@
 
 ``tests/test_golden.py`` runs the same commands and holds every number
 they write to the values in ``tests/golden.json``.  A change that moves a
-number on purpose re-records the file:
+number on purpose re-records the runs it moves, or every run with no name:
 
-    python tests/record_golden.py
+    python tests/record_golden.py [RUN ...]
 
-and names every moved value, and why it moved, in CHANGES.md.
+and names every moved value, and why it moved, in CHANGES.md.  The other
+runs' entries stay as they are.
 """
 
 from __future__ import annotations
@@ -87,13 +88,18 @@ def run(argv: list[str], out: Path) -> dict:
     return {"argv": argv, "exit_code": code, "passes": manifest["passes"], "values": values}
 
 
-def main() -> None:
+def main(names: list[str]) -> None:
+    unknown = [name for name in names if name not in RUNS]
+    if unknown:
+        sys.exit(f"unknown runs {unknown}; the runs are {list(RUNS)}")
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    golden = json.loads(GOLDEN.read_text()) if names else {}
     with tempfile.TemporaryDirectory() as tmp:
-        golden = {name: run(argv, Path(tmp) / name) for name, argv in RUNS.items()}
+        for name in names or RUNS:
+            golden[name] = run(RUNS[name], Path(tmp) / name)
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

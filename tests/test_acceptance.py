@@ -71,7 +71,7 @@ def confinement_runs(geom):
         assert qm.bracket.in_bracket, l
         T = 1000.0 if l == 40 else 500.0
         rep = evolve.run_confinement(geom, qm, qm.grid.extended(X_MAX_TRAPPED), T_max=T,
-                                     R=1.0, dt=1.0, le1=True, dt_le=2.0)
+                                     R=1.0, dt=1.0, le1=True)
         dbk1, resolved = evolve.dbk_norm(rep.state, 1)
         assert resolved, l
         rep.state = None  # no criterion reads it, and it keeps an n x n propagator alive

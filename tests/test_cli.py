@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shlex
+import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -796,6 +797,42 @@ class TestBifurcationCommand:
         passes = json.loads((out / "manifest.json").read_text())["passes"]
         assert {name for name, ok in passes.items() if not ok} == {f"{check}_minus"}
 
+    @pytest.mark.parametrize("check", ["plus_side_decays", "minus_side_confines"])
+    def test_thresholds_can_fail(self, check, tmp_path, monkeypatch):
+        # the trapped side is a stand-in that passes every gate; plus: both
+        # bump curves stay flat at 1, so the plus side keeps its near energy;
+        # minus: the trapped side keeps only 0.85 of it, beside real bump runs
+        import numpy as np
+
+        from warptrap import evolve
+
+        trapped = {"times": [0.0, 1.0]}
+        if check == "plus_side_decays":
+            monkeypatch.setattr(evolve, "er_history", lambda state, T_max, R, dt=None: (
+                np.array([0.0, T_max]), np.ones(2)))
+        else:
+            trapped["ratio_E_R"] = [1.0, 0.85]
+        stand_in_reports(monkeypatch, trapped)
+        out = tmp_path / "bif"
+        code = run_cli([*record_golden.RUNS["bifurcation"], "--out", str(out)])
+        assert code == 2
+        passes = json.loads((out / "manifest.json").read_text())["passes"]
+        assert {name for name, ok in passes.items() if not ok} == {check}
+
+    def test_bump_curves_end_at_the_horizon(self, tmp_path, monkeypatch):
+        # the bump grids' spacing 0.0399 exceeds T / 1000, so the default
+        # step is T / 251: both sides are compared at t = T = 10, and each
+        # final ratio is the last row of its curve
+        stand_in_reports(monkeypatch, {"times": [0.0, 1.0]})
+        out = tmp_path / "bif"
+        assert run_cli([*record_golden.RUNS["bifurcation"], "--out", str(out)]) == 0
+        split = json.loads((out / "bifurcation_summary.json").read_text())["split"]
+        for tag in ("plus", "minus"):
+            last = (out / f"er_bump_{tag}.csv").read_text().splitlines()[-1]
+            t, ratio = map(float, last.split(","))
+            assert abs(t - 10.0) <= 2 * sys.float_info.epsilon * 10.0
+            assert split[f"{tag}_bump_final_ratio"] == ratio
+
     def test_round_trip_prefix_matches_full_domain(self):
         # each bump run solves the prefix of its grid on (x0, x_max) that ends
         # past the round trip, (T + x0 + 2 + R)/2 plus the tail margin; its
@@ -1272,3 +1309,39 @@ class TestReadmeCommands:
             monkeypatch.setitem(cli_mod._COMMANDS, name,
                                 (lambda cfg: None, lambda cfg, plan, out: None))
         assert run_cli(argv) == 0
+
+
+# the benchmark's trapped-confinement argv, perfbench/workloads.py's
+# CONFINEMENT_ARGV
+BENCHMARK_CONFINEMENT = ["confinement", "--x0", "-1.0", "--l", "40", "--T", "1000",
+                         "--x-max", "24", "--R", "1", "--dt", "1.0", "--causal", "audited"]
+
+
+def quasimode_run_argvs():
+    """The README, benchmark and golden command lines with quasimode runs."""
+    readme = {argv[0]: argv for argv in readme_command_lines()}
+    return {"readme-confinement": readme["confinement"],
+            "readme-bifurcation": readme["bifurcation"],
+            "benchmark-trapped-confinement": BENCHMARK_CONFINEMENT,
+            "golden-confinement": record_golden.RUNS["confinement"],
+            "golden-bifurcation": record_golden.RUNS["bifurcation"]}
+
+
+class TestPlannedGrids:
+    @pytest.mark.parametrize("argv", quasimode_run_argvs().values(),
+                             ids=quasimode_run_argvs().keys())
+    def test_runs_evolve_on_their_quasimodes_spacing(self, argv, tmp_path, monkeypatch):
+        # each quasimode run's grid extends its quasimode's interval grid
+        # with the same spacing and left end, bit for bit, so f_norm =
+        # residual_hk[0] certifies the operator the run evolves under; the
+        # quasimode runs are the plan's last grids
+        plans = []
+        planner, _ = cli._COMMANDS[argv[0]]
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setitem(cli._COMMANDS, argv[0], (lambda cfg: plans.append(planner(cfg)),
+                                                     lambda cfg, plan, out: None))
+        assert run_cli([*argv, "--out", "o"]) == 0
+        ((_, qms, grids),) = plans
+        assert qms
+        for qm, grid in zip(qms, grids[len(grids) - len(qms):]):
+            assert (grid.h, grid.x_left) == (qm.grid.h, qm.grid.x_left)

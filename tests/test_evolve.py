@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import oracles
@@ -689,34 +690,40 @@ class TestConfinement:
         assert peak <= 0.5 * 8 * n * n
 
     def test_le1_stride_rule(self):
-        # a default k matches max(dt, T/500) when T/(500 dt) is whole or below 1
-        assert evolve._le_stride(1000.0, 1.0, None) == 2
-        assert evolve._le_stride(40.0, 0.1, None) == 1
-        assert evolve._le_stride(3.0, 0.25, None) == 1
+        # k matches max(dt, T/500) when T/(500 dt) is whole or below 1
+        assert evolve._le_stride(1000.0, 1.0) == 2
+        assert evolve._le_stride(40.0, 0.1) == 1
+        assert evolve._le_stride(3.0, 0.25) == 1
         # and samples finer than T/500 otherwise
-        assert evolve._le_stride(40.0, 0.03, None) == 2
-        assert evolve._le_stride(1000.0, 1.0, 2.0) == 2
-        assert evolve._le_stride(3.0, 0.1, 0.3) == 3
-        for dt_le in (0.6, 0.1, 0.0):
-            with pytest.raises(ValueError, match="whole multiple"):
-                evolve._le_stride(1000.0, 1.0, dt_le)
+        assert evolve._le_stride(40.0, 0.03) == 2
 
     def test_default_sample_step(self):
-        # max(T / 1000, h), but never past the horizon: a grid step h longer
-        # than T gives the two samples 0 and T, on either side of h / 2
+        # T / min(1000, ceil(T / h)): whole steps that end at T, no longer
+        # than T / 1000 or the grid step h; an h longer than T gives the two
+        # samples 0 and T
         assert evolve.sample_count(1000.0, None, 0.5) == (1.0, 1001)
         assert evolve.sample_count(10.0, None, 0.5) == (0.5, 21)
+        assert evolve.sample_count(10.0, None, 0.0399) == (10.0 / 251, 252)
         assert evolve.sample_count(0.001, None, 0.004975) == (0.001, 2)
         assert evolve.sample_count(0.004, None, 0.004975) == (0.004, 2)
         assert evolve.sample_count(4.0, 3.0, 0.5) == (3.0, 2)
 
+    @settings(max_examples=500)
+    @given(T=st.floats(-3.0, 4.0).map(lambda e: 10.0**e),
+           h=st.floats(-4.0, 0.0).map(lambda e: 10.0**e))
+    def test_property_default_samples_end_at_the_horizon(self, T, h):
+        step, n = evolve.sample_count(T, None, h)
+        assert 2 <= n <= 1001
+        # T / ceil(T / h) passes h by an ulp where T / h rounds down onto a
+        # whole number, as at T = 0.159, h = 0.0003
+        assert step <= max(T / 1000.0, h) * (1.0 + EPS)
+        assert abs(step * (n - 1) - T) <= 2 * EPS * T
+
     def test_le1_samples_end_at_or_below_horizon(self, geom_m1_trapped):
         qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120))
-        with pytest.raises(ValueError, match="whole multiple"):
-            evolve.run_confinement(geom_m1_trapped, qm, qm.grid.extended(12.0), T_max=3.5,
-                                   R=1.0, dt=0.25, le1=True, dt_le=0.6)
-        rep = evolve.run_confinement(geom_m1_trapped, qm, qm.grid.extended(12.0), T_max=3.5,
-                                     R=1.0, dt=0.25, le1=True, dt_le=0.75)
+        with mock.patch.object(evolve, "_le_stride", lambda T_max, dt: 3):
+            rep = evolve.run_confinement(geom_m1_trapped, qm, qm.grid.extended(12.0),
+                                         T_max=3.5, R=1.0, dt=0.25, le1=True)
         assert rep.times[-1] == 3.5
         assert np.array_equal(rep.le1_times, rep.times[::3])
         assert rep.le1_times[-1] == 3.0
@@ -734,8 +741,9 @@ class TestConfinement:
         h = qm.grid.h
         x_max = 1.0 + reach * (x0 + 600 * h - 1.0)
         T = spans * k * dt
-        rep = evolve.run_confinement(geom, qm, qm.grid.extended(x_max), T_max=T, R=1.0, dt=dt,
-                                     le1=True, dt_le=k * dt)
+        with mock.patch.object(evolve, "_le_stride", lambda T_max, dt: k):
+            rep = evolve.run_confinement(geom, qm, qm.grid.extended(x_max), T_max=T, R=1.0,
+                                         dt=dt, le1=True)
         fld = rep.state
         assert fld.grid.n_interior <= 600
         assert rep.checks["gap_bound"]
@@ -827,8 +835,8 @@ class TestStandingLayout:
         assert np.array_equal(fld.a, gen.a) and np.array_equal(fld.b, gen.b)
         tol, E = self.bound(fld), fld.energy_spectral()
 
-        rep = evolve.run_confinement(geom, qm, grid, T_max=T, R=1.0, dt=dt, le1=True,
-                                     dt_le=k * dt)
+        with mock.patch.object(evolve, "_le_stride", lambda T_max, dt: k):
+            rep = evolve.run_confinement(geom, qm, grid, T_max=T, R=1.0, dt=dt, le1=True)
         assert rep.state.grid == grid and rep.E == gen.energy_spectral()
         # the general state's E_R, wall band (the whole grid minus the rows
         # before the strip) and LE1 from its own sweeps; its gap from the
@@ -846,7 +854,7 @@ class TestStandingLayout:
         assert np.max(np.abs(rep.duhamel_gap - gap)) <= self.gap_bound(gen, T)
         dt_s, times = evolve._sample_times(T, dt, grid.h)
         assert np.array_equal(times, rep.times)
-        gap = builder_gap(gen, qm.tau, times, dt_s, evolve._le_stride(T, dt_s, k * dt))
+        gap = builder_gap(gen, qm.tau, times, dt_s, k)
         assert np.max(np.abs(rep.duhamel_gap - gap)) <= 64 * EPS * math.sqrt(2 * E)
         assert rep.duhamel_gap[0] == 0.0
         le1 = evolve.space_time_norms(gen, T, k * dt)[1]
@@ -1122,14 +1130,15 @@ class TestCrossSite:
             assert norms.le_star == pytest.approx(le_star, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2], ids=["dt_le=dt", "dt_le=2dt"])
-    def test_confinement_run_agrees(self, geom_m1_trapped, k):
-        # with dt_le = 2 dt, samples 0 and 12 come from the whole-grid LE1
+    def test_confinement_run_agrees(self, geom_m1_trapped, k, monkeypatch):
+        # with LE1 stride 2, samples 0 and 12 come from the whole-grid LE1
         # reconstruction and sample 5 from the E_R band's
         qm = build_quasimode(geom_m1_trapped, 12, grid_interval=Grid(-1.0, 0.0, 120))
         T, dt = 3.0, 0.25
         dt_le = k * dt
+        monkeypatch.setattr(evolve, "_le_stride", lambda T_max, dt: k)
         rep = evolve.run_confinement(geom_m1_trapped, qm, qm.grid.extended(12.0), T_max=T,
-                                     R=1.0, dt=dt, le1=True, dt_le=dt_le)
+                                     R=1.0, dt=dt, le1=True)
         fld = evolve.data_field(geom_m1_trapped, qm, qm.grid.extended(12.0))
         near = fld.grid.nodes() <= 1.0
         for i in (0, 5, 12):

@@ -783,9 +783,6 @@ UNCALLED_EXPORTS = {
 # reason
 OPTIONS_WITHOUT_SETTER = {
     "cli.main.argv": "the console script calls main(), which then reads sys.argv",
-    "evolve.run_confinement.dt_le": "criterion 06 runs its T = 500 degrees at LE1 stride 2, "
-                                    "where the CLI takes 1, and the strided-sweep property "
-                                    "draws the stride",
 }
 
 
